@@ -6,9 +6,9 @@ executes them on the statevector backend and writes ``results.csv``,
 directory comes from ``--out``, else the ``SPINSIM_OUTPUT_DIR``
 environment variable, else the file's ``output_dir`` key.
 
-Exit codes: 0 success, 2 bad input description, 3 recognized but
-unsupported feature, 4 system too large for dense simulation, 5 I/O
-failure.
+Exit codes: 0 success, 2 bad input description (or one the numerics
+cannot follow), 3 recognized but unsupported feature, 4 system too
+large for dense simulation, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .config import (
     serialize,
     with_overrides,
 )
-from .errors import ConfigError, TooLargeError, UnsupportedFeatureError
+from .errors import ConfigError, SpinsimError, TooLargeError, UnsupportedFeatureError
 from .hamiltonian import AXES, HeisenbergHamiltonian, PauliTerm, snapshot
 from .ir import Program, export_text, h as h_gate, lower_to_native, rx as rx_gate
 from .observables import (
@@ -50,7 +50,7 @@ from .observables import (
     write_plot,
 )
 from .optimizer import optimize
-from .oracle import evolve_exact, evolve_imaginary_exact
+from .oracle import EVOLVE_QUBIT_LIMIT, evolve_exact, evolve_imaginary_exact
 from .qite import QiteParams, run_qite
 from .trotter import TrotterParams, build_evolution_program
 
@@ -59,6 +59,10 @@ EXIT_CONFIG = 2
 EXIT_UNSUPPORTED = 3
 EXIT_TOO_LARGE = 4
 EXIT_IO = 5
+
+# any other SpinsimError during a run means the input asked for more than
+# the numerics can follow
+_EXIT_CODE_OF = {UnsupportedFeatureError: EXIT_UNSUPPORTED, TooLargeError: EXIT_TOO_LARGE}
 
 OUTPUT_DIR_ENV = "SPINSIM_OUTPUT_DIR"
 
@@ -205,14 +209,6 @@ def run_simulation(args: argparse.Namespace) -> int:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if cfg.constant_depth:
-        print(
-            "error: constant_depth circuit synthesis is not implemented; "
-            "set constant_depth: False",
-            file=sys.stderr,
-        )
-        return EXIT_UNSUPPORTED
-
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
     out_path = Path(out_dir)
     seed = cfg.rng_seed if cfg.rng_seed is not None else 0
@@ -220,6 +216,14 @@ def run_simulation(args: argparse.Namespace) -> int:
     config_hash = hashlib.sha256(config_text.encode()).hexdigest()[:12]
 
     try:
+        if cfg.constant_depth:
+            raise UnsupportedFeatureError(
+                "constant_depth circuit synthesis is not implemented; set constant_depth: False"
+            )
+        if args.ground_truth and cfg.backend_mode == "QS" and cfg.num_spins > EVOLVE_QUBIT_LIMIT:
+            raise TooLargeError(
+                f"--ground-truth is limited to {EVOLVE_QUBIT_LIMIT} spins, got {cfg.num_spins}"
+            )
         hamiltonian = build_hamiltonian(cfg)
         if cfg.mode == "real-time":
             points, programs, _ = _run_real_time(cfg, hamiltonian, seed)
@@ -269,12 +273,9 @@ def run_simulation(args: argparse.Namespace) -> int:
             version=__version__,
         )
         written.append("manifest.json")
-    except UnsupportedFeatureError as exc:
+    except SpinsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
+        return _EXIT_CODE_OF.get(type(exc), EXIT_CONFIG)
     except OSError as exc:
         print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -3,27 +3,10 @@
 An input file is a sequence of ``key: value`` lines.  Lines whose first
 non-blank character is ``#`` are comments, blank lines are skipped, and
 both LF and CRLF endings are accepted.  Keys may appear in any order
-but at most once.  The full key set with defaults:
-
-==================  =====================================================
-key                 meaning (default)
-==================  =====================================================
-num_spins           chain length, required
-mode                real-time | imaginary-time (real-time)
-total_time          evolved time t_max, or beta_max in imaginary mode (1.0)
-num_steps           number of Trotter or QITE steps (10)
-J_x J_y J_z         bond coefficient schedules (0)
-h_x h_y h_z         field coefficient schedules (0)
-initial_state       all-up | flip-first | comma list of up/down (all-up)
-QCQS                QS (local statevector) | export-only (QS)
-shots               0 for exact expectations, else samples per circuit (0)
-observable          site-magnetization(x|y|z) | excitation-displacement |
-                    energy (site-magnetization(z))
-optimizer_level     none | peephole (peephole)
-constant_depth      True | False; True parses but is not executable (False)
-rng_seed            integer seed for random schedules and sampling (unset)
-output_dir          artifact directory for the command line driver (results)
-==================  =====================================================
+but at most once, and ``num_spins`` is required.  :data:`INPUT_KEYS` is
+the key set: each key's :class:`SimulationConfig` field (whose default
+is the key's default), how its text is parsed and rendered, and its
+allowed choices or minimum.
 
 Coupling and field values are either a scalar (broadcast over every
 bond or site), a comma-separated per-bond/per-site list, or one of the
@@ -32,30 +15,27 @@ schedule forms ``constant(v)``, ``linear-ramp(v0, v1)``,
 ``random-uniform(lo, hi[, seed])``.  The ramp runs over [0, total_time]
 and random-uniform draws one value per bond or site when the
 Hamiltonian is built, reproducibly from its seed (falling back to
-rng_seed when none is given inline).
+rng_seed when none is given inline).  Resolved schedules are the
+coefficient functions J^a_i(t) and h^a_i(t) of the Hamiltonian.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ConflictingKeysError,
     MissingRequiredKeyError,
     UnknownKeyError,
     ValueOutOfRangeError,
 )
-from .hamiltonian import (
-    AXES,
-    ConstantCoefficient,
-    HeisenbergHamiltonian,
-    PulseCoefficient,
-    RampCoefficient,
-)
+from .hamiltonian import HeisenbergHamiltonian
 
 
 @dataclass(frozen=True)
@@ -64,32 +44,31 @@ class ConstantSchedule:
 
     values: float | tuple[float, ...]
 
+    is_time_dependent = False
+
     def __post_init__(self):
         # a one-entry list means the same thing as a scalar; normalizing
         # here keeps serialize/parse round-trips exact
         if isinstance(self.values, tuple) and len(self.values) == 1:
             object.__setattr__(self, "values", self.values[0])
 
-    @property
-    def is_time_dependent(self) -> bool:
-        return False
+    def at(self, t: float) -> float:
+        """Value of a scalar schedule; resolve() splits a list into scalars."""
+        return self.values
 
     @property
-    def is_zero(self) -> bool:
-        if isinstance(self.values, tuple):
-            return all(v == 0.0 for v in self.values)
-        return self.values == 0.0
+    def peak(self) -> float:
+        """Largest |value| over time and index."""
+        values = self.values if isinstance(self.values, tuple) else (self.values,)
+        return max(abs(v) for v in values)
 
     def resolve(self, count: int, total_time: float, fallback_seed: int):
+        """One schedule per bond or site."""
         if isinstance(self.values, tuple):
-            if len(self.values) != count:
-                raise ConflictingKeysError(
-                    f"list of {len(self.values)} values where {count} are needed"
-                )
-            return tuple(ConstantCoefficient(v) for v in self.values)
-        return tuple(ConstantCoefficient(self.values) for _ in range(count))
+            return tuple(ConstantSchedule(v) for v in self.values)
+        return (self,) * count
 
-    def render(self) -> str:
+    def __str__(self) -> str:
         if isinstance(self.values, tuple):
             return ", ".join(_format_number(v) for v in self.values)
         return _format_number(self.values)
@@ -97,46 +76,61 @@ class ConstantSchedule:
 
 @dataclass(frozen=True)
 class LinearRampSchedule:
-    """Interpolates from start at t=0 to stop at t=total_time."""
+    """Interpolates from start at t=0 to stop at t=total_time.
+
+    ``total_time`` is filled in by :meth:`resolve`; while it is unset or
+    zero the ramp sits at ``stop``.
+    """
 
     start: float
     stop: float
+    total_time: float | None = None
+
+    def at(self, t: float) -> float:
+        if not self.total_time:
+            return self.stop
+        frac = min(max(t / self.total_time, 0.0), 1.0)
+        return self.start + (self.stop - self.start) * frac
 
     @property
     def is_time_dependent(self) -> bool:
         return self.start != self.stop
 
     @property
-    def is_zero(self) -> bool:
-        return self.start == 0.0 and self.stop == 0.0
+    def peak(self) -> float:
+        return max(abs(self.start), abs(self.stop))
 
     def resolve(self, count: int, total_time: float, fallback_seed: int):
-        coeff = RampCoefficient(self.start, self.stop, total_time)
-        return tuple(coeff for _ in range(count))
+        return (replace(self, total_time=total_time),) * count
 
-    def render(self) -> str:
+    def __str__(self) -> str:
         return f"linear-ramp({_format_number(self.start)}, {_format_number(self.stop)})"
 
 
 @dataclass(frozen=True)
 class GaussianPulseSchedule:
+    """Envelope amplitude * exp(-(t-center)^2 / (2 width^2))."""
+
     amplitude: float
     center: float
     width: float
+
+    def at(self, t: float) -> float:
+        arg = (t - self.center) / self.width
+        return self.amplitude * math.exp(-0.5 * arg * arg)
 
     @property
     def is_time_dependent(self) -> bool:
         return self.amplitude != 0.0
 
     @property
-    def is_zero(self) -> bool:
-        return self.amplitude == 0.0
+    def peak(self) -> float:
+        return abs(self.amplitude)
 
     def resolve(self, count: int, total_time: float, fallback_seed: int):
-        coeff = PulseCoefficient(self.amplitude, self.center, self.width)
-        return tuple(coeff for _ in range(count))
+        return (self,) * count
 
-    def render(self) -> str:
+    def __str__(self) -> str:
         parts = (self.amplitude, self.center, self.width)
         return f"gaussian-pulse({', '.join(_format_number(v) for v in parts)})"
 
@@ -154,21 +148,19 @@ class RandomUniformSchedule:
     high: float
     seed: int | None = None
 
-    @property
-    def is_time_dependent(self) -> bool:
-        return False
+    is_time_dependent = False
 
     @property
-    def is_zero(self) -> bool:
-        return False
+    def peak(self) -> float:
+        return max(abs(self.low), abs(self.high))
 
     def resolve(self, count: int, total_time: float, fallback_seed: int):
         seed = self.seed if self.seed is not None else fallback_seed
         rng = np.random.default_rng(seed)
         draws = rng.uniform(self.low, self.high, size=count)
-        return tuple(ConstantCoefficient(float(v)) for v in draws)
+        return tuple(ConstantSchedule(float(v)) for v in draws)
 
-    def render(self) -> str:
+    def __str__(self) -> str:
         parts = [_format_number(self.low), _format_number(self.high)]
         if self.seed is not None:
             parts.append(str(self.seed))
@@ -180,22 +172,6 @@ CoefficientSchedule = (
 )
 
 ZERO_SCHEDULE = ConstantSchedule(0.0)
-
-MODES = ("real-time", "imaginary-time")
-BACKEND_MODES = ("QS", "export-only")
-OPTIMIZER_LEVELS = ("none", "peephole")
-OBSERVABLES = (
-    "site-magnetization(x)",
-    "site-magnetization(y)",
-    "site-magnetization(z)",
-    "excitation-displacement",
-    "energy",
-)
-
-DEFAULT_OUTPUT_DIR = "results"
-
-# salt per schedule-carrying key, used to derive per-key random seeds
-_SCHEDULE_KEY_SALT = {"J_x": 0, "J_y": 1, "J_z": 2, "h_x": 3, "h_y": 4, "h_z": 5}
 
 
 @dataclass(frozen=True)
@@ -219,85 +195,12 @@ class SimulationConfig:
     optimizer_level: str = "peephole"
     constant_depth: bool = False
     rng_seed: int | None = None
-    output_dir: str = DEFAULT_OUTPUT_DIR
+    output_dir: str = "results"
 
     def __post_init__(self):
         if not self.initial_state:
             object.__setattr__(self, "initial_state", ("up",) * self.num_spins)
         _validate_config(self)
-
-    def schedule(self, kind: str, axis: str) -> CoefficientSchedule:
-        """The J (kind='bond') or h (kind='field') schedule for an axis."""
-        prefix = "j" if kind == "bond" else "h"
-        return getattr(self, f"{prefix}_{axis}")
-
-
-def _validate_config(cfg: SimulationConfig) -> None:
-    if cfg.num_spins < 1:
-        raise ValueOutOfRangeError(f"num_spins must be positive, got {cfg.num_spins}")
-    if cfg.mode not in MODES:
-        raise ValueOutOfRangeError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.total_time < 0.0 or not math.isfinite(cfg.total_time):
-        raise ValueOutOfRangeError(f"total_time must be finite and >= 0, got {cfg.total_time}")
-    if cfg.num_steps < 1:
-        raise ValueOutOfRangeError(f"num_steps must be positive, got {cfg.num_steps}")
-    if cfg.backend_mode not in BACKEND_MODES:
-        raise ValueOutOfRangeError(
-            f"QCQS must be one of {BACKEND_MODES}, got {cfg.backend_mode!r}"
-        )
-    if cfg.shots < 0:
-        raise ValueOutOfRangeError(f"shots must be >= 0, got {cfg.shots}")
-    if cfg.observable not in OBSERVABLES:
-        raise ValueOutOfRangeError(f"unknown observable {cfg.observable!r}")
-    if cfg.optimizer_level not in OPTIMIZER_LEVELS:
-        raise ValueOutOfRangeError(
-            f"optimizer_level must be one of {OPTIMIZER_LEVELS}, got {cfg.optimizer_level!r}"
-        )
-    if len(cfg.initial_state) != cfg.num_spins:
-        raise ConflictingKeysError(
-            f"initial_state lists {len(cfg.initial_state)} spins for a chain of {cfg.num_spins}"
-        )
-    for spin in cfg.initial_state:
-        if spin not in ("up", "down"):
-            raise ValueOutOfRangeError(f"initial_state entries must be up or down, got {spin!r}")
-    if cfg.rng_seed is not None and cfg.rng_seed < 0:
-        raise ValueOutOfRangeError(f"rng_seed must be >= 0, got {cfg.rng_seed}")
-    n = cfg.num_spins
-    for key, count in _schedule_slots(n):
-        spec = getattr(cfg, _FIELD_OF_KEY[key])
-        if isinstance(spec, ConstantSchedule) and isinstance(spec.values, tuple):
-            if len(spec.values) != count:
-                raise ConflictingKeysError(
-                    f"{key} lists {len(spec.values)} values but the chain has {count} "
-                    f"{'bonds' if key.startswith('J') else 'sites'}"
-                )
-        if isinstance(spec, GaussianPulseSchedule) and spec.width <= 0.0:
-            raise ValueOutOfRangeError(f"{key}: gaussian-pulse width must be positive")
-        if isinstance(spec, RandomUniformSchedule):
-            if spec.low > spec.high:
-                raise ValueOutOfRangeError(f"{key}: random-uniform bounds are reversed")
-            if spec.seed is not None and spec.seed < 0:
-                raise ValueOutOfRangeError(f"{key}: random-uniform seed must be >= 0")
-        if cfg.mode == "imaginary-time" and spec.is_time_dependent:
-            raise ConflictingKeysError(
-                f"{key} is time dependent but imaginary-time evolution needs a static Hamiltonian"
-            )
-
-
-_FIELD_OF_KEY = {
-    "J_x": "j_x",
-    "J_y": "j_y",
-    "J_z": "j_z",
-    "h_x": "h_x",
-    "h_y": "h_y",
-    "h_z": "h_z",
-}
-
-
-def _schedule_slots(num_spins: int) -> list[tuple[str, int]]:
-    slots = [(f"J_{a}", num_spins - 1) for a in AXES]
-    slots += [(f"h_{a}", num_spins) for a in AXES]
-    return slots
 
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -308,107 +211,195 @@ def _format_number(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _parse_number(text: str, key: str, line: int | None) -> float:
-    if not _NUMBER_RE.match(text):
-        raise ValueOutOfRangeError(f"{key}: expected a number, got {text!r}", line)
-    return float(text)
+# Value parsers take the stripped value text and the chain length; only
+# initial_state's named forms use the latter.
 
 
-def _parse_int(text: str, key: str, line: int | None) -> int:
+def _text(text: str, num_spins: int = 0) -> str:
+    return text
+
+
+def _number(text: str, num_spins: int = 0) -> float:
+    value = float(text) if _NUMBER_RE.match(text) else math.nan
+    if not math.isfinite(value):
+        raise ValueOutOfRangeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _integer(text: str, num_spins: int = 0) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueOutOfRangeError(f"{key}: expected an integer, got {text!r}", line) from None
+        raise ValueOutOfRangeError(f"expected an integer, got {text!r}") from None
 
 
-def _parse_schedule(text: str, key: str, line: int | None) -> CoefficientSchedule:
-    m = _SCHEDULE_RE.match(text)
-    if m is None:
-        parts = [p.strip() for p in text.split(",")]
-        values = tuple(_parse_number(p, key, line) for p in parts)
-        if len(values) == 1:
-            return ConstantSchedule(values[0])
-        return ConstantSchedule(values)
-    name = m.group("name")
-    args = [a.strip() for a in m.group("args").split(",")] if m.group("args").strip() else []
-    if name == "constant":
-        if len(args) != 1:
-            raise ValueOutOfRangeError(f"{key}: constant(v) takes one argument", line)
-        return ConstantSchedule(_parse_number(args[0], key, line))
-    if name == "linear-ramp":
-        if len(args) != 2:
-            raise ValueOutOfRangeError(f"{key}: linear-ramp(v0, v1) takes two arguments", line)
-        return LinearRampSchedule(*(_parse_number(a, key, line) for a in args))
-    if name == "gaussian-pulse":
-        if len(args) != 3:
-            raise ValueOutOfRangeError(
-                f"{key}: gaussian-pulse(amplitude, center, width) takes three arguments", line
-            )
-        amp, center, width = (_parse_number(a, key, line) for a in args)
-        if width <= 0.0:
-            raise ValueOutOfRangeError(f"{key}: gaussian-pulse width must be positive", line)
-        return GaussianPulseSchedule(amp, center, width)
-    if name == "random-uniform":
-        if len(args) not in (2, 3):
-            raise ValueOutOfRangeError(
-                f"{key}: random-uniform(lo, hi[, seed]) takes two or three arguments", line
-            )
-        low = _parse_number(args[0], key, line)
-        high = _parse_number(args[1], key, line)
-        if low > high:
-            raise ValueOutOfRangeError(f"{key}: random-uniform bounds are reversed", line)
-        seed = _parse_int(args[2], key, line) if len(args) == 3 else None
-        return RandomUniformSchedule(low, high, seed)
-    raise ValueOutOfRangeError(f"{key}: unknown schedule form {name!r}", line)
+def _boolean(text: str, num_spins: int = 0) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueOutOfRangeError(f"expected True or False, got {text!r}")
+    return text.lower() == "true"
 
 
-def _parse_initial_state(text: str, num_spins: int, line: int | None) -> tuple[str, ...]:
+def _spins(text: str, num_spins: int) -> tuple[str, ...]:
     if text == "all-up":
         return ("up",) * num_spins
     if text == "flip-first":
-        if num_spins < 1:
-            raise ValueOutOfRangeError("flip-first needs at least one spin", line)
         return ("down",) + ("up",) * (num_spins - 1)
-    spins = tuple(p.strip() for p in text.split(","))
-    for spin in spins:
+    return tuple(p.strip() for p in text.split(","))
+
+
+# form name -> (schedule class, argument list, accepted argument counts)
+_SCHEDULE_FORMS = {
+    "constant": (ConstantSchedule, "v", (1,)),
+    "linear-ramp": (LinearRampSchedule, "v0, v1", (2,)),
+    "gaussian-pulse": (GaussianPulseSchedule, "amplitude, center, width", (3,)),
+    "random-uniform": (RandomUniformSchedule, "lo, hi[, seed]", (2, 3)),
+}
+
+
+def _schedule(text: str, num_spins: int = 0) -> CoefficientSchedule:
+    m = _SCHEDULE_RE.match(text)
+    if m is None:
+        return ConstantSchedule(tuple(_number(p.strip()) for p in text.split(",")))
+    name = m.group("name")
+    if name not in _SCHEDULE_FORMS:
+        raise ValueOutOfRangeError(f"unknown schedule form {name!r}")
+    cls, usage, counts = _SCHEDULE_FORMS[name]
+    args = [a.strip() for a in m.group("args").split(",")]
+    if len(args) not in counts:
+        expected = " or ".join(map(str, counts))
+        raise ValueOutOfRangeError(f"{name}({usage}) takes {expected} arguments")
+    if cls is RandomUniformSchedule and len(args) == 3:
+        return RandomUniformSchedule(_number(args[0]), _number(args[1]), _integer(args[2]))
+    return cls(*(_number(a) for a in args))
+
+
+@dataclass(frozen=True)
+class InputKey:
+    """How one input key maps onto a :class:`SimulationConfig` field."""
+
+    field: str
+    parse: Callable[[str, int], object]
+    render: Callable[[object], str] = str
+    choices: tuple[str, ...] = ()
+    minimum: int | None = None
+
+
+# The input key set, in serialization order.  Fields left None
+# (rng_seed) are not serialized.
+INPUT_KEYS = {
+    "num_spins": InputKey("num_spins", _integer, minimum=1),
+    "mode": InputKey("mode", _text, choices=("real-time", "imaginary-time")),
+    "total_time": InputKey("total_time", _number, _format_number, minimum=0),
+    "num_steps": InputKey("num_steps", _integer, minimum=1),
+    "J_x": InputKey("j_x", _schedule),
+    "J_y": InputKey("j_y", _schedule),
+    "J_z": InputKey("j_z", _schedule),
+    "h_x": InputKey("h_x", _schedule),
+    "h_y": InputKey("h_y", _schedule),
+    "h_z": InputKey("h_z", _schedule),
+    "initial_state": InputKey("initial_state", _spins, ",".join),
+    "QCQS": InputKey("backend_mode", _text, choices=("QS", "export-only")),
+    "shots": InputKey("shots", _integer, minimum=0),
+    "observable": InputKey(
+        "observable",
+        _text,
+        choices=tuple(f"site-magnetization({a})" for a in "xyz")
+        + ("excitation-displacement", "energy"),
+    ),
+    "optimizer_level": InputKey("optimizer_level", _text, choices=("none", "peephole")),
+    "constant_depth": InputKey("constant_depth", _boolean),
+    "rng_seed": InputKey("rng_seed", _integer, minimum=0),
+    "output_dir": InputKey("output_dir", _text),
+}
+
+
+def _schedule_slots(num_spins: int) -> list[tuple[str, int]]:
+    """(key, bond or site count) of every schedule key, in table order.
+
+    A key's position here (J_x..h_z = 0..5) salts its random draws.
+    """
+    return [
+        (key, num_spins - 1 if key.startswith("J") else num_spins)
+        for key, spec in INPUT_KEYS.items()
+        if spec.parse is _schedule
+    ]
+
+
+def _invalid(field: str, message: str, error: type[ConfigError] = ValueOutOfRangeError):
+    """A config error tagged with the field whose input line is to blame."""
+    exc = error(message)
+    exc.field = field
+    return exc
+
+
+def _validate_config(cfg: SimulationConfig) -> None:
+    for key, spec in INPUT_KEYS.items():
+        value = getattr(cfg, spec.field)
+        if spec.choices and value not in spec.choices:
+            hint = ""
+            if (key, value) == ("QCQS", "QC"):
+                hint = " (cloud hardware execution is not part of this package)"
+            raise _invalid(spec.field, f"{key} must be one of {spec.choices}, got {value!r}{hint}")
+        if spec.minimum is not None and value is not None and value < spec.minimum:
+            raise _invalid(spec.field, f"{key} must be >= {spec.minimum}, got {value}")
+    for spin in cfg.initial_state:
         if spin not in ("up", "down"):
-            raise ValueOutOfRangeError(
-                f"initial_state entries must be up or down, got {spin!r}", line
-            )
-    if len(spins) != num_spins:
-        raise ConflictingKeysError(
-            f"initial_state lists {len(spins)} spins for a chain of {num_spins}", line
+            raise _invalid("initial_state", f"initial_state entries are up or down, not {spin!r}")
+    if len(cfg.initial_state) != cfg.num_spins:
+        raise _invalid(
+            "initial_state",
+            f"initial_state lists {len(cfg.initial_state)} spins for a chain of {cfg.num_spins}",
+            ConflictingKeysError,
         )
-    return spins
+    if cfg.mode == "imaginary-time" and cfg.total_time == 0.0:
+        raise _invalid("total_time", "imaginary-time evolution needs total_time > 0")
 
+    bounds = {}
+    for key, count in _schedule_slots(cfg.num_spins):
+        field = INPUT_KEYS[key].field
+        spec = getattr(cfg, field)
+        if isinstance(spec, ConstantSchedule) and isinstance(spec.values, tuple):
+            if len(spec.values) != count:
+                raise _invalid(
+                    field,
+                    f"{key} lists {len(spec.values)} values but the chain has {count} "
+                    f"{'bonds' if key.startswith('J') else 'sites'}",
+                    ConflictingKeysError,
+                )
+        if isinstance(spec, GaussianPulseSchedule) and spec.width <= 0.0:
+            raise _invalid(field, f"{key}: gaussian-pulse width must be positive")
+        if isinstance(spec, RandomUniformSchedule):
+            if spec.low > spec.high:
+                raise _invalid(field, f"{key}: random-uniform bounds are reversed")
+            if spec.seed is not None and spec.seed < 0:
+                raise _invalid(field, f"{key}: random-uniform seed must be >= 0")
+        if cfg.mode == "imaginary-time" and spec.is_time_dependent:
+            raise _invalid(
+                field,
+                f"{key} is time dependent but imaginary-time evolution needs a static Hamiltonian",
+                ConflictingKeysError,
+            )
+        bounds[field] = count * spec.peak
 
-_KNOWN_KEYS = (
-    "num_spins",
-    "mode",
-    "total_time",
-    "num_steps",
-    "J_x",
-    "J_y",
-    "J_z",
-    "h_x",
-    "h_y",
-    "h_z",
-    "initial_state",
-    "QCQS",
-    "shots",
-    "observable",
-    "optimizer_level",
-    "constant_depth",
-    "rng_seed",
-    "output_dir",
-)
+    # With T = total_time and S the summed coefficient bound, (1 + T)(1 + S)
+    # exceeds T, S and T*S.  Squared and finite, it keeps every rotation
+    # angle 2|c|dt, QITE's dbeta^2 <H^2> and the energy finite.
+    total = sum(bounds.values())
+    scale = (1.0 + cfg.total_time) * (1.0 + total)
+    if not math.isfinite(scale * scale):
+        blamed = "total_time" if cfg.total_time >= total else max(bounds, key=bounds.get)
+        raise _invalid(
+            blamed,
+            f"total_time {cfg.total_time:g} with coefficients summing to {total:g} "
+            "is too large to simulate",
+        )
 
 
 def parse_input(text: str) -> SimulationConfig:
     """Parse an input description into a validated config.
 
     Problems raise a :class:`~spinsim.errors.ConfigError` subclass
-    carrying the offending line number where one exists.
+    carrying the line number of the key to blame where one exists.
     """
     entries: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -419,7 +410,7 @@ def parse_input(text: str) -> SimulationConfig:
             raise ValueOutOfRangeError(f"expected 'key: value', got {line!r}", lineno)
         key, _, value = line.partition(":")
         key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in INPUT_KEYS:
             raise UnknownKeyError(f"unknown key {key!r}", lineno)
         if key in entries:
             raise ConflictingKeysError(
@@ -431,71 +422,23 @@ def parse_input(text: str) -> SimulationConfig:
 
     if "num_spins" not in entries:
         raise MissingRequiredKeyError("num_spins is required")
-    value, line = entries.pop("num_spins")
-    num_spins = _parse_int(value, "num_spins", line)
-    if num_spins < 1:
-        raise ValueOutOfRangeError(f"num_spins must be positive, got {num_spins}", line)
-
     kwargs = {}
-    for key, (value, line) in entries.items():
-        if key == "mode":
-            if value not in MODES:
-                raise ValueOutOfRangeError(f"mode must be one of {MODES}, got {value!r}", line)
-            kwargs["mode"] = value
-        elif key == "total_time":
-            total_time = _parse_number(value, key, line)
-            if total_time < 0.0:
-                raise ValueOutOfRangeError(f"total_time must be >= 0, got {value}", line)
-            kwargs["total_time"] = total_time
-        elif key == "num_steps":
-            num_steps = _parse_int(value, key, line)
-            if num_steps < 1:
-                raise ValueOutOfRangeError(f"num_steps must be positive, got {value}", line)
-            kwargs["num_steps"] = num_steps
-        elif key in _FIELD_OF_KEY:
-            kwargs[_FIELD_OF_KEY[key]] = _parse_schedule(value, key, line)
-        elif key == "initial_state":
-            kwargs["initial_state"] = _parse_initial_state(value, num_spins, line)
-        elif key == "QCQS":
-            if value not in BACKEND_MODES:
-                hint = " (cloud hardware execution is not part of this package)" if value == "QC" else ""
-                raise ValueOutOfRangeError(
-                    f"QCQS must be one of {BACKEND_MODES}, got {value!r}{hint}", line
-                )
-            kwargs["backend_mode"] = value
-        elif key == "shots":
-            shots = _parse_int(value, key, line)
-            if shots < 0:
-                raise ValueOutOfRangeError(f"shots must be >= 0, got {value}", line)
-            kwargs["shots"] = shots
-        elif key == "observable":
-            if value not in OBSERVABLES:
-                raise ValueOutOfRangeError(
-                    f"observable must be one of {OBSERVABLES}, got {value!r}", line
-                )
-            kwargs["observable"] = value
-        elif key == "optimizer_level":
-            if value not in OPTIMIZER_LEVELS:
-                raise ValueOutOfRangeError(
-                    f"optimizer_level must be one of {OPTIMIZER_LEVELS}, got {value!r}", line
-                )
-            kwargs["optimizer_level"] = value
-        elif key == "constant_depth":
-            lowered = value.lower()
-            if lowered not in ("true", "false"):
-                raise ValueOutOfRangeError(
-                    f"constant_depth must be True or False, got {value!r}", line
-                )
-            kwargs["constant_depth"] = lowered == "true"
-        elif key == "rng_seed":
-            seed = _parse_int(value, key, line)
-            if seed < 0:
-                raise ValueOutOfRangeError(f"rng_seed must be >= 0, got {value}", line)
-            kwargs["rng_seed"] = seed
-        elif key == "output_dir":
-            kwargs["output_dir"] = value
-
-    return SimulationConfig(num_spins=num_spins, **kwargs)
+    # num_spins goes first: initial_state's named forms need the chain length
+    for key in sorted(entries, key=lambda k: k != "num_spins"):
+        value, line = entries[key]
+        spec = INPUT_KEYS[key]
+        try:
+            kwargs[spec.field] = spec.parse(value, kwargs.get("num_spins", 0))
+        except ConfigError as exc:
+            raise type(exc)(f"{key}: {exc}", line) from None
+    try:
+        return SimulationConfig(**kwargs)
+    except ConfigError as exc:
+        line_of = {INPUT_KEYS[key].field: line for key, (_, line) in entries.items()}
+        line = line_of.get(getattr(exc, "field", None))
+        if line is None:
+            raise
+        raise type(exc)(str(exc), line) from None
 
 
 def serialize(cfg: SimulationConfig) -> str:
@@ -503,23 +446,11 @@ def serialize(cfg: SimulationConfig) -> str:
 
     ``parse_input(serialize(cfg)) == cfg`` for every valid config.
     """
-    lines = [
-        f"num_spins: {cfg.num_spins}",
-        f"mode: {cfg.mode}",
-        f"total_time: {_format_number(cfg.total_time)}",
-        f"num_steps: {cfg.num_steps}",
-    ]
-    for key, field_name in _FIELD_OF_KEY.items():
-        lines.append(f"{key}: {getattr(cfg, field_name).render()}")
-    lines.append(f"initial_state: {','.join(cfg.initial_state)}")
-    lines.append(f"QCQS: {cfg.backend_mode}")
-    lines.append(f"shots: {cfg.shots}")
-    lines.append(f"observable: {cfg.observable}")
-    lines.append(f"optimizer_level: {cfg.optimizer_level}")
-    lines.append(f"constant_depth: {'True' if cfg.constant_depth else 'False'}")
-    if cfg.rng_seed is not None:
-        lines.append(f"rng_seed: {cfg.rng_seed}")
-    lines.append(f"output_dir: {cfg.output_dir}")
+    lines = []
+    for key, spec in INPUT_KEYS.items():
+        value = getattr(cfg, spec.field)
+        if value is not None:
+            lines.append(f"{key}: {spec.render(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -529,24 +460,14 @@ def build_hamiltonian(cfg: SimulationConfig) -> HeisenbergHamiltonian:
     Random-uniform schedules are drawn here, once per bond or site, so
     the result is deterministic for a given (config, rng_seed) pair.
     """
-    n = cfg.num_spins
     base_seed = cfg.rng_seed if cfg.rng_seed is not None else 0
-    bond: dict[tuple[str, int], object] = {}
-    field: dict[tuple[str, int], object] = {}
-    for axis in AXES:
-        spec = cfg.schedule("bond", axis)
-        if not spec.is_zero and n > 1:
-            salt = _SCHEDULE_KEY_SALT[f"J_{axis}"]
-            coeffs = spec.resolve(n - 1, cfg.total_time, _derived_seed(base_seed, salt))
-            for i, coeff in enumerate(coeffs, start=1):
-                bond[(axis, i)] = coeff
-        spec = cfg.schedule("field", axis)
-        if not spec.is_zero:
-            salt = _SCHEDULE_KEY_SALT[f"h_{axis}"]
-            coeffs = spec.resolve(n, cfg.total_time, _derived_seed(base_seed, salt))
-            for i, coeff in enumerate(coeffs, start=1):
-                field[(axis, i)] = coeff
-    return HeisenbergHamiltonian(n, bond, field)
+    coefficients: dict[str, dict] = {"J": {}, "h": {}}
+    for salt, (key, count) in enumerate(_schedule_slots(cfg.num_spins)):
+        schedule = getattr(cfg, INPUT_KEYS[key].field)
+        resolved = schedule.resolve(count, cfg.total_time, _derived_seed(base_seed, salt))
+        for i, coefficient in enumerate(resolved, start=1):
+            coefficients[key[0]][(key[-1], i)] = coefficient
+    return HeisenbergHamiltonian(cfg.num_spins, coefficients["J"], coefficients["h"])
 
 
 def _derived_seed(base_seed: int, salt: int) -> int:
@@ -561,11 +482,6 @@ def with_overrides(
     output_dir: str | None = None,
 ) -> SimulationConfig:
     """Apply command-line overrides on top of file values."""
-    updates = {}
-    if seed is not None:
-        updates["rng_seed"] = seed
-    if shots is not None:
-        updates["shots"] = shots
-    if output_dir is not None:
-        updates["output_dir"] = output_dir
+    updates = {"rng_seed": seed, "shots": shots, "output_dir": output_dir}
+    updates = {k: v for k, v in updates.items() if v is not None}
     return replace(cfg, **updates) if updates else cfg

@@ -10,68 +10,20 @@ with sites numbered from 1.  Site i lives on qubit i-1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import TooLargeError
 from .ir import pauli_matrix
 
+if TYPE_CHECKING:
+    from .config import CoefficientSchedule
+
 AXES = ("x", "y", "z")
 
 DENSE_QUBIT_LIMIT = 12
-
-
-@dataclass(frozen=True)
-class ConstantCoefficient:
-    value: float
-
-    def at(self, t: float) -> float:
-        return self.value
-
-    @property
-    def is_time_dependent(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class RampCoefficient:
-    """Linear interpolation from ``start`` at t=0 to ``stop`` at t=duration."""
-
-    start: float
-    stop: float
-    duration: float
-
-    def at(self, t: float) -> float:
-        if self.duration <= 0.0:
-            return self.stop
-        frac = min(max(t / self.duration, 0.0), 1.0)
-        return self.start + (self.stop - self.start) * frac
-
-    @property
-    def is_time_dependent(self) -> bool:
-        return self.start != self.stop
-
-
-@dataclass(frozen=True)
-class PulseCoefficient:
-    """Gaussian envelope amplitude * exp(-(t-center)^2 / (2 width^2))."""
-
-    amplitude: float
-    center: float
-    width: float
-
-    def at(self, t: float) -> float:
-        arg = (t - self.center) / self.width
-        return self.amplitude * math.exp(-0.5 * arg * arg)
-
-    @property
-    def is_time_dependent(self) -> bool:
-        return self.amplitude != 0.0
-
-
-Coefficient = ConstantCoefficient | RampCoefficient | PulseCoefficient
 
 
 @dataclass(frozen=True)
@@ -99,16 +51,17 @@ class PauliTerm:
 
 @dataclass(frozen=True)
 class HeisenbergHamiltonian:
-    """Per-bond and per-site coefficient functions of an open chain.
+    """Per-bond and per-site coefficient schedules of an open chain.
 
-    ``bond_coefficients`` maps (axis, i) to the J^axis_i(t) function for
+    ``bond_coefficients`` maps (axis, i) to the J^axis_i(t) schedule for
     the bond between sites i and i+1; ``field_coefficients`` maps
-    (axis, i) to h^axis_i(t).
+    (axis, i) to h^axis_i(t).  A schedule is one of the resolved
+    :mod:`spinsim.config` schedules: ``at(t)`` gives its value.
     """
 
     num_spins: int
-    bond_coefficients: dict[tuple[str, int], Coefficient]
-    field_coefficients: dict[tuple[str, int], Coefficient]
+    bond_coefficients: dict[tuple[str, int], CoefficientSchedule]
+    field_coefficients: dict[tuple[str, int], CoefficientSchedule]
 
     def __post_init__(self):
         if self.num_spins < 1:

@@ -19,8 +19,8 @@ from spinsim.backend import (
     sample_counts,
 )
 from spinsim.cli import main
-from spinsim.config import build_hamiltonian, parse_input, serialize
-from spinsim.hamiltonian import ConstantCoefficient, HeisenbergHamiltonian, PauliTerm, snapshot
+from spinsim.config import ConstantSchedule, build_hamiltonian, parse_input, serialize
+from spinsim.hamiltonian import HeisenbergHamiltonian, PauliTerm, snapshot
 from spinsim.ir import Program, export_text, import_text, lower_to_native
 from spinsim.observables import (
     ResultSeries,
@@ -52,8 +52,8 @@ def criterion(number: int, label: str):
 
 
 def tfim3() -> HeisenbergHamiltonian:
-    bonds = {("z", i): ConstantCoefficient(1.0) for i in (1, 2)}
-    fields = {("x", i): ConstantCoefficient(1.0) for i in (1, 2, 3)}
+    bonds = {("z", i): ConstantSchedule(1.0) for i in (1, 2)}
+    fields = {("x", i): ConstantSchedule(1.0) for i in (1, 2, 3)}
     return HeisenbergHamiltonian(3, bonds, fields)
 
 
@@ -206,7 +206,7 @@ def test_criterion_5_backend_correctness():
 
 def test_criterion_6_qite_calibration():
     with criterion(6, "one-qubit imaginary-time flow calibrated against oracle") as out:
-        field = HeisenbergHamiltonian(1, {}, {("z", 1): ConstantCoefficient(1.0)})
+        field = HeisenbergHamiltonian(1, {}, {("z", 1): ConstantSchedule(1.0)})
         term = PauliTerm(1.0, ((1, "z"),))
         plus = run_statevector(Program(1, (ir.h(0),)))
 

@@ -1,11 +1,18 @@
 """End-to-end runs of the command line driver."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsim.cli import main
+from spinsim.config import INPUT_KEYS
 from spinsim.observables import read_csv
 
 SMALL_REAL_TIME = """\
@@ -112,6 +119,123 @@ class TestExitCodes:
     def test_missing_input_exits_five(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.txt")]) == 5
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "num_spins: 2\nmode: imaginary-time\ntotal_time: 0\nJ_z: 1\n",
+            "num_spins: 2\nJ_z: 1e400\n",
+            "num_spins: 2\ntotal_time: 1e308\nJ_z: 10\nnum_steps: 1\n",
+            "num_spins: 2\nmode: imaginary-time\nh_x: 1e200\nnum_steps: 1\n",
+            "num_spins: 2\nmode: imaginary-time\ntotal_time: 1e308\nJ_z: 1\nnum_steps: 1\n",
+            # the exact reference has no surviving overlap with the up state
+            "num_spins: 1\nmode: imaginary-time\nh_z: 1\ntotal_time: 1000\nnum_steps: 1\n",
+            # one QITE step of dbeta = 1 collapses the step normalization to 0
+            "num_spins: 1\nmode: imaginary-time\nh_z: 1\ntotal_time: 1\nnum_steps: 1\n",
+        ],
+        ids=[
+            "imaginary-zero-time",
+            "infinite-coupling",
+            "angle-overflow",
+            "qite-angle-overflow",
+            "qite-dbeta-overflow",
+            "zero-overlap",
+            "singular-qite-step",
+        ],
+    )
+    def test_numeric_edge_cases_exit_two(self, tmp_path, capsys, text):
+        input_path = write_input(tmp_path, text)
+        code = main(["run", str(input_path), "--out", str(tmp_path / "o"), "--ground-truth"])
+        assert code == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_ground_truth_size_checked_before_simulating(self, tmp_path, capsys):
+        input_path = write_input(tmp_path, "num_spins: 12\nJ_z: 1.0\nnum_steps: 1\n")
+        out = tmp_path / "o"
+        assert main(["run", str(input_path), "--out", str(out), "--ground-truth"]) == 4
+        assert "--ground-truth" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# Candidate values per input key: (ordinary, edge).  Edge values include
+# the float limits and an overflow; edge schedule lists have lengths
+# that miss most chains.  num_spins <= 4 and num_steps <= 3 keep every
+# run to milliseconds.
+EDGE_NUMBERS = ("-1", "1e-300", "1e200", "1e308", "1e400")
+FUZZ_VALUES = {
+    "num_spins": (("1", "2", "3", "4"), ("0", "-2")),
+    "total_time": (("0", "0.5", "1", "2"), EDGE_NUMBERS),
+    "num_steps": (("1", "2", "3"), ("0",)),
+    "initial_state": (("all-up", "flip-first"), ("up,down", "down", "up,sideways")),
+    "shots": (("0", "20"), ("-1",)),
+    "constant_depth": (("False",), ("True", "maybe")),
+    "rng_seed": (("0", "7"), ("-1",)),
+    "output_dir": (("ignored",), ("ignored",)),
+}
+SCHEDULE_VALUES = (
+    (
+        "0.5",
+        "-1",
+        "linear-ramp(-1, 1)",
+        "gaussian-pulse(1, 0.5, 0.2)",
+        "random-uniform(-1, 1)",
+        "random-uniform(-1, 1, 5)",
+    ),
+    EDGE_NUMBERS
+    + (
+        "0",
+        "1, -2",
+        "0.5, -1, 2",
+        "1, 2, 3, 4, 5",
+        "constant(1e400)",
+        "linear-ramp(0, 1e308)",
+        "gaussian-pulse(1, 0.5, 1e-300)",
+        "gaussian-pulse(1, 0.5, 0)",
+        "gaussian-pulse(1e200, 0, 1)",
+        "random-uniform(2, -2)",
+        "random-uniform(-1e308, 1e308)",
+    ),
+)
+
+
+def fuzz_values(key: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    if key.startswith(("J_", "h_")):
+        return SCHEDULE_VALUES
+    choices = INPUT_KEYS[key].choices
+    return (choices, ("bogus",)) if choices else FUZZ_VALUES[key]
+
+
+@st.composite
+def input_texts(draw) -> str:
+    lines = []
+    for key in INPUT_KEYS:
+        if key == "num_spins" or draw(st.booleans()):
+            ordinary, edge = fuzz_values(key)
+            pool = edge if draw(st.integers(0, 5)) == 0 else ordinary
+            lines.append(f"{key}: {draw(st.sampled_from(pool))}")
+    return "\n".join(lines) + "\n"
+
+
+def run_quietly(text: str, *flags: str) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        input_path = Path(tmp) / "input.txt"
+        input_path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(input_path), "--out", str(Path(tmp) / "out"), *flags])
+    return code, err.getvalue()
+
+
+class TestFuzzedInputs:
+    @given(text=input_texts())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_every_input_ends_with_a_documented_exit_code(self, text):
+        for flags in ((), ("--ground-truth",)):
+            code, err = run_quietly(text, *flags)
+            assert code in {0, 2, 3, 4, 5}
+            assert "Traceback" not in err
+            if code != 0:
+                assert err.count("\n") == 1, err
 
 
 class TestCircuitExport:

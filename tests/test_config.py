@@ -1,11 +1,14 @@
 """Input-file parsing, validation errors, and round-trips."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_config
 from spinsim.config import (
+    INPUT_KEYS,
     ConstantSchedule,
     GaussianPulseSchedule,
     LinearRampSchedule,
@@ -123,10 +126,56 @@ class TestErrors:
         with pytest.raises(ValueOutOfRangeError):
             parse_lines("num_spins: 2", "h_z: random-uniform(2, -2)")
 
+    @pytest.mark.parametrize(
+        "lines, error, line",
+        [
+            (("num_spins: 3", "J_z: 1.0, 2.0, 3.0"), ConflictingKeysError, 2),
+            (("initial_state: up,down", "num_spins: 3"), ConflictingKeysError, 1),
+            (("num_spins: 2", "h_x: gaussian-pulse(1, 0, 0)"), ValueOutOfRangeError, 2),
+            (("num_spins: 2", "h_z: random-uniform(2, -2)"), ValueOutOfRangeError, 2),
+            (("num_spins: 2", "mode: imaginary-time", "h_z: linear-ramp(0, 1)"),
+             ConflictingKeysError, 3),
+            (("num_spins: 2", "num_steps: 0"), ValueOutOfRangeError, 2),
+            (("num_spins: 2", "QCQS: QC"), ValueOutOfRangeError, 2),
+        ],
+    )
+    def test_validation_errors_carry_the_key_line(self, lines, error, line):
+        with pytest.raises(error) as excinfo:
+            parse_lines(*lines)
+        assert excinfo.value.line == line
+
     def test_all_errors_are_config_errors(self):
         for text in ("", "num_spins: -3", "num_spins: 2\nmode: x", "num_spins: 2\nfoo: 1"):
             with pytest.raises(ConfigError):
                 parse_input(text)
+
+
+class TestNumericLimits:
+    @pytest.mark.parametrize(
+        "lines, line",
+        [
+            (("num_spins: 2", "mode: imaginary-time", "total_time: 0"), 3),
+            (("num_spins: 2", "J_z: 1e400"), 2),
+            (("num_spins: 2", "total_time: 1e308", "J_z: 10"), 2),
+            (("num_spins: 1", "mode: imaginary-time", "h_x: 1e200"), 3),
+            (("num_spins: 2", "mode: imaginary-time", "total_time: 1e308", "J_z: 1"), 3),
+        ],
+        ids=[
+            "imaginary-zero-time",
+            "infinite-coupling",
+            "angle-overflow",
+            "qite-angle-overflow",
+            "qite-dbeta-overflow",
+        ],
+    )
+    def test_rejected_with_line_number(self, lines, line):
+        with pytest.raises(ValueOutOfRangeError) as excinfo:
+            parse_lines(*lines)
+        assert excinfo.value.line == line
+
+    def test_large_but_representable_values_accepted(self):
+        cfg = parse_lines("num_spins: 2", "total_time: 1e100", "J_z: 1e-90", "h_x: 1e50")
+        assert cfg.total_time == 1e100
 
 
 class TestSchedules:
@@ -258,6 +307,17 @@ class TestRoundTrip:
         assert parse_input(serialize(cfg)) == cfg
 
 
+class TestKeyTable:
+    def test_readme_lists_exactly_the_input_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Input format")[1].split("\n## ")[0]
+        listed = set()
+        for row in section.splitlines():
+            if row.startswith("| `"):
+                listed.update(row.split("|")[1].strip().strip("`").split())
+        assert listed == set(INPUT_KEYS)
+
+
 class TestOverrides:
     def test_override_replaces_seed_shots_output(self):
         cfg = parse_lines("num_spins: 2", "shots: 10", "rng_seed: 1")
@@ -265,6 +325,11 @@ class TestOverrides:
         assert out.rng_seed == 5
         assert out.shots == 0
         assert out.output_dir == "elsewhere"
+
+    def test_invalid_override_rejected_without_line(self):
+        with pytest.raises(ValueOutOfRangeError) as excinfo:
+            with_overrides(parse_lines("num_spins: 2"), shots=-1)
+        assert excinfo.value.line is None
 
     def test_no_overrides_returns_same_config(self):
         cfg = parse_lines("num_spins: 2")

@@ -6,21 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import embedded_pauli
+from spinsim.config import ConstantSchedule, GaussianPulseSchedule, LinearRampSchedule
 from spinsim.errors import TooLargeError
-from spinsim.hamiltonian import (
-    ConstantCoefficient,
-    HeisenbergHamiltonian,
-    PauliTerm,
-    PulseCoefficient,
-    RampCoefficient,
-    dense_matrix,
-    snapshot,
-)
+from spinsim.hamiltonian import HeisenbergHamiltonian, PauliTerm, dense_matrix, snapshot
 
 
 def tfim(num_spins: int, j_z: float = 1.0, h_x: float = 1.0) -> HeisenbergHamiltonian:
-    bonds = {("z", i): ConstantCoefficient(j_z) for i in range(1, num_spins)}
-    fields = {("x", i): ConstantCoefficient(h_x) for i in range(1, num_spins + 1)}
+    bonds = {("z", i): ConstantSchedule(j_z) for i in range(1, num_spins)}
+    fields = {("x", i): ConstantSchedule(h_x) for i in range(1, num_spins + 1)}
     return HeisenbergHamiltonian(num_spins, bonds, fields)
 
 
@@ -52,7 +45,7 @@ class TestSnapshot:
         ]
 
     def test_ramp_midpoint(self):
-        fields = {("x", 1): RampCoefficient(0.0, 2.0, 1.0)}
+        fields = {("x", 1): LinearRampSchedule(0.0, 2.0, 1.0)}
         hamiltonian = HeisenbergHamiltonian(1, {}, fields)
         (term,) = snapshot(hamiltonian, 0.5)
         assert term.coefficient == pytest.approx(1.0)
@@ -62,7 +55,7 @@ class TestSnapshot:
         assert snapshot(hamiltonian, 0.0) == []
 
     def test_zero_coefficients_dropped(self):
-        fields = {("x", 1): PulseCoefficient(1.0, 0.5, 0.01)}
+        fields = {("x", 1): GaussianPulseSchedule(1.0, 0.5, 0.01)}
         hamiltonian = HeisenbergHamiltonian(1, {}, fields)
         assert snapshot(hamiltonian, 0.5)
         assert snapshot(hamiltonian, 500.0) == []
@@ -73,14 +66,14 @@ class TestSnapshot:
 
     def test_term_count_formula(self):
         n = 5
-        bonds = {(a, i): ConstantCoefficient(0.5) for a in "xy" for i in range(1, n)}
-        fields = {("z", i): ConstantCoefficient(2.0) for i in range(1, n + 1)}
+        bonds = {(a, i): ConstantSchedule(0.5) for a in "xy" for i in range(1, n)}
+        fields = {("z", i): ConstantSchedule(2.0) for i in range(1, n + 1)}
         h = HeisenbergHamiltonian(n, bonds, fields)
         assert len(snapshot(h, 1.0)) == 2 * (n - 1) + n
 
     def test_snapshot_is_linear(self):
-        bonds = {("z", 1): ConstantCoefficient(1.0)}
-        fields = {("x", 1): ConstantCoefficient(0.5)}
+        bonds = {("z", 1): ConstantSchedule(1.0)}
+        fields = {("x", 1): ConstantSchedule(0.5)}
         joint = HeisenbergHamiltonian(2, bonds, fields)
         bonds_only = HeisenbergHamiltonian(2, bonds, {})
         fields_only = HeisenbergHamiltonian(2, {}, fields)
@@ -135,16 +128,16 @@ class TestDenseMatrix:
 
 class TestCoefficients:
     def test_constant(self):
-        assert ConstantCoefficient(2.5).at(13.0) == 2.5
-        assert not ConstantCoefficient(2.5).is_time_dependent
+        assert ConstantSchedule(2.5).at(13.0) == 2.5
+        assert not ConstantSchedule(2.5).is_time_dependent
 
     def test_ramp_endpoints(self):
-        ramp = RampCoefficient(1.0, 3.0, 2.0)
+        ramp = LinearRampSchedule(1.0, 3.0, 2.0)
         assert ramp.at(0.0) == pytest.approx(1.0)
         assert ramp.at(2.0) == pytest.approx(3.0)
         assert ramp.is_time_dependent
 
     def test_pulse_peak(self):
-        pulse = PulseCoefficient(2.0, 1.0, 0.25)
+        pulse = GaussianPulseSchedule(2.0, 1.0, 0.25)
         assert pulse.at(1.0) == pytest.approx(2.0)
         assert pulse.at(0.0) < 0.01

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from spinsim.backend import expectation, product_state
-from spinsim.hamiltonian import ConstantCoefficient, HeisenbergHamiltonian, PauliTerm
+from spinsim.config import ConstantSchedule
+from spinsim.hamiltonian import HeisenbergHamiltonian, PauliTerm
 from spinsim.observables import (
     ResultSeries,
     energy_observable,
@@ -83,8 +84,8 @@ class TestMagnetizationObservable:
 
 class TestEnergyObservable:
     def test_equals_snapshot(self):
-        bonds = {("z", 1): ConstantCoefficient(1.0)}
-        fields = {("x", 1): ConstantCoefficient(0.5), ("x", 2): ConstantCoefficient(0.5)}
+        bonds = {("z", 1): ConstantSchedule(1.0)}
+        fields = {("x", 1): ConstantSchedule(0.5), ("x", 2): ConstantSchedule(0.5)}
         hamiltonian = HeisenbergHamiltonian(2, bonds, fields)
         terms = energy_observable(hamiltonian, 0.0)
         assert [(t.coefficient, t.factors) for t in terms] == [

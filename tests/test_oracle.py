@@ -7,13 +7,9 @@ import pytest
 
 from helpers import random_state
 from spinsim.backend import Statevector, expectation, product_state
+from spinsim.config import ConstantSchedule, LinearRampSchedule
 from spinsim.errors import TooLargeError, ZeroOverlapError
-from spinsim.hamiltonian import (
-    ConstantCoefficient,
-    HeisenbergHamiltonian,
-    PauliTerm,
-    RampCoefficient,
-)
+from spinsim.hamiltonian import HeisenbergHamiltonian, PauliTerm
 from spinsim.oracle import evolve_exact, evolve_imaginary_exact, ground_state
 
 
@@ -72,7 +68,7 @@ class TestEvolveExact:
         rng = np.random.default_rng(1)
         state = random_state(rng, 2)
         hamiltonian = HeisenbergHamiltonian(
-            2, {("z", 1): ConstantCoefficient(1.0)}, {}
+            2, {("z", 1): ConstantSchedule(1.0)}, {}
         )
         out = evolve_exact(hamiltonian, 0.0, state)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes)
@@ -80,7 +76,7 @@ class TestEvolveExact:
     def test_rabi_oscillation(self):
         h = 0.7
         hamiltonian = HeisenbergHamiltonian(
-            1, {}, {("x", 1): ConstantCoefficient(h)}
+            1, {}, {("x", 1): ConstantSchedule(h)}
         )
         z_term = [PauliTerm(1.0, ((1, "z"),))]
         for t in (0.0, 0.3, 1.1, 2.5):
@@ -94,15 +90,15 @@ class TestEvolveExact:
         state = random_state(rng, 3)
         hamiltonian = HeisenbergHamiltonian(
             3,
-            {("x", i): ConstantCoefficient(0.8) for i in (1, 2)},
-            {("z", i): ConstantCoefficient(0.5) for i in (1, 2, 3)},
+            {("x", i): ConstantSchedule(0.8) for i in (1, 2)},
+            {("z", i): ConstantSchedule(0.5) for i in (1, 2, 3)},
         )
         out = evolve_exact(hamiltonian, 2.0, state)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_width_mismatch_rejected(self):
         hamiltonian = HeisenbergHamiltonian(
-            2, {("z", 1): ConstantCoefficient(1.0)}, {}
+            2, {("z", 1): ConstantSchedule(1.0)}, {}
         )
         with pytest.raises(ValueError):
             evolve_exact(hamiltonian, 1.0, product_state(["up"]))
@@ -112,8 +108,8 @@ class TestEvolveExact:
         # the slice width; the static z field keeps successive
         # snapshots from commuting
         fields = {
-            ("x", 1): RampCoefficient(0.0, 2.0, 1.0),
-            ("z", 1): ConstantCoefficient(1.0),
+            ("x", 1): LinearRampSchedule(0.0, 2.0, 1.0),
+            ("z", 1): ConstantSchedule(1.0),
         }
         hamiltonian = HeisenbergHamiltonian(1, {}, fields)
         initial = product_state(["up"])
@@ -126,14 +122,14 @@ class TestEvolveExact:
         assert all(3.0 <= r <= 5.0 for r in ratios)
 
     def test_bad_substeps_rejected(self):
-        fields = {("x", 1): RampCoefficient(0.0, 2.0, 1.0)}
+        fields = {("x", 1): LinearRampSchedule(0.0, 2.0, 1.0)}
         hamiltonian = HeisenbergHamiltonian(1, {}, fields)
         with pytest.raises(ValueError):
             evolve_exact(hamiltonian, 1.0, product_state(["up"]), substeps=0)
 
     def test_size_guard(self):
         hamiltonian = HeisenbergHamiltonian(
-            11, {("z", 1): ConstantCoefficient(1.0)}, {}
+            11, {("z", 1): ConstantSchedule(1.0)}, {}
         )
         rng = np.random.default_rng(0)
         with pytest.raises(TooLargeError):

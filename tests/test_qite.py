@@ -8,13 +8,9 @@ import pytest
 from helpers import embedded_pauli, matrix_exponential
 from spinsim import ir
 from spinsim.backend import expectation, product_state, run_statevector
+from spinsim.config import ConstantSchedule, LinearRampSchedule
 from spinsim.errors import SingularSystemError, UnsupportedFeatureError
-from spinsim.hamiltonian import (
-    ConstantCoefficient,
-    HeisenbergHamiltonian,
-    PauliTerm,
-    RampCoefficient,
-)
+from spinsim.hamiltonian import HeisenbergHamiltonian, PauliTerm
 from spinsim.ir import Program
 from spinsim.oracle import ground_state
 from spinsim.qite import (
@@ -30,13 +26,13 @@ from spinsim.qite import (
 
 
 def tfim(num_spins: int, j_z: float = 1.0, h_x: float = 1.0) -> HeisenbergHamiltonian:
-    bonds = {("z", i): ConstantCoefficient(j_z) for i in range(1, num_spins)}
-    fields = {("x", i): ConstantCoefficient(h_x) for i in range(1, num_spins + 1)}
+    bonds = {("z", i): ConstantSchedule(j_z) for i in range(1, num_spins)}
+    fields = {("x", i): ConstantSchedule(h_x) for i in range(1, num_spins + 1)}
     return HeisenbergHamiltonian(num_spins, bonds, fields)
 
 
 def single_field(axis: str, coefficient: float = 1.0) -> HeisenbergHamiltonian:
-    return HeisenbergHamiltonian(1, {}, {(axis, 1): ConstantCoefficient(coefficient)})
+    return HeisenbergHamiltonian(1, {}, {(axis, 1): ConstantSchedule(coefficient)})
 
 
 class TestParams:
@@ -318,7 +314,7 @@ class TestRunQite:
             run_qite(tfim(2), params, ["up"])
 
     def test_time_dependent_hamiltonian_rejected(self):
-        fields = {("x", 1): RampCoefficient(0.0, 1.0, 1.0)}
+        fields = {("x", 1): LinearRampSchedule(0.0, 1.0, 1.0)}
         hamiltonian = HeisenbergHamiltonian(1, {}, fields)
         params = QiteParams(dbeta=0.1, num_steps=1)
         with pytest.raises(UnsupportedFeatureError):

@@ -6,13 +6,8 @@ import pytest
 from helpers import matrix_exponential
 from spinsim import ir
 from spinsim.backend import product_state, run_statevector
-from spinsim.hamiltonian import (
-    ConstantCoefficient,
-    HeisenbergHamiltonian,
-    RampCoefficient,
-    dense_matrix,
-    snapshot,
-)
+from spinsim.config import ConstantSchedule, LinearRampSchedule
+from spinsim.hamiltonian import HeisenbergHamiltonian, dense_matrix, snapshot
 from spinsim.oracle import evolve_exact
 from spinsim.trotter import (
     TrotterParams,
@@ -23,18 +18,18 @@ from spinsim.trotter import (
 
 
 def tfim(num_spins: int, j_z: float = 1.0, h_x: float = 1.0) -> HeisenbergHamiltonian:
-    bonds = {("z", i): ConstantCoefficient(j_z) for i in range(1, num_spins)}
-    fields = {("x", i): ConstantCoefficient(h_x) for i in range(1, num_spins + 1)}
+    bonds = {("z", i): ConstantSchedule(j_z) for i in range(1, num_spins)}
+    fields = {("x", i): ConstantSchedule(h_x) for i in range(1, num_spins + 1)}
     return HeisenbergHamiltonian(num_spins, bonds, fields)
 
 
 def heisenberg_xyz(num_spins: int) -> HeisenbergHamiltonian:
     bonds = {
-        (axis, i): ConstantCoefficient(c)
+        (axis, i): ConstantSchedule(c)
         for axis, c in (("x", 0.9), ("y", 0.7), ("z", 1.1))
         for i in range(1, num_spins)
     }
-    fields = {("z", i): ConstantCoefficient(0.4) for i in range(1, num_spins + 1)}
+    fields = {("z", i): ConstantSchedule(0.4) for i in range(1, num_spins + 1)}
     return HeisenbergHamiltonian(num_spins, bonds, fields)
 
 
@@ -63,7 +58,7 @@ class TestStepStructure:
         assert len(program.gates) == active_bond_axes * (n - 1) + active_field_axes * n
 
     def test_midpoint_sampling_of_ramp(self):
-        fields = {("x", 1): RampCoefficient(0.0, 1.0, 1.0)}
+        fields = {("x", 1): LinearRampSchedule(0.0, 1.0, 1.0)}
         hamiltonian = HeisenbergHamiltonian(1, {}, fields)
         params = TrotterParams(total_time=1.0, num_steps=2)
         program = build_evolution_program(hamiltonian, params, 2, ["up"])
