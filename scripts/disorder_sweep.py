@@ -13,12 +13,12 @@ import sys
 
 import numpy as np
 
-from spinsim.backend import expectation, product_state, run_statevector
+from spinsim.backend import expectation
 from spinsim.config import build_hamiltonian, parse_input
 from spinsim.ir import lower_to_native
 from spinsim.observables import excitation_displacement_observable
 from spinsim.optimizer import optimize
-from spinsim.trotter import TrotterParams, build_evolution_program
+from spinsim.trotter import TrotterParams, evolve_series
 
 TEMPLATE = """
 num_spins: 5
@@ -34,16 +34,16 @@ rng_seed: {seed}
 """
 
 
+def compile_block(program):
+    return optimize(lower_to_native(program))
+
+
 def displacement_series(cfg) -> np.ndarray:
     hamiltonian = build_hamiltonian(cfg)
     params = TrotterParams(cfg.total_time, cfg.num_steps)
     obs = excitation_displacement_observable(cfg.num_spins)
-    values = []
-    for k in range(cfg.num_steps + 1):
-        program = build_evolution_program(hamiltonian, params, k, cfg.initial_state)
-        state = run_statevector(optimize(lower_to_native(program)))
-        values.append(expectation(state, obs))
-    return np.asarray(values)
+    series = evolve_series(hamiltonian, params, cfg.initial_state, compile_block)
+    return np.asarray([expectation(state, obs) for _, state in series])
 
 
 def main() -> int:

@@ -59,7 +59,7 @@ from .observables import (
 from .optimizer import optimize
 from .oracle import evolve_exact, evolve_imaginary_exact, ground_state
 from .qite import QiteParams, QiteStepReport, fit_step_unitary, run_qite
-from .trotter import TrotterParams, build_evolution_program, trotter_step
+from .trotter import TrotterParams, build_evolution_program, evolve_series, trotter_step
 
 __all__ = [
     "CoefficientSchedule",
@@ -85,6 +85,7 @@ __all__ = [
     "estimate_observable_from_counts",
     "evolve_exact",
     "evolve_imaginary_exact",
+    "evolve_series",
     "excitation_displacement_observable",
     "expectation",
     "export_text",

@@ -18,12 +18,14 @@ import hashlib
 import math
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .backend import (
+    Statevector,
     estimate_with_sigma,
     expectation,
     product_state,
@@ -38,7 +40,7 @@ from .config import (
     with_overrides,
 )
 from .errors import ConfigError, SpinsimError, TooLargeError, UnsupportedFeatureError
-from .hamiltonian import AXES, HeisenbergHamiltonian, PauliTerm, snapshot
+from .hamiltonian import AXES, PauliTerm, snapshot
 from .ir import Program, export_text, h as h_gate, lower_to_native, rx as rx_gate
 from .observables import (
     ResultSeries,
@@ -52,7 +54,7 @@ from .observables import (
 from .optimizer import optimize
 from .oracle import EVOLVE_QUBIT_LIMIT, evolve_exact, evolve_imaginary_exact
 from .qite import QiteParams, run_qite
-from .trotter import TrotterParams, build_evolution_program
+from .trotter import TrotterParams, build_evolution_program, evolve_series
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,7 +84,7 @@ def _derived_int_seed(base: int, *salts: int) -> int:
 
 
 def _sampled_estimate(
-    program: Program,
+    state: Statevector,
     terms: list[PauliTerm],
     shots: int,
     base_seed: int,
@@ -91,8 +93,8 @@ def _sampled_estimate(
     """Measure a single-axis-per-term observable by sampling.
 
     Terms are grouped by axis; x and y groups get basis-change gates
-    appended before measurement so every group reads out in the z
-    basis.  Each group is sampled with its own ``shots`` draws.
+    applied to the state before measurement so every group reads out
+    in the z basis.  Each group is sampled with its own ``shots`` draws.
     """
     constant = sum(t.coefficient for t in terms if not t.factors)
     groups: dict[str, list[PauliTerm]] = {}
@@ -112,17 +114,16 @@ def _sampled_estimate(
         group = groups.get(axis)
         if not group:
             continue
-        gates = list(program.gates)
+        gates = []
         sites = sorted({site for term in group for site, _ in term.factors})
         for site in sites:
             if axis == "x":
                 gates.append(h_gate(site - 1))
             elif axis == "y":
                 gates.append(rx_gate(math.pi / 2, site - 1))
-        measured = Program(program.num_qubits, tuple(gates), measured=True)
-        state = run_statevector(measured)
+        rotated = run_statevector(Program(state.num_qubits, tuple(gates)), initial=state)
         seed = _derived_int_seed(base_seed, step_index, axis_index)
-        counts = sample_counts(state, shots, seed)
+        counts = sample_counts(rotated, shots, seed)
         z_terms = [
             PauliTerm(t.coefficient, tuple((site, "z") for site, _ in t.factors))
             for t in group
@@ -133,46 +134,45 @@ def _sampled_estimate(
     return value, float(np.sqrt(variance))
 
 
-def _finalize_program(program: Program, cfg: SimulationConfig) -> Program:
-    program = lower_to_native(program)
+def _compile(cfg: SimulationConfig):
+    """The compile step: lowering, then the peephole pass when enabled."""
     if cfg.optimizer_level == "peephole":
-        program = optimize(program)
-    if cfg.shots > 0:
-        program = Program(program.num_qubits, program.gates, measured=True)
-    return program
+        return lambda program: optimize(lower_to_native(program))
+    return lower_to_native
 
 
-def _run_real_time(cfg: SimulationConfig, hamiltonian: HeisenbergHamiltonian, seed: int):
+def _finalize_program(program: Program, cfg: SimulationConfig) -> Program:
+    program = _compile(cfg)(program)
+    return Program(program.num_qubits, program.gates, measured=cfg.shots > 0)
+
+
+def _run_real_time(cfg: SimulationConfig, hamiltonian, seed: int, export: bool):
     params = TrotterParams(cfg.total_time, cfg.num_steps)
     last_step = cfg.num_steps if cfg.total_time > 0.0 else 0
+    programs = [
+        _finalize_program(build_evolution_program(hamiltonian, params, k, cfg.initial_state), cfg)
+        for k in range(last_step + 1)
+        if export
+    ]
     points = []
-    programs = []
-    for k in range(last_step + 1):
-        t_k = k * params.dt
-        program = build_evolution_program(hamiltonian, params, k, cfg.initial_state)
-        program = _finalize_program(program, cfg)
-        programs.append(program)
-        if cfg.backend_mode != "QS":
-            continue
-        terms = _observable_terms(cfg, hamiltonian, t_k)
-        if cfg.shots == 0:
-            value = expectation(run_statevector(program), terms)
-            points.append((t_k, value, None))
-        else:
-            value, sigma = _sampled_estimate(program, terms, cfg.shots, seed, k)
-            points.append((t_k, value, sigma))
-    return points, programs, params
+    if cfg.backend_mode == "QS":
+        series = evolve_series(hamiltonian, params, cfg.initial_state, _compile(cfg))
+        for k, (t_k, state) in enumerate(islice(series, last_step + 1)):
+            terms = _observable_terms(cfg, hamiltonian, t_k)
+            if cfg.shots == 0:
+                points.append((t_k, expectation(state, terms), None))
+            else:
+                points.append((t_k, *_sampled_estimate(state, terms, cfg.shots, seed, k)))
+    return points, programs
 
 
-def _run_imaginary_time(cfg: SimulationConfig, hamiltonian: HeisenbergHamiltonian, seed: int):
+def _run_imaginary_time(cfg: SimulationConfig, hamiltonian, seed: int, export: bool):
     dbeta = cfg.total_time / cfg.num_steps
-    params = QiteParams(
-        dbeta=dbeta, num_steps=cfg.num_steps, shots=cfg.shots, seed=seed
-    )
+    params = QiteParams(dbeta=dbeta, num_steps=cfg.num_steps, shots=cfg.shots, seed=seed)
     reports = run_qite(hamiltonian, params, cfg.initial_state)
-    points = [(r.step * dbeta, r.energy, None) for r in reports]
-    programs = [_finalize_program(r.program, cfg) for r in reports]
-    return points, programs, params
+    points = [(r.step * dbeta, r.energy, r.sigma) for r in reports]
+    programs = [_finalize_program(r.program, cfg) for r in reports] if export else []
+    return points, programs
 
 
 def _ground_truth_points(cfg: SimulationConfig, hamiltonian, points):
@@ -225,20 +225,20 @@ def run_simulation(args: argparse.Namespace) -> int:
                 f"--ground-truth is limited to {EVOLVE_QUBIT_LIMIT} spins, got {cfg.num_spins}"
             )
         hamiltonian = build_hamiltonian(cfg)
+        export = args.export or cfg.backend_mode == "export-only"
         if cfg.mode == "real-time":
-            points, programs, _ = _run_real_time(cfg, hamiltonian, seed)
+            points, programs = _run_real_time(cfg, hamiltonian, seed, export)
             axis_label = "t"
             observable_name = cfg.observable
         else:
-            points, programs, _ = _run_imaginary_time(cfg, hamiltonian, seed)
+            points, programs = _run_imaginary_time(cfg, hamiltonian, seed, export)
             axis_label = "beta"
             observable_name = "energy"
 
         out_path.mkdir(parents=True, exist_ok=True)
         written: list[str] = []
 
-        export_programs = args.export or cfg.backend_mode == "export-only"
-        if export_programs:
+        if export:
             circuit_dir = out_path / "circuits"
             circuit_dir.mkdir(exist_ok=True)
             for k, program in enumerate(programs):

@@ -17,15 +17,10 @@ CNOT-ladder + RZ construction.  The sign conventions above make the
 energy decrease; the one-qubit closed-form case in the test suite
 pins them down.
 
-Two fitting scopes are supported.  The default, "hamiltonian", solves
-one system per step with h equal to the full Hamiltonian, over the
-union of the per-term string bases.  Its fixed points include every
+Each step solves one system with h equal to the full Hamiltonian, over
+the union of the per-term string bases.  Its fixed points include every
 eigenstate of H (there b is identically zero), so the iteration can
-settle onto the true ground state.  The "term" scope fits and applies
-one small unitary per Hamiltonian term sequentially, which keeps every
-solve local but Trotterizes the flow: the iteration then stalls at a
-state biased away from the ground state by O(dbeta^2) even with a
-complete basis, which is visible at coarse step sizes.
+settle onto the true ground state.
 """
 
 from __future__ import annotations
@@ -47,9 +42,6 @@ from .trotter import state_preparation_gates
 PauliString = tuple[tuple[int, str], ...]
 
 
-FIT_SCOPES = ("hamiltonian", "term")
-
-
 @dataclass(frozen=True)
 class QiteParams:
     """Knobs of the imaginary-time loop.
@@ -59,9 +51,6 @@ class QiteParams:
     measurement samples (seeded, reproducible).  ``domain_radius`` adds
     that many sites on each side of a term's support to the fitting
     basis, keeping each window contiguous inside the chain.
-    ``fit_scope`` selects one whole-Hamiltonian solve per step
-    ("hamiltonian", the default) or sequential per-term solves
-    ("term").
     """
 
     dbeta: float
@@ -70,7 +59,6 @@ class QiteParams:
     regularization: float = 1e-6
     shots: int = 0
     seed: int = 0
-    fit_scope: str = "hamiltonian"
 
     def __post_init__(self):
         if self.dbeta <= 0.0:
@@ -83,27 +71,23 @@ class QiteParams:
             raise ValueError(f"regularization must be >= 0, got {self.regularization}")
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
-        if self.fit_scope not in FIT_SCOPES:
-            raise ValueError(
-                f"fit_scope must be one of {FIT_SCOPES}, got {self.fit_scope!r}"
-            )
 
 
 @dataclass(frozen=True)
 class QiteStepReport:
     """Outcome of one imaginary-time step.
 
-    ``coefficients`` holds the solved a vector of the step's fit; in
-    "term" scope the per-term vectors are concatenated in term order,
-    ``residual`` is the Euclidean norm of the stacked least-squares
-    residuals and ``normalization`` the product of the per-term c
-    factors.  ``program`` is the cumulative circuit preparing the
-    post-step state from |0...0>.  Step 0 records the prepared initial
-    state.
+    ``sigma`` is the standard error of a sampled ``energy`` (None in
+    exact mode).  ``coefficients`` holds the solved a vector of the
+    step's fit, ``residual`` the norm of its least-squares residual and
+    ``normalization`` its c factor.  ``program`` is the cumulative
+    circuit preparing the post-step state from |0...0>.  Step 0 records
+    the prepared initial state.
     """
 
     step: int
     energy: float
+    sigma: float | None
     coefficients: tuple[float, ...]
     residual: float
     normalization: float
@@ -355,9 +339,7 @@ def run_qite(
     ``initial_state`` is either a per-site up/down sequence (prepared
     with X gates) or an explicit preparation circuit.  Returns one
     report per step, preceded by a step-0 report for the prepared
-    initial state.  In the default "hamiltonian" scope each step is a
-    single fit of the full Hamiltonian; in "term" scope the terms are
-    fitted and applied sequentially in snapshot order within a step.
+    initial state.  Each step is a single fit of the full Hamiltonian.
     """
     if hamiltonian.is_time_dependent:
         raise UnsupportedFeatureError(
@@ -380,53 +362,37 @@ def run_qite(
     for gate in program_gates:
         amps = apply_gate(amps, gate, n)
 
-    def measured_energy() -> float:
+    def measured_energy() -> tuple[float, float | None]:
+        # energy and its standard error; each Pauli string is sampled with
+        # its own shots, so sigma^2 = sum_i c_i^2 (1 - <P_i>^2) / shots
         state = Statevector(n, amps)
         if params.shots == 0:
-            return expectation(state, terms)
+            return expectation(state, terms), None
         estimate = PauliExpectations(state, params.shots, rng).value
-        return sum(t.coefficient * estimate(t.factors) for t in terms)
+        values = [estimate(t.factors) for t in terms]
+        energy = sum(t.coefficient * v for t, v in zip(terms, values))
+        variance = sum(t.coefficient**2 * (1.0 - v * v) for t, v in zip(terms, values))
+        return energy, math.sqrt(variance / params.shots)
 
     reports = [
         QiteStepReport(
-            step=0,
-            energy=measured_energy(),
-            coefficients=(),
-            residual=0.0,
-            normalization=1.0,
-            program=Program(n, tuple(program_gates)),
+            0, *measured_energy(), (), 0.0, 1.0, Program(n, tuple(program_gates))
         )
     ]
-    joint_basis = None
-    if params.fit_scope == "hamiltonian":
-        joint_basis = hamiltonian_basis(terms, params.domain_radius, n)
+    basis = hamiltonian_basis(terms, params.domain_radius, n)
     for step in range(1, params.num_steps + 1):
-        step_coefficients: list[float] = []
-        residual_sq = 0.0
-        normalization = 1.0
-        if joint_basis is not None:
-            fit_plan = [(joint_basis, terms)]
-        else:
-            fit_plan = [
-                (pauli_basis(domain_window(term, params.domain_radius, n)), [term])
-                for term in terms
-            ]
-        for basis, fit_terms in fit_plan:
-            fit = _fit_unitary(Statevector(n, amps), basis, fit_terms, params, rng)
-            for gate in fit.program.gates:
-                amps = apply_gate(amps, gate, n)
-            program_gates.extend(fit.program.gates)
-            step_coefficients.extend(fit.coefficients)
-            residual_sq += fit.residual**2
-            normalization *= fit.normalization
+        fit = _fit_unitary(Statevector(n, amps), basis, terms, params, rng)
+        for gate in fit.program.gates:
+            amps = apply_gate(amps, gate, n)
+        program_gates.extend(fit.program.gates)
         reports.append(
             QiteStepReport(
-                step=step,
-                energy=measured_energy(),
-                coefficients=tuple(step_coefficients),
-                residual=math.sqrt(residual_sq),
-                normalization=normalization,
-                program=Program(n, tuple(program_gates)),
+                step,
+                *measured_energy(),
+                fit.coefficients,
+                fit.residual,
+                fit.normalization,
+                Program(n, tuple(program_gates)),
             )
         )
     return reports

@@ -9,9 +9,10 @@ step builder here and dispatch on an order parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import ir
+from .backend import Statevector, run_statevector
 from .hamiltonian import HeisenbergHamiltonian, snapshot
 from .ir import Gate, Program
 
@@ -58,6 +59,11 @@ def trotter_step(hamiltonian: HeisenbergHamiltonian, t_eval: float, dt: float) -
     return Program(hamiltonian.num_spins, tuple(gates))
 
 
+def step_midpoint(j: int, dt: float) -> float:
+    """Step j (1-based) samples coefficients at (j - 1/2) dt, first-order accurate."""
+    return (j - 0.5) * dt
+
+
 def state_preparation_gates(initial_state: Sequence[str]) -> tuple[Gate, ...]:
     """X gates flipping every 'down' site of a product state."""
     return tuple(ir.x(q) for q, spin in enumerate(initial_state) if spin == "down")
@@ -69,12 +75,7 @@ def build_evolution_program(
     num_steps: int,
     initial_state: Sequence[str],
 ) -> Program:
-    """Preparation plus ``num_steps`` Trotter steps, each a fresh run from t=0.
-
-    Step j (1-based) evaluates coefficients at the midpoint
-    (j - 1/2) dt, which keeps time-dependent schedules first-order
-    accurate.
-    """
+    """Preparation plus ``num_steps`` Trotter steps as one circuit from t=0."""
     if not 0 <= num_steps <= params.num_steps:
         raise ValueError(
             f"num_steps must lie in [0, {params.num_steps}], got {num_steps}"
@@ -84,6 +85,33 @@ def build_evolution_program(
     gates = list(state_preparation_gates(initial_state))
     dt = params.dt
     for j in range(1, num_steps + 1):
-        t_eval = (j - 0.5) * dt
-        gates.extend(trotter_step(hamiltonian, t_eval, dt).gates)
+        gates.extend(trotter_step(hamiltonian, step_midpoint(j, dt), dt).gates)
     return Program(hamiltonian.num_spins, tuple(gates))
+
+
+def evolve_series(
+    hamiltonian: HeisenbergHamiltonian,
+    params: TrotterParams,
+    initial_state: Sequence[str],
+    compile_block: Callable[[Program], Program],
+) -> Iterator[tuple[float, Statevector]]:
+    """Yield (t_k, state after k steps) for k = 0..params.num_steps.
+
+    One state starts from the product state and advances one step block
+    at a time.  ``compile_block`` (e.g. lowering) runs once per distinct
+    block: once for a static Hamiltonian, once per midpoint otherwise.
+    State k equals that of ``build_evolution_program(..., k, ...)`` up
+    to global phase.
+    """
+    if len(initial_state) != hamiltonian.num_spins:
+        raise ValueError("initial state length does not match the chain")
+    preparation = Program(hamiltonian.num_spins, state_preparation_gates(initial_state))
+    state = run_statevector(preparation)
+    yield 0.0, state
+    dt = params.dt
+    block = None
+    for j in range(1, params.num_steps + 1):
+        if block is None or hamiltonian.is_time_dependent:
+            block = compile_block(trotter_step(hamiltonian, step_midpoint(j, dt), dt))
+        state = run_statevector(block, initial=state)
+        yield j * dt, state

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one PASS/FAIL
 line per criterion with the measured numbers.
 """
 
+import csv
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -31,9 +32,15 @@ from spinsim.observables import (
 from spinsim.optimizer import optimize
 from spinsim.oracle import evolve_exact, evolve_imaginary_exact, ground_state
 from spinsim.qite import QiteParams, fit_step_unitary, run_qite
-from spinsim.trotter import TrotterParams, build_evolution_program
+from spinsim.trotter import TrotterParams, build_evolution_program, evolve_series
 
-INPUTS = Path(__file__).resolve().parent.parent / "scripts" / "inputs"
+ROOT = Path(__file__).resolve().parent.parent
+INPUTS = ROOT / "scripts" / "inputs"
+# committed tutorial outputs, by input file
+RESULTS = {
+    "localization_chain.txt": ROOT / "results" / "localization" / "results.csv",
+    "tfim_ground_state.txt": ROOT / "results" / "tfim" / "results.csv",
+}
 
 
 @contextmanager
@@ -63,6 +70,20 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     phase = a[index] / b[index]
     phase /= abs(phase)
     return float(np.abs(a - phase * b).max())
+
+
+def csv_distance(path_a: Path, path_b: Path) -> float:
+    """Largest difference between two result CSVs over the columns both have."""
+    with open(path_a, newline="") as a, open(path_b, newline="") as b:
+        rows_a, rows_b = list(csv.DictReader(a)), list(csv.DictReader(b))
+    assert len(rows_a) == len(rows_b)
+    worst = 0.0
+    for row_a, row_b in zip(rows_a, rows_b):
+        for column in row_a.keys() & row_b.keys():
+            assert (row_a[column] == "") == (row_b[column] == ""), column
+            if row_a[column]:
+                worst = max(worst, abs(float(row_a[column]) - float(row_b[column])))
+    return worst
 
 
 def test_criterion_1_qite_convergence():
@@ -108,11 +129,9 @@ def test_criterion_2_localization_trend(tmp_path):
             hamiltonian = build_hamiltonian(cfg)
             params = TrotterParams(cfg.total_time, cfg.num_steps)
             trotter, oracle = [], []
-            for k in range(cfg.num_steps + 1):
-                program = build_evolution_program(hamiltonian, params, k, spins)
-                state = run_statevector(lower_to_native(program))
+            for t_k, state in evolve_series(hamiltonian, params, spins, lower_to_native):
                 trotter.append(expectation(state, displacement))
-                reference = evolve_exact(hamiltonian, k * params.dt, initial)
+                reference = evolve_exact(hamiltonian, t_k, initial)
                 oracle.append(expectation(reference, displacement))
             mismatch = np.abs(np.array(trotter) - np.array(oracle)).max()
             assert mismatch <= 0.05, (name, mismatch)
@@ -247,8 +266,8 @@ def test_criterion_7_format_round_trips(tmp_path):
 
 def test_criterion_8_tutorial_determinism(tmp_path):
     with criterion(8, "tutorial runs are byte-identical across repeats") as out:
-        digests = []
-        for name in ("localization_chain.txt", "tfim_ground_state.txt"):
+        worst = 0.0
+        for name, committed in RESULTS.items():
             input_path = INPUTS / name
             pair = []
             for run in ("first", "second"):
@@ -262,5 +281,10 @@ def test_criterion_8_tutorial_determinism(tmp_path):
                     )
                 )
             assert pair[0] == pair[1], name
-            digests.append(name)
-        out["detail"] = "localization and ground-state runs reproduced exactly"
+            distance = csv_distance(tmp_path / f"{name}.first" / "results.csv", committed)
+            assert distance <= 1e-12, (name, distance)
+            worst = max(worst, distance)
+        out["detail"] = (
+            "localization and ground-state runs reproduced exactly, "
+            f"within {worst:.1e} of the committed results"
+        )

@@ -11,9 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinsim import cli
+from spinsim.backend import expectation, product_state
 from spinsim.cli import main
-from spinsim.config import INPUT_KEYS
+from spinsim.config import INPUT_KEYS, build_hamiltonian, parse_input
+from spinsim.hamiltonian import snapshot
+from spinsim.ir import Program, import_text, phase_aligned_distance, unitary_of
 from spinsim.observables import read_csv
+from spinsim.trotter import TrotterParams, evolve_series, state_preparation_gates
 
 SMALL_REAL_TIME = """\
 num_spins: 2
@@ -165,9 +170,9 @@ EDGE_NUMBERS = ("-1", "1e-300", "1e200", "1e308", "1e400")
 FUZZ_VALUES = {
     "num_spins": (("1", "2", "3", "4"), ("0", "-2")),
     "total_time": (("0", "0.5", "1", "2"), EDGE_NUMBERS),
-    "num_steps": (("1", "2", "3"), ("0",)),
+    "num_steps": (("1", "2", "3"), ("0", "1" + "0" * 400)),
     "initial_state": (("all-up", "flip-first"), ("up,down", "down", "up,sideways")),
-    "shots": (("0", "20"), ("-1",)),
+    "shots": (("0", "20"), ("-1", str(2**63))),
     "constant_depth": (("False",), ("True", "maybe")),
     "rng_seed": (("0", "7"), ("-1",)),
     "output_dir": (("ignored",), ("ignored",)),
@@ -259,6 +264,43 @@ class TestCircuitExport:
         assert not (out / "results.svg").exists()
         assert (out / "manifest.json").exists()
         assert (out / "circuits" / "step_0005.qasm").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            SMALL_REAL_TIME,
+            SMALL_REAL_TIME + "optimizer_level: none\n",
+            SMALL_REAL_TIME.replace("num_spins: 2", "num_spins: 3") + "h_z: linear-ramp(0, 2)\n",
+        ],
+        ids=["static", "unoptimized", "ramp"],
+    )
+    def test_exported_circuits_match_simulated_blocks(self, tmp_path, text):
+        # circuit k is the preparation plus the k step blocks the series
+        # simulates, up to global phase
+        cfg = parse_input(text)
+        input_path = write_input(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", str(input_path), "--out", str(out), "--export"]) == 0
+
+        blocks = []
+
+        def compile_block(program):
+            blocks.append(cli._compile(cfg)(program))
+            return blocks[-1]
+
+        params = TrotterParams(cfg.total_time, cfg.num_steps)
+        for _ in evolve_series(build_hamiltonian(cfg), params, cfg.initial_state, compile_block):
+            pass
+        if len(blocks) == 1:
+            blocks *= cfg.num_steps
+        gates = list(state_preparation_gates(cfg.initial_state))
+        for k in range(cfg.num_steps + 1):
+            if k > 0:
+                gates += blocks[k - 1].gates
+            exported = import_text((out / "circuits" / f"step_{k:04d}.qasm").read_text())
+            simulated = Program(cfg.num_spins, tuple(gates))
+            distance = phase_aligned_distance(unitary_of(exported), unitary_of(simulated))
+            assert distance <= 1e-12, k
 
     def test_exported_circuits_are_native_only(self, tmp_path):
         input_path = write_input(tmp_path, SMALL_REAL_TIME)
@@ -380,6 +422,19 @@ class TestOverrides:
         main(["run", str(input_path), "--out", str(out)])
         points = read_csv(out / "results.csv")
         assert all(p[2] is None for p in points)
+
+    def test_sampled_imaginary_time_has_sigma(self, tmp_path):
+        text = SMALL_IMAGINARY.replace("num_spins: 2", "num_spins: 3") + "shots: 100\n"
+        input_path = write_input(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", str(input_path), "--out", str(out)]) == 0
+        points = read_csv(out / "results.csv")
+        assert all(sigma is not None and sigma > 0.0 for _, _, sigma in points)
+        cfg = parse_input(text)
+        initial = product_state(cfg.initial_state)
+        want = expectation(initial, snapshot(build_hamiltonian(cfg), 0.0))
+        _, energy, sigma = points[0]
+        assert abs(energy - want) <= 5 * sigma
 
     def test_sampled_series_tracks_exact_series(self, tmp_path):
         input_path = write_input(tmp_path, SMALL_REAL_TIME)

@@ -159,6 +159,8 @@ class TestNumericLimits:
             (("num_spins: 2", "total_time: 1e308", "J_z: 10"), 2),
             (("num_spins: 1", "mode: imaginary-time", "h_x: 1e200"), 3),
             (("num_spins: 2", "mode: imaginary-time", "total_time: 1e308", "J_z: 1"), 3),
+            (("num_spins: 2", "num_steps: 1" + "0" * 400), 2),
+            (("num_spins: 2", "J_z: 1", f"shots: {2**63}"), 3),
         ],
         ids=[
             "imaginary-zero-time",
@@ -166,6 +168,8 @@ class TestNumericLimits:
             "angle-overflow",
             "qite-angle-overflow",
             "qite-dbeta-overflow",
+            "num-steps-beyond-float",
+            "shots-beyond-int64",
         ],
     )
     def test_rejected_with_line_number(self, lines, line):

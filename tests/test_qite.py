@@ -43,15 +43,12 @@ class TestParams:
             QiteParams(dbeta=0.1, num_steps=0)
         with pytest.raises(ValueError):
             QiteParams(dbeta=0.1, num_steps=1, domain_radius=-1)
-        with pytest.raises(ValueError):
-            QiteParams(dbeta=0.1, num_steps=1, fit_scope="global")
 
     def test_defaults(self):
         params = QiteParams(dbeta=0.1, num_steps=5)
         assert params.domain_radius == 0
         assert params.regularization == 1e-6
         assert params.shots == 0
-        assert params.fit_scope == "hamiltonian"
 
 
 class TestDomainWindow:
@@ -271,23 +268,6 @@ class TestRunQite:
         for report in reports[1:]:
             assert report.energy == pytest.approx(1.0, abs=1e-9)
             assert np.abs(report.coefficients).max() <= 1e-9
-
-    def test_term_scope_matches_on_single_term(self):
-        field = single_field("x")
-        prep = Program(1, (ir.h(0),))
-        for scope in ("hamiltonian", "term"):
-            params = QiteParams(dbeta=0.2, num_steps=3, fit_scope=scope)
-            reports = run_qite(field, params, prep)
-            assert reports[-1].energy == pytest.approx(1.0, abs=1e-9)
-
-    def test_term_scope_also_converges(self):
-        params = QiteParams(
-            dbeta=0.1, num_steps=40, fit_scope="term", domain_radius=1
-        )
-        reports = run_qite(tfim(2), params, ["up", "up"])
-        energies = [r.energy for r in reports]
-        assert energies[-1] < -2.0
-        assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
 
     def test_cumulative_program_reproduces_energy(self):
         params = QiteParams(dbeta=0.3, num_steps=5)

@@ -6,12 +6,15 @@ import pytest
 from helpers import matrix_exponential
 from spinsim import ir
 from spinsim.backend import product_state, run_statevector
-from spinsim.config import ConstantSchedule, LinearRampSchedule
+from spinsim.config import ConstantSchedule, GaussianPulseSchedule, LinearRampSchedule
 from spinsim.hamiltonian import HeisenbergHamiltonian, dense_matrix, snapshot
+from spinsim.ir import lower_to_native, phase_aligned_distance
+from spinsim.optimizer import optimize
 from spinsim.oracle import evolve_exact
 from spinsim.trotter import (
     TrotterParams,
     build_evolution_program,
+    evolve_series,
     state_preparation_gates,
     trotter_step,
 )
@@ -31,6 +34,26 @@ def heisenberg_xyz(num_spins: int) -> HeisenbergHamiltonian:
     }
     fields = {("z", i): ConstantSchedule(0.4) for i in range(1, num_spins + 1)}
     return HeisenbergHamiltonian(num_spins, bonds, fields)
+
+
+def driven_chain(num_spins: int, schedule) -> HeisenbergHamiltonian:
+    """XY chain with a z field on every site following ``schedule``."""
+    bonds = {
+        (axis, i): ConstantSchedule(1.0) for axis in ("x", "y") for i in range(1, num_spins)
+    }
+    fields = {("z", i): schedule for i in range(1, num_spins + 1)}
+    return HeisenbergHamiltonian(num_spins, bonds, fields)
+
+
+CHAINS = {
+    "static": heisenberg_xyz(3),
+    "linear-ramp": driven_chain(3, LinearRampSchedule(-1.0, 2.0, 1.5)),
+    "gaussian-pulse": driven_chain(3, GaussianPulseSchedule(1.5, 0.6, 0.3)),
+}
+COMPILE_STEPS = {
+    "lowered": lower_to_native,
+    "peephole": lambda program: optimize(lower_to_native(program)),
+}
 
 
 class TestStepStructure:
@@ -137,3 +160,45 @@ class TestAccuracy:
             errors.append(max(1.0 - overlap, 1e-16))
         slope = -np.polyfit(np.log(step_counts), np.log(errors), 1)[0]
         assert slope >= 0.9
+
+
+class TestEvolveSeries:
+    @pytest.mark.parametrize("compile_step", sorted(COMPILE_STEPS))
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_matches_cumulative_programs(self, chain, compile_step):
+        hamiltonian = CHAINS[chain]
+        params = TrotterParams(1.5, 6)
+        spins = ["down", "up", "up"]
+        series = evolve_series(hamiltonian, params, spins, COMPILE_STEPS[compile_step])
+        count = 0
+        for k, (t_k, state) in enumerate(series):
+            assert t_k == k * params.dt
+            program = build_evolution_program(hamiltonian, params, k, spins)
+            want = run_statevector(program).amplitudes
+            assert phase_aligned_distance(want, state.amplitudes) <= 1e-12, k
+            count += 1
+        assert count == params.num_steps + 1
+
+    def test_uncompiled_blocks_reproduce_programs_exactly(self):
+        hamiltonian = CHAINS["linear-ramp"]
+        params = TrotterParams(1.5, 4)
+        spins = ["up", "down", "up"]
+        for k, (_, state) in enumerate(evolve_series(hamiltonian, params, spins, lambda p: p)):
+            program = build_evolution_program(hamiltonian, params, k, spins)
+            np.testing.assert_array_equal(state.amplitudes, run_statevector(program).amplitudes)
+
+    @pytest.mark.parametrize("chain, compiles", [("static", 1), ("linear-ramp", 5)])
+    def test_each_block_compiled_once(self, chain, compiles):
+        compiled = []
+
+        def compile_block(program):
+            compiled.append(program)
+            return program
+
+        series = evolve_series(CHAINS[chain], TrotterParams(1.0, 5), ["up"] * 3, compile_block)
+        assert len(list(series)) == 6
+        assert len(compiled) == compiles
+
+    def test_initial_state_length_checked(self):
+        with pytest.raises(ValueError):
+            next(evolve_series(tfim(2), TrotterParams(1.0, 5), ["up"], lower_to_native))
