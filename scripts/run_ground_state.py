@@ -2,24 +2,26 @@
 
 Runs the command-line driver on scripts/inputs/tfim_ground_state.txt and
 compares the per-step energies with the exact ground level from dense
-diagonalization.
+diagonalization.  Artifacts go to $SPINSIM_OUTPUT_DIR when set, else
+results/tfim.
 """
 
+import os
 import sys
 from pathlib import Path
 
-from spinsim.cli import main as spinsim_main
+from spinsim.cli import OUTPUT_DIR_ENV, main as spinsim_main
 from spinsim.config import build_hamiltonian, parse_input
 from spinsim.hamiltonian import snapshot
 from spinsim.observables import read_csv
 from spinsim.oracle import ground_state
 
 INPUT = Path(__file__).parent / "inputs" / "tfim_ground_state.txt"
-OUT = Path("results/tfim")
+OUT = Path(os.environ.get(OUTPUT_DIR_ENV) or "results/tfim")
 
 
 def main() -> int:
-    code = spinsim_main(["run", str(INPUT)])
+    code = spinsim_main(["run", str(INPUT), "--out", str(OUT)])
     if code != 0:
         return code
 

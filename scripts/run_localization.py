@@ -2,19 +2,21 @@
 
 Drives the command-line entry point on scripts/inputs/localization_chain.txt,
 then reads the emitted CSV back and prints where the excitation went.
+Artifacts go to $SPINSIM_OUTPUT_DIR when set, else results/localization.
 Pass --clean to start from an empty output directory.
 """
 
 import argparse
+import os
 import shutil
 import sys
 from pathlib import Path
 
-from spinsim.cli import main as spinsim_main
+from spinsim.cli import OUTPUT_DIR_ENV, main as spinsim_main
 from spinsim.observables import read_csv
 
 INPUT = Path(__file__).parent / "inputs" / "localization_chain.txt"
-OUT = Path("results/localization")
+OUT = Path(os.environ.get(OUTPUT_DIR_ENV) or "results/localization")
 
 
 def main() -> int:
@@ -26,7 +28,7 @@ def main() -> int:
     if args.clean and OUT.exists():
         shutil.rmtree(OUT)
 
-    cli_args = ["run", str(INPUT), "--ground-truth"]
+    cli_args = ["run", str(INPUT), "--out", str(OUT), "--ground-truth"]
     if args.shots:
         cli_args += ["--shots", str(args.shots)]
     code = spinsim_main(cli_args)

@@ -14,9 +14,8 @@ except metadata.PackageNotFoundError:
     __version__ = "0.0.0"
 
 from .backend import (
-    Counts,
     Statevector,
-    estimate_observable_from_counts,
+    estimate_with_sigma,
     expectation,
     product_state,
     run_statevector,
@@ -64,7 +63,6 @@ from .trotter import TrotterParams, build_evolution_program, evolve_series, trot
 __all__ = [
     "CoefficientSchedule",
     "ConstantSchedule",
-    "Counts",
     "Gate",
     "GaussianPulseSchedule",
     "HeisenbergHamiltonian",
@@ -82,7 +80,7 @@ __all__ = [
     "build_hamiltonian",
     "dense_matrix",
     "energy_observable",
-    "estimate_observable_from_counts",
+    "estimate_with_sigma",
     "evolve_exact",
     "evolve_imaginary_exact",
     "evolve_series",

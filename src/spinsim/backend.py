@@ -1,4 +1,4 @@
-"""Local statevector execution, expectation values and sampling.
+"""Local statevector execution, expectation values and sampled estimates.
 
 Basis-state indices follow the package-wide convention: qubit 0 (spin
 site 1) is the most significant bit, so the bitstring for index ``i``
@@ -8,14 +8,15 @@ qubit j ('1' means spin down).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BasisMismatchError, TooLargeError
+from .errors import TooLargeError
 from .hamiltonian import PauliTerm
-from .ir import Gate, Program, gate_matrix, pauli_matrix
+from .ir import Gate, Program, basis_change, gate_matrix, pauli_matrix
 
 STATEVECTOR_QUBIT_LIMIT = 24
 
@@ -35,17 +36,6 @@ class Statevector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
-class Counts:
-    """Measurement outcomes: bitstring -> occurrences."""
-
-    counts: dict[str, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def zero_state(num_qubits: int) -> np.ndarray:
@@ -138,73 +128,75 @@ def expectation(state: Statevector, terms: Sequence[PauliTerm]) -> float:
     return float(total.real)
 
 
-def sample_counts(state: Statevector, shots: int, seed: int) -> Counts:
-    """Draw ``shots`` computational-basis outcomes from |amplitude|^2.
+def sample_counts(
+    state: Statevector, shots: int, seed: int | np.random.Generator
+) -> np.ndarray:
+    """Occurrences per basis index in ``shots`` draws from |amplitude|^2.
 
-    Reproducible: the same (state, shots, seed) gives identical counts.
+    ``seed`` is an int or a generator (consumed); equal seeds or equal
+    generator states give identical counts.
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     probs = np.abs(state.amplitudes) ** 2
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    n = state.num_qubits
-    counts = {
-        format(i, f"0{n}b"): int(c) for i, c in enumerate(draws) if c > 0
-    }
-    return Counts(counts)
+    return np.random.default_rng(seed).multinomial(shots, probs)
 
 
-def outcome_value(bitstring: str, terms: Sequence[PauliTerm]) -> float:
-    """Observable value a single measured bitstring contributes.
+def _measurement_groups(
+    terms: Sequence[PauliTerm],
+) -> list[tuple[dict[int, str], list[PauliTerm]]]:
+    """Non-constant terms grouped so that one basis measures each group.
 
-    Only valid for observables whose factors are all z-axis (plus
-    identity offsets); '1' in the bitstring means eigenvalue -1.
+    A term joins the first group whose per-site axes agree with its own
+    on every site both touch, else it starts a new group.
     """
-    value = 0.0
+    groups: list[tuple[dict[int, str], list[PauliTerm]]] = []
     for term in terms:
-        product = term.coefficient
-        for site, axis in term.factors:
-            if axis != "z":
-                raise BasisMismatchError(
-                    f"term with sigma_{axis} cannot be read from z-basis counts"
-                )
-            if bitstring[site - 1] == "1":
-                product = -product
-        value += product
-    return value
-
-
-def estimate_observable_from_counts(counts: Counts, terms: Sequence[PauliTerm]) -> float:
-    """Sample mean of a z-diagonal observable over measured outcomes.
-
-    Raises :class:`BasisMismatchError` when a term involves sigma_x or
-    sigma_y; callers must rotate such terms into the z basis before
-    measuring.
-    """
-    total = counts.total
-    if total == 0:
-        raise ValueError("counts are empty")
-    mean = 0.0
-    for bits, c in counts.counts.items():
-        mean += c * outcome_value(bits, terms)
-    return mean / total
+        if not term.factors:
+            continue
+        for axes, members in groups:
+            if all(axes.get(site, axis) == axis for site, axis in term.factors):
+                axes.update(term.factors)
+                members.append(term)
+                break
+        else:
+            groups.append((dict(term.factors), [term]))
+    return groups
 
 
 def estimate_with_sigma(
-    counts: Counts, terms: Sequence[PauliTerm]
+    state: Statevector,
+    terms: Sequence[PauliTerm],
+    shots: int,
+    rng: int | np.random.Generator,
 ) -> tuple[float, float]:
-    """Sample mean and standard error of a z-diagonal observable."""
-    total = counts.total
-    mean = 0.0
-    second = 0.0
-    for bits, c in counts.counts.items():
-        v = outcome_value(bits, terms)
-        mean += c * v
-        second += c * v * v
-    mean /= total
-    second /= total
-    variance = max(second - mean * mean, 0.0)
-    return mean, float(np.sqrt(variance / total))
+    """Sampled <state| sum of terms |state> and its standard error.
+
+    Constant terms add exactly.  Each measurement group (see
+    :func:`_measurement_groups`) is rotated into the z basis and gets
+    its own ``shots`` draws from ``rng``; an outcome's value is the sum
+    of coefficient times z parity over the group's terms, and the
+    group variances add.
+    """
+    rng = np.random.default_rng(rng)
+    n = state.num_qubits
+    mean = sum(t.coefficient for t in terms if not t.factors)
+    variance = 0.0
+    for axes, group in _measurement_groups(terms):
+        rotation = basis_change((site - 1, axis) for site, axis in axes.items())
+        rotated = run_statevector(Program(n, tuple(rotation)), initial=state)
+        counts = sample_counts(rotated, shots, rng)
+        outcomes = np.flatnonzero(counts)
+        weights = counts[outcomes] / shots
+        values = np.zeros(len(outcomes))
+        for term in group:
+            parity = np.zeros(len(outcomes), dtype=np.int64)
+            for site, _ in term.factors:
+                parity ^= outcomes >> (n - site) & 1
+            values += term.coefficient * (1 - 2 * parity)
+        group_mean = float(np.dot(weights, values))
+        mean += group_mean
+        variance += float(np.dot(weights, (values - group_mean) ** 2)) / shots
+    return float(mean), math.sqrt(variance)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
 from itertools import islice
@@ -24,8 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+# run_statevector and sample_counts are unused here but stay bound: the
+# span tracer in perfbench/spans.py wraps them by name in this module
 from .backend import (
-    Statevector,
     estimate_with_sigma,
     expectation,
     product_state,
@@ -40,8 +40,8 @@ from .config import (
     with_overrides,
 )
 from .errors import ConfigError, SpinsimError, TooLargeError, UnsupportedFeatureError
-from .hamiltonian import AXES, PauliTerm, snapshot
-from .ir import Program, export_text, h as h_gate, lower_to_native, rx as rx_gate
+from .hamiltonian import PauliTerm, snapshot
+from .ir import Program, export_text, lower_to_native
 from .observables import (
     ResultSeries,
     energy_observable,
@@ -83,57 +83,6 @@ def _derived_int_seed(base: int, *salts: int) -> int:
     return int(np.random.SeedSequence([base, *salts]).generate_state(1)[0])
 
 
-def _sampled_estimate(
-    state: Statevector,
-    terms: list[PauliTerm],
-    shots: int,
-    base_seed: int,
-    step_index: int,
-) -> tuple[float, float]:
-    """Measure a single-axis-per-term observable by sampling.
-
-    Terms are grouped by axis; x and y groups get basis-change gates
-    applied to the state before measurement so every group reads out
-    in the z basis.  Each group is sampled with its own ``shots`` draws.
-    """
-    constant = sum(t.coefficient for t in terms if not t.factors)
-    groups: dict[str, list[PauliTerm]] = {}
-    for term in terms:
-        if not term.factors:
-            continue
-        axes_used = {axis for _, axis in term.factors}
-        if len(axes_used) != 1:
-            raise UnsupportedFeatureError(
-                "sampled estimation needs single-axis terms; use shots: 0"
-            )
-        groups.setdefault(axes_used.pop(), []).append(term)
-
-    value = constant
-    variance = 0.0
-    for axis_index, axis in enumerate(AXES):
-        group = groups.get(axis)
-        if not group:
-            continue
-        gates = []
-        sites = sorted({site for term in group for site, _ in term.factors})
-        for site in sites:
-            if axis == "x":
-                gates.append(h_gate(site - 1))
-            elif axis == "y":
-                gates.append(rx_gate(math.pi / 2, site - 1))
-        rotated = run_statevector(Program(state.num_qubits, tuple(gates)), initial=state)
-        seed = _derived_int_seed(base_seed, step_index, axis_index)
-        counts = sample_counts(rotated, shots, seed)
-        z_terms = [
-            PauliTerm(t.coefficient, tuple((site, "z") for site, _ in t.factors))
-            for t in group
-        ]
-        mean, sigma = estimate_with_sigma(counts, z_terms)
-        value += mean
-        variance += sigma**2
-    return value, float(np.sqrt(variance))
-
-
 def _compile(cfg: SimulationConfig):
     """The compile step: lowering, then the peephole pass when enabled."""
     if cfg.optimizer_level == "peephole":
@@ -162,7 +111,8 @@ def _run_real_time(cfg: SimulationConfig, hamiltonian, seed: int, export: bool):
             if cfg.shots == 0:
                 points.append((t_k, expectation(state, terms), None))
             else:
-                points.append((t_k, *_sampled_estimate(state, terms, cfg.shots, seed, k)))
+                rng = _derived_int_seed(seed, k)
+                points.append((t_k, *estimate_with_sigma(state, terms, cfg.shots, rng)))
     return points, programs
 
 
@@ -179,9 +129,14 @@ def _ground_truth_points(cfg: SimulationConfig, hamiltonian, points):
     initial = product_state(cfg.initial_state)
     truth = []
     if cfg.mode == "real-time":
-        for k, (t_k, _, _) in enumerate(points):
-            substeps = max(10 * k, 1)
-            state = evolve_exact(hamiltonian, t_k, initial, substeps=substeps)
+        state, start = initial, 0.0
+        for t_k, _, _ in points:
+            if hamiltonian.is_time_dependent:
+                # one dense state carried forward, 10 midpoint substeps per step
+                state = evolve_exact(hamiltonian, t_k, state, substeps=10, start=start)
+                start = t_k
+            else:
+                state = evolve_exact(hamiltonian, t_k, initial)
             terms = _observable_terms(cfg, hamiltonian, t_k)
             truth.append((t_k, expectation(state, terms), None))
     else:

@@ -63,10 +63,6 @@ class SingularSystemError(SpinsimError):
     """The regularized least-squares solve failed."""
 
 
-class BasisMismatchError(SpinsimError):
-    """Counts-based estimation asked for a non-Z-diagonal observable."""
-
-
 class ZeroOverlapError(SpinsimError):
     """Initial state has no numerically resolvable overlap with the target spectrum slice."""
 

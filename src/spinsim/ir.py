@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -182,6 +183,25 @@ def lower_to_native(program: Program) -> Program:
     return Program(program.num_qubits, tuple(out), program.measured)
 
 
+def basis_change(axes: Iterable[tuple[int, str]], inverse: bool = False) -> list[Gate]:
+    """Gates turning sigma_axis into sigma_z on each (qubit, axis) pair.
+
+    H for x and RX(pi/2) for y, since sigma_y = RX(pi/2)^dag sigma_z
+    RX(pi/2); z needs none.  ``inverse`` gives the gates turning back.
+    """
+    sign = -1.0 if inverse else 1.0
+    gates = []
+    for q, axis in axes:
+        if axis == "x":
+            gates.append(h(q))
+        elif axis == "y":
+            gates.append(rx(sign * math.pi / 2, q))
+    return gates
+
+
+_ROTATION_AXIS = {"ry": "y", "rxx": "x", "ryy": "y", "rzz": "z"}
+
+
 def _lower_gate(g: Gate) -> list[Gate]:
     kind = g.kind
     if kind in NATIVE_KINDS:
@@ -189,25 +209,16 @@ def _lower_gate(g: Gate) -> list[Gate]:
     if kind == "x":
         # equals X up to a global phase of -i
         return [rx(math.pi, g.qubits[0])]
-    if kind == "ry":
-        # sigma_y = RX(pi/2)^dag sigma_z RX(pi/2)
-        q = g.qubits[0]
-        return [rx(math.pi / 2, q), rz(g.theta, q), rx(-math.pi / 2, q)]
-    a, b = g.qubits
-    core = [cnot(a, b), rz(g.theta, b), cnot(a, b)]
-    if kind == "rzz":
-        return core
-    if kind == "rxx":
-        return [h(a), h(b), *core, h(a), h(b)]
-    if kind == "ryy":
-        return [
-            rx(math.pi / 2, a),
-            rx(math.pi / 2, b),
-            *core,
-            rx(-math.pi / 2, a),
-            rx(-math.pi / 2, b),
-        ]
-    raise ValueError(f"no lowering rule for {kind}")
+    if kind not in _ROTATION_AXIS:
+        raise ValueError(f"no lowering rule for {kind}")
+    # a z rotation (on the parity, for two qubits) inside a basis change
+    axes = [(q, _ROTATION_AXIS[kind]) for q in g.qubits]
+    if len(g.qubits) == 1:
+        core = [rz(g.theta, g.qubits[0])]
+    else:
+        a, b = g.qubits
+        core = [cnot(a, b), rz(g.theta, b), cnot(a, b)]
+    return basis_change(axes) + core + basis_change(axes, inverse=True)
 
 
 def _embed_single(u2: np.ndarray, q: int, n: int) -> np.ndarray:

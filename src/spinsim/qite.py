@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ir
-from .backend import Statevector, apply_gate, apply_pauli_string, expectation
+from .backend import Statevector, apply_gate, estimate_with_sigma, expectation
 from .errors import SingularSystemError, UnsupportedFeatureError
 from .hamiltonian import HeisenbergHamiltonian, PauliTerm, snapshot
 from .ir import Gate, Program
@@ -171,70 +171,34 @@ def hamiltonian_basis(
     return strings
 
 
-class PauliExpectations:
-    """Expectation values <psi|sigma_P|psi> on a fixed state.
+def _string_expectations(state: Statevector, shots: int, rng=None):
+    """<state| sigma_P |state> per Pauli string, cached for one state.
 
-    Exact mode contracts the statevector directly.  Shot mode rotates
-    the involved sites into the z basis, samples the rotated state and
-    averages parity eigenvalues, consuming the supplied generator so
-    repeated runs with one seed stay reproducible.  Values are cached
-    per string.
+    Exact when ``shots`` is 0, otherwise sampled with ``shots`` draws
+    from ``rng`` (the run's shared generator, so repeated runs with one
+    seed stay reproducible; a generator seeded with 0 when None).
     """
+    rng = np.random.default_rng(0 if rng is None else rng)
+    cache: dict[PauliString, float] = {(): 1.0}
 
-    def __init__(self, state: Statevector, shots: int = 0, rng=None):
-        self._state = state
-        self._shots = shots
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._cache: dict[PauliString, float] = {}
+    def value(factors: PauliString) -> float:
+        if factors not in cache:
+            string = [PauliTerm(1.0, factors)]
+            if shots == 0:
+                cache[factors] = expectation(state, string)
+            else:
+                cache[factors] = estimate_with_sigma(state, string, shots, rng)[0]
+        return cache[factors]
 
-    def value(self, factors: PauliString) -> float:
-        if not factors:
-            return 1.0
-        if factors in self._cache:
-            return self._cache[factors]
-        if self._shots == 0:
-            result = self._exact(factors)
-        else:
-            result = self._sampled(factors)
-        self._cache[factors] = result
-        return result
-
-    def _exact(self, factors: PauliString) -> float:
-        amps = self._state.amplitudes
-        shifted = apply_pauli_string(amps, factors, self._state.num_qubits)
-        return float(np.vdot(amps, shifted).real)
-
-    def _sampled(self, factors: PauliString) -> float:
-        n = self._state.num_qubits
-        amps = self._state.amplitudes
-        for site, axis in factors:
-            if axis == "x":
-                amps = apply_gate(amps, ir.h(site - 1), n)
-            elif axis == "y":
-                amps = apply_gate(amps, ir.rx(math.pi / 2, site - 1), n)
-        probs = np.clip(np.abs(amps) ** 2, 0.0, None)
-        probs /= probs.sum()
-        draws = self._rng.multinomial(self._shots, probs)
-        indices = np.arange(len(probs))
-        parity = np.ones(len(probs))
-        for site, _ in factors:
-            bit_position = n - site
-            parity *= 1.0 - 2.0 * ((indices >> bit_position) & 1)
-        return float(np.dot(draws, parity) / self._shots)
+    return value
 
 
 def pauli_rotation_gates(factors: PauliString, angle: float) -> list[Gate]:
     """Circuit for exp(-i angle sigma_P): basis change, CNOT ladder, RZ."""
-    qubits = [site - 1 for site, _ in factors]
-    enter: list[Gate] = []
-    leave: list[Gate] = []
-    for (site, axis), q in zip(factors, qubits):
-        if axis == "x":
-            enter.append(ir.h(q))
-            leave.append(ir.h(q))
-        elif axis == "y":
-            enter.append(ir.rx(math.pi / 2, q))
-            leave.append(ir.rx(-math.pi / 2, q))
+    axes = [(site - 1, axis) for site, axis in factors]
+    qubits = [q for q, _ in axes]
+    enter = ir.basis_change(axes)
+    leave = ir.basis_change(axes, inverse=True)
     ladder = [ir.cnot(qubits[k], qubits[k + 1]) for k in range(len(qubits) - 1)]
     return (
         enter
@@ -254,7 +218,7 @@ def _fit_unitary(
 ) -> TermFit:
     """Fit the step unitary for h = sum of ``terms`` over ``basis``."""
     n = state.num_qubits
-    estimate = PauliExpectations(state, params.shots, rng).value
+    estimate = _string_expectations(state, params.shots, rng)
 
     energy = 0.0
     second_moment = 0.0
@@ -363,16 +327,10 @@ def run_qite(
         amps = apply_gate(amps, gate, n)
 
     def measured_energy() -> tuple[float, float | None]:
-        # energy and its standard error; each Pauli string is sampled with
-        # its own shots, so sigma^2 = sum_i c_i^2 (1 - <P_i>^2) / shots
         state = Statevector(n, amps)
         if params.shots == 0:
             return expectation(state, terms), None
-        estimate = PauliExpectations(state, params.shots, rng).value
-        values = [estimate(t.factors) for t in terms]
-        energy = sum(t.coefficient * v for t, v in zip(terms, values))
-        variance = sum(t.coefficient**2 * (1.0 - v * v) for t, v in zip(terms, values))
-        return energy, math.sqrt(variance / params.shots)
+        return estimate_with_sigma(state, terms, params.shots, rng)
 
     reports = [
         QiteStepReport(

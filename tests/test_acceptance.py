@@ -217,7 +217,7 @@ def test_criterion_5_backend_correctness():
             counts = sample_counts(state, shots=shots, seed=9000 + trial)
             probs = np.abs(amps) ** 2
             for index, p in enumerate(probs):
-                observed = counts.counts.get(format(index, f"0{n}b"), 0)
+                observed = counts[index]
                 sigma = np.sqrt(shots * p * (1.0 - p))
                 assert abs(observed - shots * p) <= 5.0 * sigma, (trial, index)
         out["detail"] = f"worst state distance {worst:.1e}, counts within 5 sigma"

@@ -1,4 +1,4 @@
-"""Statevector execution, sampling, and counts-based estimation."""
+"""Statevector execution, sampling, and sampled estimation."""
 
 import numpy as np
 import pytest
@@ -7,19 +7,18 @@ from hypothesis import strategies as st
 
 from helpers import embedded_pauli, random_program, random_state
 from spinsim import ir
+from spinsim import backend
 from spinsim.backend import (
-    Counts,
     Statevector,
     expectation,
-    estimate_observable_from_counts,
     estimate_with_sigma,
-    outcome_value,
     product_state,
     run_statevector,
     sample_counts,
 )
-from spinsim.errors import BasisMismatchError, TooLargeError
-from spinsim.hamiltonian import PauliTerm
+from spinsim.config import ConstantSchedule
+from spinsim.errors import TooLargeError
+from spinsim.hamiltonian import HeisenbergHamiltonian, PauliTerm, snapshot
 
 
 def program_of(num_qubits, gates):
@@ -123,27 +122,34 @@ class TestSampling:
     def test_deterministic_outcome(self):
         state = product_state(["down"])
         counts = sample_counts(state, shots=100, seed=0)
-        assert counts.counts == {"1": 100}
+        np.testing.assert_array_equal(counts, [0, 100])
 
     def test_same_seed_same_counts(self):
         rng = np.random.default_rng(2)
         state = random_state(rng, 3)
         a = sample_counts(state, shots=500, seed=42)
         b = sample_counts(state, shots=500, seed=42)
-        assert a.counts == b.counts
+        np.testing.assert_array_equal(a, b)
+
+    def test_generator_seed_draws_like_its_int_seed(self):
+        rng = np.random.default_rng(2)
+        state = random_state(rng, 3)
+        a = sample_counts(state, shots=500, seed=42)
+        b = sample_counts(state, shots=500, seed=np.random.default_rng(42))
+        np.testing.assert_array_equal(a, b)
 
     def test_different_seed_usually_differs(self):
         rng = np.random.default_rng(2)
         state = random_state(rng, 3)
         a = sample_counts(state, shots=500, seed=1)
         b = sample_counts(state, shots=500, seed=2)
-        assert a.counts != b.counts
+        assert not np.array_equal(a, b)
 
     def test_total_equals_shots(self):
         rng = np.random.default_rng(7)
         state = random_state(rng, 4)
         counts = sample_counts(state, shots=1234, seed=3)
-        assert counts.total == 1234
+        assert counts.sum() == 1234
 
     def test_nonpositive_shots_rejected(self):
         with pytest.raises(ValueError):
@@ -156,58 +162,100 @@ class TestSampling:
         counts = sample_counts(state, shots=shots, seed=11)
         p = 0.5
         sigma = np.sqrt(p * (1 - p) * shots)
-        assert abs(counts.counts["0"] - p * shots) <= 5 * sigma
+        assert abs(counts[0] - p * shots) <= 5 * sigma
 
 
 class TestCountsEstimation:
-    def test_outcome_value_sign_convention(self):
+    def test_sign_convention_from_one_hot_counts(self):
         term = [PauliTerm(1.0, ((1, "z"),))]
-        assert outcome_value("0", term) == 1.0
-        assert outcome_value("1", term) == -1.0
+        assert estimate_with_sigma(product_state(["up"]), term, 10, 0) == (1.0, 0.0)
+        assert estimate_with_sigma(product_state(["down"]), term, 10, 0) == (-1.0, 0.0)
 
-    def test_outcome_value_multi_site(self):
+    def test_multi_site_parity_from_one_hot_counts(self):
         term = [PauliTerm(2.0, ((1, "z"), (3, "z")))]
-        assert outcome_value("101", term) == 2.0
-        assert outcome_value("100", term) == -2.0
-
-    def test_x_terms_rejected(self):
-        with pytest.raises(BasisMismatchError):
-            outcome_value("0", [PauliTerm(1.0, ((1, "x"),))])
-        with pytest.raises(BasisMismatchError):
-            estimate_observable_from_counts(
-                Counts({"0": 5}), [PauliTerm(1.0, ((1, "y"),))]
-            )
+        both_down = product_state(["down", "up", "down"])
+        one_down = product_state(["down", "up", "up"])
+        assert estimate_with_sigma(both_down, term, 10, 0) == (2.0, 0.0)
+        assert estimate_with_sigma(one_down, term, 10, 0) == (-2.0, 0.0)
 
     def test_estimate_averages_counts(self):
-        counts = Counts({"0": 75, "1": 25})
-        term = [PauliTerm(1.0, ((1, "z"),))]
-        assert estimate_observable_from_counts(counts, term) == pytest.approx(0.5)
+        state = run_statevector(program_of(1, [ir.Gate("rx", (0,), np.pi / 3)]))
+        counts = sample_counts(state, shots=100, seed=5)
+        mean, _ = estimate_with_sigma(state, [PauliTerm(1.0, ((1, "z"),))], 100, 5)
+        assert mean == pytest.approx((counts[0] - counts[1]) / 100)
 
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError):
-            estimate_observable_from_counts(Counts({}), [PauliTerm(1.0, ((1, "z"),))])
+            estimate_with_sigma(product_state(["up"]), [PauliTerm(1.0, ((1, "z"),))], 0, 0)
 
     def test_sigma_zero_for_deterministic_outcomes(self):
-        counts = Counts({"00": 100})
-        mean, sigma = estimate_with_sigma(counts, [PauliTerm(1.0, ((1, "z"),))])
+        mean, sigma = estimate_with_sigma(
+            product_state(["up", "up"]), [PauliTerm(1.0, ((1, "z"),))], 100, 0
+        )
         assert mean == 1.0
         assert sigma == 0.0
 
+    def test_sigma_zero_on_an_eigenstate(self):
+        # |+>|down> is an eigenstate of every term; one basis measures all three
+        state = run_statevector(program_of(2, [ir.h(0), ir.x(1)]))
+        terms = [
+            PauliTerm(1.0, ((1, "x"),)),
+            PauliTerm(0.5, ((2, "z"),)),
+            PauliTerm(-2.0, ((1, "x"), (2, "z"))),
+        ]
+        mean, sigma = estimate_with_sigma(state, terms, 100, 0)
+        assert mean == 2.5
+        assert sigma == 0.0
+
     def test_sigma_matches_binomial(self):
-        counts = Counts({"0": 50, "1": 50})
-        mean, sigma = estimate_with_sigma(counts, [PauliTerm(1.0, ((1, "z"),))])
-        assert mean == pytest.approx(0.0)
-        assert sigma == pytest.approx(0.1)
+        shots = 100
+        state = run_statevector(program_of(1, [ir.h(0)]))
+        mean, sigma = estimate_with_sigma(state, [PauliTerm(1.0, ((1, "z"),))], shots, 4)
+        assert sigma == pytest.approx(np.sqrt((1.0 - mean**2) / shots))
 
     def test_estimate_converges_to_expectation(self):
         shots = 100_000
         rng = np.random.default_rng(13)
         state = random_state(rng, 3)
         terms = [PauliTerm(1.0, ((1, "z"),)), PauliTerm(0.5, ((2, "z"), (3, "z")))]
-        counts = sample_counts(state, shots=shots, seed=21)
-        mean, sigma = estimate_with_sigma(counts, terms)
+        mean, sigma = estimate_with_sigma(state, terms, shots, 21)
         exact = expectation(state, terms)
         assert abs(mean - exact) <= 5 * max(sigma, 1e-12)
+
+    def test_mixed_axis_term_within_five_sigma(self):
+        shots = 100_000
+        rng = np.random.default_rng(17)
+        state = random_state(rng, 3)
+        terms = [
+            PauliTerm(0.75, ()),
+            PauliTerm(1.0, ((1, "x"), (2, "z"))),
+            PauliTerm(-0.5, ((2, "z"), (3, "y"))),
+        ]
+        mean, sigma = estimate_with_sigma(state, terms, shots, 23)
+        assert sigma > 0.0
+        assert abs(mean - expectation(state, terms)) <= 5 * sigma
+
+    def test_xyz_chain_energy_uses_three_groups(self, monkeypatch):
+        n = 4
+        bonds = {
+            (axis, i): ConstantSchedule(j)
+            for axis, j in (("x", 1.0), ("y", 0.7), ("z", 0.4))
+            for i in range(1, n)
+        }
+        fields = {("z", i): ConstantSchedule(0.3) for i in range(1, n + 1)}
+        terms = snapshot(HeisenbergHamiltonian(n, bonds, fields), 0.0)
+        draws = []
+
+        def counting(state, shots, seed):
+            draws.append(shots)
+            return sample_counts(state, shots, seed)
+
+        monkeypatch.setattr(backend, "sample_counts", counting)
+        shots = 50_000
+        state = random_state(np.random.default_rng(19), n)
+        mean, sigma = estimate_with_sigma(state, terms, shots, 29)
+        assert draws == [shots] * 3
+        assert abs(mean - expectation(state, terms)) <= 5 * sigma
 
 
 class TestStatevectorValidation:

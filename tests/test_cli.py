@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsim import cli
+from spinsim import cli, oracle
 from spinsim.backend import expectation, product_state
 from spinsim.cli import main
 from spinsim.config import INPUT_KEYS, build_hamiltonian, parse_input
 from spinsim.hamiltonian import snapshot
 from spinsim.ir import Program, import_text, phase_aligned_distance, unitary_of
-from spinsim.observables import read_csv
+from spinsim.observables import read_csv, site_magnetization_observable
+from spinsim.oracle import evolve_exact
 from spinsim.trotter import TrotterParams, evolve_series, state_preparation_gates
 
 SMALL_REAL_TIME = """\
@@ -332,6 +333,33 @@ class TestGroundTruth:
         for line in lines:
             cells = line.split(",")
             assert abs(float(cells[1]) - float(cells[3])) <= 0.05
+
+    def test_time_dependent_reference_is_linear_in_steps(self, tmp_path, monkeypatch):
+        text = SMALL_REAL_TIME.replace("h_x: 1.0", "h_x: linear-ramp(-1, 2)")
+        input_path = write_input(tmp_path, text)
+        out = tmp_path / "out"
+        propagate = oracle._propagate
+        propagations = []
+
+        def counting(matrix, dt, amps):
+            propagations.append(dt)
+            return propagate(matrix, dt, amps)
+
+        monkeypatch.setattr(oracle, "_propagate", counting)
+        assert main(["run", str(input_path), "--out", str(out), "--ground-truth"]) == 0
+        cfg = parse_input(text)
+        assert len(propagations) == 10 * cfg.num_steps
+        monkeypatch.undo()
+
+        hamiltonian = build_hamiltonian(cfg)
+        initial = product_state(cfg.initial_state)
+        magnetization = site_magnetization_observable(cfg.num_spins, "z")
+        lines = (out / "results.csv").read_text().splitlines()[1:]
+        assert len(lines) == cfg.num_steps + 1
+        for k, line in enumerate(lines):
+            cells = line.split(",")
+            state = evolve_exact(hamiltonian, float(cells[0]), initial, substeps=max(10 * k, 1))
+            assert abs(float(cells[3]) - expectation(state, magnetization)) <= 1e-12
 
     def test_imaginary_reference_matches_final_energy(self, tmp_path):
         input_path = write_input(tmp_path, SMALL_IMAGINARY)
