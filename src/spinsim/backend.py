@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import TooLargeError
 from .hamiltonian import PauliTerm
-from .ir import Gate, Program, basis_change, gate_matrix, pauli_matrix
+from .ir import Gate, Program, basis_change, gate_matrix
 
 STATEVECTOR_QUBIT_LIMIT = 24
 
@@ -57,39 +57,25 @@ def product_state(spins: Sequence[str]) -> Statevector:
     return Statevector(n, amps)
 
 
-def _apply_single(amps: np.ndarray, u2: np.ndarray, q: int, n: int) -> np.ndarray:
-    t = amps.reshape((2,) * n)
-    t = np.tensordot(u2, t, axes=([1], [q]))
-    return np.moveaxis(t, 0, q).reshape(-1)
-
-
-def _apply_pair(amps: np.ndarray, u4: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    t = amps.reshape((2,) * n)
-    m = u4.reshape(2, 2, 2, 2)
-    t = np.tensordot(m, t, axes=([2, 3], [a, b]))
-    return np.moveaxis(t, (0, 1), (a, b)).reshape(-1)
-
-
 def apply_gate(amps: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
     """Apply one gate to an amplitude vector, returning the new vector.
 
-    Amplitudes are updated through axis-wise tensor contractions; no
-    2^n x 2^n matrix is ever formed.
+    The gate's matrix, as a (2,)*2k tensor, is contracted with its k
+    operand axes of the (2,)*n view; no 2^n x 2^n matrix is ever formed.
     """
-    m = gate_matrix(gate)
-    if len(gate.qubits) == 1:
-        return _apply_single(amps, m, gate.qubits[0], num_qubits)
-    a, b = gate.qubits
-    return _apply_pair(amps, m, a, b, num_qubits)
+    k = len(gate.qubits)
+    m = gate_matrix(gate).reshape((2,) * 2 * k)
+    t = np.tensordot(m, amps.reshape((2,) * num_qubits), axes=(range(k, 2 * k), gate.qubits))
+    return np.moveaxis(t, range(k), gate.qubits).reshape(-1)
 
 
-def run_statevector(
-    program: Program, initial: Statevector | None = None, max_qubits: int = STATEVECTOR_QUBIT_LIMIT
-) -> Statevector:
+def run_statevector(program: Program, initial: Statevector | None = None) -> Statevector:
     """Execute a program on |0...0> (or a supplied initial state)."""
     n = program.num_qubits
-    if n > max_qubits:
-        raise TooLargeError(f"statevector simulation limited to {max_qubits} qubits, got {n}")
+    if n > STATEVECTOR_QUBIT_LIMIT:
+        raise TooLargeError(
+            f"statevector simulation limited to {STATEVECTOR_QUBIT_LIMIT} qubits, got {n}"
+        )
     if initial is None:
         amps = zero_state(n)
     else:
@@ -101,14 +87,52 @@ def run_statevector(
     return Statevector(n, amps)
 
 
-def apply_pauli_string(
-    amps: np.ndarray, factors: Iterable[tuple[int, str]], num_qubits: int
-) -> np.ndarray:
-    """Apply a product of single-site Pauli operators (sites are 1-based)."""
-    out = amps
+def pauli_masks(factors: Iterable[tuple[int, str]], num_qubits: int) -> tuple[int, int]:
+    """(x, z) bit masks of the Pauli string sigma = i^|x & z| X^x Z^z.
+
+    Site s is bit n - s (site 1 is the most significant bit, as in
+    basis-state indices); x and y set the x bit, y and z the z bit.
+    """
+    x = z = 0
     for site, axis in factors:
-        out = _apply_single(out, pauli_matrix(axis), site - 1, num_qubits)
-    return out
+        bit = 1 << (num_qubits - site)
+        if axis in ("x", "y"):
+            x |= bit
+        if axis in ("y", "z"):
+            z |= bit
+    return x, z
+
+
+def pauli_factors(masks: tuple[int, int], num_qubits: int) -> tuple[tuple[int, str], ...]:
+    """The (site, axis) factors of a mask pair, in increasing site order."""
+    x, z = masks
+    factors = []
+    for site in range(1, num_qubits + 1):
+        shift = num_qubits - site
+        code = (x >> shift & 1) << 1 | (z >> shift & 1)
+        if code:
+            factors.append((site, " zxy"[code]))
+    return tuple(factors)
+
+
+def apply_pauli(amps: np.ndarray, masks: tuple[int, int], num_qubits: int) -> np.ndarray:
+    """sigma|amps> for the Pauli string with (x, z) masks, as a contiguous array.
+
+    sigma = (-i)^|x & z| Z^z X^x: flip the x axes of the (2,)*n view,
+    copy once, then negate the z axes' 1 halves and apply the phase in
+    place.  Only permutations and products with +-1 and +-i happen, so
+    the result is exact.
+    """
+    x, z = masks
+    flipped = tuple(q for q in range(num_qubits) if x >> (num_qubits - 1 - q) & 1)
+    out = np.flip(amps.reshape((2,) * num_qubits), flipped).copy()
+    for q in range(num_qubits):
+        if z >> (num_qubits - 1 - q) & 1:
+            out[(slice(None),) * q + (1,)] *= -1
+    power = (x & z).bit_count() % 4
+    if power:
+        out *= (1, -1j, -1, 1j)[power]
+    return out.reshape(-1)
 
 
 def expectation(state: Statevector, terms: Sequence[PauliTerm]) -> float:
@@ -117,14 +141,11 @@ def expectation(state: Statevector, terms: Sequence[PauliTerm]) -> float:
     The value of a Hermitian observable; any imaginary residue from
     float arithmetic is discarded.
     """
-    amps = state.amplitudes
+    amps, n = state.amplitudes, state.num_qubits
     total = 0.0 + 0.0j
     for term in terms:
-        if term.factors:
-            shifted = apply_pauli_string(amps, term.factors, state.num_qubits)
-            total += term.coefficient * np.vdot(amps, shifted)
-        else:
-            total += term.coefficient * np.vdot(amps, amps)
+        sigma_amps = apply_pauli(amps, pauli_masks(term.factors, n), n)
+        total += term.coefficient * np.vdot(amps, sigma_amps)
     return float(total.real)
 
 
@@ -192,10 +213,12 @@ def estimate_with_sigma(
         weights = counts[outcomes] / shots
         values = np.zeros(len(outcomes))
         for term in group:
-            parity = np.zeros(len(outcomes), dtype=np.int64)
-            for site, _ in term.factors:
-                parity ^= outcomes >> (n - site) & 1
-            values += term.coefficient * (1 - 2 * parity)
+            x, z = pauli_masks(term.factors, n)
+            # xor-fold the outcome's bits on the support into bit 0 (n < 32)
+            parity = outcomes & (x | z)
+            for shift in (16, 8, 4, 2, 1):
+                parity ^= parity >> shift
+            values += term.coefficient * (1 - 2 * (parity & 1))
         group_mean = float(np.dot(weights, values))
         mean += group_mean
         variance += float(np.dot(weights, (values - group_mean) ** 2)) / shots

@@ -20,8 +20,6 @@ import sys
 from itertools import islice
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 # run_statevector and sample_counts are unused here but stay bound: the
 # span tracer in perfbench/spans.py wraps them by name in this module
@@ -35,6 +33,7 @@ from .backend import (
 from .config import (
     SimulationConfig,
     build_hamiltonian,
+    derived_seed,
     parse_input,
     serialize,
     with_overrides,
@@ -79,10 +78,6 @@ def _observable_terms(cfg: SimulationConfig, hamiltonian, t: float) -> list[Paul
     return site_magnetization_observable(cfg.num_spins, axis)
 
 
-def _derived_int_seed(base: int, *salts: int) -> int:
-    return int(np.random.SeedSequence([base, *salts]).generate_state(1)[0])
-
-
 def _compile(cfg: SimulationConfig):
     """The compile step: lowering, then the peephole pass when enabled."""
     if cfg.optimizer_level == "peephole":
@@ -111,7 +106,7 @@ def _run_real_time(cfg: SimulationConfig, hamiltonian, seed: int, export: bool):
             if cfg.shots == 0:
                 points.append((t_k, expectation(state, terms), None))
             else:
-                rng = _derived_int_seed(seed, k)
+                rng = derived_seed(seed, k)
                 points.append((t_k, *estimate_with_sigma(state, terms, cfg.shots, rng)))
     return points, programs
 

@@ -469,14 +469,14 @@ def build_hamiltonian(cfg: SimulationConfig) -> HeisenbergHamiltonian:
     coefficients: dict[str, dict] = {"J": {}, "h": {}}
     for salt, (key, count) in enumerate(_schedule_slots(cfg.num_spins)):
         schedule = getattr(cfg, INPUT_KEYS[key].field)
-        resolved = schedule.resolve(count, cfg.total_time, _derived_seed(base_seed, salt))
+        resolved = schedule.resolve(count, cfg.total_time, derived_seed(base_seed, salt))
         for i, coefficient in enumerate(resolved, start=1):
             coefficients[key[0]][(key[-1], i)] = coefficient
     return HeisenbergHamiltonian(cfg.num_spins, coefficients["J"], coefficients["h"])
 
 
-def _derived_seed(base_seed: int, salt: int) -> int:
-    # stable per-key seed; SeedSequence keeps draws independent across keys
+def derived_seed(base_seed: int, salt: int) -> int:
+    """A stable seed per salt; SeedSequence keeps the draws of different salts independent."""
     return int(np.random.SeedSequence([base_seed, salt]).generate_state(1)[0])
 
 
@@ -484,9 +484,8 @@ def with_overrides(
     cfg: SimulationConfig,
     seed: int | None = None,
     shots: int | None = None,
-    output_dir: str | None = None,
 ) -> SimulationConfig:
     """Apply command-line overrides on top of file values."""
-    updates = {"rng_seed": seed, "shots": shots, "output_dir": output_dir}
+    updates = {"rng_seed": seed, "shots": shots}
     updates = {k: v for k, v in updates.items() if v is not None}
     return replace(cfg, **updates) if updates else cfg

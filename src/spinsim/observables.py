@@ -113,13 +113,6 @@ def read_csv(path: str | Path) -> tuple[Point, ...]:
     return tuple(points)
 
 
-def series_sha256(series: ResultSeries) -> str:
-    digest = hashlib.sha256()
-    for point in series.points:
-        digest.update(repr(point).encode())
-    return digest.hexdigest()[:12]
-
-
 _WIDTH, _HEIGHT = 640, 480
 _MARGIN_LEFT, _MARGIN_RIGHT = 70, 20
 _MARGIN_TOP, _MARGIN_BOTTOM = 50, 55

@@ -33,13 +33,17 @@ from typing import Sequence
 import numpy as np
 
 from . import ir
-from .backend import Statevector, apply_gate, estimate_with_sigma, expectation
+from .backend import Statevector, apply_pauli, estimate_with_sigma, expectation
+from .backend import pauli_factors, pauli_masks, run_statevector
+# unused, but bound: the span tracer in perfbench/spans.py wraps it by name here
+from .backend import apply_gate  # noqa: F401
 from .errors import SingularSystemError, UnsupportedFeatureError
 from .hamiltonian import HeisenbergHamiltonian, PauliTerm, snapshot
 from .ir import Gate, Program
 from .trotter import state_preparation_gates
 
 PauliString = tuple[tuple[int, str], ...]
+PauliMasks = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -102,32 +106,22 @@ class TermFit:
     normalization: float
 
 
-_SINGLE_PRODUCT = {
-    ("x", "y"): (1j, "z"),
-    ("y", "x"): (-1j, "z"),
-    ("y", "z"): (1j, "x"),
-    ("z", "y"): (-1j, "x"),
-    ("z", "x"): (1j, "y"),
-    ("x", "z"): (-1j, "y"),
-}
+_I_POWERS = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
 
 
 def pauli_string_product(
-    first: PauliString, second: PauliString
-) -> tuple[complex, PauliString]:
-    """Symbolic product sigma_first sigma_second = phase * sigma_out."""
-    d1, d2 = dict(first), dict(second)
-    phase = 1.0 + 0.0j
-    out = []
-    for site in sorted(d1.keys() | d2.keys()):
-        a, b = d1.get(site), d2.get(site)
-        if a is None or b is None:
-            out.append((site, a or b))
-        elif a != b:
-            factor_phase, axis = _SINGLE_PRODUCT[(a, b)]
-            phase *= factor_phase
-            out.append((site, axis))
-    return phase, tuple(out)
+    first: PauliMasks, second: PauliMasks
+) -> tuple[complex, PauliMasks]:
+    """Product sigma_first sigma_second = phase * sigma_out on (x, z) masks.
+
+    With sigma = i^|x & z| X^x Z^z (see :func:`backend.pauli_masks`),
+    moving Z^z1 past X^x2 gives (-1)^|z1 & x2|, so the phase is i^k with
+    k = |x1 & z1| + |x2 & z2| - |x & z| + 2 |z1 & x2| (mod 4).
+    """
+    (x1, z1), (x2, z2) = first, second
+    x, z = x1 ^ x2, z1 ^ z2
+    k = (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x & z).bit_count()
+    return _I_POWERS[(k + 2 * (z1 & x2).bit_count()) % 4], (x, z)
 
 
 def domain_window(term: PauliTerm, radius: int, num_spins: int) -> tuple[int, ...]:
@@ -172,23 +166,24 @@ def hamiltonian_basis(
 
 
 def _string_expectations(state: Statevector, shots: int, rng=None):
-    """<state| sigma_P |state> per Pauli string, cached for one state.
+    """<state| sigma_P |state> per Pauli string's (x, z) masks, cached for one state.
 
     Exact when ``shots`` is 0, otherwise sampled with ``shots`` draws
     from ``rng`` (the run's shared generator, so repeated runs with one
     seed stay reproducible; a generator seeded with 0 when None).
     """
     rng = np.random.default_rng(0 if rng is None else rng)
-    cache: dict[PauliString, float] = {(): 1.0}
+    amps, n = state.amplitudes, state.num_qubits
+    cache: dict[PauliMasks, float] = {(0, 0): 1.0}
 
-    def value(factors: PauliString) -> float:
-        if factors not in cache:
-            string = [PauliTerm(1.0, factors)]
+    def value(masks: PauliMasks) -> float:
+        if masks not in cache:
             if shots == 0:
-                cache[factors] = expectation(state, string)
+                cache[masks] = float(np.vdot(amps, apply_pauli(amps, masks, n)).real)
             else:
-                cache[factors] = estimate_with_sigma(state, string, shots, rng)[0]
-        return cache[factors]
+                string = [PauliTerm(1.0, pauli_factors(masks, n))]
+                cache[masks] = estimate_with_sigma(state, string, shots, rng)[0]
+        return cache[masks]
 
     return value
 
@@ -211,26 +206,25 @@ def pauli_rotation_gates(factors: PauliString, angle: float) -> list[Gate]:
 
 def _fit_unitary(
     state: Statevector,
-    basis: Sequence[PauliString],
+    basis: Sequence[PauliMasks],
     terms: Sequence[PauliTerm],
     params: QiteParams,
     rng=None,
 ) -> TermFit:
-    """Fit the step unitary for h = sum of ``terms`` over ``basis``."""
+    """Fit the step unitary for h = sum of ``terms`` over the masks in ``basis``."""
     n = state.num_qubits
     estimate = _string_expectations(state, params.shots, rng)
+    h = [(t.coefficient, pauli_masks(t.factors, n)) for t in terms]
 
     energy = 0.0
     second_moment = 0.0
-    for t1 in terms:
-        energy += t1.coefficient * estimate(t1.factors)
-        for t2 in terms:
-            phase, product = pauli_string_product(t1.factors, t2.factors)
+    for c1, masks1 in h:
+        energy += c1 * estimate(masks1)
+        for c2, masks2 in h:
+            phase, product = pauli_string_product(masks1, masks2)
             # imaginary parts cancel over the symmetric (t1, t2) sum
             if phase.real != 0.0:
-                second_moment += (
-                    t1.coefficient * t2.coefficient * phase.real * estimate(product)
-                )
+                second_moment += c1 * c2 * phase.real * estimate(product)
     c = 1.0 - 2.0 * params.dbeta * energy + params.dbeta**2 * second_moment
     if c <= 1e-12:
         raise SingularSystemError(
@@ -247,12 +241,10 @@ def _fit_unitary(
             entry = phase.real * estimate(product) if phase.real != 0.0 else 0.0
             s_matrix[i, j] = entry
             s_matrix[j, i] = entry
-        for term in terms:
-            phase, product = pauli_string_product(left, term.factors)
+        for coefficient, masks in h:
+            phase, product = pauli_string_product(left, masks)
             if phase.imag != 0.0:
-                b_vector[i] += (
-                    term.coefficient * phase.imag * estimate(product) / sqrt_c
-                )
+                b_vector[i] += coefficient * phase.imag * estimate(product) / sqrt_c
 
     regularized = s_matrix + params.regularization * np.eye(m)
     try:
@@ -267,8 +259,8 @@ def _fit_unitary(
     residual = float(np.linalg.norm(s_matrix @ a - b_vector))
 
     gates: list[Gate] = []
-    for a_i, string in zip(a, basis):
-        gates.extend(pauli_rotation_gates(string, params.dbeta * float(a_i)))
+    for a_i, masks in zip(a, basis):
+        gates.extend(pauli_rotation_gates(pauli_factors(masks, n), params.dbeta * float(a_i)))
     return TermFit(
         coefficients=tuple(float(v) for v in a),
         program=Program(n, tuple(gates)),
@@ -289,8 +281,10 @@ def fit_step_unitary(
     coefficients and returns them with the sub-circuit implementing
     exp(-i dbeta sum_I a_I sigma_I).
     """
-    window = domain_window(term, params.domain_radius, state.num_qubits)
-    return _fit_unitary(state, pauli_basis(window), [term], params, rng)
+    n = state.num_qubits
+    window = domain_window(term, params.domain_radius, n)
+    basis = [pauli_masks(string, n) for string in pauli_basis(window)]
+    return _fit_unitary(state, basis, [term], params, rng)
 
 
 def run_qite(
@@ -321,27 +315,20 @@ def run_qite(
     terms = snapshot(hamiltonian, 0.0)
     rng = np.random.default_rng(params.seed)
 
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = 1.0
-    for gate in program_gates:
-        amps = apply_gate(amps, gate, n)
+    prepared = Program(n, tuple(program_gates))
+    state = run_statevector(prepared)
 
     def measured_energy() -> tuple[float, float | None]:
-        state = Statevector(n, amps)
         if params.shots == 0:
             return expectation(state, terms), None
         return estimate_with_sigma(state, terms, params.shots, rng)
 
-    reports = [
-        QiteStepReport(
-            0, *measured_energy(), (), 0.0, 1.0, Program(n, tuple(program_gates))
-        )
-    ]
-    basis = hamiltonian_basis(terms, params.domain_radius, n)
+    reports = [QiteStepReport(0, *measured_energy(), (), 0.0, 1.0, prepared)]
+    strings = hamiltonian_basis(terms, params.domain_radius, n)
+    basis = [pauli_masks(string, n) for string in strings]
     for step in range(1, params.num_steps + 1):
-        fit = _fit_unitary(Statevector(n, amps), basis, terms, params, rng)
-        for gate in fit.program.gates:
-            amps = apply_gate(amps, gate, n)
+        fit = _fit_unitary(state, basis, terms, params, rng)
+        state = run_statevector(fit.program, initial=state)
         program_gates.extend(fit.program.gates)
         reports.append(
             QiteStepReport(

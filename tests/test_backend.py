@@ -9,9 +9,13 @@ from helpers import embedded_pauli, random_program, random_state
 from spinsim import ir
 from spinsim import backend
 from spinsim.backend import (
+    STATEVECTOR_QUBIT_LIMIT,
     Statevector,
+    apply_pauli,
     expectation,
     estimate_with_sigma,
+    pauli_factors,
+    pauli_masks,
     product_state,
     run_statevector,
     sample_counts,
@@ -54,9 +58,10 @@ class TestExecution:
         np.testing.assert_allclose(state.amplitudes, [0, 0, 0, 1])
 
     def test_size_guard_uses_max_qubits(self):
-        program = program_of(3, [])
+        # raises before the 2^n amplitudes are allocated
+        program = program_of(STATEVECTOR_QUBIT_LIMIT + 1, [])
         with pytest.raises(TooLargeError):
-            run_statevector(program, max_qubits=2)
+            run_statevector(program)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -90,6 +95,18 @@ class TestProductState:
         assert state.amplitudes[1] == 1.0
 
 
+class TestPauliMasks:
+    def test_site_one_is_most_significant_bit_and_y_sets_both(self):
+        assert pauli_masks(((1, "x"),), 3) == (0b100, 0)
+        assert pauli_masks(((3, "z"),), 3) == (0, 0b001)
+        assert pauli_masks(((1, "x"), (2, "y"), (3, "z")), 3) == (0b110, 0b011)
+
+    def test_factors_round_trip_in_site_order(self):
+        factors = ((1, "x"), (2, "y"), (4, "z"))
+        assert pauli_factors(pauli_masks(factors, 4), 4) == factors
+        assert pauli_factors((0, 0), 4) == ()
+
+
 class TestExpectation:
     def test_z_on_ground_and_flipped(self):
         term = [PauliTerm(1.0, ((1, "z"),))]
@@ -116,6 +133,18 @@ class TestExpectation:
         dense = sum(t.coefficient * embedded_pauli(t.factors, n) for t in terms)
         want = np.vdot(state.amplitudes, dense @ state.amplitudes).real
         assert expectation(state, terms) == pytest.approx(want, abs=1e-10)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_pauli_action_is_an_exact_involution(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        masks = (int(rng.integers(2**n)), int(rng.integers(2**n)))
+        amps = random_state(rng, n).amplitudes
+        once = apply_pauli(amps, masks, n)
+        dense = embedded_pauli(pauli_factors(masks, n), n)
+        np.testing.assert_allclose(once, dense @ amps, atol=1e-12)
+        assert np.array_equal(apply_pauli(once, masks, n), amps)
 
 
 class TestSampling:
@@ -177,6 +206,10 @@ class TestCountsEstimation:
         one_down = product_state(["down", "up", "up"])
         assert estimate_with_sigma(both_down, term, 10, 0) == (2.0, 0.0)
         assert estimate_with_sigma(one_down, term, 10, 0) == (-2.0, 0.0)
+        # sites 1 and 18 of 18 are bits 17 and 0 of the outcome index
+        far = [PauliTerm(1.0, ((1, "z"), (18, "z")))]
+        ends_down = product_state(["down"] + ["up"] * 16 + ["down"])
+        assert estimate_with_sigma(ends_down, far, 10, 0) == (1.0, 0.0)
 
     def test_estimate_averages_counts(self):
         state = run_statevector(program_of(1, [ir.Gate("rx", (0,), np.pi / 3)]))

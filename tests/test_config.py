@@ -325,10 +325,9 @@ class TestKeyTable:
 class TestOverrides:
     def test_override_replaces_seed_shots_output(self):
         cfg = parse_lines("num_spins: 2", "shots: 10", "rng_seed: 1")
-        out = with_overrides(cfg, seed=5, shots=0, output_dir="elsewhere")
+        out = with_overrides(cfg, seed=5, shots=0)
         assert out.rng_seed == 5
         assert out.shots == 0
-        assert out.output_dir == "elsewhere"
 
     def test_invalid_override_rejected_without_line(self):
         with pytest.raises(ValueOutOfRangeError) as excinfo:

@@ -13,7 +13,6 @@ from spinsim.observables import (
     energy_observable,
     excitation_displacement_observable,
     read_csv,
-    series_sha256,
     site_magnetization_observable,
     write_csv,
     write_manifest,
@@ -101,12 +100,6 @@ class TestResultSeries:
             series_of([(0.0, 1.0, None), (0.0, 2.0, None)])
         with pytest.raises(ValueError):
             series_of([(1.0, 1.0, None), (0.5, 2.0, None)])
-
-    def test_sha_depends_on_points(self):
-        a = series_of([(0.0, 1.0, None)])
-        b = series_of([(0.0, 1.5, None)])
-        assert series_sha256(a) != series_sha256(b)
-        assert series_sha256(a) == series_sha256(series_of([(0.0, 1.0, None)]))
 
 
 class TestCsv:
