@@ -15,6 +15,7 @@ from spinsim.config import (
     RandomUniformSchedule,
     SimulationConfig,
 )
+from spinsim.hamiltonian import snapshot
 from spinsim.ir import Program
 
 GATE_POOL = ("x", "h", "rx", "ry", "rz", "cnot", "rxx", "ryy", "rzz")
@@ -149,3 +150,31 @@ def matrix_exponential(matrix: np.ndarray) -> np.ndarray:
     else:
         w, v = np.linalg.eig(matrix)
     return (v * np.exp(w)) @ np.linalg.inv(v)
+
+
+def product_formula_states(hamiltonian, total_time: float, num_steps: int, initial_state):
+    """Dense first-order product formula: the state after k steps, k = 0..num_steps.
+
+    Each step exponentiates every snapshot term at the step midpoint
+    (j - 1/2) dt, in snapshot order, as a dense matrix; no gate kernel
+    or circuit is involved.
+    """
+    n = hamiltonian.num_spins
+    state = np.zeros(2**n, dtype=complex)
+    state[int("".join("1" if s == "down" else "0" for s in initial_state), 2)] = 1.0
+    states = [state]
+    dt = total_time / num_steps
+    for j in range(1, num_steps + 1):
+        for term in snapshot(hamiltonian, (j - 0.5) * dt):
+            generator = -1j * term.coefficient * dt * embedded_pauli(term.factors, n)
+            state = matrix_exponential(generator) @ state
+        states.append(state)
+    return states
+
+
+def dense_expectation(state: np.ndarray, terms, num_spins: int) -> float:
+    """sum_i c_i <state| P_i |state> with every string as a dense matrix."""
+    return sum(
+        term.coefficient * np.vdot(state, embedded_pauli(term.factors, num_spins) @ state).real
+        for term in terms
+    )

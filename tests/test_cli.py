@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import dense_expectation, product_formula_states
 from spinsim import cli, oracle
 from spinsim.backend import expectation, product_state
 from spinsim.cli import main
@@ -242,6 +243,79 @@ class TestFuzzedInputs:
             assert "Traceback" not in err
             if code != 0:
                 assert err.count("\n") == 1, err
+
+
+# Real-time inputs for the differential check: every schedule kind on
+# every coupling key, every choice of the choice keys, and small
+# coefficients so the dense reference stays well conditioned.
+SCHEDULE_KINDS = ("constant", "list", "linear-ramp", "gaussian-pulse", "random-uniform")
+
+
+@st.composite
+def schedule_texts(draw, count: int) -> str:
+    kind = draw(st.sampled_from(SCHEDULE_KINDS))
+    number = st.integers(-20, 20).map(lambda v: repr(v / 10))
+    if kind == "list" and count > 1:
+        return ", ".join(draw(number) for _ in range(count))
+    if kind == "linear-ramp":
+        return f"linear-ramp({draw(number)}, {draw(number)})"
+    if kind == "gaussian-pulse":
+        width = draw(st.integers(2, 15)) / 10
+        return f"gaussian-pulse({draw(number)}, {draw(number)}, {width!r})"
+    if kind == "random-uniform":
+        seed = draw(st.sampled_from(("", ", 11")))
+        return f"random-uniform(-1.5, 1{seed})"
+    return draw(number)
+
+
+@st.composite
+def real_time_texts(draw) -> str:
+    num_spins = draw(st.integers(1, 6))
+    lines = [f"num_spins: {num_spins}", "mode: real-time"]
+    lines.append(f"total_time: {draw(st.sampled_from(('0.3', '1', '1.7')))}")
+    lines.append(f"num_steps: {draw(st.integers(1, 5))}")
+    for key in INPUT_KEYS:
+        if key.startswith(("J_", "h_")) and draw(st.booleans()):
+            count = num_spins - 1 if key.startswith("J_") else num_spins
+            lines.append(f"{key}: {draw(schedule_texts(count))}")
+    spins = draw(st.lists(st.sampled_from(("up", "down")), min_size=num_spins, max_size=num_spins))
+    lines.append(f"initial_state: {','.join(spins)}")
+    for key in ("QCQS", "observable", "optimizer_level"):
+        lines.append(f"{key}: {draw(st.sampled_from(INPUT_KEYS[key].choices))}")
+    return "\n".join(lines) + "\n"
+
+
+class TestRealTimeDifferential:
+    @given(text=real_time_texts())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_run_matches_dense_product_formula(self, text):
+        # the series and the last exported circuit against a dense
+        # product formula that shares neither kernels nor circuits
+        cfg = parse_input(text)
+        n = cfg.num_spins
+        hamiltonian = build_hamiltonian(cfg)
+        states = product_formula_states(
+            hamiltonian, cfg.total_time, cfg.num_steps, cfg.initial_state
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            input_path = write_input(Path(tmp), text)
+            out = Path(tmp) / "out"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["run", str(input_path), "--out", str(out), "--export"]) == 0
+            circuits = sorted((out / "circuits").iterdir())
+            assert len(circuits) == cfg.num_steps + 1
+            last = import_text(circuits[-1].read_text())
+            if cfg.backend_mode == "QS":
+                points = read_csv(out / "results.csv")
+        if cfg.backend_mode == "QS":
+            dt = cfg.total_time / cfg.num_steps
+            for k, ((_, value, _), state) in enumerate(zip(points, states, strict=True)):
+                terms = cli._observable_terms(cfg, hamiltonian, k * dt)
+                assert abs(value - dense_expectation(state, terms, n)) <= 1e-10, k
+        got = unitary_of(last)[:, 0]
+        want = states[-1]
+        overlap = np.vdot(want, got)
+        assert abs(got - overlap / abs(overlap) * want).max() <= 1e-10
 
 
 class TestCircuitExport:
