@@ -29,7 +29,7 @@ h_x: 1.0
 def main() -> int:
     cfg = parse_input(TEXT)
     hamiltonian = build_hamiltonian(cfg)
-    exact = evolve_exact(hamiltonian, cfg.total_time, product_state(cfg.initial_state))
+    [exact] = evolve_exact(hamiltonian, [cfg.total_time], product_state(cfg.initial_state))
 
     step_counts = [10, 20, 40, 80]
     infidelities = []

@@ -1,10 +1,16 @@
 """Command line driver: input description file in, artifacts out.
 
-``spinsim run input.txt`` parses the description, builds the circuits,
-executes them on the statevector backend and writes ``results.csv``,
-``results.svg`` and ``manifest.json`` into the output directory.  The
-directory comes from ``--out``, else the ``SPINSIM_OUTPUT_DIR``
-environment variable, else the file's ``output_dir`` key.
+``spinsim run input.txt`` parses the description, evolves the state one
+step block at a time on the statevector backend and writes
+``results.csv``, ``results.svg`` and ``manifest.json`` into the output
+directory.  The directory comes from ``--out``, else the
+``SPINSIM_OUTPUT_DIR`` environment variable, else the file's
+``output_dir`` key.
+
+Every per-point product carries forward from the previous point: with
+``--export``, circuit k is circuit k-1 followed by the gates of step k,
+compiled again; ``--ground-truth`` makes one oracle call for the whole
+series.
 
 Exit codes: 0 success, 2 bad input description (or one the numerics
 cannot follow), 3 recognized but unsupported feature, 4 system too
@@ -17,7 +23,8 @@ import argparse
 import hashlib
 import os
 import sys
-from itertools import islice
+from dataclasses import replace
+from itertools import islice, pairwise
 from pathlib import Path
 
 from . import __version__
@@ -53,7 +60,15 @@ from .observables import (
 from .optimizer import optimize
 from .oracle import EVOLVE_QUBIT_LIMIT, evolve_exact, evolve_imaginary_exact
 from .qite import QiteParams, run_qite
-from .trotter import TrotterParams, build_evolution_program, evolve_series
+# build_evolution_program is unused here but stays bound: the span tracer
+# in perfbench/spans.py wraps it by name in this module
+from .trotter import (
+    TrotterParams,
+    build_evolution_program,
+    evolve_series,
+    state_preparation_gates,
+    step_blocks,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,22 +100,29 @@ def _compile(cfg: SimulationConfig):
     return lower_to_native
 
 
-def _finalize_program(program: Program, cfg: SimulationConfig) -> Program:
-    program = _compile(cfg)(program)
-    return Program(program.num_qubits, program.gates, measured=cfg.shots > 0)
+def _cumulative_circuits(preparation: Program, steps, compile_program):
+    """Circuit 0 compiles the preparation; circuit k compiles circuit k-1
+    followed by ``steps``' k-th gate tuple."""
+    circuit = compile_program(preparation)
+    yield circuit
+    for gates in steps:
+        circuit = compile_program(Program(circuit.num_qubits, circuit.gates + gates))
+        yield circuit
 
 
 def _run_real_time(cfg: SimulationConfig, hamiltonian, seed: int, export: bool):
     params = TrotterParams(cfg.total_time, cfg.num_steps)
     last_step = cfg.num_steps if cfg.total_time > 0.0 else 0
-    programs = [
-        _finalize_program(build_evolution_program(hamiltonian, params, k, cfg.initial_state), cfg)
-        for k in range(last_step + 1)
-        if export
-    ]
+    compile_block = _compile(cfg)
+    programs = []
+    if export:
+        preparation = Program(cfg.num_spins, state_preparation_gates(cfg.initial_state))
+        blocks = step_blocks(hamiltonian, params, compile_block)
+        steps = (block.gates for block in islice(blocks, last_step))
+        programs = list(_cumulative_circuits(preparation, steps, compile_block))
     points = []
     if cfg.backend_mode == "QS":
-        series = evolve_series(hamiltonian, params, cfg.initial_state, _compile(cfg))
+        series = evolve_series(hamiltonian, params, cfg.initial_state, compile_block)
         for k, (t_k, state) in enumerate(islice(series, last_step + 1)):
             terms = _observable_terms(cfg, hamiltonian, t_k)
             if cfg.shots == 0:
@@ -116,33 +138,30 @@ def _run_imaginary_time(cfg: SimulationConfig, hamiltonian, seed: int, export: b
     params = QiteParams(dbeta=dbeta, num_steps=cfg.num_steps, shots=cfg.shots, seed=seed)
     reports = run_qite(hamiltonian, params, cfg.initial_state)
     points = [(r.step * dbeta, r.energy, r.sigma) for r in reports]
-    programs = [_finalize_program(r.program, cfg) for r in reports] if export else []
+    programs = []
+    if export:
+        # report k's program is report k-1's followed by the gates step k adds
+        steps = (r.program.gates[len(prev.program.gates):] for prev, r in pairwise(reports))
+        programs = list(_cumulative_circuits(reports[0].program, steps, _compile(cfg)))
     return points, programs
 
 
-def _ground_truth_points(cfg: SimulationConfig, hamiltonian, points):
+def _ground_truth_values(cfg: SimulationConfig, hamiltonian, axis: list[float]) -> list[float]:
+    """The exact reference at every point of the axis, from one oracle call."""
     initial = product_state(cfg.initial_state)
-    truth = []
     if cfg.mode == "real-time":
-        state, start = initial, 0.0
-        for t_k, _, _ in points:
-            if hamiltonian.is_time_dependent:
-                # one dense state carried forward, 10 midpoint substeps per step
-                state = evolve_exact(hamiltonian, t_k, state, substeps=10, start=start)
-                start = t_k
-            else:
-                state = evolve_exact(hamiltonian, t_k, initial)
-            terms = _observable_terms(cfg, hamiltonian, t_k)
-            truth.append((t_k, expectation(state, terms), None))
-    else:
-        terms = snapshot(hamiltonian, 0.0)
-        for beta, _, _ in points:
-            if beta == 0.0:
-                truth.append((beta, expectation(initial, terms), None))
-            else:
-                _, energy = evolve_imaginary_exact(terms, beta, initial)
-                truth.append((beta, energy, None))
-    return truth
+        # a time-dependent H is carried forward with 10 midpoint substeps per step
+        states = evolve_exact(hamiltonian, axis, initial, substeps=10)
+        return [
+            expectation(state, _observable_terms(cfg, hamiltonian, t))
+            for t, state in zip(axis, states)
+        ]
+    terms = snapshot(hamiltonian, 0.0)
+    references = evolve_imaginary_exact(terms, axis, initial)
+    return [
+        expectation(initial, terms) if beta == 0.0 else energy
+        for beta, (_, energy) in zip(axis, references)
+    ]
 
 
 def run_simulation(args: argparse.Namespace) -> int:
@@ -193,6 +212,7 @@ def run_simulation(args: argparse.Namespace) -> int:
             circuit_dir.mkdir(exist_ok=True)
             for k, program in enumerate(programs):
                 name = f"circuits/step_{k:04d}.qasm"
+                program = replace(program, measured=cfg.shots > 0)
                 (out_path / name).write_text(export_text(program), encoding="utf-8")
                 written.append(name)
 
@@ -206,8 +226,8 @@ def run_simulation(args: argparse.Namespace) -> int:
             series = ResultSeries(axis_label, tuple(points), metadata)
             extra_columns = None
             if args.ground_truth:
-                truth = _ground_truth_points(cfg, hamiltonian, points)
-                extra_columns = {"ground_truth": [v for _, v, _ in truth]}
+                axis = [x for x, _, _ in points]
+                extra_columns = {"ground_truth": _ground_truth_values(cfg, hamiltonian, axis)}
             write_csv(series, out_path / "results.csv", extra_columns=extra_columns)
             write_plot(series, out_path / "results.svg")
             written += ["results.csv", "results.svg"]

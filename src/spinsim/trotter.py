@@ -2,6 +2,9 @@
 
 A step from t to t+dt applies, per Hamiltonian term c, the rotation
 exp(-i c dt P) with all coefficients sampled at the step midpoint.
+:func:`step_blocks` yields the compiled block of every step; the
+simulation (:func:`evolve_series`) and the command line's circuit
+export both consume it, so neither rebuilds a circuit from t=0.
 Higher-order splittings are an extension point: add an alternative
 step builder here and dispatch on an order parameter.
 """
@@ -75,7 +78,11 @@ def build_evolution_program(
     num_steps: int,
     initial_state: Sequence[str],
 ) -> Program:
-    """Preparation plus ``num_steps`` Trotter steps as one circuit from t=0."""
+    """Preparation plus ``num_steps`` uncompiled Trotter steps as one circuit from t=0.
+
+    The whole-circuit builder for library use; the command line driver
+    carries its exported circuits forward from :func:`step_blocks`.
+    """
     if not 0 <= num_steps <= params.num_steps:
         raise ValueError(
             f"num_steps must lie in [0, {params.num_steps}], got {num_steps}"
@@ -89,6 +96,25 @@ def build_evolution_program(
     return Program(hamiltonian.num_spins, tuple(gates))
 
 
+def step_blocks(
+    hamiltonian: HeisenbergHamiltonian,
+    params: TrotterParams,
+    compile_block: Callable[[Program], Program],
+) -> Iterator[Program]:
+    """Yield the compiled step block of step j for j = 1..params.num_steps.
+
+    ``compile_block`` (e.g. lowering) runs once per distinct block: once
+    for a static Hamiltonian, whose block is then yielded every step,
+    and once per midpoint otherwise.
+    """
+    dt = params.dt
+    block = None
+    for j in range(1, params.num_steps + 1):
+        if block is None or hamiltonian.is_time_dependent:
+            block = compile_block(trotter_step(hamiltonian, step_midpoint(j, dt), dt))
+        yield block
+
+
 def evolve_series(
     hamiltonian: HeisenbergHamiltonian,
     params: TrotterParams,
@@ -97,11 +123,10 @@ def evolve_series(
 ) -> Iterator[tuple[float, Statevector]]:
     """Yield (t_k, state after k steps) for k = 0..params.num_steps.
 
-    One state starts from the product state and advances one step block
-    at a time.  ``compile_block`` (e.g. lowering) runs once per distinct
-    block: once for a static Hamiltonian, once per midpoint otherwise.
-    State k equals that of ``build_evolution_program(..., k, ...)`` up
-    to global phase.
+    One state starts from the product state and advances by the blocks
+    of :func:`step_blocks`, so the same compiled block that is
+    simulated can be appended to an exported circuit.  State k equals
+    that of the preparation followed by the first k blocks.
     """
     if len(initial_state) != hamiltonian.num_spins:
         raise ValueError("initial state length does not match the chain")
@@ -109,9 +134,6 @@ def evolve_series(
     state = run_statevector(preparation)
     yield 0.0, state
     dt = params.dt
-    block = None
-    for j in range(1, params.num_steps + 1):
-        if block is None or hamiltonian.is_time_dependent:
-            block = compile_block(trotter_step(hamiltonian, step_midpoint(j, dt), dt))
+    for j, block in enumerate(step_blocks(hamiltonian, params, compile_block), start=1):
         state = run_statevector(block, initial=state)
         yield j * dt, state

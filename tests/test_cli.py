@@ -432,7 +432,9 @@ class TestGroundTruth:
         assert len(lines) == cfg.num_steps + 1
         for k, line in enumerate(lines):
             cells = line.split(",")
-            state = evolve_exact(hamiltonian, float(cells[0]), initial, substeps=max(10 * k, 1))
+            [state] = evolve_exact(
+                hamiltonian, [float(cells[0])], initial, substeps=max(10 * k, 1)
+            )
             assert abs(float(cells[3]) - expectation(state, magnetization)) <= 1e-12
 
     def test_imaginary_reference_matches_final_energy(self, tmp_path):

@@ -70,7 +70,7 @@ class TestEvolveExact:
         hamiltonian = HeisenbergHamiltonian(
             2, {("z", 1): ConstantSchedule(1.0)}, {}
         )
-        out = evolve_exact(hamiltonian, 0.0, state)
+        [out] = evolve_exact(hamiltonian, [0.0], state)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes)
 
     def test_rabi_oscillation(self):
@@ -79,8 +79,8 @@ class TestEvolveExact:
             1, {}, {("x", 1): ConstantSchedule(h)}
         )
         z_term = [PauliTerm(1.0, ((1, "z"),))]
-        for t in (0.0, 0.3, 1.1, 2.5):
-            state = evolve_exact(hamiltonian, t, product_state(["up"]))
+        times = (0.0, 0.3, 1.1, 2.5)
+        for t, state in zip(times, evolve_exact(hamiltonian, times, product_state(["up"]))):
             assert expectation(state, z_term) == pytest.approx(
                 math.cos(2.0 * h * t), abs=1e-12
             )
@@ -93,7 +93,7 @@ class TestEvolveExact:
             {("x", i): ConstantSchedule(0.8) for i in (1, 2)},
             {("z", i): ConstantSchedule(0.5) for i in (1, 2, 3)},
         )
-        out = evolve_exact(hamiltonian, 2.0, state)
+        [out] = evolve_exact(hamiltonian, [2.0], state)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_width_mismatch_rejected(self):
@@ -101,7 +101,7 @@ class TestEvolveExact:
             2, {("z", 1): ConstantSchedule(1.0)}, {}
         )
         with pytest.raises(ValueError):
-            evolve_exact(hamiltonian, 1.0, product_state(["up"]))
+            evolve_exact(hamiltonian, [1.0], product_state(["up"]))
 
     def test_substep_refinement_converges_like_second_order(self):
         # midpoint slicing should show ~4x error drop per halving of
@@ -113,10 +113,10 @@ class TestEvolveExact:
         }
         hamiltonian = HeisenbergHamiltonian(1, {}, fields)
         initial = product_state(["up"])
-        reference = evolve_exact(hamiltonian, 1.0, initial, substeps=4096)
+        [reference] = evolve_exact(hamiltonian, [1.0], initial, substeps=4096)
         errors = []
         for substeps in (8, 16, 32):
-            state = evolve_exact(hamiltonian, 1.0, initial, substeps=substeps)
+            [state] = evolve_exact(hamiltonian, [1.0], initial, substeps=substeps)
             errors.append(np.abs(state.amplitudes - reference.amplitudes).max())
         ratios = [errors[0] / errors[1], errors[1] / errors[2]]
         assert all(3.0 <= r <= 5.0 for r in ratios)
@@ -125,7 +125,7 @@ class TestEvolveExact:
         fields = {("x", 1): LinearRampSchedule(0.0, 2.0, 1.0)}
         hamiltonian = HeisenbergHamiltonian(1, {}, fields)
         with pytest.raises(ValueError):
-            evolve_exact(hamiltonian, 1.0, product_state(["up"]), substeps=0)
+            evolve_exact(hamiltonian, [1.0], product_state(["up"]), substeps=0)
 
     def test_size_guard(self):
         hamiltonian = HeisenbergHamiltonian(
@@ -133,14 +133,14 @@ class TestEvolveExact:
         )
         rng = np.random.default_rng(0)
         with pytest.raises(TooLargeError):
-            evolve_exact(hamiltonian, 1.0, random_state(rng, 11))
+            evolve_exact(hamiltonian, [1.0], random_state(rng, 11))
 
 
 class TestEvolveImaginaryExact:
     def test_beta_zero_returns_initial(self):
         rng = np.random.default_rng(2)
         initial = random_state(rng, 2)
-        state, energy = evolve_imaginary_exact(tfim_terms(2), 0.0, initial)
+        [(state, energy)] = evolve_imaginary_exact(tfim_terms(2), [0.0], initial)
         np.testing.assert_allclose(
             np.abs(state.amplitudes), np.abs(initial.amplitudes), atol=1e-12
         )
@@ -149,22 +149,20 @@ class TestEvolveImaginaryExact:
     def test_large_beta_projects_to_ground_state(self):
         exact_energy, _ = ground_state(tfim_terms(3), 3)
         initial = product_state(["up"] * 3)
-        state, energy = evolve_imaginary_exact(tfim_terms(3), 50.0, initial)
+        [(state, energy)] = evolve_imaginary_exact(tfim_terms(3), [50.0], initial)
         assert abs(energy - exact_energy) <= 1e-8
 
     def test_single_spin_follows_tanh(self):
         terms = [PauliTerm(1.0, ((1, "z"),))]
         plus = Statevector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
-        for beta in (0.1, 0.5, 2.0):
-            state, energy = evolve_imaginary_exact(terms, beta, plus)
+        betas = (0.1, 0.5, 2.0)
+        for beta, (_, energy) in zip(betas, evolve_imaginary_exact(terms, betas, plus)):
             assert energy == pytest.approx(-math.tanh(2.0 * beta), abs=1e-12)
 
     def test_energy_monotone_in_beta(self):
         initial = product_state(["up", "up"])
-        energies = [
-            evolve_imaginary_exact(tfim_terms(2), beta, initial)[1]
-            for beta in (0.0, 0.5, 1.0, 2.0, 4.0)
-        ]
+        betas = (0.0, 0.5, 1.0, 2.0, 4.0)
+        energies = [energy for _, energy in evolve_imaginary_exact(tfim_terms(2), betas, initial)]
         assert all(b < a + 1e-12 for a, b in zip(energies, energies[1:]))
 
     def test_variational_bound(self):
@@ -172,7 +170,7 @@ class TestEvolveImaginaryExact:
         rng = np.random.default_rng(9)
         for _ in range(10):
             state = random_state(rng, 2)
-            _, energy = evolve_imaginary_exact(tfim_terms(2), 1.5, state)
+            [(_, energy)] = evolve_imaginary_exact(tfim_terms(2), [1.5], state)
             assert energy >= exact_energy - 1e-9
 
     def test_orthogonal_start_raises_at_huge_beta(self):
@@ -180,15 +178,15 @@ class TestEvolveImaginaryExact:
         # but the ground state is suppressed below float range
         terms = [PauliTerm(1.0, ((1, "z"),))]
         with pytest.raises(ZeroOverlapError):
-            evolve_imaginary_exact(terms, 400.0, product_state(["up"]))
+            evolve_imaginary_exact(terms, [400.0], product_state(["up"]))
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
-            evolve_imaginary_exact(tfim_terms(2), -0.1, product_state(["up", "up"]))
+            evolve_imaginary_exact(tfim_terms(2), [-0.1], product_state(["up", "up"]))
 
     def test_size_guard(self):
         rng = np.random.default_rng(0)
         with pytest.raises(TooLargeError):
             evolve_imaginary_exact(
-                [PauliTerm(1.0, ((1, "z"),))], 1.0, random_state(rng, 11)
+                [PauliTerm(1.0, ((1, "z"),))], [1.0], random_state(rng, 11)
             )

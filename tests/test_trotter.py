@@ -148,7 +148,7 @@ class TestAccuracy:
         hamiltonian = heisenberg_xyz(3)
         initial = product_state(["down", "up", "up"])
         t = 1.0
-        exact = evolve_exact(hamiltonian, t, initial)
+        [exact] = evolve_exact(hamiltonian, [t], initial)
         errors = []
         step_counts = [8, 16, 32, 64]
         for n in step_counts:
