@@ -17,10 +17,16 @@ from spinsim.backend import expectation, product_state
 from spinsim.cli import main
 from spinsim.config import INPUT_KEYS, build_hamiltonian, parse_input
 from spinsim.hamiltonian import snapshot
-from spinsim.ir import Program, import_text, phase_aligned_distance, unitary_of
+from spinsim.ir import Program, export_text, import_text, phase_aligned_distance, unitary_of
 from spinsim.observables import read_csv, site_magnetization_observable
 from spinsim.oracle import evolve_exact
-from spinsim.trotter import TrotterParams, evolve_series, state_preparation_gates
+from spinsim.qite import QiteParams, run_qite
+from spinsim.trotter import (
+    TrotterParams,
+    build_evolution_program,
+    evolve_series,
+    state_preparation_gates,
+)
 
 SMALL_REAL_TIME = """\
 num_spins: 2
@@ -377,6 +383,42 @@ class TestCircuitExport:
             distance = phase_aligned_distance(unitary_of(exported), unitary_of(simulated))
             assert distance <= 1e-12, k
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            SMALL_REAL_TIME,
+            SMALL_REAL_TIME + "optimizer_level: none\n",
+            SMALL_REAL_TIME.replace("num_spins: 2", "num_spins: 3")
+            + "h_z: linear-ramp(0, 2)\nshots: 50\n",
+            SMALL_REAL_TIME.replace("h_x: 1.0", "h_x: gaussian-pulse(1.5, 0.5, 0.2)"),
+            SMALL_IMAGINARY.replace("num_spins: 2", "num_spins: 3"),
+        ],
+        ids=["static", "unoptimized", "ramp-measured", "gaussian-pulse", "imaginary"],
+    )
+    def test_exported_circuits_equal_from_scratch_compiles(self, tmp_path, text):
+        # carrying circuit k-1 forward gives the bytes of compiling the
+        # whole cumulative program from t = 0
+        cfg = parse_input(text)
+        input_path = write_input(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", str(input_path), "--out", str(out), "--export"]) == 0
+        hamiltonian = build_hamiltonian(cfg)
+        if cfg.mode == "real-time":
+            params = TrotterParams(cfg.total_time, cfg.num_steps)
+            programs = [
+                build_evolution_program(hamiltonian, params, k, cfg.initial_state)
+                for k in range(cfg.num_steps + 1)
+            ]
+        else:
+            dbeta = cfg.total_time / cfg.num_steps
+            params = QiteParams(dbeta=dbeta, num_steps=cfg.num_steps, seed=cfg.rng_seed)
+            programs = [r.program for r in run_qite(hamiltonian, params, cfg.initial_state)]
+        assert len(list((out / "circuits").iterdir())) == len(programs)
+        for k, program in enumerate(programs):
+            compiled = cli._compile(cfg)(program)
+            want = export_text(Program(cfg.num_spins, compiled.gates, measured=cfg.shots > 0))
+            assert (out / "circuits" / f"step_{k:04d}.qasm").read_text() == want, k
+
     def test_exported_circuits_are_native_only(self, tmp_path):
         input_path = write_input(tmp_path, SMALL_REAL_TIME)
         out = tmp_path / "out"
@@ -407,6 +449,26 @@ class TestGroundTruth:
         for line in lines:
             cells = line.split(",")
             assert abs(float(cells[1]) - float(cells[3])) <= 0.05
+
+    @pytest.mark.parametrize(
+        "text", [SMALL_REAL_TIME, SMALL_IMAGINARY], ids=["real-time", "imaginary-time"]
+    )
+    def test_static_reference_diagonalizes_once(self, tmp_path, monkeypatch, text):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(oracle, "dense_matrix", counted("dense_matrix", oracle.dense_matrix))
+        monkeypatch.setattr(oracle.np.linalg, "eigh", counted("eigh", oracle.np.linalg.eigh))
+        input_path = write_input(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", str(input_path), "--out", str(out), "--ground-truth"]) == 0
+        assert sorted(calls) == ["dense_matrix", "eigh"]
 
     def test_time_dependent_reference_is_linear_in_steps(self, tmp_path, monkeypatch):
         text = SMALL_REAL_TIME.replace("h_x: 1.0", "h_x: linear-ramp(-1, 2)")

@@ -96,6 +96,19 @@ class TestEvolveExact:
         [out] = evolve_exact(hamiltonian, [2.0], state)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
+    def test_grid_is_bit_equal_to_single_point_calls(self):
+        rng = np.random.default_rng(4)
+        initial = random_state(rng, 3)
+        hamiltonian = HeisenbergHamiltonian(
+            3,
+            {("x", i): ConstantSchedule(0.8) for i in (1, 2)},
+            {("z", i): ConstantSchedule(0.5 * i) for i in (1, 2, 3)},
+        )
+        times = (0.0, 0.4, 1.3, 2.0, 0.0)
+        for t, state in zip(times, evolve_exact(hamiltonian, times, initial), strict=True):
+            [single] = evolve_exact(hamiltonian, [t], initial)
+            assert np.array_equal(state.amplitudes, single.amplitudes), t
+
     def test_width_mismatch_rejected(self):
         hamiltonian = HeisenbergHamiltonian(
             2, {("z", 1): ConstantSchedule(1.0)}, {}
@@ -145,6 +158,15 @@ class TestEvolveImaginaryExact:
             np.abs(state.amplitudes), np.abs(initial.amplitudes), atol=1e-12
         )
         assert energy == pytest.approx(expectation(initial, tfim_terms(2)))
+
+    def test_grid_is_bit_equal_to_single_point_calls(self):
+        initial = product_state(["up", "down", "up"])
+        betas = (0.0, 0.3, 1.0, 4.0)
+        grid = evolve_imaginary_exact(tfim_terms(3), betas, initial)
+        for beta, (state, energy) in zip(betas, grid, strict=True):
+            [(single, single_energy)] = evolve_imaginary_exact(tfim_terms(3), [beta], initial)
+            assert np.array_equal(state.amplitudes, single.amplitudes), beta
+            assert energy == single_energy, beta
 
     def test_large_beta_projects_to_ground_state(self):
         exact_energy, _ = ground_state(tfim_terms(3), 3)
