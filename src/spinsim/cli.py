@@ -158,6 +158,8 @@ def _ground_truth_values(cfg: SimulationConfig, hamiltonian, axis: list[float]) 
         ]
     terms = snapshot(hamiltonian, 0.0)
     references = evolve_imaginary_exact(terms, axis, initial)
+    # beta = 0 is the prepared state itself: its energy is evaluated as
+    # the run evaluates it, not through a round trip in the eigenbasis
     return [
         expectation(initial, terms) if beta == 0.0 else energy
         for beta, (_, energy) in zip(axis, references)
