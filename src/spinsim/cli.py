@@ -20,6 +20,7 @@ large for dense simulation, 5 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -113,13 +114,17 @@ def _cumulative_circuits(preparation: Program, steps, compile_program):
 def _run_real_time(cfg: SimulationConfig, hamiltonian, seed: int, export: bool):
     params = TrotterParams(cfg.total_time, cfg.num_steps)
     last_step = cfg.num_steps if cfg.total_time > 0.0 else 0
-    compile_block = _compile(cfg)
+    compile_program = _compile(cfg)
+    # export and evolve_series walk the same step blocks; each distinct
+    # block is compiled once per run.  Cumulative circuits are all
+    # distinct, so they bypass the cache.
+    compile_block = functools.cache(compile_program)
     programs = []
     if export:
         preparation = Program(cfg.num_spins, state_preparation_gates(cfg.initial_state))
         blocks = step_blocks(hamiltonian, params, compile_block)
         steps = (block.gates for block in islice(blocks, last_step))
-        programs = list(_cumulative_circuits(preparation, steps, compile_block))
+        programs = list(_cumulative_circuits(preparation, steps, compile_program))
     points = []
     if cfg.backend_mode == "QS":
         series = evolve_series(hamiltonian, params, cfg.initial_state, compile_block)

@@ -419,6 +419,26 @@ class TestCircuitExport:
             want = export_text(Program(cfg.num_spins, compiled.gates, measured=cfg.shots > 0))
             assert (out / "circuits" / f"step_{k:04d}.qasm").read_text() == want, k
 
+    def test_each_step_block_compiles_once(self, tmp_path, monkeypatch):
+        # 12 distinct ramp blocks, shared by the simulation and the export,
+        # plus 13 cumulative circuits
+        text = (
+            SMALL_REAL_TIME.replace("num_spins: 2", "num_spins: 4")
+            .replace("num_steps: 5", "num_steps: 12")
+            .replace("h_x: 1.0", "h_x: linear-ramp(0, 1)")
+        )
+        lower = cli.lower_to_native
+        calls = []
+
+        def counting(program):
+            calls.append(program)
+            return lower(program)
+
+        monkeypatch.setattr(cli, "lower_to_native", counting)
+        input_path = write_input(tmp_path, text)
+        assert main(["run", str(input_path), "--out", str(tmp_path / "out"), "--export"]) == 0
+        assert len(calls) == 25
+
     def test_exported_circuits_are_native_only(self, tmp_path):
         input_path = write_input(tmp_path, SMALL_REAL_TIME)
         out = tmp_path / "out"

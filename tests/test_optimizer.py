@@ -56,6 +56,10 @@ class TestRewrites:
     def test_drops_merged_full_turn(self):
         program = program_of(1, [ir.rz(np.pi, 0), ir.rz(np.pi, 0)])
         assert optimize(program).gates == ()
+        # the full turn is dropped when the merge makes it, so a later
+        # rotation starts afresh instead of merging into rz(2 pi + 0.3)
+        program = program_of(1, [ir.rz(np.pi, 0), ir.rz(np.pi, 0), ir.rz(0.3, 0)])
+        assert optimize(program).gates == (ir.rz(0.3, 0),)
 
     def test_two_qubit_rotations_merge(self):
         program = program_of(2, [ir.rzz(0.2, 0, 1), ir.rzz(0.3, 0, 1)])
@@ -86,26 +90,49 @@ class TestRewrites:
         assert out.gates == ()
 
 
+def random_input(seed, lowered, max_qubits, max_gates):
+    """A random program, or its lowering: lowering adds the h pairs,
+    rx(+-pi/2) pairs and rz(0) gates that compiled circuits contain."""
+    program = random_program(np.random.default_rng(seed), max_qubits, max_gates)
+    return ir.lower_to_native(program) if lowered else program
+
+
 class TestContracts:
-    @given(seed=st.integers(0, 100_000))
+    @given(seed=st.integers(0, 100_000), lowered=st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_semantics_preserved(self, seed):
-        rng = np.random.default_rng(seed)
-        program = random_program(rng, max_qubits=4, max_gates=20)
+    def test_semantics_preserved(self, seed, lowered):
+        program = random_input(seed, lowered, max_qubits=4, max_gates=20)
         out = optimize(program)
         distance = phase_aligned_distance(
             ir.unitary_of(program), ir.unitary_of(out)
         )
         assert distance <= 1e-10
 
-    @given(seed=st.integers(0, 100_000))
+    @given(seed=st.integers(0, 100_000), lowered=st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_monotone_and_idempotent(self, seed):
-        rng = np.random.default_rng(seed)
-        program = random_program(rng, max_qubits=5, max_gates=30)
+    def test_monotone_and_idempotent(self, seed, lowered):
+        program = random_input(seed, lowered, max_qubits=5, max_gates=30)
         once = optimize(program)
         assert len(once.gates) <= len(program.gates)
         assert optimize(once) == once
+
+    @given(
+        seed=st.integers(0, 100_000),
+        extension_seed=st.integers(0, 100_000),
+        lowered=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_optimized_prefix_extends_like_the_raw_prefix(
+        self, seed, extension_seed, lowered
+    ):
+        # export carries circuit k-1 forward: optimizing it followed by
+        # step k must give what optimizing the whole program gives
+        prefix = random_input(seed, lowered, max_qubits=4, max_gates=25)
+        extension = random_input(extension_seed, lowered, max_qubits=4, max_gates=25)
+        n = max(prefix.num_qubits, extension.num_qubits)
+        carried = program_of(n, optimize(prefix).gates + extension.gates)
+        whole = program_of(n, prefix.gates + extension.gates)
+        assert optimize(carried) == optimize(whole)
 
     def test_trotter_step_seam_collapses(self):
         # back-to-back steps of a zz chain meet at cnot pairs; the merged
