@@ -58,15 +58,101 @@ def product_state(spins: Sequence[str]) -> Statevector:
 
 
 def apply_gate(amps: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
-    """Apply one gate to an amplitude vector, returning the new vector.
+    """Apply one gate to a contiguous complex amplitude vector in place.
 
-    The gate's matrix, as a (2,)*2k tensor, is contracted with its k
-    operand axes of the (2,)*n view; no 2^n x 2^n matrix is ever formed.
+    ``amps`` is overwritten with the new amplitudes and returned.  Each
+    native kind and ``x`` has its own kernel on strided views of
+    ``amps``; the other kinds contract the gate's matrix with the state
+    tensor.  The kernels round exactly as that contraction does, so
+    their results are bit-equal to it (at more than two qubits, where
+    numpy's dot goes through BLAS).
     """
+    _KERNELS.get(gate.kind, _contract)(amps, gate, num_qubits)
+    return amps
+
+
+def _contract(amps: np.ndarray, gate: Gate, num_qubits: int) -> None:
+    """Contract the gate's (2,)*2k tensor with its k operand axes of the (2,)*n view."""
     k = len(gate.qubits)
     m = gate_matrix(gate).reshape((2,) * 2 * k)
-    t = np.tensordot(m, amps.reshape((2,) * num_qubits), axes=(range(k, 2 * k), gate.qubits))
-    return np.moveaxis(t, range(k), gate.qubits).reshape(-1)
+    tensor = amps.reshape((2,) * num_qubits)
+    t = np.tensordot(m, tensor, axes=(range(k, 2 * k), gate.qubits))
+    tensor[...] = np.moveaxis(t, range(k), gate.qubits)
+
+
+def _split(amps: np.ndarray, qubit: int) -> np.ndarray:
+    """The (2^q, 2, rest) view of ``amps``; axis 1 is the qubit's bit."""
+    return amps.reshape(2**qubit, 2, -1)
+
+
+def _swap(a0: np.ndarray, a1: np.ndarray) -> None:
+    t = a0.copy()
+    a0[...] = a1
+    a1[...] = t
+
+
+def _x(amps: np.ndarray, gate: Gate, num_qubits: int) -> None:
+    v = _split(amps, gate.qubits[0])
+    _swap(v[:, 0], v[:, 1])
+
+
+def _cnot(amps: np.ndarray, gate: Gate, num_qubits: int) -> None:
+    control, target = gate.qubits
+    lo = min(control, target)
+    v = amps.reshape(2**lo, 2, 2 ** (abs(control - target) - 1), 2, -1)
+    if control < target:
+        _swap(v[:, 1, :, 0], v[:, 1, :, 1])
+    else:
+        _swap(v[:, 0, :, 1], v[:, 1, :, 1])
+
+
+# The real and imaginary parts of a complex matrix reach BLAS zgemm as
+# separate products, so each part of the contraction's result is rounded
+# on its own: for rz and rx, which have one nonzero entry per row in each
+# part, that is round(Re m * a) + round(i Im m * a), which numpy's
+# elementwise complex multiply and add reproduce.  A real matrix with two
+# nonzero entries per row, such as h, is accumulated with a fused
+# multiply-add, which only BLAS reproduces: h runs dgemm on the float64
+# view of the state.
+
+
+def _rz(amps: np.ndarray, gate: Gate, num_qubits: int) -> None:
+    m = gate_matrix(gate)
+    v = _split(amps, gate.qubits[0])
+    t = v * np.array([[1j * m[0, 0].imag], [1j * m[1, 1].imag]])
+    amps *= m[0, 0].real
+    v += t
+
+
+def _rx(amps: np.ndarray, gate: Gate, num_qubits: int) -> None:
+    m = gate_matrix(gate)
+    v = _split(amps, gate.qubits[0])
+    t = v * m[0, 1]
+    amps *= m[0, 0].real
+    v += t[:, ::-1]
+
+
+_HADAMARD = gate_matrix(Gate("h", (0,))).real
+# For a qubit with at most 4 amplitudes below it, one dgemm of rows
+# (a0, a1) of the float64 view by kron(H^T, I) replaces 2^q products of
+# 2x2 blocks; the zero entries add exact zeros, so the rounding is the
+# same.  With a single row (q = 0) numpy would take gemv instead.
+_HADAMARD_ROWS = {rest: np.kron(_HADAMARD.T, np.eye(2 * rest)) for rest in (1, 2, 4)}
+
+
+def _h(amps: np.ndarray, gate: Gate, num_qubits: int) -> None:
+    q = gate.qubits[0]
+    re = amps.view(np.float64)
+    rows = _HADAMARD_ROWS.get(2 ** (num_qubits - 1 - q))
+    if q and rows is not None:
+        w = re.reshape(-1, len(rows))
+        w[...] = w @ rows
+    else:
+        v = _split(re, q)
+        v[...] = _HADAMARD @ v
+
+
+_KERNELS = {"x": _x, "cnot": _cnot, "rz": _rz, "rx": _rx, "h": _h}
 
 
 def run_statevector(program: Program, initial: Statevector | None = None) -> Statevector:
@@ -83,7 +169,8 @@ def run_statevector(program: Program, initial: Statevector | None = None) -> Sta
             raise ValueError("initial state width does not match the program")
         amps = initial.amplitudes.astype(complex, copy=True)
     for gate in program.gates:
-        amps = apply_gate(amps, gate, n)
+        # looked up per gate, so a wrapper installed on backend.apply_gate sees each one
+        apply_gate(amps, gate, n)
     return Statevector(n, amps)
 
 
