@@ -226,13 +226,25 @@ def expectation(state: Statevector, terms: Sequence[PauliTerm]) -> float:
     """<state| sum of terms |state>, exactly, as a real number.
 
     The value of a Hermitian observable; any imaginary residue from
-    float arithmetic is discarded.
+    float arithmetic is discarded.  A term without x or y factors is
+    diagonal: its value is the z parity of |amplitude|^2 on its support,
+    read off one probability tensor shared by all such terms.
     """
     amps, n = state.amplitudes, state.num_qubits
+    probs = None
     total = 0.0 + 0.0j
     for term in terms:
-        sigma_amps = apply_pauli(amps, pauli_masks(term.factors, n), n)
-        total += term.coefficient * np.vdot(amps, sigma_amps)
+        x, z = pauli_masks(term.factors, n)
+        if x:
+            value = np.vdot(amps, apply_pauli(amps, (x, z), n))
+        else:
+            if probs is None:
+                probs = (np.abs(amps) ** 2).reshape((2,) * n)
+            support = [site - 1 for site, _ in term.factors]
+            value = probs.sum(axis=tuple(q for q in range(n) if q not in support))
+            for _ in support:
+                value = value[0] - value[1]
+        total += term.coefficient * value
     return float(total.real)
 
 
