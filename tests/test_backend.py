@@ -81,6 +81,71 @@ class TestExecution:
         assert drift <= 1e-12 * max(len(program.gates), 1)
 
 
+def kernel_cases(n, rng):
+    """Every native kind and x on every qubit; cnot on neighbours and across
+    the chain, in both operand orders."""
+    for q in range(n):
+        yield ir.x(q)
+        yield ir.h(q)
+        yield ir.rz(float(rng.uniform(-7, 7)), q)
+        yield ir.rx(float(rng.uniform(-7, 7)), q)
+    for a in range(n):
+        for b in range(n):
+            if a != b and (abs(a - b) == 1 or {a, b} == {0, n - 1}):
+                yield ir.cnot(a, b)
+
+
+def contracted(amps, gate, n):
+    """The gate's tensor contracted with its operand axes, through BLAS."""
+    k = len(gate.qubits)
+    m = ir.gate_matrix(gate).reshape((2,) * 2 * k)
+    t = np.tensordot(m, amps.reshape((2,) * n), axes=(range(k, 2 * k), gate.qubits))
+    return np.moveaxis(t, range(k), gate.qubits).reshape(-1)
+
+
+def permuted(amps, gate, n):
+    """x or cnot as the permutation of basis indices it is."""
+    index = np.arange(2**n)
+    target = 1 << (n - 1 - gate.qubits[-1])
+    if gate.kind == "x":
+        return amps[index ^ target]
+    control = index >> (n - 1 - gate.qubits[0]) & 1
+    return amps[index ^ control * target]
+
+
+class TestKernels:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_kind_on_every_qubit_matches_dense_unitary(self, n):
+        rng = np.random.default_rng(n)
+        for gate in kernel_cases(n, rng):
+            amps = random_state(rng, n).amplitudes
+            want = ir.unitary_of(program_of(n, [gate])) @ amps
+            work = amps.copy()
+            assert backend.apply_gate(work, gate, n) is work
+            np.testing.assert_allclose(work, want, rtol=0, atol=1e-14, err_msg=str(gate))
+            if gate.kind in ("x", "cnot"):
+                assert np.array_equal(work, permuted(amps, gate, n)), gate
+
+    @pytest.mark.parametrize("n", [3, 7, 12])
+    def test_native_kernels_round_as_the_contraction(self, n):
+        # QITE amplifies a one-ulp change per gate to ~1e-11 on the TFIM
+        # tutorial, so the kernels must keep the contraction's rounding.
+        rng = np.random.default_rng(100 + n)
+        amps = random_state(rng, n).amplitudes
+        for gate in kernel_cases(n, rng):
+            got = backend.apply_gate(amps.copy(), gate, n)
+            assert np.array_equal(got, contracted(amps, gate, n)), gate
+
+    def test_initial_state_is_left_bit_unchanged(self):
+        rng = np.random.default_rng(23)
+        program = ir.lower_to_native(random_program(rng, max_qubits=6, max_gates=40, min_qubits=6))
+        initial = random_state(rng, 6)
+        before = initial.amplitudes.tobytes()
+        state = run_statevector(program, initial=initial)
+        assert initial.amplitudes.tobytes() == before
+        assert not np.shares_memory(state.amplitudes, initial.amplitudes)
+
+
 class TestProductState:
     def test_all_up_is_zero_index(self):
         state = product_state(["up", "up", "up"])

@@ -199,6 +199,19 @@ class TestEvolveSeries:
         assert len(list(series)) == 6
         assert len(compiled) == compiles
 
+    def test_later_steps_leave_yielded_states_alone(self):
+        hamiltonian = CHAINS["linear-ramp"]
+        params = TrotterParams(1.5, 4)
+        spins = ["up", "down", "up"]
+        one_at_a_time = [
+            state.amplitudes.copy()
+            for _, state in evolve_series(hamiltonian, params, spins, lower_to_native)
+        ]
+        listed = list(evolve_series(hamiltonian, params, spins, lower_to_native))
+        assert len(listed) == len(one_at_a_time)
+        for (_, state), want in zip(listed, one_at_a_time):
+            assert state.amplitudes.tobytes() == want.tobytes()
+
     def test_initial_state_length_checked(self):
         with pytest.raises(ValueError):
             next(evolve_series(tfim(2), TrotterParams(1.0, 5), ["up"], lower_to_native))
