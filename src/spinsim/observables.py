@@ -132,6 +132,9 @@ def _nice_ticks(low: float, high: float, target: int = 5) -> list[float]:
     value = math.ceil(low / step) * step
     while value <= high + step * 1e-9:
         ticks.append(0.0 if abs(value) < step * 1e-9 else float(value))
+        if value + step == value:
+            # a range a few ulps wide: the step is below the value's spacing
+            break
         value += step
     return ticks
 

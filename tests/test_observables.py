@@ -201,6 +201,13 @@ class TestPlot:
         write_plot(series_of([]), path)
         assert path.read_text().startswith("<?xml")
 
+    def test_values_one_ulp_apart_render(self, tmp_path):
+        # the tick step falls below the spacing of floats near 0.5; the
+        # tick loop once stopped advancing and grew without bound
+        path = tmp_path / "plot.svg"
+        write_plot(series_of([(0.0, 0.5, None), (1.0, np.nextafter(0.5, 1.0), None)]), path)
+        assert path.read_text().startswith("<?xml")
+
 
 class TestManifest:
     def test_content_and_key_order(self, tmp_path):
