@@ -202,24 +202,60 @@ def pauli_factors(masks: tuple[int, int], num_qubits: int) -> tuple[tuple[int, s
     return tuple(factors)
 
 
-def apply_pauli(amps: np.ndarray, masks: tuple[int, int], num_qubits: int) -> np.ndarray:
-    """sigma|amps> for the Pauli string with (x, z) masks, as a contiguous array.
+# (-1)^popcount(b) for every byte b: the z sign of index k under mask z
+# is the product of this over the bytes of k & z
+_BYTE_SIGNS = np.prod(
+    1 - 2 * (np.arange(256)[:, None] >> np.arange(8) & 1), axis=1
+).astype(np.int8)
 
-    sigma = (-i)^|x & z| Z^z X^x: flip the x axes of the (2,)*n view,
-    copy once, then negate the z axes' 1 halves and apply the phase in
-    place.  Only permutations and products with +-1 and +-i happen, so
-    the result is exact.
+# (-i)^k, the phase of sigma = (-i)^|x & z| Z^z X^x
+_MINUS_I_POWERS = (1, -1j, -1, 1j)
+
+
+def _z_signs(z: np.ndarray, num_qubits: int) -> np.ndarray:
+    """(-1)^|k & z| as an int8 (len(z), 2^n) matrix: a row per z mask, a column per index k."""
+    signs = np.ones((len(z), 1), dtype=np.int8)
+    for shift in range(0, num_qubits, 8):
+        byte = _BYTE_SIGNS[z[:, None] >> shift & np.arange(2 ** min(8, num_qubits - shift))]
+        # higher bytes are the slower-varying part of the index
+        signs = (byte[:, :, None] * signs[:, None, :]).reshape(len(z), -1)
+    return signs
+
+
+def pauli_expectations(state: Statevector, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Re <state| sigma |state> for each Pauli string with masks (x[i], z[i]).
+
+    sigma|psi> = (-i)^|x & z| Z^z X^x |psi>.  The strings that share an
+    x mask share one flipped copy of the amplitudes, psi_{k xor x}; each
+    string multiplies it by its row of z signs and by its phase, and its
+    value is ``np.vdot(amps, w).real``.  Only products with +-1 and +-i
+    happen before the ``vdot``, so every value rounds exactly as
+    ``vdot`` of the applied string does.  The identity (0, 0) is
+    exactly 1.0.
     """
-    x, z = masks
-    flipped = tuple(q for q in range(num_qubits) if x >> (num_qubits - 1 - q) & 1)
-    out = np.flip(amps.reshape((2,) * num_qubits), flipped).copy()
-    for q in range(num_qubits):
-        if z >> (num_qubits - 1 - q) & 1:
-            out[(slice(None),) * q + (1,)] *= -1
-    power = (x & z).bit_count() % 4
-    if power:
-        out *= (1, -1j, -1, 1j)[power]
-    return out.reshape(-1)
+    amps, n = state.amplitudes, state.num_qubits
+    x = np.asarray(x, dtype=np.int64)
+    z = np.asarray(z, dtype=np.int64)
+    values = np.empty(len(x))
+    tensor = amps.reshape((2,) * n)
+    for x_mask in dict.fromkeys(x.tolist()):
+        members = np.flatnonzero(x == x_mask)
+        axes = [q for q in range(n) if x_mask >> (n - 1 - q) & 1]
+        # a contiguous copy of its own: flipping every axis would reshape to a
+        # reversed view of amps, which vdot sums in another order
+        flipped = np.flip(tensor, axes).copy().reshape(-1)
+        last = members[-1]
+        for i, z_mask, signs in zip(members, z[members].tolist(), _z_signs(z[members], n)):
+            w = flipped
+            if z_mask:
+                # the group's last string may overwrite the group's copy
+                w = np.multiply(flipped, signs, out=flipped if i == last else None)
+                power = (x_mask & z_mask).bit_count() % 4
+                if power:
+                    w *= _MINUS_I_POWERS[power]
+            values[i] = np.vdot(amps, w).real
+    values[(x == 0) & (z == 0)] = 1.0
+    return values
 
 
 def expectation(state: Statevector, terms: Sequence[PauliTerm]) -> float:
@@ -228,15 +264,22 @@ def expectation(state: Statevector, terms: Sequence[PauliTerm]) -> float:
     The value of a Hermitian observable; any imaginary residue from
     float arithmetic is discarded.  A term without x or y factors is
     diagonal: its value is the z parity of |amplitude|^2 on its support,
-    read off one probability tensor shared by all such terms.
+    read off one probability tensor shared by all such terms.  The
+    other terms' distinct strings are evaluated together by
+    :func:`pauli_expectations`.
     """
     amps, n = state.amplitudes, state.num_qubits
+    masks = [pauli_masks(term.factors, n) for term in terms]
+    off_diagonal = list(dict.fromkeys(m for m in masks if m[0]))
+    table = {}
+    if off_diagonal:
+        xs, zs = np.array(off_diagonal, dtype=np.int64).T
+        table = dict(zip(off_diagonal, pauli_expectations(state, xs, zs)))
     probs = None
-    total = 0.0 + 0.0j
-    for term in terms:
-        x, z = pauli_masks(term.factors, n)
+    total = 0.0
+    for term, (x, z) in zip(terms, masks):
         if x:
-            value = np.vdot(amps, apply_pauli(amps, (x, z), n))
+            value = table[x, z]
         else:
             if probs is None:
                 probs = (np.abs(amps) ** 2).reshape((2,) * n)
@@ -245,7 +288,7 @@ def expectation(state: Statevector, terms: Sequence[PauliTerm]) -> float:
             for _ in support:
                 value = value[0] - value[1]
         total += term.coefficient * value
-    return float(total.real)
+    return float(total)
 
 
 def sample_counts(

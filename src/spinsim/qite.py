@@ -33,8 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from . import ir
-from .backend import Statevector, apply_pauli, estimate_with_sigma, expectation
-from .backend import pauli_factors, pauli_masks, run_statevector
+from .backend import Statevector, estimate_with_sigma, expectation
+from .backend import pauli_expectations, pauli_factors, pauli_masks, run_statevector
 # unused, but bound: the span tracer in perfbench/spans.py wraps it by name here
 from .backend import apply_gate  # noqa: F401
 from .errors import SingularSystemError, UnsupportedFeatureError
@@ -106,22 +106,30 @@ class TermFit:
     normalization: float
 
 
-_I_POWERS = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
+_I_POWERS = np.array([1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j])
 
 
-def pauli_string_product(
-    first: PauliMasks, second: PauliMasks
-) -> tuple[complex, PauliMasks]:
+def _popcount(v):
+    """Set bits of each mask below 2^32, for ints and int64 arrays alike."""
+    v = v - (v >> 1 & 0x55555555)
+    v = (v & 0x33333333) + (v >> 2 & 0x33333333)
+    v = v + (v >> 4) & 0x0F0F0F0F
+    return (v * 0x01010101 & 0xFFFFFFFF) >> 24
+
+
+def pauli_string_product(first, second):
     """Product sigma_first sigma_second = phase * sigma_out on (x, z) masks.
 
     With sigma = i^|x & z| X^x Z^z (see :func:`backend.pauli_masks`),
     moving Z^z1 past X^x2 gives (-1)^|z1 & x2|, so the phase is i^k with
-    k = |x1 & z1| + |x2 & z2| - |x & z| + 2 |z1 & x2| (mod 4).
+    k = |x1 & z1| + |x2 & z2| - |x & z| + 2 |z1 & x2| (mod 4).  The
+    masks may be ints or broadcasting int64 arrays; the phases and
+    product masks then come back as arrays.
     """
     (x1, z1), (x2, z2) = first, second
     x, z = x1 ^ x2, z1 ^ z2
-    k = (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x & z).bit_count()
-    return _I_POWERS[(k + 2 * (z1 & x2).bit_count()) % 4], (x, z)
+    k = _popcount(x1 & z1) + _popcount(x2 & z2) - _popcount(x & z) + 2 * _popcount(z1 & x2)
+    return _I_POWERS[k % 4], (x, z)
 
 
 def domain_window(term: PauliTerm, radius: int, num_spins: int) -> tuple[int, ...]:
@@ -165,29 +173,6 @@ def hamiltonian_basis(
     return strings
 
 
-def _string_expectations(state: Statevector, shots: int, rng=None):
-    """<state| sigma_P |state> per Pauli string's (x, z) masks, cached for one state.
-
-    Exact when ``shots`` is 0, otherwise sampled with ``shots`` draws
-    from ``rng`` (the run's shared generator, so repeated runs with one
-    seed stay reproducible; a generator seeded with 0 when None).
-    """
-    rng = np.random.default_rng(0 if rng is None else rng)
-    amps, n = state.amplitudes, state.num_qubits
-    cache: dict[PauliMasks, float] = {(0, 0): 1.0}
-
-    def value(masks: PauliMasks) -> float:
-        if masks not in cache:
-            if shots == 0:
-                cache[masks] = float(np.vdot(amps, apply_pauli(amps, masks, n)).real)
-            else:
-                string = [PauliTerm(1.0, pauli_factors(masks, n))]
-                cache[masks] = estimate_with_sigma(state, string, shots, rng)[0]
-        return cache[masks]
-
-    return value
-
-
 def pauli_rotation_gates(factors: PauliString, angle: float) -> list[Gate]:
     """Circuit for exp(-i angle sigma_P): basis change, CNOT ladder, RZ."""
     axes = [(site - 1, axis) for site, axis in factors]
@@ -213,18 +198,55 @@ def _fit_unitary(
 ) -> TermFit:
     """Fit the step unitary for h = sum of ``terms`` over the masks in ``basis``."""
     n = state.num_qubits
-    estimate = _string_expectations(state, params.shots, rng)
-    h = [(t.coefficient, pauli_masks(t.factors, n)) for t in terms]
+    hc = np.array([t.coefficient for t in terms])
+    hx, hz = np.array([pauli_masks(t.factors, n) for t in terms], dtype=np.int64).reshape(-1, 2).T
+    bx, bz = np.array(basis, dtype=np.int64).reshape(-1, 2).T
+    m = len(basis)
+    upper = np.triu(np.ones((m, m), dtype=bool))
+    left = (bx[:, None], bz[:, None])
+    # h_t1 h_t2: imaginary parts cancel over the symmetric (t1, t2) sum
+    hh_phase, (hh_x, hh_z) = pauli_string_product((hx[:, None], hz[:, None]), (hx, hz))
+    s_phase, (s_x, s_z) = pauli_string_product(left, (bx, bz))
+    b_phase, (b_x, b_z) = pauli_string_product(left, (hx, hz))
+    hh_keep = hh_phase.real != 0.0
+    s_keep = (s_phase.real != 0.0) & upper
+    b_keep = b_phase.imag != 0.0
 
+    # every string read, in the order the scalar loop first read it: per H
+    # term its own string and its second-moment products, then per basis
+    # row its S products (j >= i) and its b products
+    h_keep = np.column_stack([np.ones(len(hx), dtype=bool), hh_keep])
+    sb_keep = np.hstack([s_keep, b_keep])
+    h_keys = np.column_stack([hx, hh_x]) << n | np.column_stack([hz, hh_z])
+    sb_keys = np.hstack([s_x, b_x]) << n | np.hstack([s_z, b_z])
+    read_keys = np.concatenate([h_keys[h_keep], sb_keys[sb_keep]])
+    keys, first, inverse = np.unique(read_keys, return_index=True, return_inverse=True)
+    if params.shots == 0:
+        values = pauli_expectations(state, keys >> n, keys & (1 << n) - 1)
+    else:
+        # one estimate per distinct string, drawn from the run's shared
+        # generator in the order the strings are first read
+        rng = np.random.default_rng(0 if rng is None else rng)
+        values = np.ones(len(keys))
+        for index in np.argsort(first):
+            masks = (int(keys[index]) >> n, int(keys[index]) & (1 << n) - 1)
+            if masks != (0, 0):
+                string = [PauliTerm(1.0, pauli_factors(masks, n))]
+                values[index] = estimate_with_sigma(state, string, params.shots, rng)[0]
+    read = values[inverse]
+    split = np.count_nonzero(h_keep)
+    h_read = np.zeros(h_keep.shape)
+    h_read[h_keep] = read[:split]
+    sb_read = np.zeros(sb_keep.shape)
+    sb_read[sb_keep] = read[split:]
+
+    # the sums run term by term in the scalar loop's order, so they round as it did
     energy = 0.0
+    for term in (hc * h_read[:, 0]).tolist():
+        energy += term
     second_moment = 0.0
-    for c1, masks1 in h:
-        energy += c1 * estimate(masks1)
-        for c2, masks2 in h:
-            phase, product = pauli_string_product(masks1, masks2)
-            # imaginary parts cancel over the symmetric (t1, t2) sum
-            if phase.real != 0.0:
-                second_moment += c1 * c2 * phase.real * estimate(product)
+    for term in (hc[:, None] * hc * hh_phase.real * h_read[:, 1:])[hh_keep].tolist():
+        second_moment += term
     c = 1.0 - 2.0 * params.dbeta * energy + params.dbeta**2 * second_moment
     if c <= 1e-12:
         raise SingularSystemError(
@@ -232,19 +254,12 @@ def _fit_unitary(
         )
     sqrt_c = math.sqrt(c)
 
-    m = len(basis)
-    s_matrix = np.empty((m, m))
+    entries = np.where(s_keep, s_phase.real * sb_read[:, :m], 0.0)
+    s_matrix = np.where(upper, entries, entries.T)
+    b_terms = np.where(b_keep, hc * b_phase.imag * sb_read[:, m:] / sqrt_c, 0.0)
     b_vector = np.zeros(m)
-    for i, left in enumerate(basis):
-        for j in range(i, m):
-            phase, product = pauli_string_product(left, basis[j])
-            entry = phase.real * estimate(product) if phase.real != 0.0 else 0.0
-            s_matrix[i, j] = entry
-            s_matrix[j, i] = entry
-        for coefficient, masks in h:
-            phase, product = pauli_string_product(left, masks)
-            if phase.imag != 0.0:
-                b_vector[i] += coefficient * phase.imag * estimate(product) / sqrt_c
+    for column in b_terms.T:
+        b_vector += column
 
     regularized = s_matrix + params.regularization * np.eye(m)
     try:

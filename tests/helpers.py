@@ -178,3 +178,23 @@ def dense_expectation(state: np.ndarray, terms, num_spins: int) -> float:
         term.coefficient * np.vdot(state, embedded_pauli(term.factors, num_spins) @ state).real
         for term in terms
     )
+
+
+def apply_pauli(amps: np.ndarray, masks: tuple[int, int], num_qubits: int) -> np.ndarray:
+    """sigma|amps> for the Pauli string with (x, z) masks, as a contiguous array.
+
+    The reference action: sigma = (-i)^|x & z| Z^z X^x, by flipping the
+    x axes of the (2,)*n view, one copy, negating the z axes' 1 halves
+    and one phase multiply.  Only permutations and products with +-1
+    and +-i happen, so the result is exact.
+    """
+    x, z = masks
+    flipped = tuple(q for q in range(num_qubits) if x >> (num_qubits - 1 - q) & 1)
+    out = np.flip(amps.reshape((2,) * num_qubits), flipped).copy()
+    for q in range(num_qubits):
+        if z >> (num_qubits - 1 - q) & 1:
+            out[(slice(None),) * q + (1,)] *= -1
+    power = (x & z).bit_count() % 4
+    if power:
+        out *= (1, -1j, -1, 1j)[power]
+    return out.reshape(-1)

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import embedded_pauli, random_program, random_state
+from helpers import apply_pauli, embedded_pauli, random_program, random_state
 from spinsim import ir
 from spinsim import backend
 from spinsim.backend import (
     STATEVECTOR_QUBIT_LIMIT,
     Statevector,
-    apply_pauli,
     expectation,
     estimate_with_sigma,
+    pauli_expectations,
     pauli_factors,
     pauli_masks,
     product_state,
@@ -210,6 +210,56 @@ class TestExpectation:
         dense = embedded_pauli(pauli_factors(masks, n), n)
         np.testing.assert_allclose(once, dense @ amps, atol=1e-12)
         assert np.array_equal(apply_pauli(once, masks, n), amps)
+
+
+class TestPauliExpectations:
+    """The per-x-mask table against vdot of the applied string, bit for bit."""
+
+    @staticmethod
+    def reference(amps, x, z, n):
+        return np.array(
+            [np.vdot(amps, apply_pauli(amps, (xi, zi), n)).real for xi, zi in zip(x, z)]
+        )
+
+    @staticmethod
+    def check(state, x, z):
+        before = state.amplitudes.copy()
+        got = pauli_expectations(state, np.array(x), np.array(z))
+        identity = (np.array(x) == 0) & (np.array(z) == 0)
+        want = TestPauliExpectations.reference(before, x, z, state.num_qubits)
+        assert np.array_equal(got[~identity], want[~identity])
+        assert np.all(got[identity] == 1.0)
+        # the flipped copies are written in place, never the state
+        assert np.array_equal(state.amplitudes, before)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equals_vdot_of_the_applied_string(self, n):
+        rng = np.random.default_rng(100 + n)
+        state = random_state(rng, n)
+        full = 2**n - 1
+        if n <= 3:
+            pairs = [(x, z) for x in range(full + 1) for z in range(full + 1)]
+        else:
+            # a few x masks (all flips and none among them), many z masks each
+            x_masks = [0, full, 1, 1 << (n - 1)] + [int(v) for v in rng.integers(full, size=4)]
+            pairs = {(0, 0), (full, full), (full, 0)}
+            for _ in range(150):
+                pairs.add((x_masks[rng.integers(len(x_masks))], int(rng.integers(full + 1))))
+            pairs = sorted(pairs)
+        x, z = map(list, zip(*pairs))
+        self.check(state, x, z)
+
+    def test_masks_in_the_third_byte(self):
+        n = 18
+        state = random_state(np.random.default_rng(18), n)
+        full = 2**n - 1
+        x = [1 << 17, 1 << 17, 3 << 16 | 1, full, 0, 0x2A5A5]
+        z = [1 << 16, 3 << 16 | 0x101, 1 << 17, full, 1 << 17 | 1 << 8 | 1, 0x3C3C3]
+        self.check(state, x, z)
+
+    def test_identity_is_exactly_one(self):
+        state = Statevector(2, np.full(4, 0.5 + 1e-9, dtype=complex))
+        assert pauli_expectations(state, np.array([0]), np.array([0]))[0] == 1.0
 
 
 class TestSampling:

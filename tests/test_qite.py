@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import embedded_pauli, matrix_exponential
+from helpers import apply_pauli, embedded_pauli, matrix_exponential, random_state
 from spinsim import ir
 from spinsim.backend import (
+    estimate_with_sigma,
     expectation,
     pauli_factors,
     pauli_masks,
@@ -21,6 +24,7 @@ from spinsim.ir import Program
 from spinsim.oracle import ground_state
 from spinsim.qite import (
     QiteParams,
+    _fit_unitary,
     domain_window,
     fit_step_unitary,
     hamiltonian_basis,
@@ -151,6 +155,127 @@ class TestPauliAlgebra:
         want = embedded_pauli(first, n) @ embedded_pauli(second, n)
         got = phase * embedded_pauli(string, n)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+    @given(
+        masks=st.lists(st.tuples(*[st.integers(0, 2**32 - 1)] * 4), min_size=1, max_size=20)
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_array_form_matches_int_form(self, masks):
+        x1, z1, x2, z2 = np.array(masks, dtype=np.int64).T
+        phases, (x, z) = pauli_string_product((x1, z1), (x2, z2))
+        for k, (a, b, c, d) in enumerate(masks):
+            phase, (x_k, z_k) = pauli_string_product((a, b), (c, d))
+            assert (phase, (x_k, z_k)) == scalar_product((a, b), (c, d))
+            assert phases[k] == phase
+            assert (x[k], z[k]) == (x_k, z_k)
+
+
+def scalar_product(first, second):
+    """The product rule on int masks with ``int.bit_count``, one pair at a time."""
+    (x1, z1), (x2, z2) = first, second
+    x, z = x1 ^ x2, z1 ^ z2
+    k = (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x & z).bit_count()
+    return (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)[(k + 2 * (z1 & x2).bit_count()) % 4], (x, z)
+
+
+def scalar_fit(state, basis, terms, params, rng=None):
+    """The fit as one scalar loop over mask pairs, with one cached value per string.
+
+    A frozen reference for ``qite._fit_unitary``: strings are multiplied
+    one pair at a time, exact values are ``vdot`` of the applied string,
+    sampled ones are estimated in the order the loop first reads them,
+    and every sum runs term by term.
+    """
+    n = state.num_qubits
+    amps = state.amplitudes
+    rng = np.random.default_rng(0 if rng is None else rng)
+    cache = {(0, 0): 1.0}
+
+    def estimate(masks):
+        if masks not in cache:
+            if params.shots == 0:
+                cache[masks] = float(np.vdot(amps, apply_pauli(amps, masks, n)).real)
+            else:
+                string = [PauliTerm(1.0, pauli_factors(masks, n))]
+                cache[masks] = estimate_with_sigma(state, string, params.shots, rng)[0]
+        return cache[masks]
+
+    h = [(t.coefficient, pauli_masks(t.factors, n)) for t in terms]
+    energy = 0.0
+    second_moment = 0.0
+    for c1, masks1 in h:
+        energy += c1 * estimate(masks1)
+        for c2, masks2 in h:
+            phase, masks = scalar_product(masks1, masks2)
+            if phase.real != 0.0:
+                second_moment += c1 * c2 * phase.real * estimate(masks)
+    c = 1.0 - 2.0 * params.dbeta * energy + params.dbeta**2 * second_moment
+    sqrt_c = math.sqrt(c)
+    m = len(basis)
+    s_matrix = np.empty((m, m))
+    b_vector = np.zeros(m)
+    for i, left in enumerate(basis):
+        for j in range(i, m):
+            phase, masks = scalar_product(left, basis[j])
+            entry = phase.real * estimate(masks) if phase.real != 0.0 else 0.0
+            s_matrix[i, j] = entry
+            s_matrix[j, i] = entry
+        for coefficient, term_masks in h:
+            phase, masks = scalar_product(left, term_masks)
+            if phase.imag != 0.0:
+                b_vector[i] += coefficient * phase.imag * estimate(masks) / sqrt_c
+    a = np.linalg.solve(s_matrix + params.regularization * np.eye(m), b_vector)
+    residual = float(np.linalg.norm(s_matrix @ a - b_vector))
+    return tuple(float(v) for v in a), residual, c
+
+
+def random_fit_problem(seed):
+    """A random complex state, 1-11 random terms on adjacent sites, and their basis."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    radius = int(rng.integers(2))
+    terms = []
+    for _ in range(int(rng.integers(1, 12))):
+        first = int(rng.integers(1, n + 1))
+        sites = range(first, min(first + int(rng.integers(1, 3)), n + 1))
+        factors = tuple((s, str(rng.choice(["x", "y", "z"]))) for s in sites)
+        terms.append(PauliTerm(float(rng.normal()), factors))
+    basis = [pauli_masks(string, n) for string in hamiltonian_basis(terms, radius, n)]
+    return random_state(rng, n), basis, terms, radius
+
+
+class TestFitAgainstScalarLoop:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_exact_fit_is_bit_equal(self, seed):
+        state, basis, terms, radius = random_fit_problem(seed)
+        params = QiteParams(dbeta=0.2, num_steps=1, domain_radius=radius)
+        fit = _fit_unitary(state, basis, terms, params)
+        coefficients, residual, normalization = scalar_fit(state, basis, terms, params)
+        assert fit.coefficients == coefficients
+        assert fit.residual == residual
+        assert fit.normalization == normalization
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sampled_fit_draws_in_the_same_order(self, seed):
+        state, basis, terms, radius = random_fit_problem(seed)
+        params = QiteParams(dbeta=0.2, num_steps=1, domain_radius=radius, shots=64)
+        rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        fit = _fit_unitary(state, basis, terms, params, rng)
+        coefficients, _, _ = scalar_fit(state, basis, terms, params, reference_rng)
+        assert fit.coefficients == coefficients
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_both_radii_and_every_axis_are_covered(self):
+        problems = [random_fit_problem(seed) for seed in range(16)]
+        assert {radius for *_, radius in problems} == {0, 1}
+        assert {axis for _, _, terms, _ in problems for t in terms for _, axis in t.factors} == {
+            "x",
+            "y",
+            "z",
+        }
+        assert max(state.num_qubits for state, *_ in problems) == 5
 
 
 class TestRotationGates:
