@@ -258,8 +258,8 @@ SCHEDULE_KINDS = ("constant", "list", "linear-ramp", "gaussian-pulse", "random-u
 
 
 @st.composite
-def schedule_texts(draw, count: int) -> str:
-    kind = draw(st.sampled_from(SCHEDULE_KINDS))
+def schedule_texts(draw, count: int, kinds: tuple[str, ...] = SCHEDULE_KINDS) -> str:
+    kind = draw(st.sampled_from(kinds))
     number = st.integers(-20, 20).map(lambda v: repr(v / 10))
     if kind == "list" and count > 1:
         return ", ".join(draw(number) for _ in range(count))
@@ -322,6 +322,46 @@ class TestRealTimeDifferential:
         want = states[-1]
         overlap = np.vdot(want, got)
         assert abs(got - overlap / abs(overlap) * want).max() <= 1e-10
+
+
+# imaginary-time evolution accepts only a time-independent Hamiltonian
+STATIC_KINDS = ("constant", "list", "random-uniform")
+
+
+@st.composite
+def imaginary_time_texts(draw) -> str:
+    """Exact imaginary-time inputs on at most 4 spins, static schedules only."""
+    num_spins = draw(st.integers(1, 4))
+    lines = [f"num_spins: {num_spins}", "mode: imaginary-time", "QCQS: QS", "shots: 0"]
+    lines.append(f"total_time: {draw(st.sampled_from(('0.3', '1', '2.4')))}")
+    lines.append(f"num_steps: {draw(st.integers(1, 6))}")
+    for key in INPUT_KEYS:
+        if key.startswith(("J_", "h_")) and draw(st.booleans()):
+            count = num_spins - 1 if key.startswith("J_") else num_spins
+            lines.append(f"{key}: {draw(schedule_texts(count, STATIC_KINDS))}")
+    spins = draw(st.lists(st.sampled_from(("up", "down")), min_size=num_spins, max_size=num_spins))
+    lines.append(f"initial_state: {','.join(spins)}")
+    for key in ("observable", "optimizer_level"):
+        lines.append(f"{key}: {draw(st.sampled_from(INPUT_KEYS[key].choices))}")
+    return "\n".join(lines) + "\n"
+
+
+class TestImaginaryTimeFloor:
+    @given(text=imaginary_time_texts())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_every_energy_is_above_the_ground_level(self, text):
+        cfg = parse_input(text)
+        terms = snapshot(build_hamiltonian(cfg), 0.0)
+        ground = oracle.ground_state(terms, cfg.num_spins)[0] if terms else 0.0
+        with tempfile.TemporaryDirectory() as tmp:
+            input_path = write_input(Path(tmp), text)
+            out = Path(tmp) / "out"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["run", str(input_path), "--out", str(out)]) == 0
+            points = read_csv(out / "results.csv")
+        assert len(points) == cfg.num_steps + 1
+        for _, energy, _ in points:
+            assert energy >= ground - 1e-9
 
 
 class TestCircuitExport:
