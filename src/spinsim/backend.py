@@ -154,6 +154,101 @@ def _h(amps: np.ndarray, gate: Gate, num_qubits: int) -> None:
 
 _KERNELS = {"x": _x, "cnot": _cnot, "rz": _rz, "rx": _rx, "h": _h}
 
+# A fused block acts on at most this many contiguous qubits, so its
+# matrix has at most 2^FUSED_QUBITS rows.
+FUSED_QUBITS = 4
+# A block is applied in products of at most this many amplitudes, which
+# bounds the temporary each product allocates.
+_FUSED_CHUNK = 2**16
+# With at most this many amplitudes below a block, one product of the
+# rows of the (-1, 2^m rest) view by kron(U^T, I_rest) replaces 2^lo
+# products with only `rest` columns each.
+_KRON_REST = 4
+
+
+@dataclass(frozen=True)
+class FusedBlock:
+    """A dense unitary on the qubits lo .. lo + m - 1; ``matrix`` has 2^m rows."""
+
+    lo: int
+    matrix: np.ndarray
+
+
+def fuse(program: Program) -> tuple[FusedBlock | Gate, ...]:
+    """The program as a plan of dense blocks, each on at most FUSED_QUBITS contiguous qubits.
+
+    One greedy pass in gate order.  Each qubit remembers the last plan
+    entry that acted on it.  A gate joins the newest of those entries on
+    its qubits when the joined span still fits FUSED_QUBITS, else it
+    opens a new block; no later entry acts on the gate's qubits, so every
+    wire keeps its gate order.  A gate that spans more than FUSED_QUBITS
+    by itself stays a gate: it is applied by :func:`apply_gate` and ends
+    the blocks on its wires.  Each block's matrix is built by the gate
+    kernels acting on the rows of an identity matrix.
+    """
+    entries: list[Gate | list] = []  # a wide gate, or [lo, hi, gates] of a block
+    last: dict[int, int] = {}
+    for gate in program.gates:
+        lo, hi = min(gate.qubits), max(gate.qubits)
+        newest = max((last[q] for q in gate.qubits if q in last), default=None)
+        block = None if newest is None else entries[newest]
+        if isinstance(block, list) and max(hi, block[1]) - min(lo, block[0]) < FUSED_QUBITS:
+            block[0], block[1] = min(lo, block[0]), max(hi, block[1])
+            block[2].append(gate)
+        else:
+            newest = len(entries)
+            entries.append(gate if hi - lo >= FUSED_QUBITS else [lo, hi, [gate]])
+        for q in gate.qubits:
+            last[q] = newest
+    return tuple(
+        entry if isinstance(entry, Gate) else FusedBlock(entry[0], _block_matrix(*entry))
+        for entry in entries
+    )
+
+
+def _block_matrix(lo: int, hi: int, gates: Sequence[Gate]) -> np.ndarray:
+    """G_k ... G_1 on qubits lo..hi: the kernels run on the flattened identity
+    as a 2m-qubit state, whose first m qubits index its rows."""
+    width = hi - lo + 1
+    matrix = np.eye(2**width, dtype=complex)
+    amps = matrix.reshape(-1)
+    for gate in gates:
+        shifted = Gate(gate.kind, tuple(q - lo for q in gate.qubits), gate.theta)
+        apply_gate(amps, shifted, 2 * width)
+    return matrix
+
+
+def _apply_block(amps: np.ndarray, block: FusedBlock) -> None:
+    """Multiply the block's qubits of ``amps`` by its matrix, in place, a chunk at a time."""
+    dim = len(block.matrix)
+    rest = len(amps) // (dim << block.lo)
+    rows = max(1, _FUSED_CHUNK // (dim * rest))
+    if rest <= _KRON_REST:
+        product = np.kron(block.matrix.T, np.eye(rest))
+        w = amps.reshape(-1, dim * rest)
+        for a in range(0, len(w), rows):
+            part = w[a : a + rows]
+            part[...] = part @ product
+        return
+    v = amps.reshape(-1, dim, rest)
+    cols = min(rest, _FUSED_CHUNK // dim)
+    for a in range(0, len(v), rows):
+        for c in range(0, rest, cols):
+            part = v[a : a + rows, :, c : c + cols]
+            part[...] = np.matmul(block.matrix, part)
+
+
+def run_fused(plan: Sequence[FusedBlock | Gate], initial: Statevector) -> Statevector:
+    """Advance a copy of ``initial`` by a plan from :func:`fuse`."""
+    n = initial.num_qubits
+    amps = initial.amplitudes.astype(complex, copy=True)
+    for entry in plan:
+        if isinstance(entry, Gate):
+            apply_gate(amps, entry, n)
+        else:
+            _apply_block(amps, entry)
+    return Statevector(n, amps)
+
 
 def run_statevector(program: Program, initial: Statevector | None = None) -> Statevector:
     """Execute a program on |0...0> (or a supplied initial state)."""
@@ -264,9 +359,10 @@ def expectation(state: Statevector, terms: Sequence[PauliTerm]) -> float:
     The value of a Hermitian observable; any imaginary residue from
     float arithmetic is discarded.  A term without x or y factors is
     diagonal: its value is the z parity of |amplitude|^2 on its support,
-    read off one probability tensor shared by all such terms.  The
-    other terms' distinct strings are evaluated together by
-    :func:`pauli_expectations`.
+    read off one probability vector shared by all such terms.  One
+    dgemv by a vector of ones sums out the qubits before the support,
+    and a plain sum the rest.  The other terms' distinct strings are
+    evaluated together by :func:`pauli_expectations`.
     """
     amps, n = state.amplitudes, state.num_qubits
     masks = [pauli_masks(term.factors, n) for term in terms]
@@ -282,9 +378,13 @@ def expectation(state: Statevector, terms: Sequence[PauliTerm]) -> float:
             value = table[x, z]
         else:
             if probs is None:
-                probs = (np.abs(amps) ** 2).reshape((2,) * n)
+                probs = np.abs(amps) ** 2
             support = [site - 1 for site, _ in term.factors]
-            value = probs.sum(axis=tuple(q for q in range(n) if q not in support))
+            head = min(support, default=0)
+            # summing many leading axes of the tensor runs in short inner loops
+            tail = probs if head == 0 else np.ones(2**head) @ probs.reshape(2**head, -1)
+            axes = tuple(q - head for q in range(head, n) if q not in support)
+            value = tail.reshape((2,) * (n - head)).sum(axis=axes)
             for _ in support:
                 value = value[0] - value[1]
         total += term.coefficient * value

@@ -202,24 +202,26 @@ def _fit_unitary(
     hx, hz = np.array([pauli_masks(t.factors, n) for t in terms], dtype=np.int64).reshape(-1, 2).T
     bx, bz = np.array(basis, dtype=np.int64).reshape(-1, 2).T
     m = len(basis)
-    upper = np.triu(np.ones((m, m), dtype=bool))
-    left = (bx[:, None], bz[:, None])
+    # only the S products with j >= i are read: one per upper-triangle pair
+    rows, cols = np.triu_indices(m)
     # h_t1 h_t2: imaginary parts cancel over the symmetric (t1, t2) sum
     hh_phase, (hh_x, hh_z) = pauli_string_product((hx[:, None], hz[:, None]), (hx, hz))
-    s_phase, (s_x, s_z) = pauli_string_product(left, (bx, bz))
-    b_phase, (b_x, b_z) = pauli_string_product(left, (hx, hz))
+    s_phase, (s_x, s_z) = pauli_string_product((bx[rows], bz[rows]), (bx[cols], bz[cols]))
+    b_phase, (b_x, b_z) = pauli_string_product((bx[:, None], bz[:, None]), (hx, hz))
     hh_keep = hh_phase.real != 0.0
-    s_keep = (s_phase.real != 0.0) & upper
+    s_keep = s_phase.real != 0.0
     b_keep = b_phase.imag != 0.0
 
     # every string read, in the order the scalar loop first read it: per H
     # term its own string and its second-moment products, then per basis
     # row its S products (j >= i) and its b products
     h_keep = np.column_stack([np.ones(len(hx), dtype=bool), hh_keep])
-    sb_keep = np.hstack([s_keep, b_keep])
     h_keys = np.column_stack([hx, hh_x]) << n | np.column_stack([hz, hh_z])
-    sb_keys = np.hstack([s_x, b_x]) << n | np.hstack([s_z, b_z])
-    read_keys = np.concatenate([h_keys[h_keep], sb_keys[sb_keep]])
+    sb_keys = np.concatenate([(s_x << n | s_z)[s_keep], (b_x << n | b_z)[b_keep]])
+    # the basis row of each S and b read; a stable sort keeps S before b in a row
+    sb_rows = np.concatenate([rows[s_keep], np.nonzero(b_keep)[0]])
+    sb_order = np.argsort(sb_rows, kind="stable")
+    read_keys = np.concatenate([h_keys[h_keep], sb_keys[sb_order]])
     keys, first, inverse = np.unique(read_keys, return_index=True, return_inverse=True)
     if params.shots == 0:
         values = pauli_expectations(state, keys >> n, keys & (1 << n) - 1)
@@ -237,8 +239,13 @@ def _fit_unitary(
     split = np.count_nonzero(h_keep)
     h_read = np.zeros(h_keep.shape)
     h_read[h_keep] = read[:split]
-    sb_read = np.zeros(sb_keep.shape)
-    sb_read[sb_keep] = read[split:]
+    sb_read = np.empty(len(sb_order))
+    sb_read[sb_order] = read[split:]
+    s_count = np.count_nonzero(s_keep)
+    s_read = np.zeros(s_keep.shape)
+    s_read[s_keep] = sb_read[:s_count]
+    b_read = np.zeros(b_keep.shape)
+    b_read[b_keep] = sb_read[s_count:]
 
     # the sums run term by term in the scalar loop's order, so they round as it did
     energy = 0.0
@@ -254,9 +261,11 @@ def _fit_unitary(
         )
     sqrt_c = math.sqrt(c)
 
-    entries = np.where(s_keep, s_phase.real * sb_read[:, :m], 0.0)
-    s_matrix = np.where(upper, entries, entries.T)
-    b_terms = np.where(b_keep, hc * b_phase.imag * sb_read[:, m:] / sqrt_c, 0.0)
+    entries = np.where(s_keep, s_phase.real * s_read, 0.0)
+    s_matrix = np.empty((m, m))
+    s_matrix[rows, cols] = entries
+    s_matrix[cols, rows] = entries
+    b_terms = np.where(b_keep, hc * b_phase.imag * b_read / sqrt_c, 0.0)
     b_vector = np.zeros(m)
     for column in b_terms.T:
         b_vector += column

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import ir
-from .backend import Statevector, run_statevector
+from .backend import Statevector, fuse, run_fused, run_statevector
 from .hamiltonian import HeisenbergHamiltonian, snapshot
 from .ir import Gate, Program
 
@@ -125,8 +125,10 @@ def evolve_series(
 
     One state starts from the product state and advances by the blocks
     of :func:`step_blocks`, so the same compiled block that is
-    simulated can be appended to an exported circuit.  State k equals
-    that of the preparation followed by the first k blocks.
+    simulated can be appended to an exported circuit.  Each distinct
+    block is fused once (:func:`backend.fuse`) into a few dense
+    unitaries, and the state advances by those.  State k equals that of
+    the preparation followed by the first k blocks, up to rounding.
     """
     if len(initial_state) != hamiltonian.num_spins:
         raise ValueError("initial state length does not match the chain")
@@ -134,6 +136,9 @@ def evolve_series(
     state = run_statevector(preparation)
     yield 0.0, state
     dt = params.dt
+    fused = plan = None
     for j, block in enumerate(step_blocks(hamiltonian, params, compile_block), start=1):
-        state = run_statevector(block, initial=state)
+        if block is not fused:
+            fused, plan = block, fuse(block)
+        state = run_fused(plan, state)
         yield j * dt, state

@@ -1,5 +1,7 @@
 """Statevector execution, sampling, and sampled estimation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,125 @@ class TestKernels:
         state = run_statevector(program, initial=initial)
         assert initial.amplitudes.tobytes() == before
         assert not np.shares_memory(state.amplitudes, initial.amplitudes)
+
+
+def fusion_program(rng, num_qubits, length):
+    """Random gates of every kind; two-qubit operands mostly lie within one
+    block's width of each other, sometimes anywhere on the chain."""
+    kinds = sorted(k for k, arity in ir.GATE_ARITY.items() if arity <= num_qubits)
+    gates = []
+    for _ in range(length):
+        kind = kinds[rng.integers(len(kinds))]
+        theta = float(rng.uniform(-7, 7)) if kind in ir.PARAMETRIC_KINDS else None
+        qubits = (int(rng.integers(num_qubits)),)
+        if ir.GATE_ARITY[kind] == 2:
+            a = qubits[0]
+            reach = backend.FUSED_QUBITS if rng.random() < 0.8 else num_qubits
+            others = [b for b in range(a - reach + 1, a + reach) if 0 <= b < num_qubits and b != a]
+            qubits = (a, int(rng.choice(others)))
+        gates.append(ir.Gate(kind, qubits, theta))
+    return program_of(num_qubits, gates)
+
+
+def block_span(entry):
+    if isinstance(entry, backend.FusedBlock):
+        return entry.lo, entry.lo + len(entry.matrix).bit_length() - 2
+    return min(entry.qubits), max(entry.qubits)
+
+
+class TestFusion:
+    # unitary_of costs 8^n per gate: fewer gates on the widest programs
+    MAX_GATES = {8: 12, 9: 6, 10: 3}
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 10),
+        chunk=st.sampled_from([backend._FUSED_CHUNK, 2**backend.FUSED_QUBITS, 64]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_plan_matches_dense_unitary(self, seed, n, chunk):
+        rng = np.random.default_rng(seed)
+        program = fusion_program(rng, n, int(rng.integers(0, self.MAX_GATES.get(n, 40) + 1)))
+        initial = random_state(rng, n)
+        before = initial.amplitudes.copy()
+        plan = backend.fuse(program)
+        with mock.patch.object(backend, "_FUSED_CHUNK", chunk):
+            got = backend.run_fused(plan, initial).amplitudes
+        np.testing.assert_array_equal(initial.amplitudes, before)
+        want = ir.unitary_of(program) @ before
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for entry in plan:
+            lo, hi = block_span(entry)
+            assert 0 <= lo <= hi < n
+            if isinstance(entry, backend.FusedBlock):
+                assert hi - lo < backend.FUSED_QUBITS
+            else:
+                assert hi - lo >= backend.FUSED_QUBITS
+
+    # (n, lo, width, chunk): rest = 2^(n - lo - width) amplitudes below the
+    # block, more than _KRON_REST for np.matmul on the (2^lo, 2^m, rest)
+    # view, at most that for one product with kron(U^T, I_rest)
+    @pytest.mark.parametrize(
+        "n, lo, width, chunk",
+        [
+            (10, 0, 4, 2**16),  # matmul, lo = 0, one chunk
+            (10, 0, 4, 16),  # matmul, lo = 0, a row split into column chunks
+            (10, 3, 3, 64),  # matmul, lo > 0, rows and columns chunked
+            (10, 2, 2, 2**16),  # matmul, lo > 0, two-qubit block
+            (4, 0, 4, 2**16),  # kron, lo = 0, rest = 1
+            (10, 6, 4, 2**16),  # kron, lo > 0, rest = 1
+            (10, 4, 4, 16),  # kron, rest = 4, one row per chunk
+            (10, 7, 1, 16),  # kron, rest = 4, one-qubit block, several rows per chunk
+        ],
+    )
+    def test_every_apply_branch_matches_the_embedded_matrix(self, n, lo, width, chunk):
+        rng = np.random.default_rng(n * 100 + lo * 10 + width)
+        dim = 2**width
+        matrix, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        initial = random_state(rng, n)
+        embedded = np.kron(np.kron(np.eye(2**lo), matrix), np.eye(2 ** (n - lo - width)))
+        with mock.patch.object(backend, "_FUSED_CHUNK", chunk):
+            got = backend.run_fused([backend.FusedBlock(lo, matrix)], initial).amplitudes
+        np.testing.assert_allclose(got, embedded @ initial.amplitudes, rtol=0, atol=1e-13)
+
+    def test_gate_joins_the_newest_block_on_its_wires(self):
+        # cnot(1, 3) follows cnot(3, 4) on wire 3: it must join that block,
+        # although the older block of h(0) and cnot(0, 1) would fit it too
+        gates = [ir.h(0), ir.h(4), ir.cnot(0, 1), ir.cnot(3, 4), ir.cnot(1, 3)]
+        program = program_of(6, gates)
+        plan = backend.fuse(program)
+        assert [block_span(entry) for entry in plan] == [(0, 1), (1, 4)]
+        initial = random_state(np.random.default_rng(3), 6)
+        want = ir.unitary_of(program) @ initial.amplitudes
+        got = backend.run_fused(plan, initial).amplitudes
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_wide_gates_run_unfused_and_end_the_blocks_on_their_wires(self):
+        n = 12
+        gates = [
+            ir.h(0),
+            ir.rx(0.3, 1),
+            ir.cnot(0, n - 1),
+            ir.rz(0.2, 0),
+            ir.rxx(0.7, 0, n - 1),
+            ir.h(n - 1),
+            ir.cnot(1, 0),
+        ]
+        program = program_of(n, gates)
+        plan = backend.fuse(program)
+        assert [entry if isinstance(entry, ir.Gate) else block_span(entry) for entry in plan] == [
+            (0, 0),
+            (1, 1),
+            gates[2],
+            (0, 0),
+            gates[4],
+            (n - 1, n - 1),
+            (0, 1),
+        ]
+        initial = random_state(np.random.default_rng(4), n)
+        want = run_statevector(program, initial=initial).amplitudes
+        got = backend.run_fused(plan, initial).amplitudes
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestProductState:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import matrix_exponential
-from spinsim import ir
-from spinsim.backend import product_state, run_statevector
+from spinsim import ir, trotter
+from spinsim.backend import fuse, product_state, run_fused, run_statevector
 from spinsim.config import ConstantSchedule, GaussianPulseSchedule, LinearRampSchedule
 from spinsim.hamiltonian import HeisenbergHamiltonian, dense_matrix, snapshot
 from spinsim.ir import lower_to_native, phase_aligned_distance
@@ -16,6 +16,7 @@ from spinsim.trotter import (
     build_evolution_program,
     evolve_series,
     state_preparation_gates,
+    step_midpoint,
     trotter_step,
 )
 
@@ -51,6 +52,7 @@ CHAINS = {
     "gaussian-pulse": driven_chain(3, GaussianPulseSchedule(1.5, 0.6, 0.3)),
 }
 COMPILE_STEPS = {
+    "uncompiled": lambda program: program,
     "lowered": lower_to_native,
     "peephole": lambda program: optimize(lower_to_native(program)),
 }
@@ -180,12 +182,30 @@ class TestEvolveSeries:
         assert count == params.num_steps + 1
 
     def test_uncompiled_blocks_reproduce_programs_exactly(self):
+        # bit for bit: the preparation, then the fused plan of step j's own
+        # block for j = 1..k (a ramp has a new block every step)
         hamiltonian = CHAINS["linear-ramp"]
         params = TrotterParams(1.5, 4)
         spins = ["up", "down", "up"]
+        want = run_statevector(ir.Program(3, state_preparation_gates(spins)))
         for k, (_, state) in enumerate(evolve_series(hamiltonian, params, spins, lambda p: p)):
-            program = build_evolution_program(hamiltonian, params, k, spins)
-            np.testing.assert_array_equal(state.amplitudes, run_statevector(program).amplitudes)
+            if k:
+                block = trotter_step(hamiltonian, step_midpoint(k, params.dt), params.dt)
+                want = run_fused(fuse(block), want)
+            np.testing.assert_array_equal(state.amplitudes, want.amplitudes)
+
+    @pytest.mark.parametrize("chain, fusions", [("static", 1), ("linear-ramp", 5)])
+    def test_each_distinct_block_fused_once(self, chain, fusions, monkeypatch):
+        fused = []
+
+        def counting_fuse(program):
+            fused.append(program)
+            return fuse(program)
+
+        monkeypatch.setattr(trotter, "fuse", counting_fuse)
+        series = evolve_series(CHAINS[chain], TrotterParams(1.0, 5), ["up"] * 3, lower_to_native)
+        assert len(list(series)) == 6
+        assert len(fused) == fusions
 
     @pytest.mark.parametrize("chain, compiles", [("static", 1), ("linear-ramp", 5)])
     def test_each_block_compiled_once(self, chain, compiles):
