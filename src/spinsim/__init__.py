@@ -6,12 +6,8 @@ on a built-in statevector backend and post-processes the results into
 observable series, CSV tables and SVG plots.
 """
 
-from importlib import metadata
-
-try:
-    __version__ = metadata.version("spinsim")
-except metadata.PackageNotFoundError:
-    __version__ = "0.0.0"
+# the one source of the version: pyproject.toml reads it from here
+__version__ = "0.1.0"
 
 from .backend import (
     Statevector,

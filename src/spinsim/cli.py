@@ -9,8 +9,9 @@ directory.  The directory comes from ``--out``, else the
 
 Every per-point product carries forward from the previous point: with
 ``--export``, circuit k is circuit k-1 followed by the gates of step k,
-compiled again; ``--ground-truth`` makes one oracle call for the whole
-series.
+which are lowered alone and fed to the peephole pass's running state,
+so every gate is lowered, optimized and formatted once;
+``--ground-truth`` makes one oracle call for the whole series.
 
 Exit codes: 0 success, 2 bad input description (or one the numerics
 cannot follow), 3 recognized but unsupported feature, 4 system too
@@ -24,9 +25,9 @@ import functools
 import hashlib
 import os
 import sys
-from dataclasses import replace
-from itertools import islice, pairwise
+from itertools import chain, islice, pairwise
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import __version__
 # run_statevector and sample_counts are unused here but stay bound: the
@@ -48,7 +49,9 @@ from .config import (
 )
 from .errors import ConfigError, SpinsimError, TooLargeError, UnsupportedFeatureError
 from .hamiltonian import PauliTerm, snapshot
-from .ir import Program, export_text, lower_to_native
+# export_text is unused here but stays bound: the span tracer in
+# perfbench/spans.py wraps it by name in this module
+from .ir import Gate, Program, export_frame, export_line, export_text, lower_to_native
 from .observables import (
     ResultSeries,
     energy_observable,
@@ -58,7 +61,7 @@ from .observables import (
     write_manifest,
     write_plot,
 )
-from .optimizer import optimize
+from .optimizer import PeepholePass, optimize
 from .oracle import EVOLVE_QUBIT_LIMIT, evolve_exact, evolve_imaginary_exact
 from .qite import QiteParams, run_qite
 # build_evolution_program is unused here but stays bound: the span tracer
@@ -101,30 +104,49 @@ def _compile(cfg: SimulationConfig):
     return lower_to_native
 
 
-def _cumulative_circuits(preparation: Program, steps, compile_program):
-    """Circuit 0 compiles the preparation; circuit k compiles circuit k-1
-    followed by ``steps``' k-th gate tuple."""
-    circuit = compile_program(preparation)
-    yield circuit
+def _line(gate: Gate | None) -> str:
+    return "" if gate is None else export_line(gate)
+
+
+def _cumulative_circuits(
+    cfg: SimulationConfig, steps: Iterable[tuple[Gate, ...]]
+) -> Iterator[str]:
+    """Yield the exported text of circuit k for each of ``steps``' gate
+    tuples: the first k + 1 tuples (the preparation first), compiled.
+
+    Each tuple is lowered alone and appended, through one running
+    peephole pass when the optimizer is on.  Each gate's line is
+    formatted once, and again only when a merge at the seam rewrites it.
+    """
+    n = cfg.num_spins
+    head, tail = export_frame(n, measured=cfg.shots > 0)
+    running = PeepholePass(n) if cfg.optimizer_level == "peephole" else None
+    out = [] if running is None else running.out
+    lines: list[str] = []
     for gates in steps:
-        circuit = compile_program(Program(circuit.num_qubits, circuit.gates + gates))
-        yield circuit
+        lowered = lower_to_native(Program(n, gates)).gates
+        if running is None:
+            out += lowered
+        else:
+            for i in running.extend(lowered):
+                if i < len(lines):
+                    lines[i] = _line(out[i])
+        lines += map(_line, out[len(lines):])
+        yield head + "".join(lines) + tail
 
 
 def _run_real_time(cfg: SimulationConfig, hamiltonian, seed: int, export: bool):
     params = TrotterParams(cfg.total_time, cfg.num_steps)
     last_step = cfg.num_steps if cfg.total_time > 0.0 else 0
-    compile_program = _compile(cfg)
     # export and evolve_series walk the same step blocks; each distinct
-    # block is compiled once per run.  Cumulative circuits are all
-    # distinct, so they bypass the cache.
-    compile_block = functools.cache(compile_program)
-    programs = []
+    # block is compiled once per run
+    compile_block = functools.cache(_compile(cfg))
+    circuits = []
     if export:
-        preparation = Program(cfg.num_spins, state_preparation_gates(cfg.initial_state))
         blocks = step_blocks(hamiltonian, params, compile_block)
         steps = (block.gates for block in islice(blocks, last_step))
-        programs = list(_cumulative_circuits(preparation, steps, compile_program))
+        preparation = state_preparation_gates(cfg.initial_state)
+        circuits = list(_cumulative_circuits(cfg, chain([preparation], steps)))
     points = []
     if cfg.backend_mode == "QS":
         series = evolve_series(hamiltonian, params, cfg.initial_state, compile_block)
@@ -135,7 +157,7 @@ def _run_real_time(cfg: SimulationConfig, hamiltonian, seed: int, export: bool):
             else:
                 rng = derived_seed(seed, k)
                 points.append((t_k, *estimate_with_sigma(state, terms, cfg.shots, rng)))
-    return points, programs
+    return points, circuits
 
 
 def _run_imaginary_time(cfg: SimulationConfig, hamiltonian, seed: int, export: bool):
@@ -143,12 +165,12 @@ def _run_imaginary_time(cfg: SimulationConfig, hamiltonian, seed: int, export: b
     params = QiteParams(dbeta=dbeta, num_steps=cfg.num_steps, shots=cfg.shots, seed=seed)
     reports = run_qite(hamiltonian, params, cfg.initial_state)
     points = [(r.step * dbeta, r.energy, r.sigma) for r in reports]
-    programs = []
+    circuits = []
     if export:
         # report k's program is report k-1's followed by the gates step k adds
         steps = (r.program.gates[len(prev.program.gates):] for prev, r in pairwise(reports))
-        programs = list(_cumulative_circuits(reports[0].program, steps, _compile(cfg)))
-    return points, programs
+        circuits = list(_cumulative_circuits(cfg, chain([reports[0].program.gates], steps)))
+    return points, circuits
 
 
 def _ground_truth_values(cfg: SimulationConfig, hamiltonian, axis: list[float]) -> list[float]:
@@ -203,11 +225,11 @@ def run_simulation(args: argparse.Namespace) -> int:
         hamiltonian = build_hamiltonian(cfg)
         export = args.export or cfg.backend_mode == "export-only"
         if cfg.mode == "real-time":
-            points, programs = _run_real_time(cfg, hamiltonian, seed, export)
+            points, circuits = _run_real_time(cfg, hamiltonian, seed, export)
             axis_label = "t"
             observable_name = cfg.observable
         else:
-            points, programs = _run_imaginary_time(cfg, hamiltonian, seed, export)
+            points, circuits = _run_imaginary_time(cfg, hamiltonian, seed, export)
             axis_label = "beta"
             observable_name = "energy"
 
@@ -217,10 +239,9 @@ def run_simulation(args: argparse.Namespace) -> int:
         if export:
             circuit_dir = out_path / "circuits"
             circuit_dir.mkdir(exist_ok=True)
-            for k, program in enumerate(programs):
+            for k, circuit in enumerate(circuits):
                 name = f"circuits/step_{k:04d}.qasm"
-                program = replace(program, measured=cfg.shots > 0)
-                (out_path / name).write_text(export_text(program), encoding="utf-8")
+                (out_path / name).write_text(circuit, encoding="utf-8")
                 written.append(name)
 
         if cfg.backend_mode == "QS":

@@ -13,6 +13,7 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from dataclasses import dataclass
@@ -123,9 +124,24 @@ class Program:
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValueError("a program needs at least one qubit")
-        for g in self.gates:
+        self._check_width(self.gates)
+
+    def _check_width(self, gates: tuple[Gate, ...]) -> None:
+        for g in gates:
             if any(q >= self.num_qubits for q in g.qubits):
                 raise ValueError(f"gate {g} exceeds register width {self.num_qubits}")
+
+    def extend(self, gates: Iterable[Gate]) -> Program:
+        """This program followed by ``gates``.
+
+        Equal to ``Program(num_qubits, self.gates + gates, measured)``,
+        but only the new gates are checked against the register.
+        """
+        gates = tuple(gates)
+        self._check_width(gates)
+        extended = copy.copy(self)
+        object.__setattr__(extended, "gates", self.gates + gates)
+        return extended
 
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -284,25 +300,27 @@ def _format_angle(theta: float) -> str:
     return f"{theta:.17g}"
 
 
+def export_frame(num_qubits: int, measured: bool) -> tuple[str, str]:
+    """The text before and after the gate lines of an exported program."""
+    head = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{num_qubits}];\n'
+    if measured:
+        return head + f"creg c[{num_qubits}];\n", "measure q -> c;\n"
+    return head, ""
+
+
+def export_line(gate: Gate) -> str:
+    """One gate's line of exported text, newline included."""
+    name = _EXPORT_NAME.get(gate.kind, gate.kind)
+    operands = ",".join(f"q[{q}]" for q in gate.qubits)
+    if gate.kind in PARAMETRIC_KINDS:
+        return f"{name}({_format_angle(gate.theta)}) {operands};\n"
+    return f"{name} {operands};\n"
+
+
 def export_text(program: Program) -> str:
     """Serialize to the OpenQASM-2.0-style text dialect."""
-    lines = [
-        "OPENQASM 2.0;",
-        'include "qelib1.inc";',
-        f"qreg q[{program.num_qubits}];",
-    ]
-    if program.measured:
-        lines.append(f"creg c[{program.num_qubits}];")
-    for g in program.gates:
-        name = _EXPORT_NAME.get(g.kind, g.kind)
-        operands = ",".join(f"q[{q}]" for q in g.qubits)
-        if g.kind in PARAMETRIC_KINDS:
-            lines.append(f"{name}({_format_angle(g.theta)}) {operands};")
-        else:
-            lines.append(f"{name} {operands};")
-    if program.measured:
-        lines.append("measure q -> c;")
-    return "\n".join(lines) + "\n"
+    head, tail = export_frame(program.num_qubits, program.measured)
+    return head + "".join(map(export_line, program.gates)) + tail
 
 
 _QREG_RE = re.compile(r"^qreg\s+q\[(\d+)\]\s*;$")

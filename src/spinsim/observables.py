@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
 
 from .hamiltonian import HeisenbergHamiltonian, PauliTerm, snapshot
 
@@ -139,6 +138,11 @@ def _nice_ticks(low: float, high: float, target: int = 5) -> list[float]:
     return ticks
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data: ``&``, ``<`` and ``>`` escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def write_plot(series: ResultSeries, path: str | Path) -> None:
     """Render the series as a standalone SVG line plot.
 
@@ -186,12 +190,12 @@ def write_plot(series: ResultSeries, path: str | Path) -> None:
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.6g}" y="22" font-family="sans-serif" font-size="15" '
-        f'text-anchor="middle">{escape(title)}</text>',
+        f'text-anchor="middle">{_escape(title)}</text>',
     ]
     if subtitle:
         parts.append(
             f'<text x="{_WIDTH / 2:.6g}" y="40" font-family="sans-serif" font-size="10" '
-            f'fill="#666666" text-anchor="middle">{escape(subtitle)}</text>'
+            f'fill="#666666" text-anchor="middle">{_escape(subtitle)}</text>'
         )
     frame = (
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
@@ -221,13 +225,13 @@ def write_plot(series: ResultSeries, path: str | Path) -> None:
     parts.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:.6g}" y="{_HEIGHT - 12}" '
         f'font-family="sans-serif" font-size="13" text-anchor="middle">'
-        f"{escape(series.axis_label)}</text>"
+        f"{_escape(series.axis_label)}</text>"
     )
     parts.append(
         f'<text x="18" y="{_MARGIN_TOP + plot_h / 2:.6g}" font-family="sans-serif" '
         f'font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 18 {_MARGIN_TOP + plot_h / 2:.6g})">'
-        f"{escape(observable)}</text>"
+        f"{_escape(observable)}</text>"
     )
     for (axis_value, value, sigma) in series.points:
         if sigma is None or sigma == 0.0:

@@ -331,29 +331,28 @@ def run_qite(
     if isinstance(initial_state, Program):
         if initial_state.num_qubits != n:
             raise ValueError("preparation circuit width does not match the chain")
-        program_gates = list(initial_state.gates)
+        program = Program(n, initial_state.gates)
     else:
         if len(initial_state) != n:
             raise ValueError("initial state length does not match the chain")
-        program_gates = list(state_preparation_gates(initial_state))
+        program = Program(n, state_preparation_gates(initial_state))
     terms = snapshot(hamiltonian, 0.0)
     rng = np.random.default_rng(params.seed)
 
-    prepared = Program(n, tuple(program_gates))
-    state = run_statevector(prepared)
+    state = run_statevector(program)
 
     def measured_energy() -> tuple[float, float | None]:
         if params.shots == 0:
             return expectation(state, terms), None
         return estimate_with_sigma(state, terms, params.shots, rng)
 
-    reports = [QiteStepReport(0, *measured_energy(), (), 0.0, 1.0, prepared)]
+    reports = [QiteStepReport(0, *measured_energy(), (), 0.0, 1.0, program)]
     strings = hamiltonian_basis(terms, params.domain_radius, n)
     basis = [pauli_masks(string, n) for string in strings]
     for step in range(1, params.num_steps + 1):
         fit = _fit_unitary(state, basis, terms, params, rng)
         state = run_statevector(fit.program, initial=state)
-        program_gates.extend(fit.program.gates)
+        program = program.extend(fit.program.gates)
         reports.append(
             QiteStepReport(
                 step,
@@ -361,7 +360,7 @@ def run_qite(
                 fit.coefficients,
                 fit.residual,
                 fit.normalization,
-                Program(n, tuple(program_gates)),
+                program,
             )
         )
     return reports

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from spinsim import ir
 from spinsim.backend import Statevector
@@ -60,6 +61,31 @@ def random_program(
         return Program(1, tuple(gates))
     gates = tuple(random_gate(rng, num_qubits) for _ in range(length))
     return Program(num_qubits, gates)
+
+
+# angles that merge into whole and half turns, so that rotations cancel and
+# full turns drop, besides one that merges into an ordinary rotation
+SEAM_ANGLES = (0.3, -0.3, math.pi / 2, -math.pi / 2, math.pi, 2.0 * math.pi)
+
+
+@st.composite
+def seam_gates(draw, num_qubits: int) -> ir.Gate:
+    """A gate of any kind on few wires with few angles, so that consecutive
+    gates often meet, merge and cancel."""
+    kind = draw(st.sampled_from(GATE_POOL))
+    qubits = draw(st.permutations(range(num_qubits)))[: ir.GATE_ARITY[kind]]
+    theta = draw(st.sampled_from(SEAM_ANGLES)) if kind in ir.PARAMETRIC_KINDS else None
+    return ir.Gate(kind, tuple(qubits), theta)
+
+
+@st.composite
+def cut_programs(draw, num_qubits: int, max_gates: int = 40) -> list[tuple[ir.Gate, ...]]:
+    """A random gate list cut at random seams into consecutive pieces,
+    empty pieces included."""
+    gates = draw(st.lists(seam_gates(num_qubits), max_size=max_gates))
+    cuts = draw(st.lists(st.integers(0, len(gates)), max_size=6))
+    seams = [0, *sorted(cuts), len(gates)]
+    return [tuple(gates[a:b]) for a, b in zip(seams, seams[1:])]
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> Statevector:

@@ -3,16 +3,20 @@
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_expectation, product_formula_states
-from spinsim import cli, oracle
+from helpers import cut_programs, dense_expectation, product_formula_states
+from spinsim import cli, ir, oracle
 from spinsim.backend import expectation, product_state
 from spinsim.cli import main
 from spinsim.config import INPUT_KEYS, build_hamiltonian, parse_input
@@ -26,7 +30,11 @@ from spinsim.trotter import (
     build_evolution_program,
     evolve_series,
     state_preparation_gates,
+    step_midpoint,
+    trotter_step,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SMALL_REAL_TIME = """\
 num_spins: 2
@@ -96,6 +104,24 @@ class TestArtifacts:
         assert manifest["seed"] == 3
         assert "results.csv" in manifest["output_files"]
         assert "num_spins: 2" in manifest["config"]
+
+    def test_manifest_version_is_the_pyproject_version(self, tmp_path):
+        # a run from a source checkout, with no installed distribution to
+        # look the version up in
+        input_path = write_input(tmp_path, SMALL_REAL_TIME)
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        command = [sys.executable, "-m", "spinsim.cli", "run", str(input_path), "--out", str(out)]
+        subprocess.run(command, cwd=tmp_path, env=env, check=True, capture_output=True)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["version"] == "0.1.0"
+        # pyproject.toml takes its version from the package, its one source
+        pyproject = (ROOT / "pyproject.toml").read_text()
+        assert re.search(r'^dynamic = \["version"\]$', pyproject, re.M)
+        source = re.search(r'^version = \{attr = "spinsim\.__version__"\}$', pyproject, re.M)
+        assert source
+        init = (ROOT / "src" / "spinsim" / "__init__.py").read_text()
+        assert re.search(r'^__version__ = "0\.1\.0"$', init, re.M)
 
     def test_imaginary_axis_is_beta_and_energy_decreases(self, tmp_path):
         input_path = write_input(tmp_path, SMALL_IMAGINARY)
@@ -432,8 +458,16 @@ class TestCircuitExport:
             + "h_z: linear-ramp(0, 2)\nshots: 50\n",
             SMALL_REAL_TIME.replace("h_x: 1.0", "h_x: gaussian-pulse(1.5, 0.5, 0.2)"),
             SMALL_IMAGINARY.replace("num_spins: 2", "num_spins: 3"),
+            SMALL_IMAGINARY + "initial_state: down,up\noptimizer_level: none\n",
         ],
-        ids=["static", "unoptimized", "ramp-measured", "gaussian-pulse", "imaginary"],
+        ids=[
+            "static",
+            "unoptimized",
+            "ramp-measured",
+            "gaussian-pulse",
+            "imaginary",
+            "imaginary-prepared-unoptimized",
+        ],
     )
     def test_exported_circuits_equal_from_scratch_compiles(self, tmp_path, text):
         # carrying circuit k-1 forward gives the bytes of compiling the
@@ -478,6 +512,48 @@ class TestCircuitExport:
         input_path = write_input(tmp_path, text)
         assert main(["run", str(input_path), "--out", str(tmp_path / "out"), "--export"]) == 0
         assert len(calls) == 25
+
+    def test_export_lowers_each_step_once(self, tmp_path, monkeypatch):
+        # across 20 steps of a static chain, lowering sees the step block
+        # once to compile it, then the preparation and each of the 20
+        # compiled blocks once for export, never a cumulative prefix
+        text = SMALL_REAL_TIME.replace("num_steps: 5", "num_steps: 20")
+        cfg = parse_input(text)
+        dt = TrotterParams(cfg.total_time, cfg.num_steps).dt
+        raw = trotter_step(build_hamiltonian(cfg), step_midpoint(1, dt), dt)
+        block = cli._compile(cfg)(raw)
+        preparation = state_preparation_gates(cfg.initial_state)
+        lower = cli.lower_to_native
+        lowered = []
+
+        def counting(program):
+            lowered.append(len(program.gates))
+            return lower(program)
+
+        monkeypatch.setattr(cli, "lower_to_native", counting)
+        input_path = write_input(tmp_path, text)
+        assert main(["run", str(input_path), "--out", str(tmp_path / "out"), "--export"]) == 0
+        assert len(preparation) > 0
+        assert sum(lowered) == len(raw.gates) + len(preparation) + 20 * len(block.gates)
+
+    @given(
+        pieces=cut_programs(num_qubits=3),
+        level=st.sampled_from(["peephole", "none"]),
+        shots=st.sampled_from([0, 50]),
+    )
+    @settings(max_examples=150, deadline=None)
+    # a rotation merged into a gate of an earlier piece, whose line changes
+    @example(pieces=[(ir.rz(0.3, 0), ir.h(1)), (ir.rz(0.4, 0),)], level="peephole", shots=50)
+    def test_emitted_text_equals_export_of_each_compiled_prefix(self, pieces, level, shots):
+        text = SMALL_REAL_TIME.replace("num_spins: 2", "num_spins: 3")
+        cfg = parse_input(text + f"optimizer_level: {level}\nshots: {shots}\n")
+        texts = list(cli._cumulative_circuits(cfg, pieces))
+        assert len(texts) == len(pieces)
+        fed = ()
+        for piece, emitted in zip(pieces, texts):
+            fed += piece
+            compiled = cli._compile(cfg)(Program(3, fed))
+            assert emitted == export_text(Program(3, compiled.gates, measured=shots > 0))
 
     def test_exported_circuits_are_native_only(self, tmp_path):
         input_path = write_input(tmp_path, SMALL_REAL_TIME)

@@ -105,6 +105,24 @@ class TestGateValidation:
             Gate("swap", (0, 1), None)
 
 
+class TestProgramExtend:
+    @given(seed=st.integers(0, 100_000), cut=st.integers(0, 30), measured=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_program_built_whole(self, seed, cut, measured):
+        whole = random_program(np.random.default_rng(seed), max_qubits=4, max_gates=30)
+        head = Program(whole.num_qubits, whole.gates[:cut], measured)
+        extended = head.extend(whole.gates[cut:])
+        assert extended == Program(whole.num_qubits, whole.gates, measured)
+        assert head.gates == whole.gates[:cut]
+
+    def test_rejects_out_of_range_qubit_like_the_constructor(self):
+        with pytest.raises(ValueError) as built:
+            Program(2, (ir.h(0), ir.cnot(1, 2)))
+        with pytest.raises(ValueError) as extended:
+            Program(2, (ir.h(0),)).extend([ir.cnot(1, 2)])
+        assert str(extended.value) == str(built.value)
+
+
 class TestLowering:
     def test_native_program_unchanged(self):
         program = Program(2, (ir.h(0), ir.rz(0.3, 1), ir.cnot(0, 1), ir.rx(1.0, 0)))

@@ -1,10 +1,15 @@
 """Observable definitions and deterministic artifact emission."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
+from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
 
+from spinsim import observables
 from spinsim.backend import expectation, product_state
 from spinsim.config import ConstantSchedule
 from spinsim.hamiltonian import HeisenbergHamiltonian, PauliTerm
@@ -207,6 +212,22 @@ class TestPlot:
         path = tmp_path / "plot.svg"
         write_plot(series_of([(0.0, 0.5, None), (1.0, np.nextafter(0.5, 1.0), None)]), path)
         assert path.read_text().startswith("<?xml")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "energy", "a & b", "<t> x > y", "&amp; &lt;", "say \"hi\" & 'bye'", "β ≤ 2π, <ψ|ψ>"],
+    )
+    def test_escape_matches_saxutils(self, text):
+        assert observables._escape(text) == sax_escape(text)
+
+    def test_package_does_not_import_xml_sax(self):
+        # xml.sax.saxutils pulls in urllib.request, http.client and ssl at
+        # every start, for one escape
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, spinsim.cli; print('xml.sax' in sys.modules)"
+        command = [sys.executable, "-c", code]
+        result = subprocess.run(command, cwd=src, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestManifest:

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_program
+from helpers import cut_programs, random_program
 from spinsim import ir
 from spinsim.ir import Gate, Program
-from spinsim.optimizer import optimize
+from spinsim.optimizer import PeepholePass, optimize
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -155,3 +155,26 @@ class TestContracts:
     def test_empty_program_unchanged(self):
         program = program_of(3, [])
         assert optimize(program) == program
+
+
+class TestRunningPass:
+    @given(pieces=cut_programs(num_qubits=3))
+    @settings(max_examples=300, deadline=None)
+    # a merge, a cascade of cancellations and a full turn, each across a seam
+    @example(pieces=[(ir.rz(0.3, 0), ir.h(1)), (ir.rz(0.4, 0),)])
+    @example(pieces=[(ir.h(0), ir.cnot(0, 1)), (), (ir.cnot(0, 1), ir.h(0))])
+    @example(pieces=[(ir.rx(np.pi, 2),), (ir.rz(0.1, 0), ir.rx(np.pi, 2), ir.rx(0.2, 2))])
+    @example(pieces=[(Gate("x", (1,)),), (Gate("x", (1,)), ir.ryy(np.pi / 2, 1, 2))])
+    def test_fed_piece_by_piece_equals_optimizing_each_prefix(self, pieces):
+        # export feeds each step's lowered gates to one running pass; after
+        # every piece it must hold what optimizing the whole prefix gives
+        running = PeepholePass(3)
+        fed = ()
+        for piece in pieces:
+            before = list(running.out)
+            rewritten = running.extend(ir.lower_to_native(program_of(3, piece)).gates)
+            fed += piece
+            assert running.gates() == optimize(ir.lower_to_native(program_of(3, fed))).gates
+            # every earlier position the piece rewrote is reported
+            changed = {i for i, g in enumerate(before) if running.out[i] is not g}
+            assert changed <= set(rewritten)
