@@ -72,7 +72,7 @@ SEAM_ANGLES = (0.3, -0.3, math.pi / 2, -math.pi / 2, math.pi, 2.0 * math.pi)
 def seam_gates(draw, num_qubits: int) -> ir.Gate:
     """A gate of any kind on few wires with few angles, so that consecutive
     gates often meet, merge and cancel."""
-    kind = draw(st.sampled_from(GATE_POOL))
+    kind = draw(st.sampled_from(sorted(ir.GATE_ARITY)))
     qubits = draw(st.permutations(range(num_qubits)))[: ir.GATE_ARITY[kind]]
     theta = draw(st.sampled_from(SEAM_ANGLES)) if kind in ir.PARAMETRIC_KINDS else None
     return ir.Gate(kind, tuple(qubits), theta)
