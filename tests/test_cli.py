@@ -118,8 +118,7 @@ class TestArtifacts:
         # pyproject.toml takes its version from the package, its one source
         pyproject = (ROOT / "pyproject.toml").read_text()
         assert re.search(r'^dynamic = \["version"\]$', pyproject, re.M)
-        source = re.search(r'^version = \{attr = "spinsim\.__version__"\}$', pyproject, re.M)
-        assert source
+        assert re.search(r'^version = \{attr = "spinsim\.__version__"\}$', pyproject, re.M)
         init = (ROOT / "src" / "spinsim" / "__init__.py").read_text()
         assert re.search(r'^__version__ = "0\.1\.0"$', init, re.M)
 
