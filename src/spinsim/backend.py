@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -285,6 +285,14 @@ def pauli_masks(factors: Iterable[tuple[int, str]], num_qubits: int) -> tuple[in
     return x, z
 
 
+def _popcount(v):
+    """Set bits of each mask below 2^32, for ints and int64 arrays alike."""
+    v = v - (v >> 1 & 0x55555555)
+    v = (v & 0x33333333) + (v >> 2 & 0x33333333)
+    v = v + (v >> 4) & 0x0F0F0F0F
+    return (v * 0x01010101 & 0xFFFFFFFF) >> 24
+
+
 def pauli_factors(masks: tuple[int, int], num_qubits: int) -> tuple[tuple[int, str], ...]:
     """The (site, axis) factors of a mask pair, in increasing site order."""
     x, z = masks
@@ -407,26 +415,64 @@ def sample_counts(
     return np.random.default_rng(seed).multinomial(shots, probs)
 
 
-def _measurement_groups(
-    terms: Sequence[PauliTerm],
-) -> list[tuple[dict[int, str], list[PauliTerm]]]:
-    """Non-constant terms grouped so that one basis measures each group.
+def _measurement_groups(masks: Sequence[tuple[int, int]]) -> list[list]:
+    """Non-identity strings, given as (x, z) masks, grouped so that one basis measures a group.
 
-    A term joins the first group whose per-site axes agree with its own
-    on every site both touch, else it starts a new group.
+    A string joins the first group whose masks agree with its own on
+    every qubit both touch, else it starts one.  A group is
+    ``[x, z, members]``: the unions of its members' masks, and their
+    indices into ``masks``.
     """
-    groups: list[tuple[dict[int, str], list[PauliTerm]]] = []
-    for term in terms:
-        if not term.factors:
+    groups: list[list] = []
+    for i, (x, z) in enumerate(masks):
+        if not x | z:
             continue
-        for axes, members in groups:
-            if all(axes.get(site, axis) == axis for site, axis in term.factors):
-                axes.update(term.factors)
-                members.append(term)
+        for group in groups:
+            gx, gz, members = group
+            if ((x ^ gx) | (z ^ gz)) & (x | z) & (gx | gz) == 0:
+                group[:2] = gx | x, gz | z
+                members.append(i)
                 break
         else:
-            groups.append((dict(term.factors), [term]))
+            groups.append([x, z, [i]])
     return groups
+
+
+def _sample_groups(state: Statevector, masks, shots: int, rng) -> Iterator[tuple]:
+    """``(members, weights, parities)`` for each measurement group of ``masks``.
+
+    A group is rotated into the z basis, one qubit at a time in the
+    order its members first touch them, and drawn ``shots`` times from
+    ``rng``.  ``weights`` are the frequencies of the outcomes drawn and
+    ``parities[k]`` member k's +-1 z parity on each of them.
+    """
+    rng = np.random.default_rng(rng)
+    n = state.num_qubits
+    for _, _, members in _measurement_groups(masks):
+        # in order of first touch: kernels on distinct qubits round differently in another order
+        axes = dict.fromkeys((s - 1, a) for i in members for s, a in pauli_factors(masks[i], n))
+        rotated = run_statevector(Program(n, tuple(basis_change(axes))), initial=state)
+        counts = sample_counts(rotated, shots, rng)
+        outcomes = np.flatnonzero(counts)
+        supports = np.array([masks[i][0] | masks[i][1] for i in members], dtype=np.int64)
+        parities = 1 - 2 * (_popcount(supports[:, None] & outcomes) & 1)
+        yield members, counts[outcomes] / shots, parities
+
+
+def pauli_values(state: Statevector, x, z, shots: int, rng) -> np.ndarray:
+    """<state| sigma |state> for each Pauli string with masks (x[i], z[i]).
+
+    ``shots`` = 0 gives :func:`pauli_expectations`.  Otherwise a string's
+    value is its mean parity over the ``shots`` draws of its measurement
+    group (see :func:`_sample_groups`).  The identity is exactly 1.0.
+    """
+    if shots == 0:
+        return pauli_expectations(state, x, z)
+    masks = list(zip(np.asarray(x).tolist(), np.asarray(z).tolist()))
+    values = np.ones(len(masks))
+    for members, weights, parities in _sample_groups(state, masks, shots, rng):
+        values[members] = parities @ weights
+    return values
 
 
 def estimate_with_sigma(
@@ -437,30 +483,18 @@ def estimate_with_sigma(
 ) -> tuple[float, float]:
     """Sampled <state| sum of terms |state> and its standard error.
 
-    Constant terms add exactly.  Each measurement group (see
-    :func:`_measurement_groups`) is rotated into the z basis and gets
-    its own ``shots`` draws from ``rng``; an outcome's value is the sum
-    of coefficient times z parity over the group's terms, and the
-    group variances add.
+    Constant terms add exactly.  Each measurement group of the terms is
+    drawn ``shots`` times (see :func:`_sample_groups`); an outcome's
+    value is the sum of coefficient times z parity over the group's
+    terms, and the group variances add.
     """
-    rng = np.random.default_rng(rng)
-    n = state.num_qubits
+    masks = [pauli_masks(term.factors, state.num_qubits) for term in terms]
     mean = sum(t.coefficient for t in terms if not t.factors)
     variance = 0.0
-    for axes, group in _measurement_groups(terms):
-        rotation = basis_change((site - 1, axis) for site, axis in axes.items())
-        rotated = run_statevector(Program(n, tuple(rotation)), initial=state)
-        counts = sample_counts(rotated, shots, rng)
-        outcomes = np.flatnonzero(counts)
-        weights = counts[outcomes] / shots
-        values = np.zeros(len(outcomes))
-        for term in group:
-            x, z = pauli_masks(term.factors, n)
-            # xor-fold the outcome's bits on the support into bit 0 (n < 32)
-            parity = outcomes & (x | z)
-            for shift in (16, 8, 4, 2, 1):
-                parity ^= parity >> shift
-            values += term.coefficient * (1 - 2 * (parity & 1))
+    for members, weights, parities in _sample_groups(state, masks, shots, rng):
+        values = np.zeros(len(weights))
+        for i, parity in zip(members, parities):
+            values += terms[i].coefficient * parity
         group_mean = float(np.dot(weights, values))
         mean += group_mean
         variance += float(np.dot(weights, (values - group_mean) ** 2)) / shots

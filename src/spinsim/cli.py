@@ -47,7 +47,7 @@ from .config import (
     serialize,
     with_overrides,
 )
-from .errors import ConfigError, SpinsimError, TooLargeError, UnsupportedFeatureError
+from .errors import SpinsimError, TooLargeError, UnsupportedFeatureError
 from .hamiltonian import PauliTerm, snapshot
 # export_text is unused here but stays bound: the span tracer in
 # perfbench/spans.py wraps it by name in this module
@@ -203,9 +203,9 @@ def run_simulation(args: argparse.Namespace) -> int:
     try:
         cfg = parse_input(text)
         cfg = with_overrides(cfg, seed=args.seed, shots=args.shots)
-    except ConfigError as exc:
+    except SpinsimError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _EXIT_CODE_OF.get(type(exc), EXIT_CONFIG)
 
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
     out_path = Path(out_dir)

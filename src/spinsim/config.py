@@ -33,6 +33,7 @@ from .errors import (
     ConfigError,
     ConflictingKeysError,
     MissingRequiredKeyError,
+    TooLargeError,
     UnknownKeyError,
     ValueOutOfRangeError,
 )
@@ -199,6 +200,7 @@ class SimulationConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
+        _check_chain_length(self.num_spins)
         if not self.initial_state:
             object.__setattr__(self, "initial_state", ("up",) * self.num_spins)
         _validate_config(self)
@@ -232,6 +234,21 @@ def _integer(text: str, num_spins: int = 0) -> int:
         return int(text)
     except ValueError:
         raise ValueOutOfRangeError(f"expected an integer, got {text!r}") from None
+
+
+# Longer chains end the run before any per-site value is built; the
+# statevector backend stops far earlier, at 24 qubits.
+SPIN_LIMIT = 4096
+
+
+def _check_chain_length(num_spins: int) -> int:
+    if num_spins > SPIN_LIMIT:
+        raise TooLargeError(f"num_spins is limited to {SPIN_LIMIT}, got {num_spins}")
+    return num_spins
+
+
+def _chain_length(text: str, num_spins: int = 0) -> int:
+    return _check_chain_length(_integer(text))
 
 
 def _boolean(text: str, num_spins: int = 0) -> bool:
@@ -288,7 +305,7 @@ class InputKey:
 # The input key set, in serialization order.  Fields left None
 # (rng_seed) are not serialized.
 INPUT_KEYS = {
-    "num_spins": InputKey("num_spins", _integer, minimum=1),
+    "num_spins": InputKey("num_spins", _chain_length, minimum=1),
     "mode": InputKey("mode", _text, choices=("real-time", "imaginary-time")),
     "total_time": InputKey("total_time", _number, _format_number, minimum=0),
     "num_steps": InputKey("num_steps", _integer, minimum=1),

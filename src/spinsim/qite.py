@@ -33,8 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from . import ir
-from .backend import Statevector, estimate_with_sigma, expectation
-from .backend import pauli_expectations, pauli_factors, pauli_masks, run_statevector
+from .backend import Statevector, _popcount, estimate_with_sigma, expectation
+from .backend import pauli_factors, pauli_masks, pauli_values, run_statevector
 # unused, but bound: the span tracer in perfbench/spans.py wraps it by name here
 from .backend import apply_gate  # noqa: F401
 from .errors import SingularSystemError, UnsupportedFeatureError
@@ -51,8 +51,8 @@ class QiteParams:
     """Knobs of the imaginary-time loop.
 
     ``shots`` = 0 evaluates every expectation value exactly from the
-    statevector; a positive value estimates each one from that many
-    measurement samples (seeded, reproducible).  ``domain_radius`` adds
+    statevector; a positive value draws that many samples per
+    measurement group (seeded, reproducible).  ``domain_radius`` adds
     that many sites on each side of a term's support to the fitting
     basis, keeping each window contiguous inside the chain.
     """
@@ -107,14 +107,6 @@ class TermFit:
 
 
 _I_POWERS = np.array([1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j])
-
-
-def _popcount(v):
-    """Set bits of each mask below 2^32, for ints and int64 arrays alike."""
-    v = v - (v >> 1 & 0x55555555)
-    v = (v & 0x33333333) + (v >> 2 & 0x33333333)
-    v = v + (v >> 4) & 0x0F0F0F0F
-    return (v * 0x01010101 & 0xFFFFFFFF) >> 24
 
 
 def pauli_string_product(first, second):
@@ -194,7 +186,7 @@ def _fit_unitary(
     basis: Sequence[PauliMasks],
     terms: Sequence[PauliTerm],
     params: QiteParams,
-    rng=None,
+    rng=0,
 ) -> TermFit:
     """Fit the step unitary for h = sum of ``terms`` over the masks in ``basis``."""
     n = state.num_qubits
@@ -212,47 +204,20 @@ def _fit_unitary(
     s_keep = s_phase.real != 0.0
     b_keep = b_phase.imag != 0.0
 
-    # every string read, in the order the scalar loop first read it: per H
-    # term its own string and its second-moment products, then per basis
-    # row its S products (j >= i) and its b products
-    h_keep = np.column_stack([np.ones(len(hx), dtype=bool), hh_keep])
-    h_keys = np.column_stack([hx, hh_x]) << n | np.column_stack([hz, hh_z])
-    sb_keys = np.concatenate([(s_x << n | s_z)[s_keep], (b_x << n | b_z)[b_keep]])
-    # the basis row of each S and b read; a stable sort keeps S before b in a row
-    sb_rows = np.concatenate([rows[s_keep], np.nonzero(b_keep)[0]])
-    sb_order = np.argsort(sb_rows, kind="stable")
-    read_keys = np.concatenate([h_keys[h_keep], sb_keys[sb_order]])
-    keys, first, inverse = np.unique(read_keys, return_index=True, return_inverse=True)
-    if params.shots == 0:
-        values = pauli_expectations(state, keys >> n, keys & (1 << n) - 1)
-    else:
-        # one estimate per distinct string, drawn from the run's shared
-        # generator in the order the strings are first read
-        rng = np.random.default_rng(0 if rng is None else rng)
-        values = np.ones(len(keys))
-        for index in np.argsort(first):
-            masks = (int(keys[index]) >> n, int(keys[index]) & (1 << n) - 1)
-            if masks != (0, 0):
-                string = [PauliTerm(1.0, pauli_factors(masks, n))]
-                values[index] = estimate_with_sigma(state, string, params.shots, rng)[0]
-    read = values[inverse]
-    split = np.count_nonzero(h_keep)
-    h_read = np.zeros(h_keep.shape)
-    h_read[h_keep] = read[:split]
-    sb_read = np.empty(len(sb_order))
-    sb_read[sb_order] = read[split:]
-    s_count = np.count_nonzero(s_keep)
-    s_read = np.zeros(s_keep.shape)
-    s_read[s_keep] = sb_read[:s_count]
-    b_read = np.zeros(b_keep.shape)
-    b_read[b_keep] = sb_read[s_count:]
+    # each distinct string is read once; a product that is not kept reads the identity
+    products = [(True, hx, hz), (hh_keep, hh_x, hh_z), (s_keep, s_x, s_z), (b_keep, b_x, b_z)]
+    reads = [np.where(keep, x << n | z, 0) for keep, x, z in products]
+    keys, inverse = np.unique(np.concatenate([r.ravel() for r in reads]), return_inverse=True)
+    values = pauli_values(state, keys >> n, keys & (1 << n) - 1, params.shots, rng)[inverse]
+    parts = np.split(values, np.cumsum([r.size for r in reads])[:-1])
+    h_read, hh_read, s_read, b_read = (part.reshape(r.shape) for part, r in zip(parts, reads))
 
     # the sums run term by term in the scalar loop's order, so they round as it did
     energy = 0.0
-    for term in (hc * h_read[:, 0]).tolist():
+    for term in (hc * h_read).tolist():
         energy += term
     second_moment = 0.0
-    for term in (hc[:, None] * hc * hh_phase.real * h_read[:, 1:])[hh_keep].tolist():
+    for term in (hc[:, None] * hc * hh_phase.real * hh_read)[hh_keep].tolist():
         second_moment += term
     c = 1.0 - 2.0 * params.dbeta * energy + params.dbeta**2 * second_moment
     if c <= 1e-12:
@@ -297,7 +262,7 @@ def fit_step_unitary(
     state: Statevector,
     term: PauliTerm,
     params: QiteParams,
-    rng=None,
+    rng=0,
 ) -> TermFit:
     """Fit one term's step unitary on the current state.
 

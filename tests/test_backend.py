@@ -13,11 +13,13 @@ from spinsim import backend
 from spinsim.backend import (
     STATEVECTOR_QUBIT_LIMIT,
     Statevector,
+    _measurement_groups,
     expectation,
     estimate_with_sigma,
     pauli_expectations,
     pauli_factors,
     pauli_masks,
+    pauli_values,
     product_state,
     run_statevector,
     sample_counts,
@@ -525,6 +527,82 @@ class TestCountsEstimation:
         mean, sigma = estimate_with_sigma(state, terms, shots, 29)
         assert draws == [shots] * 3
         assert abs(mean - expectation(state, terms)) <= 5 * sigma
+
+
+    def test_rotation_follows_the_order_members_first_touch_qubits(self, monkeypatch):
+        # kernels on distinct qubits round differently in another order
+        programs = []
+
+        def recording(program, initial=None):
+            programs.append(program)
+            return run_statevector(program, initial)
+
+        monkeypatch.setattr(backend, "run_statevector", recording)
+        terms = [PauliTerm(1.0, ((3, "x"),)), PauliTerm(1.0, ((1, "y"), (2, "x")))]
+        estimate_with_sigma(random_state(np.random.default_rng(3), 3), terms, 10, 0)
+        assert [(g.kind, g.qubits) for g in programs[0].gates] == [
+            ("h", (2,)),
+            ("rx", (0,)),
+            ("h", (1,)),
+        ]
+
+
+@st.composite
+def mask_lists(draw):
+    n = draw(st.integers(1, 8))
+    mask = st.integers(0, 2**n - 1)
+    return draw(st.lists(st.tuples(mask, mask), max_size=40))
+
+
+class TestMeasurementGroups:
+    @given(masks=mask_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_groups_partition_the_strings_and_share_axes(self, masks):
+        groups = _measurement_groups(masks)
+        members = sorted(i for _, _, group in groups for i in group)
+        assert members == [i for i, (x, z) in enumerate(masks) if x | z]
+        for gx, gz, group in groups:
+            for i in group:
+                x, z = masks[i]
+                assert (gx & (x | z), gz & (x | z)) == (x, z)
+            assert gx == np.bitwise_or.reduce([masks[i][0] for i in group])
+            assert gz == np.bitwise_or.reduce([masks[i][1] for i in group])
+
+    def test_string_joins_the_first_group_that_fits(self):
+        # x1 opens a group, z1 a second; x1 x2 joins the first, z2 only fits the second
+        masks = [(0b10, 0), (0, 0b10), (0b11, 0), (0, 0b01), (0, 0)]
+        assert _measurement_groups(masks) == [[0b11, 0, [0, 2]], [0, 0b11, [1, 3]]]
+
+
+class TestPauliValues:
+    def test_exact_mode_is_pauli_expectations(self):
+        state = random_state(np.random.default_rng(4), 3)
+        x, z = np.array([0, 1, 5, 7, 2]), np.array([0, 1, 4, 0, 6])
+        assert np.array_equal(pauli_values(state, x, z, 0, 0), pauli_expectations(state, x, z))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sampled_values_within_five_sigma(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        state = random_state(rng, n)
+        x = rng.integers(2**n, size=12)
+        z = rng.integers(2**n, size=12)
+        # a y factor, and the identity
+        x[0] = z[0] = 1 << int(rng.integers(n))
+        x[1] = z[1] = 0
+        shots = 20_000
+        got = pauli_values(state, x, z, shots, rng)
+        exact = pauli_expectations(state, x, z)
+        sigma = np.sqrt((1.0 - exact**2) / shots)
+        assert np.all(np.abs(got - exact) <= 5 * sigma + 1e-12)
+        assert got[1] == 1.0
+
+    def test_z_strings_on_a_basis_state_are_exact(self):
+        state = product_state(["down", "up", "down"])
+        z = np.arange(8)
+        got = pauli_values(state, np.zeros(8, dtype=np.int64), z, 5, 0)
+        want = [(-1.0) ** ((k & 0b101).bit_count()) for k in z]
+        assert got.tolist() == want
 
 
 class TestStatevectorValidation:

@@ -5,9 +5,11 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +156,28 @@ class TestExitCodes:
         assert main(["run", str(input_path), "--out", str(tmp_path / "o")]) == 4
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("backend_mode", ["QS", "export-only"])
+    def test_huge_chain_exits_four_before_building_sites(self, tmp_path, backend_mode):
+        # without the cap, ("up",) * num_spins alone would ask for 8 GB
+        text = f"num_spins: 1000000000\nJ_z: 1.0\nQCQS: {backend_mode}\n"
+        input_path = write_input(tmp_path, text)
+        out = tmp_path / "o"
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "spinsim.cli", "run", str(input_path), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            preexec_fn=limit_address_space,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 4, result.stderr
+        assert result.stderr.count("\n") == 1
+        assert "num_spins is limited to 4096" in result.stderr
+        assert not out.exists()
+
     def test_missing_input_exits_five(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.txt")]) == 5
         assert "cannot read" in capsys.readouterr().err
@@ -193,6 +217,42 @@ class TestExitCodes:
         assert main(["run", str(input_path), "--out", str(out), "--ground-truth"]) == 4
         assert "--ground-truth" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestBenchmarkTracer:
+    def test_every_wrapped_name_is_still_called(self, tmp_path):
+        # perfbench/spans.py replaces functions by name in spinsim.cli and
+        # spinsim.qite; a name that left either module fails here
+        sampled = "num_spins: 3\ntotal_time: 0.6\nnum_steps: 2\nJ_z: 1.0\nh_x: 0.9\n"
+        sampled += "observable: energy\nshots: 200\nrng_seed: 4\n"
+        inputs = [
+            write_input(tmp_path, sampled + "mode: imaginary-time\n", "qite.txt"),
+            write_input(tmp_path, sampled + "J_x: 0.5\n", "real.txt"),
+        ]
+        script = textwrap.dedent(
+            """
+            import sys
+            root, *inputs = sys.argv[1:]
+            sys.path[:0] = [root + "/perfbench", root + "/src"]
+            import spans
+            import spinsim.cli
+            tracer = spans.Tracer("t")
+            tracer.install()
+            for path in inputs:
+                out = path + ".out"
+                assert spinsim.cli.main(["run", path, "--out", out, "--export"]) == 0, path
+            names = {span[0] for span in tracer.spans}
+            assert {"qite", "backend.sample"} <= names, names
+            assert tracer.gates, "no gate went through the wrapped apply_gate"
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(ROOT), *map(str, inputs)],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 # Candidate values per input key: (ordinary, edge).  Edge values include

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import random_config
 from spinsim.config import (
     INPUT_KEYS,
+    SPIN_LIMIT,
     ConstantSchedule,
     GaussianPulseSchedule,
     LinearRampSchedule,
@@ -23,6 +24,7 @@ from spinsim.errors import (
     ConfigError,
     ConflictingKeysError,
     MissingRequiredKeyError,
+    TooLargeError,
     UnknownKeyError,
     ValueOutOfRangeError,
 )
@@ -176,6 +178,15 @@ class TestNumericLimits:
         with pytest.raises(ValueOutOfRangeError) as excinfo:
             parse_lines(*lines)
         assert excinfo.value.line == line
+
+    def test_chain_length_capped_before_any_site_is_built(self):
+        assert len(parse_lines(f"num_spins: {SPIN_LIMIT}").initial_state) == SPIN_LIMIT
+        # the named initial states would build a tuple of num_spins entries
+        for lines in (("initial_state: all-up",), ("initial_state: flip-first",), ()):
+            with pytest.raises(TooLargeError):
+                parse_lines("num_spins: 1000000000000", *lines)
+        with pytest.raises(TooLargeError):
+            SimulationConfig(num_spins=SPIN_LIMIT + 1)
 
     def test_large_but_representable_values_accepted(self):
         cfg = parse_lines("num_spins: 2", "total_time: 1e100", "J_z: 1e-90", "h_x: 1e50")

@@ -1,5 +1,6 @@
 """Imaginary-time evolution: fitting, windows, and convergence."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import apply_pauli, embedded_pauli, matrix_exponential, random_state
-from spinsim import ir
+from spinsim import backend, ir
 from spinsim.backend import (
-    estimate_with_sigma,
+    _measurement_groups,
     expectation,
     pauli_factors,
     pauli_masks,
     product_state,
     run_statevector,
+    sample_counts,
 )
 from spinsim.config import ConstantSchedule, LinearRampSchedule
 from spinsim.errors import SingularSystemError, UnsupportedFeatureError
@@ -179,26 +181,20 @@ def scalar_product(first, second):
     return (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)[(k + 2 * (z1 & x2).bit_count()) % 4], (x, z)
 
 
-def scalar_fit(state, basis, terms, params, rng=None):
-    """The fit as one scalar loop over mask pairs, with one cached value per string.
+def scalar_fit(state, basis, terms, params):
+    """The exact fit as one scalar loop over mask pairs, with one cached value per string.
 
     A frozen reference for ``qite._fit_unitary``: strings are multiplied
-    one pair at a time, exact values are ``vdot`` of the applied string,
-    sampled ones are estimated in the order the loop first reads them,
-    and every sum runs term by term.
+    one pair at a time, values are ``vdot`` of the applied string, and
+    every sum runs term by term.
     """
     n = state.num_qubits
     amps = state.amplitudes
-    rng = np.random.default_rng(0 if rng is None else rng)
     cache = {(0, 0): 1.0}
 
     def estimate(masks):
         if masks not in cache:
-            if params.shots == 0:
-                cache[masks] = float(np.vdot(amps, apply_pauli(amps, masks, n)).real)
-            else:
-                string = [PauliTerm(1.0, pauli_factors(masks, n))]
-                cache[masks] = estimate_with_sigma(state, string, params.shots, rng)[0]
+            cache[masks] = float(np.vdot(amps, apply_pauli(amps, masks, n)).real)
         return cache[masks]
 
     h = [(t.coefficient, pauli_masks(t.factors, n)) for t in terms]
@@ -256,17 +252,6 @@ class TestFitAgainstScalarLoop:
         assert fit.residual == residual
         assert fit.normalization == normalization
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_sampled_fit_draws_in_the_same_order(self, seed):
-        state, basis, terms, radius = random_fit_problem(seed)
-        params = QiteParams(dbeta=0.2, num_steps=1, domain_radius=radius, shots=64)
-        rng = np.random.default_rng(seed)
-        reference_rng = np.random.default_rng(seed)
-        fit = _fit_unitary(state, basis, terms, params, rng)
-        coefficients, _, _ = scalar_fit(state, basis, terms, params, reference_rng)
-        assert fit.coefficients == coefficients
-        assert rng.bit_generator.state == reference_rng.bit_generator.state
-
     def test_both_radii_and_every_axis_are_covered(self):
         problems = [random_fit_problem(seed) for seed in range(16)]
         assert {radius for *_, radius in problems} == {0, 1}
@@ -276,6 +261,49 @@ class TestFitAgainstScalarLoop:
             "z",
         }
         assert max(state.num_qubits for state, *_ in problems) == 5
+
+
+def read_strings(basis, terms, n):
+    """The distinct non-identity strings one fit reads, in key order (x << n | z)."""
+    h = [pauli_masks(t.factors, n) for t in terms]
+    strings = set(h)
+    for pairs, part in (
+        (itertools.product(h, h), "real"),
+        (itertools.combinations_with_replacement(basis, 2), "real"),
+        (itertools.product(basis, h), "imag"),
+    ):
+        for first, second in pairs:
+            phase, masks = scalar_product(first, second)
+            if getattr(phase, part) != 0.0:
+                strings.add(masks)
+    strings.discard((0, 0))
+    return sorted(strings, key=lambda masks: masks[0] << n | masks[1])
+
+
+class TestSampledFit:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_draw_per_measurement_group(self, seed, monkeypatch):
+        state, basis, terms, radius = random_fit_problem(seed)
+        params = QiteParams(dbeta=0.2, num_steps=1, domain_radius=radius, shots=64)
+        draws = []
+
+        def counting(state, shots, seed):
+            draws.append(shots)
+            return sample_counts(state, shots, seed)
+
+        monkeypatch.setattr(backend, "sample_counts", counting)
+        _fit_unitary(state, basis, terms, params, np.random.default_rng(seed))
+        strings = read_strings(basis, terms, state.num_qubits)
+        groups = _measurement_groups(strings)
+        assert draws == [64] * len(groups)
+        assert len(groups) < len(strings)
+
+    def test_equal_generators_give_equal_fits(self):
+        state, basis, terms, radius = random_fit_problem(5)
+        params = QiteParams(dbeta=0.2, num_steps=1, domain_radius=radius, shots=64)
+        first = _fit_unitary(state, basis, terms, params, np.random.default_rng(8))
+        second = _fit_unitary(state, basis, terms, params, np.random.default_rng(8))
+        assert first == second
 
 
 class TestRotationGates:
