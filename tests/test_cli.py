@@ -168,7 +168,8 @@ class TestExitCodes:
 
         result = subprocess.run(
             [sys.executable, "-m", "spinsim.cli", "run", str(input_path), "--out", str(out)],
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            # one BLAS thread, so numpy's own buffers fit the cap on any core count
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"},
             preexec_fn=limit_address_space,
             capture_output=True,
             text=True,
