@@ -10,7 +10,8 @@ directory.  The directory comes from ``--out``, else the
 Every per-point product carries forward from the previous point: with
 ``--export``, circuit k is circuit k-1 followed by the gates of step k,
 which are lowered alone and fed to the peephole pass's running state,
-so every gate is lowered, optimized and formatted once;
+so every gate is lowered, optimized and formatted once, and each
+circuit is written out before the next is assembled;
 ``--ground-truth`` makes one oracle call for the whole series.
 
 Exit codes: 0 success, 2 bad input description (or one the numerics
@@ -141,12 +142,12 @@ def _run_real_time(cfg: SimulationConfig, hamiltonian, seed: int, export: bool):
     # export and evolve_series walk the same step blocks; each distinct
     # block is compiled once per run
     compile_block = functools.cache(_compile(cfg))
-    circuits = []
+    circuits = ()
     if export:
         blocks = step_blocks(hamiltonian, params, compile_block)
         steps = (block.gates for block in islice(blocks, last_step))
         preparation = state_preparation_gates(cfg.initial_state)
-        circuits = list(_cumulative_circuits(cfg, chain([preparation], steps)))
+        circuits = _cumulative_circuits(cfg, chain([preparation], steps))
     points = []
     if cfg.backend_mode == "QS":
         series = evolve_series(hamiltonian, params, cfg.initial_state, compile_block)
@@ -165,11 +166,11 @@ def _run_imaginary_time(cfg: SimulationConfig, hamiltonian, seed: int, export: b
     params = QiteParams(dbeta=dbeta, num_steps=cfg.num_steps, shots=cfg.shots, seed=seed)
     reports = run_qite(hamiltonian, params, cfg.initial_state)
     points = [(r.step * dbeta, r.energy, r.sigma) for r in reports]
-    circuits = []
+    circuits = ()
     if export:
         # report k's program is report k-1's followed by the gates step k adds
         steps = (r.program.gates[len(prev.program.gates):] for prev, r in pairwise(reports))
-        circuits = list(_cumulative_circuits(cfg, chain([reports[0].program.gates], steps)))
+        circuits = _cumulative_circuits(cfg, chain([reports[0].program.gates], steps))
     return points, circuits
 
 
@@ -199,6 +200,9 @@ def run_simulation(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.input} is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         cfg = parse_input(text)

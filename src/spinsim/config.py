@@ -360,8 +360,8 @@ def _validate_config(cfg: SimulationConfig) -> None:
             raise _invalid(spec.field, f"{key} must be one of {spec.choices}, got {value!r}{hint}")
         if spec.minimum is not None and value is not None and value < spec.minimum:
             raise _invalid(spec.field, f"{key} must be >= {spec.minimum}, got {value}")
-    if cfg.num_steps > sys.float_info.max:
-        raise _invalid("num_steps", "num_steps must lie within the float range (about 1.8e308)")
+    if cfg.num_steps >= sys.maxsize:
+        raise _invalid("num_steps", f"num_steps must be < sys.maxsize = {sys.maxsize}")
     if cfg.shots >= 2**63:
         raise _invalid("shots", "shots must be < 2**63, the sampler's 64-bit count limit")
     for spin in cfg.initial_state:

@@ -41,7 +41,6 @@ GATE_ARITY = {
 }
 
 PARAMETRIC_KINDS = frozenset({"rx", "ry", "rz", "rxx", "ryy", "rzz"})
-SELF_INVERSE_KINDS = frozenset({"x", "h", "cnot"})
 NATIVE_KINDS = frozenset({"rz", "rx", "h", "cnot"})
 
 UNITARY_QUBIT_LIMIT = 10

@@ -42,7 +42,6 @@ from .hamiltonian import HeisenbergHamiltonian, PauliTerm, snapshot
 from .ir import Gate, Program
 from .trotter import state_preparation_gates
 
-PauliString = tuple[tuple[int, str], ...]
 PauliMasks = tuple[int, int]
 
 
@@ -98,14 +97,6 @@ class QiteStepReport:
     program: Program
 
 
-@dataclass(frozen=True)
-class TermFit:
-    coefficients: tuple[float, ...]
-    program: Program
-    residual: float
-    normalization: float
-
-
 _I_POWERS = np.array([1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j])
 
 
@@ -138,57 +129,47 @@ def domain_window(term: PauliTerm, radius: int, num_spins: int) -> tuple[int, ..
     return tuple(range(low, low + size))
 
 
-def pauli_basis(window: tuple[int, ...]) -> list[PauliString]:
-    """Every non-identity Pauli string on the window, in a fixed order."""
-    strings = []
-    for combo in itertools.product(("i", "x", "y", "z"), repeat=len(window)):
-        factors = tuple(
-            (site, axis) for site, axis in zip(window, combo) if axis != "i"
-        )
-        if factors:
-            strings.append(factors)
-    return strings
-
-
 def hamiltonian_basis(
     terms: Sequence[PauliTerm], radius: int, num_spins: int
-) -> list[PauliString]:
-    """Union of the per-term window bases, first occurrence order."""
-    strings: list[PauliString] = []
-    seen: set[PauliString] = set()
+) -> list[PauliMasks]:
+    """(x, z) masks of every non-identity string on some term's window.
+
+    Each window's strings come in ``itertools.product("ixyz")`` order
+    over its sites; a string on several windows keeps its first place.
+    """
+    basis: dict[PauliMasks, None] = {}
     for term in terms:
         window = domain_window(term, radius, num_spins)
-        for string in pauli_basis(window):
-            if string not in seen:
-                seen.add(string)
-                strings.append(string)
-    return strings
+        for axes in itertools.product("ixyz", repeat=len(window)):
+            basis[pauli_masks(zip(window, axes), num_spins)] = None
+    basis.pop((0, 0), None)
+    return list(basis)
 
 
-def pauli_rotation_gates(factors: PauliString, angle: float) -> list[Gate]:
+def pauli_rotation_gates(factors: Sequence[tuple[int, str]], angle: float) -> list[Gate]:
     """Circuit for exp(-i angle sigma_P): basis change, CNOT ladder, RZ."""
     axes = [(site - 1, axis) for site, axis in factors]
     qubits = [q for q, _ in axes]
     enter = ir.basis_change(axes)
     leave = ir.basis_change(axes, inverse=True)
     ladder = [ir.cnot(qubits[k], qubits[k + 1]) for k in range(len(qubits) - 1)]
-    return (
-        enter
-        + ladder
-        + [ir.rz(2.0 * angle, qubits[-1])]
-        + list(reversed(ladder))
-        + list(reversed(leave))
-    )
+    return enter + ladder + [ir.rz(2.0 * angle, qubits[-1])] + ladder[::-1] + leave[::-1]
 
 
-def _fit_unitary(
+def fit_step_unitary(
     state: Statevector,
     basis: Sequence[PauliMasks],
     terms: Sequence[PauliTerm],
     params: QiteParams,
-    rng=0,
-) -> TermFit:
-    """Fit the step unitary for h = sum of ``terms`` over the masks in ``basis``."""
+    rng,
+) -> tuple[tuple[float, ...], tuple[Gate, ...], float, float]:
+    """Fit the step unitary for h = sum of ``terms`` over the masks in ``basis``.
+
+    Returns ``(coefficients, gates, residual, normalization)``: the
+    solved a vector, the circuit for exp(-i dbeta sum_I a_I sigma_I),
+    the norm of the least-squares residual and the c factor.  ``rng``
+    seeds the sampler when ``params.shots`` > 0.
+    """
     n = state.num_qubits
     hc = np.array([t.coefficient for t in terms])
     hx, hz = np.array([pauli_masks(t.factors, n) for t in terms], dtype=np.int64).reshape(-1, 2).T
@@ -250,30 +231,7 @@ def _fit_unitary(
     gates: list[Gate] = []
     for a_i, masks in zip(a, basis):
         gates.extend(pauli_rotation_gates(pauli_factors(masks, n), params.dbeta * float(a_i)))
-    return TermFit(
-        coefficients=tuple(float(v) for v in a),
-        program=Program(n, tuple(gates)),
-        residual=residual,
-        normalization=c,
-    )
-
-
-def fit_step_unitary(
-    state: Statevector,
-    term: PauliTerm,
-    params: QiteParams,
-    rng=0,
-) -> TermFit:
-    """Fit one term's step unitary on the current state.
-
-    Solves the regularized normal equations for the expansion
-    coefficients and returns them with the sub-circuit implementing
-    exp(-i dbeta sum_I a_I sigma_I).
-    """
-    n = state.num_qubits
-    window = domain_window(term, params.domain_radius, n)
-    basis = [pauli_masks(string, n) for string in pauli_basis(window)]
-    return _fit_unitary(state, basis, [term], params, rng)
+    return tuple(float(v) for v in a), tuple(gates), residual, c
 
 
 def run_qite(
@@ -312,20 +270,16 @@ def run_qite(
         return estimate_with_sigma(state, terms, params.shots, rng)
 
     reports = [QiteStepReport(0, *measured_energy(), (), 0.0, 1.0, program)]
-    strings = hamiltonian_basis(terms, params.domain_radius, n)
-    basis = [pauli_masks(string, n) for string in strings]
+    basis = hamiltonian_basis(terms, params.domain_radius, n)
     for step in range(1, params.num_steps + 1):
-        fit = _fit_unitary(state, basis, terms, params, rng)
-        state = run_statevector(fit.program, initial=state)
-        program = program.extend(fit.program.gates)
+        coefficients, gates, residual, normalization = fit_step_unitary(
+            state, basis, terms, params, rng
+        )
+        state = run_statevector(Program(n, gates), initial=state)
+        program = program.extend(gates)
         reports.append(
             QiteStepReport(
-                step,
-                *measured_energy(),
-                fit.coefficients,
-                fit.residual,
-                fit.normalization,
-                program,
+                step, *measured_energy(), coefficients, residual, normalization, program
             )
         )
     return reports

@@ -31,7 +31,7 @@ from spinsim.observables import (
 )
 from spinsim.optimizer import optimize
 from spinsim.oracle import evolve_exact, evolve_imaginary_exact, ground_state
-from spinsim.qite import QiteParams, fit_step_unitary, run_qite
+from spinsim.qite import QiteParams, fit_step_unitary, hamiltonian_basis, run_qite
 from spinsim.trotter import TrotterParams, build_evolution_program, evolve_series
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -231,8 +231,9 @@ def test_criterion_6_qite_calibration():
         plus = run_statevector(Program(1, (ir.h(0),)))
 
         params = QiteParams(dbeta=0.1, num_steps=1)
-        fit = fit_step_unitary(plus, term, params)
-        after = run_statevector(Program(1, tuple(fit.program.gates)), initial=plus)
+        basis = hamiltonian_basis([term], 0, 1)
+        _, gates, _, _ = fit_step_unitary(plus, basis, [term], params, 0)
+        after = run_statevector(Program(1, gates), initial=plus)
         fitted = expectation(after, [term])
         [(_, oracle_value)] = evolve_imaginary_exact([term], [0.1], plus)
         assert abs(fitted - oracle_value) <= 5e-3, (fitted, oracle_value)

@@ -183,6 +183,15 @@ class TestExitCodes:
         assert main(["run", str(tmp_path / "absent.txt")]) == 5
         assert "cannot read" in capsys.readouterr().err
 
+    def test_undecodable_input_exits_two(self, tmp_path, capsys):
+        input_path = tmp_path / "bad.txt"
+        input_path.write_bytes(b"num_spins: 2\n\xff\xfe\n")
+        assert main(["run", str(input_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(input_path) in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -195,6 +204,7 @@ class TestExitCodes:
             "num_spins: 1\nmode: imaginary-time\nh_z: 1\ntotal_time: 1000\nnum_steps: 1\n",
             # one QITE step of dbeta = 1 collapses the step normalization to 0
             "num_spins: 1\nmode: imaginary-time\nh_z: 1\ntotal_time: 1\nnum_steps: 1\n",
+            f"num_spins: 2\nJ_z: 1\nnum_steps: {sys.maxsize}\n",
         ],
         ids=[
             "imaginary-zero-time",
@@ -204,6 +214,7 @@ class TestExitCodes:
             "qite-dbeta-overflow",
             "zero-overlap",
             "singular-qite-step",
+            "num-steps-at-maxsize",
         ],
     )
     def test_numeric_edge_cases_exit_two(self, tmp_path, capsys, text):
@@ -264,7 +275,7 @@ EDGE_NUMBERS = ("-1", "1e-300", "1e200", "1e308", "1e400")
 FUZZ_VALUES = {
     "num_spins": (("1", "2", "3", "4"), ("0", "-2")),
     "total_time": (("0", "0.5", "1", "2"), EDGE_NUMBERS),
-    "num_steps": (("1", "2", "3"), ("0", "1" + "0" * 400)),
+    "num_steps": (("1", "2", "3"), ("0", "1" + "0" * 23, "1" + "0" * 400)),
     "initial_state": (("all-up", "flip-first"), ("up,down", "down", "up,sideways")),
     "shots": (("0", "20"), ("-1", str(2**63))),
     "constant_depth": (("False",), ("True", "maybe")),
@@ -460,6 +471,28 @@ class TestCircuitExport:
         assert files == [f"step_{k:04d}.qasm" for k in range(6)]
         text = (out / "circuits" / "step_0001.qasm").read_text()
         assert text.startswith("OPENQASM 2.0;")
+
+    @pytest.mark.parametrize(
+        "text",
+        [SMALL_REAL_TIME, SMALL_REAL_TIME + "QCQS: export-only\n", SMALL_IMAGINARY],
+        ids=["real-time", "export-only", "imaginary-time"],
+    )
+    def test_each_circuit_is_written_before_the_next_is_built(self, tmp_path, monkeypatch, text):
+        out = tmp_path / "out"
+        cumulative = cli._cumulative_circuits
+        yielded = []
+
+        def streaming(cfg, steps):
+            for k, circuit in enumerate(cumulative(cfg, steps)):
+                if k > 0:
+                    assert (out / "circuits" / f"step_{k - 1:04d}.qasm").exists(), k
+                yielded.append(k)
+                yield circuit
+
+        monkeypatch.setattr(cli, "_cumulative_circuits", streaming)
+        input_path = write_input(tmp_path, text)
+        assert main(["run", str(input_path), "--out", str(out), "--export"]) == 0
+        assert len(yielded) == len(list((out / "circuits").iterdir())) > 1
 
     def test_export_only_skips_simulation_artifacts(self, tmp_path):
         text = SMALL_REAL_TIME + "QCQS: export-only\n"

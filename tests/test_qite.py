@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import apply_pauli, embedded_pauli, matrix_exponential, random_state
+import spinsim
 from spinsim import backend, ir
 from spinsim.backend import (
     _measurement_groups,
@@ -26,11 +27,9 @@ from spinsim.ir import Program
 from spinsim.oracle import ground_state
 from spinsim.qite import (
     QiteParams,
-    _fit_unitary,
     domain_window,
     fit_step_unitary,
     hamiltonian_basis,
-    pauli_basis,
     pauli_rotation_gates,
     pauli_string_product,
     run_qite,
@@ -45,6 +44,13 @@ def tfim(num_spins: int, j_z: float = 1.0, h_x: float = 1.0) -> HeisenbergHamilt
 
 def single_field(axis: str, coefficient: float = 1.0) -> HeisenbergHamiltonian:
     return HeisenbergHamiltonian(1, {}, {(axis, 1): ConstantSchedule(coefficient)})
+
+
+def test_every_exported_name_resolves():
+    for name in spinsim.__all__:
+        assert hasattr(spinsim, name), name
+    assert "fit_step_unitary" in spinsim.__all__
+    assert spinsim.fit_step_unitary is fit_step_unitary
 
 
 class TestParams:
@@ -93,26 +99,56 @@ class TestDomainWindow:
         assert widths == {1 + 2 * radius}
 
 
+def factor_basis(terms, radius, num_spins):
+    """The basis as factor tuples: each window's strings in product order, first wins."""
+    strings = []
+    for term in terms:
+        window = domain_window(term, radius, num_spins)
+        for combo in itertools.product(("i", "x", "y", "z"), repeat=len(window)):
+            factors = tuple((site, axis) for site, axis in zip(window, combo) if axis != "i")
+            if factors and factors not in strings:
+                strings.append(factors)
+    return strings
+
+
 class TestPauliBasis:
     def test_sizes_follow_four_to_the_k(self):
-        assert len(pauli_basis((1,))) == 3
-        assert len(pauli_basis((1, 2))) == 15
-        assert len(pauli_basis((1, 2, 3))) == 63
+        for width, size in ((1, 3), (2, 15), (3, 63)):
+            term = PauliTerm(1.0, tuple((s, "z") for s in range(1, width + 1)))
+            assert len(hamiltonian_basis([term], 0, width)) == size
 
     def test_strings_are_unique_and_nonempty(self):
-        basis = pauli_basis((2, 3))
+        basis = hamiltonian_basis([PauliTerm(1.0, ((2, "x"), (3, "y")))], 0, 4)
         assert len(set(basis)) == len(basis)
-        assert all(basis)
+        assert (0, 0) not in basis
 
     def test_hamiltonian_basis_unions_windows(self):
         terms = [PauliTerm(1.0, ((1, "z"),)), PauliTerm(1.0, ((2, "z"),))]
         joint = hamiltonian_basis(terms, 0, 2)
-        assert set(joint) == set(pauli_basis((1,))) | set(pauli_basis((2,)))
+        assert set(joint) == set(hamiltonian_basis(terms[:1], 0, 2)) | set(
+            hamiltonian_basis(terms[1:], 0, 2)
+        )
 
     def test_hamiltonian_basis_deduplicates(self):
         terms = [PauliTerm(1.0, ((1, "z"),)), PauliTerm(0.5, ((1, "x"),))]
         joint = hamiltonian_basis(terms, 0, 1)
         assert len(joint) == 3
+
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_order_matches_factor_tuples(self, seed, radius):
+        # S's layout and the bit-equal fit depend on this order
+        state, _, terms, _ = random_fit_problem(seed)
+        n = state.num_qubits
+        want = [pauli_masks(string, n) for string in factor_basis(terms, radius, n)]
+        assert hamiltonian_basis(terms, radius, n) == want
+
+    def test_three_site_window_order(self):
+        # windows (2, 3, 4) and (3, 4, 5) share the 15 strings on sites 3 and 4
+        terms = [PauliTerm(1.0, ((3, "x"),)), PauliTerm(0.5, ((4, "z"),))]
+        want = [pauli_masks(string, 5) for string in factor_basis(terms, 1, 5)]
+        assert len(want) == 63 + 63 - 15
+        assert hamiltonian_basis(terms, 1, 5) == want
 
 
 def product(first, second, n=3):
@@ -184,7 +220,7 @@ def scalar_product(first, second):
 def scalar_fit(state, basis, terms, params):
     """The exact fit as one scalar loop over mask pairs, with one cached value per string.
 
-    A frozen reference for ``qite._fit_unitary``: strings are multiplied
+    A frozen reference for ``qite.fit_step_unitary``: strings are multiplied
     one pair at a time, values are ``vdot`` of the applied string, and
     every sum runs term by term.
     """
@@ -237,8 +273,7 @@ def random_fit_problem(seed):
         sites = range(first, min(first + int(rng.integers(1, 3)), n + 1))
         factors = tuple((s, str(rng.choice(["x", "y", "z"]))) for s in sites)
         terms.append(PauliTerm(float(rng.normal()), factors))
-    basis = [pauli_masks(string, n) for string in hamiltonian_basis(terms, radius, n)]
-    return random_state(rng, n), basis, terms, radius
+    return random_state(rng, n), hamiltonian_basis(terms, radius, n), terms, radius
 
 
 class TestFitAgainstScalarLoop:
@@ -246,11 +281,10 @@ class TestFitAgainstScalarLoop:
     def test_exact_fit_is_bit_equal(self, seed):
         state, basis, terms, radius = random_fit_problem(seed)
         params = QiteParams(dbeta=0.2, num_steps=1, domain_radius=radius)
-        fit = _fit_unitary(state, basis, terms, params)
-        coefficients, residual, normalization = scalar_fit(state, basis, terms, params)
-        assert fit.coefficients == coefficients
-        assert fit.residual == residual
-        assert fit.normalization == normalization
+        coefficients, _, residual, normalization = fit_step_unitary(
+            state, basis, terms, params, 0
+        )
+        assert (coefficients, residual, normalization) == scalar_fit(state, basis, terms, params)
 
     def test_both_radii_and_every_axis_are_covered(self):
         problems = [random_fit_problem(seed) for seed in range(16)]
@@ -292,7 +326,7 @@ class TestSampledFit:
             return sample_counts(state, shots, seed)
 
         monkeypatch.setattr(backend, "sample_counts", counting)
-        _fit_unitary(state, basis, terms, params, np.random.default_rng(seed))
+        fit_step_unitary(state, basis, terms, params, np.random.default_rng(seed))
         strings = read_strings(basis, terms, state.num_qubits)
         groups = _measurement_groups(strings)
         assert draws == [64] * len(groups)
@@ -301,8 +335,8 @@ class TestSampledFit:
     def test_equal_generators_give_equal_fits(self):
         state, basis, terms, radius = random_fit_problem(5)
         params = QiteParams(dbeta=0.2, num_steps=1, domain_radius=radius, shots=64)
-        first = _fit_unitary(state, basis, terms, params, np.random.default_rng(8))
-        second = _fit_unitary(state, basis, terms, params, np.random.default_rng(8))
+        first = fit_step_unitary(state, basis, terms, params, np.random.default_rng(8))
+        second = fit_step_unitary(state, basis, terms, params, np.random.default_rng(8))
         assert first == second
 
 
@@ -330,14 +364,20 @@ class TestRotationGates:
         assert {g.kind for g in gates} <= {"h", "rx", "rz", "cnot"}
 
 
+def fit_one_term(state, term, params):
+    """fit_step_unitary for h = term over the term's own window, exact mode."""
+    basis = hamiltonian_basis([term], params.domain_radius, state.num_qubits)
+    return fit_step_unitary(state, basis, [term], params, 0)
+
+
 class TestSingleStepFit:
     def test_plus_state_magnetization_after_one_step(self):
         # against a z field the exact flow gives <sigma_z> = -tanh(2 dbeta)
         params = QiteParams(dbeta=0.1, num_steps=1)
         plus = run_statevector(Program(1, (ir.h(0),)))
         term = PauliTerm(1.0, ((1, "z"),))
-        fit = fit_step_unitary(plus, term, params)
-        after = run_statevector(Program(1, tuple(fit.program.gates)), initial=plus)
+        _, gates, _, _ = fit_one_term(plus, term, params)
+        after = run_statevector(Program(1, gates), initial=plus)
         got = expectation(after, [term])
         assert abs(got - (-math.tanh(0.2))) <= 5e-3
 
@@ -345,23 +385,21 @@ class TestSingleStepFit:
         # at <h> = 0 the factor reduces to 1 + dbeta^2 <h^2>
         params = QiteParams(dbeta=0.1, num_steps=1)
         plus = run_statevector(Program(1, (ir.h(0),)))
-        fit = fit_step_unitary(plus, PauliTerm(1.0, ((1, "z"),)), params)
-        assert fit.normalization == pytest.approx(1.01, abs=1e-9)
+        *_, normalization = fit_one_term(plus, PauliTerm(1.0, ((1, "z"),)), params)
+        assert normalization == pytest.approx(1.01, abs=1e-9)
 
     def test_residual_small_in_exact_mode(self):
         params = QiteParams(dbeta=0.1, num_steps=1)
         plus = run_statevector(Program(1, (ir.h(0),)))
-        fit = fit_step_unitary(plus, PauliTerm(1.0, ((1, "z"),)), params)
-        assert fit.residual <= 1e-6
+        _, _, residual, _ = fit_one_term(plus, PauliTerm(1.0, ((1, "z"),)), params)
+        assert residual <= 1e-6
 
     def test_vanishing_evolution_rate_raises(self):
         # dbeta = 1 against a z field on |0> makes the normalization
         # factor 1 - 2<h> + <h^2> collapse to zero
         params = QiteParams(dbeta=1.0, num_steps=1)
         with pytest.raises(SingularSystemError):
-            fit_step_unitary(
-                product_state(["up"]), PauliTerm(1.0, ((1, "z"),)), params
-            )
+            fit_one_term(product_state(["up"]), PauliTerm(1.0, ((1, "z"),)), params)
 
 
 class TestRunQite:
