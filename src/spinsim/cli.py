@@ -26,7 +26,7 @@ import functools
 import hashlib
 import os
 import sys
-from itertools import chain, islice, pairwise
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -136,18 +136,17 @@ def _cumulative_circuits(
         yield head + "".join(lines) + tail
 
 
-def _run_real_time(cfg: SimulationConfig, hamiltonian, seed: int, export: bool):
+def _run_real_time(cfg: SimulationConfig, hamiltonian, seed: int):
     params = TrotterParams(cfg.total_time, cfg.num_steps)
     last_step = cfg.num_steps if cfg.total_time > 0.0 else 0
     # export and evolve_series walk the same step blocks; each distinct
     # block is compiled once per run
     compile_block = functools.cache(_compile(cfg))
-    circuits = ()
-    if export:
-        blocks = step_blocks(hamiltonian, params, compile_block)
-        steps = (block.gates for block in islice(blocks, last_step))
-        preparation = state_preparation_gates(cfg.initial_state)
-        circuits = _cumulative_circuits(cfg, chain([preparation], steps))
+    blocks = step_blocks(hamiltonian, params, compile_block)
+    steps = chain(
+        [state_preparation_gates(cfg.initial_state)],
+        (block.gates for block in islice(blocks, last_step)),
+    )
     points = []
     if cfg.backend_mode == "QS":
         series = evolve_series(hamiltonian, params, cfg.initial_state, compile_block)
@@ -158,20 +157,15 @@ def _run_real_time(cfg: SimulationConfig, hamiltonian, seed: int, export: bool):
             else:
                 rng = derived_seed(seed, k)
                 points.append((t_k, *estimate_with_sigma(state, terms, cfg.shots, rng)))
-    return points, circuits
+    return points, steps
 
 
-def _run_imaginary_time(cfg: SimulationConfig, hamiltonian, seed: int, export: bool):
+def _run_imaginary_time(cfg: SimulationConfig, hamiltonian, seed: int):
     dbeta = cfg.total_time / cfg.num_steps
     params = QiteParams(dbeta=dbeta, num_steps=cfg.num_steps, shots=cfg.shots, seed=seed)
     reports = run_qite(hamiltonian, params, cfg.initial_state)
     points = [(r.step * dbeta, r.energy, r.sigma) for r in reports]
-    circuits = ()
-    if export:
-        # report k's program is report k-1's followed by the gates step k adds
-        steps = (r.program.gates[len(prev.program.gates):] for prev, r in pairwise(reports))
-        circuits = _cumulative_circuits(cfg, chain([reports[0].program.gates], steps))
-    return points, circuits
+    return points, (r.program.gates for r in reports)
 
 
 def _ground_truth_values(cfg: SimulationConfig, hamiltonian, axis: list[float]) -> list[float]:
@@ -196,7 +190,7 @@ def _ground_truth_values(cfg: SimulationConfig, hamiltonian, axis: list[float]) 
 
 def run_simulation(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = Path(args.input).read_text(encoding="utf-8-sig")
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -227,23 +221,22 @@ def run_simulation(args: argparse.Namespace) -> int:
                 f"--ground-truth is limited to {EVOLVE_QUBIT_LIMIT} spins, got {cfg.num_spins}"
             )
         hamiltonian = build_hamiltonian(cfg)
-        export = args.export or cfg.backend_mode == "export-only"
         if cfg.mode == "real-time":
-            points, circuits = _run_real_time(cfg, hamiltonian, seed, export)
+            points, steps = _run_real_time(cfg, hamiltonian, seed)
             axis_label = "t"
             observable_name = cfg.observable
         else:
-            points, circuits = _run_imaginary_time(cfg, hamiltonian, seed, export)
+            points, steps = _run_imaginary_time(cfg, hamiltonian, seed)
             axis_label = "beta"
             observable_name = "energy"
 
         out_path.mkdir(parents=True, exist_ok=True)
         written: list[str] = []
 
-        if export:
+        if args.export or cfg.backend_mode == "export-only":
             circuit_dir = out_path / "circuits"
             circuit_dir.mkdir(exist_ok=True)
-            for k, circuit in enumerate(circuits):
+            for k, circuit in enumerate(_cumulative_circuits(cfg, steps)):
                 name = f"circuits/step_{k:04d}.qasm"
                 (out_path / name).write_text(circuit, encoding="utf-8")
                 written.append(name)

@@ -13,7 +13,6 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
-import copy
 import math
 import re
 from dataclasses import dataclass
@@ -123,24 +122,9 @@ class Program:
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValueError("a program needs at least one qubit")
-        self._check_width(self.gates)
-
-    def _check_width(self, gates: tuple[Gate, ...]) -> None:
-        for g in gates:
+        for g in self.gates:
             if any(q >= self.num_qubits for q in g.qubits):
                 raise ValueError(f"gate {g} exceeds register width {self.num_qubits}")
-
-    def extend(self, gates: Iterable[Gate]) -> Program:
-        """This program followed by ``gates``.
-
-        Equal to ``Program(num_qubits, self.gates + gates, measured)``,
-        but only the new gates are checked against the register.
-        """
-        gates = tuple(gates)
-        self._check_width(gates)
-        extended = copy.copy(self)
-        object.__setattr__(extended, "gates", self.gates + gates)
-        return extended
 
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -83,9 +83,9 @@ class QiteStepReport:
     ``sigma`` is the standard error of a sampled ``energy`` (None in
     exact mode).  ``coefficients`` holds the solved a vector of the
     step's fit, ``residual`` the norm of its least-squares residual and
-    ``normalization`` its c factor.  ``program`` is the cumulative
-    circuit preparing the post-step state from |0...0>.  Step 0 records
-    the prepared initial state.
+    ``normalization`` its c factor.  ``program`` holds this step's gates
+    alone: step 0's prepare the initial state from |0...0>, and each
+    later one is the fit applied to the previous report's state.
     """
 
     step: int
@@ -275,8 +275,8 @@ def run_qite(
         coefficients, gates, residual, normalization = fit_step_unitary(
             state, basis, terms, params, rng
         )
-        state = run_statevector(Program(n, gates), initial=state)
-        program = program.extend(gates)
+        program = Program(n, gates)
+        state = run_statevector(program, initial=state)
         reports.append(
             QiteStepReport(
                 step, *measured_energy(), coefficients, residual, normalization, program

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,15 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert str(input_path) in err
         assert not (tmp_path / "o").exists()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain = write_input(tmp_path, SMALL_REAL_TIME, "plain.txt")
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + SMALL_REAL_TIME.encode("utf-8"))
+        assert main(["run", str(plain), "--out", str(tmp_path / "plain")]) == 0
+        assert main(["run", str(marked), "--out", str(tmp_path / "marked")]) == 0
+        csv = "results.csv"
+        assert (tmp_path / "marked" / csv).read_bytes() == (tmp_path / "plain" / csv).read_bytes()
 
     @pytest.mark.parametrize(
         "text",
@@ -474,8 +484,13 @@ class TestCircuitExport:
 
     @pytest.mark.parametrize(
         "text",
-        [SMALL_REAL_TIME, SMALL_REAL_TIME + "QCQS: export-only\n", SMALL_IMAGINARY],
-        ids=["real-time", "export-only", "imaginary-time"],
+        [
+            SMALL_REAL_TIME,
+            SMALL_REAL_TIME + "QCQS: export-only\n",
+            SMALL_IMAGINARY,
+            SMALL_IMAGINARY + "QCQS: export-only\n",
+        ],
+        ids=["real-time", "export-only", "imaginary-time", "imaginary-export-only"],
     )
     def test_each_circuit_is_written_before_the_next_is_built(self, tmp_path, monkeypatch, text):
         out = tmp_path / "out"
@@ -552,6 +567,7 @@ class TestCircuitExport:
             SMALL_REAL_TIME.replace("h_x: 1.0", "h_x: gaussian-pulse(1.5, 0.5, 0.2)"),
             SMALL_IMAGINARY.replace("num_spins: 2", "num_spins: 3"),
             SMALL_IMAGINARY + "initial_state: down,up\noptimizer_level: none\n",
+            SMALL_IMAGINARY + "QCQS: export-only\n",
         ],
         ids=[
             "static",
@@ -560,6 +576,7 @@ class TestCircuitExport:
             "gaussian-pulse",
             "imaginary",
             "imaginary-prepared-unoptimized",
+            "imaginary-export-only",
         ],
     )
     def test_exported_circuits_equal_from_scratch_compiles(self, tmp_path, text):
@@ -579,7 +596,10 @@ class TestCircuitExport:
         else:
             dbeta = cfg.total_time / cfg.num_steps
             params = QiteParams(dbeta=dbeta, num_steps=cfg.num_steps, seed=cfg.rng_seed)
-            programs = [r.program for r in run_qite(hamiltonian, params, cfg.initial_state)]
+            # circuit k chains the programs of reports 0..k
+            reports = run_qite(hamiltonian, params, cfg.initial_state)
+            steps = accumulate(r.program.gates for r in reports)
+            programs = [Program(cfg.num_spins, gates) for gates in steps]
         assert len(list((out / "circuits").iterdir())) == len(programs)
         for k, program in enumerate(programs):
             compiled = cli._compile(cfg)(program)

@@ -22,7 +22,7 @@ from spinsim.backend import (
 )
 from spinsim.config import ConstantSchedule, LinearRampSchedule
 from spinsim.errors import SingularSystemError, UnsupportedFeatureError
-from spinsim.hamiltonian import HeisenbergHamiltonian, PauliTerm
+from spinsim.hamiltonian import HeisenbergHamiltonian, PauliTerm, snapshot
 from spinsim.ir import Program
 from spinsim.oracle import ground_state
 from spinsim.qite import (
@@ -34,6 +34,7 @@ from spinsim.qite import (
     pauli_string_product,
     run_qite,
 )
+from spinsim.trotter import state_preparation_gates
 
 
 def tfim(num_spins: int, j_z: float = 1.0, h_x: float = 1.0) -> HeisenbergHamiltonian:
@@ -472,6 +473,20 @@ class TestRunQite:
             assert report.energy == pytest.approx(1.0, abs=1e-9)
             assert np.abs(report.coefficients).max() <= 1e-9
 
+    def test_each_report_holds_only_its_own_step(self):
+        params = QiteParams(dbeta=0.3, num_steps=4)
+        hamiltonian = tfim(2)
+        reports = run_qite(hamiltonian, params, ["down", "up"])
+        preparation = state_preparation_gates(["down", "up"])
+        assert preparation
+        assert reports[0].program == Program(2, preparation)
+        basis = hamiltonian_basis(snapshot(hamiltonian, 0.0), params.domain_radius, 2)
+        for report in reports[1:]:
+            rebuilt = []
+            for a, masks in zip(report.coefficients, basis, strict=True):
+                rebuilt += pauli_rotation_gates(pauli_factors(masks, 2), params.dbeta * a)
+            assert report.program == Program(2, tuple(rebuilt)), report.step
+
     def test_cumulative_program_reproduces_energy(self):
         params = QiteParams(dbeta=0.3, num_steps=5)
         hamiltonian = tfim(2)
@@ -481,10 +496,13 @@ class TestRunQite:
             PauliTerm(1.0, ((1, "x"),)),
             PauliTerm(1.0, ((2, "x"),)),
         ]
+        # the preparation, then each step's own program in turn
+        state, applied = None, 0
         for report in reports:
-            state = run_statevector(report.program)
+            state = run_statevector(report.program, initial=state)
+            applied += len(report.program.gates)
             assert expectation(state, terms) == pytest.approx(report.energy, abs=1e-9)
-            assert abs(state.norm() - 1.0) <= 1e-12 * max(len(report.program.gates), 1)
+            assert abs(state.norm() - 1.0) <= 1e-12 * max(applied, 1)
 
     def test_preparation_program_width_checked(self):
         params = QiteParams(dbeta=0.1, num_steps=1)
