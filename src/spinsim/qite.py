@@ -21,6 +21,19 @@ Each step solves one system with h equal to the full Hamiltonian, over
 the union of the per-term string bases.  Its fixed points include every
 eigenstate of H (there b is identically zero), so the iteration can
 settle onto the true ground state.
+
+When every term of H has an even number of y factors (a real matrix)
+and the prepared state has real amplitudes, the basis keeps only the
+strings with an odd number of y factors (Motta et al., Nat. Phys. 16,
+205 (2020)).  On a real state b vanishes on the even-y strings and S
+has no entries between the two sets, so their coefficients are exactly
+zero; each odd-y string is i times a real antisymmetric matrix, so the
+fitted unitary is real orthogonal and the state stays real, in exact
+and sampled mode alike.  Fitting the even-y strings anyway only
+amplifies float noise along S's near-null directions into an imaginary
+part of the state.  The cut takes the n=7 TFIM basis from 75 strings
+to 31 and the 3-spin one from 27 to 11.  Any y field or a complex
+preparation keeps the full basis.
 """
 
 from __future__ import annotations
@@ -146,6 +159,27 @@ def hamiltonian_basis(
     return list(basis)
 
 
+def odd_y(masks: PauliMasks) -> bool:
+    """True when the string has an odd number of y factors: an imaginary matrix."""
+    x, z = masks
+    return _popcount(x & z) % 2 == 1
+
+
+def fitting_basis(
+    terms: Sequence[PauliTerm], radius: int, state: Statevector
+) -> list[PauliMasks]:
+    """The basis every step of :func:`run_qite` fits on, chosen from the prepared state.
+
+    :func:`hamiltonian_basis`, cut to its :func:`odd_y` strings when no
+    term is odd-y and ``state`` has no imaginary part.
+    """
+    n = state.num_qubits
+    basis = hamiltonian_basis(terms, radius, n)
+    if state.amplitudes.imag.any() or any(odd_y(pauli_masks(t.factors, n)) for t in terms):
+        return basis
+    return [masks for masks in basis if odd_y(masks)]
+
+
 def pauli_rotation_gates(factors: Sequence[tuple[int, str]], angle: float) -> list[Gate]:
     """Circuit for exp(-i angle sigma_P): basis change, CNOT ladder, RZ."""
     axes = [(site - 1, axis) for site, axis in factors]
@@ -244,7 +278,8 @@ def run_qite(
     ``initial_state`` is either a per-site up/down sequence (prepared
     with X gates) or an explicit preparation circuit.  Returns one
     report per step, preceded by a step-0 report for the prepared
-    initial state.  Each step is a single fit of the full Hamiltonian.
+    initial state.  Each step is a single fit of the full Hamiltonian
+    over :func:`fitting_basis` of the prepared state.
     """
     if hamiltonian.is_time_dependent:
         raise UnsupportedFeatureError(
@@ -270,7 +305,7 @@ def run_qite(
         return estimate_with_sigma(state, terms, params.shots, rng)
 
     reports = [QiteStepReport(0, *measured_energy(), (), 0.0, 1.0, program)]
-    basis = hamiltonian_basis(terms, params.domain_radius, n)
+    basis = fitting_basis(terms, params.domain_radius, state)
     for step in range(1, params.num_steps + 1):
         coefficients, gates, residual, normalization = fit_step_unitary(
             state, basis, terms, params, rng

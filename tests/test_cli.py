@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from helpers import cut_programs, dense_expectation, product_formula_states
 from spinsim import cli, ir, oracle
-from spinsim.backend import expectation, product_state
+from spinsim.backend import expectation, product_state, run_statevector
 from spinsim.cli import main
 from spinsim.config import INPUT_KEYS, build_hamiltonian, parse_input
 from spinsim.hamiltonian import snapshot
@@ -436,13 +436,18 @@ STATIC_KINDS = ("constant", "list", "random-uniform")
 
 
 @st.composite
-def imaginary_time_texts(draw) -> str:
-    """Exact imaginary-time inputs on at most 4 spins, static schedules only."""
+def imaginary_time_texts(draw, y_field: bool = True) -> str:
+    """Exact imaginary-time inputs on at most 4 spins, static schedules only.
+
+    With ``y_field`` false no ``h_y`` is drawn, so H is a real matrix.
+    """
     num_spins = draw(st.integers(1, 4))
     lines = [f"num_spins: {num_spins}", "mode: imaginary-time", "QCQS: QS", "shots: 0"]
     lines.append(f"total_time: {draw(st.sampled_from(('0.3', '1', '2.4')))}")
     lines.append(f"num_steps: {draw(st.integers(1, 6))}")
     for key in INPUT_KEYS:
+        if key == "h_y" and not y_field:
+            continue
         if key.startswith(("J_", "h_")) and draw(st.booleans()):
             count = num_spins - 1 if key.startswith("J_") else num_spins
             lines.append(f"{key}: {draw(schedule_texts(count, STATIC_KINDS))}")
@@ -469,6 +474,18 @@ class TestImaginaryTimeFloor:
         assert len(points) == cfg.num_steps + 1
         for _, energy, _ in points:
             assert energy >= ground - 1e-9
+
+    @given(text=imaginary_time_texts(y_field=False))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_real_inputs_keep_a_real_state(self, text):
+        # a real H and an up/down start fit on the odd-y basis, whose
+        # rotations are real orthogonal
+        cfg = parse_input(text)
+        params = QiteParams(dbeta=cfg.total_time / cfg.num_steps, num_steps=cfg.num_steps)
+        state = None
+        for report in run_qite(build_hamiltonian(cfg), params, cfg.initial_state):
+            state = run_statevector(report.program, initial=state)
+            assert np.abs(state.amplitudes.imag).max() <= 1e-12, report.step
 
 
 class TestCircuitExport:

@@ -29,7 +29,9 @@ from spinsim.qite import (
     QiteParams,
     domain_window,
     fit_step_unitary,
+    fitting_basis,
     hamiltonian_basis,
+    odd_y,
     pauli_rotation_gates,
     pauli_string_product,
     run_qite,
@@ -480,7 +482,8 @@ class TestRunQite:
         preparation = state_preparation_gates(["down", "up"])
         assert preparation
         assert reports[0].program == Program(2, preparation)
-        basis = hamiltonian_basis(snapshot(hamiltonian, 0.0), params.domain_radius, 2)
+        prepared = run_statevector(reports[0].program)
+        basis = fitting_basis(snapshot(hamiltonian, 0.0), params.domain_radius, prepared)
         for report in reports[1:]:
             rebuilt = []
             for a, masks in zip(report.coefficients, basis, strict=True):
@@ -541,3 +544,56 @@ class TestRunQite:
         reports_narrow = run_qite(tfim(3), narrow, ["up", "up", "up"])
         reports_wide = run_qite(tfim(3), wide, ["up", "up", "up"])
         assert len(reports_wide[1].coefficients) > len(reports_narrow[1].coefficients)
+
+
+class TestSymmetryBasis:
+    @pytest.mark.parametrize(
+        "factors, want",
+        [
+            (((1, "y"),), True),
+            (((1, "x"), (2, "z")), False),
+            (((1, "y"), (2, "y")), False),
+            (((1, "y"), (2, "x"), (3, "y"), (4, "y")), True),
+        ],
+    )
+    def test_odd_y_counts_y_factors(self, factors, want):
+        masks = pauli_masks(factors, 4)
+        assert odd_y(masks) is want
+        matrix = embedded_pauli(factors, 4)
+        assert not np.any(matrix.real if want else matrix.imag)
+
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_real_tfim_keeps_a_real_state(self, shots):
+        # the even-y coefficients are zero only in exact arithmetic; fitting
+        # them amplified float noise into |Im psi| of 1e-11 to 1e-5 by step 12
+        n = 7
+        h_x = np.random.default_rng(4).uniform(0.8, 1.2, n)
+        bonds = {("z", i): ConstantSchedule(1.0) for i in range(1, n)}
+        fields = {("x", i): ConstantSchedule(float(v)) for i, v in enumerate(h_x, 1)}
+        hamiltonian = HeisenbergHamiltonian(n, bonds, fields)
+        params = QiteParams(dbeta=0.3, num_steps=12, shots=shots, seed=5)
+        reports = run_qite(hamiltonian, params, ["up"] * n)
+        state = run_statevector(reports[0].program)
+        basis = fitting_basis(snapshot(hamiltonian, 0.0), 0, state)
+        assert len(basis) == 31
+        assert all(odd_y(masks) for masks in basis)
+        for report in reports[1:]:
+            assert len(report.coefficients) == len(basis)
+            state = run_statevector(report.program, initial=state)
+            assert np.abs(state.amplitudes.imag).max() <= 1e-12, report.step
+
+    @pytest.mark.parametrize(
+        "y_field, preparation, size",
+        [
+            (0.0, ["up", "down", "up"], 11),
+            (0.4, ["up", "up", "up"], 27),
+            (0.0, Program(3, (ir.rx(0.3, 0),)), 27),
+        ],
+        ids=["real", "y-field", "complex-preparation"],
+    )
+    def test_only_a_real_problem_cuts_the_basis(self, y_field, preparation, size):
+        plain = tfim(3)
+        fields = {**plain.field_coefficients, ("y", 2): ConstantSchedule(y_field)}
+        hamiltonian = HeisenbergHamiltonian(3, plain.bond_coefficients, fields)
+        reports = run_qite(hamiltonian, QiteParams(dbeta=0.3, num_steps=2), preparation)
+        assert [len(r.coefficients) for r in reports[1:]] == [size, size]
