@@ -18,7 +18,7 @@ from spinsim.config import build_hamiltonian, parse_input
 from spinsim.ir import lower_to_native
 from spinsim.observables import excitation_displacement_observable
 from spinsim.optimizer import optimize
-from spinsim.trotter import TrotterParams, evolve_series
+from spinsim.trotter import TrotterParams, evolve_series, step_blocks
 
 TEMPLATE = """
 num_spins: 5
@@ -42,8 +42,8 @@ def displacement_series(cfg) -> np.ndarray:
     hamiltonian = build_hamiltonian(cfg)
     params = TrotterParams(cfg.total_time, cfg.num_steps)
     obs = excitation_displacement_observable(cfg.num_spins)
-    series = evolve_series(hamiltonian, params, cfg.initial_state, compile_block)
-    return np.asarray([expectation(state, obs) for _, state in series])
+    series = evolve_series(cfg.initial_state, step_blocks(hamiltonian, params, compile_block))
+    return np.asarray([expectation(state, obs) for state in series])
 
 
 def main() -> int:

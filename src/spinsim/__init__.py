@@ -54,7 +54,8 @@ from .observables import (
 from .optimizer import optimize
 from .oracle import evolve_exact, evolve_imaginary_exact, ground_state
 from .qite import QiteParams, QiteStepReport, fit_step_unitary, run_qite
-from .trotter import TrotterParams, build_evolution_program, evolve_series, trotter_step
+from .trotter import TrotterParams, build_evolution_program, evolve_series
+from .trotter import step_blocks, trotter_step
 
 __all__ = [
     "CoefficientSchedule",
@@ -97,6 +98,7 @@ __all__ = [
     "serialize",
     "site_magnetization_observable",
     "snapshot",
+    "step_blocks",
     "trotter_step",
     "unitary_of",
     "write_csv",

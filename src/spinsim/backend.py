@@ -480,14 +480,17 @@ def estimate_with_sigma(
     terms: Sequence[PauliTerm],
     shots: int,
     rng: int | np.random.Generator,
-) -> tuple[float, float]:
+) -> tuple[float, float | None]:
     """Sampled <state| sum of terms |state> and its standard error.
 
-    Constant terms add exactly.  Each measurement group of the terms is
-    drawn ``shots`` times (see :func:`_sample_groups`); an outcome's
-    value is the sum of coefficient times z parity over the group's
-    terms, and the group variances add.
+    ``shots`` = 0 gives (:func:`expectation`, None) and leaves ``rng``
+    alone.  Otherwise each measurement group of the terms is drawn
+    ``shots`` times (see :func:`_sample_groups`); an outcome's value is
+    the sum of coefficient times z parity over the group's terms, the
+    group variances add, and constant terms add exactly.
     """
+    if shots == 0:
+        return expectation(state, terms), None
     masks = [pauli_masks(term.factors, state.num_qubits) for term in terms]
     mean = sum(t.coefficient for t in terms if not t.factors)
     variance = 0.0

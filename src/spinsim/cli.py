@@ -7,26 +7,32 @@ directory.  The directory comes from ``--out``, else the
 ``SPINSIM_OUTPUT_DIR`` environment variable, else the file's
 ``output_dir`` key.
 
+A real-time run lists its compiled step blocks once; the simulation and
+the export both read that list.  Every point is read through
+``backend.estimate_with_sigma``, which is exact when ``shots`` is 0.
+
 Every per-point product carries forward from the previous point: with
 ``--export``, circuit k is circuit k-1 followed by the gates of step k,
 which are lowered alone and fed to the peephole pass's running state,
 so every gate is lowered, optimized and formatted once, and each
 circuit is written out before the next is assembled;
-``--ground-truth`` makes one oracle call for the whole series.
+``--ground-truth`` makes one oracle call for the whole series.  Circuit
+k repeats circuits 0..k-1, so an export grows with the square of the
+step count: one estimated above ``EXPORT_BYTE_LIMIT`` bytes exits 4
+before anything is written.
 
 Exit codes: 0 success, 2 bad input description (or one the numerics
 cannot follow), 3 recognized but unsupported feature, 4 system too
-large for dense simulation, 5 I/O failure.
+large for dense simulation or export too large to write, 5 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import os
 import sys
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -87,6 +93,9 @@ _EXIT_CODE_OF = {UnsupportedFeatureError: EXIT_UNSUPPORTED, TooLargeError: EXIT_
 
 OUTPUT_DIR_ENV = "SPINSIM_OUTPUT_DIR"
 
+# the largest export, in estimated bytes, that a run writes (see _export_bytes)
+EXPORT_BYTE_LIMIT = 2**30
+
 
 def _observable_terms(cfg: SimulationConfig, hamiltonian, t: float) -> list[PauliTerm]:
     name = cfg.observable
@@ -136,27 +145,37 @@ def _cumulative_circuits(
         yield head + "".join(lines) + tail
 
 
+def _export_bytes(cfg: SimulationConfig, steps: list[tuple[Gate, ...]]) -> int:
+    """Estimated size of the cumulative circuits of ``steps``' gate tuples.
+
+    Circuit k holds the lines of tuples 0..k, each measured as given,
+    before lowering and the peephole pass; a tuple that repeats the one
+    before it is measured once.
+    """
+    frame = sum(map(len, export_frame(cfg.num_spins, measured=cfg.shots > 0)))
+    total = lines = 0
+    previous = size = None
+    for gates in steps:
+        if gates is not previous:
+            previous, size = gates, sum(len(export_line(gate)) for gate in gates)
+        lines += size
+        total += frame + lines
+    return total
+
+
 def _run_real_time(cfg: SimulationConfig, hamiltonian, seed: int):
     params = TrotterParams(cfg.total_time, cfg.num_steps)
     last_step = cfg.num_steps if cfg.total_time > 0.0 else 0
-    # export and evolve_series walk the same step blocks; each distinct
-    # block is compiled once per run
-    compile_block = functools.cache(_compile(cfg))
-    blocks = step_blocks(hamiltonian, params, compile_block)
-    steps = chain(
-        [state_preparation_gates(cfg.initial_state)],
-        (block.gates for block in islice(blocks, last_step)),
-    )
+    # one walk: the simulation and the export read the same compiled blocks
+    blocks = list(islice(step_blocks(hamiltonian, params, _compile(cfg)), last_step))
+    steps = [state_preparation_gates(cfg.initial_state)] + [block.gates for block in blocks]
     points = []
     if cfg.backend_mode == "QS":
-        series = evolve_series(hamiltonian, params, cfg.initial_state, compile_block)
-        for k, (t_k, state) in enumerate(islice(series, last_step + 1)):
+        for k, state in enumerate(evolve_series(cfg.initial_state, blocks)):
+            t_k = k * params.dt
             terms = _observable_terms(cfg, hamiltonian, t_k)
-            if cfg.shots == 0:
-                points.append((t_k, expectation(state, terms), None))
-            else:
-                rng = derived_seed(seed, k)
-                points.append((t_k, *estimate_with_sigma(state, terms, cfg.shots, rng)))
+            rng = derived_seed(seed, k)
+            points.append((t_k, *estimate_with_sigma(state, terms, cfg.shots, rng)))
     return points, steps
 
 
@@ -165,7 +184,7 @@ def _run_imaginary_time(cfg: SimulationConfig, hamiltonian, seed: int):
     params = QiteParams(dbeta=dbeta, num_steps=cfg.num_steps, shots=cfg.shots, seed=seed)
     reports = run_qite(hamiltonian, params, cfg.initial_state)
     points = [(r.step * dbeta, r.energy, r.sigma) for r in reports]
-    return points, (r.program.gates for r in reports)
+    return points, [r.program.gates for r in reports]
 
 
 def _ground_truth_values(cfg: SimulationConfig, hamiltonian, axis: list[float]) -> list[float]:
@@ -230,10 +249,19 @@ def run_simulation(args: argparse.Namespace) -> int:
             axis_label = "beta"
             observable_name = "energy"
 
+        export = args.export or cfg.backend_mode == "export-only"
+        if export:
+            size = _export_bytes(cfg, steps)
+            if size > EXPORT_BYTE_LIMIT:
+                raise TooLargeError(
+                    f"the exported circuits would take about {size} bytes, "
+                    f"over the limit of {EXPORT_BYTE_LIMIT}; reduce num_steps"
+                )
+
         out_path.mkdir(parents=True, exist_ok=True)
         written: list[str] = []
 
-        if args.export or cfg.backend_mode == "export-only":
+        if export:
             circuit_dir = out_path / "circuits"
             circuit_dir.mkdir(exist_ok=True)
             for k, circuit in enumerate(_cumulative_circuits(cfg, steps)):

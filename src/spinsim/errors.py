@@ -7,11 +7,11 @@ class SpinsimError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigError(SpinsimError):
-    """Problem in an input description file.
+class _LineError(SpinsimError):
+    """An error that may name the 1-based line it was detected on.
 
-    ``line`` is the 1-based line number the problem was detected on, or
-    None when the problem spans several keys.
+    ``line`` is None when the problem belongs to no single line; the
+    message is then left as given.
     """
 
     def __init__(self, message: str, line: int | None = None):
@@ -19,6 +19,10 @@ class ConfigError(SpinsimError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class ConfigError(_LineError):
+    """Problem in an input description file (``line`` is None when it spans several keys)."""
 
 
 class UnknownKeyError(ConfigError):
@@ -41,14 +45,8 @@ class TooLargeError(SpinsimError):
     """The requested dense or statevector object exceeds the size guard."""
 
 
-class CircuitSyntaxError(SpinsimError):
+class CircuitSyntaxError(_LineError):
     """Malformed line in the text circuit dialect."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class UnknownGateError(CircuitSyntaxError):

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ir
-from .backend import Statevector, _popcount, estimate_with_sigma, expectation
+from .backend import Statevector, _popcount, estimate_with_sigma
 from .backend import pauli_factors, pauli_masks, pauli_values, run_statevector
 # unused, but bound: the span tracer in perfbench/spans.py wraps it by name here
 from .backend import apply_gate  # noqa: F401
@@ -56,6 +56,9 @@ from .ir import Gate, Program
 from .trotter import state_preparation_gates
 
 PauliMasks = tuple[int, int]
+
+# delta of the regularized normal equations (S + delta I) a = b
+REGULARIZATION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,6 @@ class QiteParams:
     dbeta: float
     num_steps: int
     domain_radius: int = 0
-    regularization: float = 1e-6
     shots: int = 0
     seed: int = 0
 
@@ -83,8 +85,6 @@ class QiteParams:
             raise ValueError(f"num_steps must be positive, got {self.num_steps}")
         if self.domain_radius < 0:
             raise ValueError(f"domain_radius must be >= 0, got {self.domain_radius}")
-        if self.regularization < 0.0:
-            raise ValueError(f"regularization must be >= 0, got {self.regularization}")
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
 
@@ -250,7 +250,7 @@ def fit_step_unitary(
     for column in b_terms.T:
         b_vector += column
 
-    regularized = s_matrix + params.regularization * np.eye(m)
+    regularized = s_matrix + REGULARIZATION * np.eye(m)
     try:
         a = np.linalg.solve(regularized, b_vector)
     except np.linalg.LinAlgError:
@@ -298,13 +298,8 @@ def run_qite(
     rng = np.random.default_rng(params.seed)
 
     state = run_statevector(program)
-
-    def measured_energy() -> tuple[float, float | None]:
-        if params.shots == 0:
-            return expectation(state, terms), None
-        return estimate_with_sigma(state, terms, params.shots, rng)
-
-    reports = [QiteStepReport(0, *measured_energy(), (), 0.0, 1.0, program)]
+    measured = estimate_with_sigma(state, terms, params.shots, rng)
+    reports = [QiteStepReport(0, *measured, (), 0.0, 1.0, program)]
     basis = fitting_basis(terms, params.domain_radius, state)
     for step in range(1, params.num_steps + 1):
         coefficients, gates, residual, normalization = fit_step_unitary(
@@ -312,9 +307,8 @@ def run_qite(
         )
         program = Program(n, gates)
         state = run_statevector(program, initial=state)
+        measured = estimate_with_sigma(state, terms, params.shots, rng)
         reports.append(
-            QiteStepReport(
-                step, *measured_energy(), coefficients, residual, normalization, program
-            )
+            QiteStepReport(step, *measured, coefficients, residual, normalization, program)
         )
     return reports

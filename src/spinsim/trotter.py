@@ -3,16 +3,15 @@
 A step from t to t+dt applies, per Hamiltonian term c, the rotation
 exp(-i c dt P) with all coefficients sampled at the step midpoint.
 :func:`step_blocks` yields the compiled block of every step; the
-simulation (:func:`evolve_series`) and the command line's circuit
-export both consume it, so neither rebuilds a circuit from t=0.
-Higher-order splittings are an extension point: add an alternative
-step builder here and dispatch on an order parameter.
+command line lists them once, and the simulation
+(:func:`evolve_series`) and the circuit export both read that list,
+so neither rebuilds a circuit from t=0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import ir
 from .backend import Statevector, fuse, run_fused, run_statevector
@@ -116,29 +115,24 @@ def step_blocks(
 
 
 def evolve_series(
-    hamiltonian: HeisenbergHamiltonian,
-    params: TrotterParams,
-    initial_state: Sequence[str],
-    compile_block: Callable[[Program], Program],
-) -> Iterator[tuple[float, Statevector]]:
-    """Yield (t_k, state after k steps) for k = 0..params.num_steps.
+    initial_state: Sequence[str], blocks: Iterable[Program]
+) -> Iterator[Statevector]:
+    """Yield the prepared product state, then the state after each of ``blocks``.
 
-    One state starts from the product state and advances by the blocks
-    of :func:`step_blocks`, so the same compiled block that is
-    simulated can be appended to an exported circuit.  Each distinct
-    block is fused once (:func:`backend.fuse`) into a few dense
-    unitaries, and the state advances by those.  State k equals that of
-    the preparation followed by the first k blocks, up to rounding.
+    Each distinct block (typically from :func:`step_blocks`, so the
+    block simulated is the one exported) is fused once
+    (:func:`backend.fuse`) into a few dense unitaries, and the state
+    advances by those.  State k equals that of the preparation followed
+    by the first k blocks, up to rounding.
     """
-    if len(initial_state) != hamiltonian.num_spins:
-        raise ValueError("initial state length does not match the chain")
-    preparation = Program(hamiltonian.num_spins, state_preparation_gates(initial_state))
-    state = run_statevector(preparation)
-    yield 0.0, state
-    dt = params.dt
+    n = len(initial_state)
+    state = run_statevector(Program(n, state_preparation_gates(initial_state)))
+    yield state
     fused = plan = None
-    for j, block in enumerate(step_blocks(hamiltonian, params, compile_block), start=1):
+    for block in blocks:
+        if block.num_qubits != n:
+            raise ValueError("step block width does not match the chain")
         if block is not fused:
             fused, plan = block, fuse(block)
         state = run_fused(plan, state)
-        yield j * dt, state
+        yield state

@@ -32,7 +32,7 @@ from spinsim.observables import (
 from spinsim.optimizer import optimize
 from spinsim.oracle import evolve_exact, evolve_imaginary_exact, ground_state
 from spinsim.qite import QiteParams, fit_step_unitary, hamiltonian_basis, run_qite
-from spinsim.trotter import TrotterParams, build_evolution_program, evolve_series
+from spinsim.trotter import TrotterParams, build_evolution_program, evolve_series, step_blocks
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "scripts" / "inputs"
@@ -128,10 +128,9 @@ def test_criterion_2_localization_trend(tmp_path):
         for name, cfg in (("clean", clean), ("disordered", disordered)):
             hamiltonian = build_hamiltonian(cfg)
             params = TrotterParams(cfg.total_time, cfg.num_steps)
-            trotter, times = [], []
-            for t_k, state in evolve_series(hamiltonian, params, spins, lower_to_native):
-                trotter.append(expectation(state, displacement))
-                times.append(t_k)
+            blocks = step_blocks(hamiltonian, params, lower_to_native)
+            trotter = [expectation(state, displacement) for state in evolve_series(spins, blocks)]
+            times = [k * params.dt for k in range(len(trotter))]
             references = evolve_exact(hamiltonian, times, initial)
             oracle = [expectation(reference, displacement) for reference in references]
             mismatch = np.abs(np.array(trotter) - np.array(oracle)).max()

@@ -457,7 +457,20 @@ class TestCountsEstimation:
 
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError):
-            estimate_with_sigma(product_state(["up"]), [PauliTerm(1.0, ((1, "z"),))], 0, 0)
+            estimate_with_sigma(product_state(["up"]), [PauliTerm(1.0, ((1, "z"),))], -1, 0)
+
+    def test_zero_shots_reads_the_exact_expectation(self):
+        state = random_state(np.random.default_rng(8), 3)
+        terms = [
+            PauliTerm(0.7, ((1, "x"), (2, "x"))),
+            PauliTerm(-0.4, ((2, "y"), (3, "z"))),
+            PauliTerm(1.3, ((3, "z"),)),
+            PauliTerm(0.25, ()),
+        ]
+        rng = np.random.default_rng(5)
+        assert estimate_with_sigma(state, terms, 0, rng) == (expectation(state, terms), None)
+        # exact mode leaves the generator untouched
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
     def test_sigma_zero_for_deterministic_outcomes(self):
         mean, sigma = estimate_with_sigma(

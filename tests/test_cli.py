@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import cut_programs, dense_expectation, product_formula_states
-from spinsim import cli, ir, oracle
+from spinsim import cli, ir, oracle, trotter
 from spinsim.backend import expectation, product_state, run_statevector
 from spinsim.cli import main
 from spinsim.config import INPUT_KEYS, build_hamiltonian, parse_input
@@ -31,8 +31,8 @@ from spinsim.qite import QiteParams, run_qite
 from spinsim.trotter import (
     TrotterParams,
     build_evolution_program,
-    evolve_series,
     state_preparation_gates,
+    step_blocks,
     step_midpoint,
     trotter_step,
 )
@@ -554,17 +554,8 @@ class TestCircuitExport:
         out = tmp_path / "out"
         assert main(["run", str(input_path), "--out", str(out), "--export"]) == 0
 
-        blocks = []
-
-        def compile_block(program):
-            blocks.append(cli._compile(cfg)(program))
-            return blocks[-1]
-
         params = TrotterParams(cfg.total_time, cfg.num_steps)
-        for _ in evolve_series(build_hamiltonian(cfg), params, cfg.initial_state, compile_block):
-            pass
-        if len(blocks) == 1:
-            blocks *= cfg.num_steps
+        blocks = list(step_blocks(build_hamiltonian(cfg), params, cli._compile(cfg)))
         gates = list(state_preparation_gates(cfg.initial_state))
         for k in range(cfg.num_steps + 1):
             if k > 0:
@@ -642,6 +633,47 @@ class TestCircuitExport:
         input_path = write_input(tmp_path, text)
         assert main(["run", str(input_path), "--out", str(tmp_path / "out"), "--export"]) == 0
         assert len(calls) == 25
+
+    def test_time_dependent_export_builds_each_step_once(self, tmp_path, monkeypatch):
+        # the simulation and the export read one list of the 12 ramp blocks
+        text = (
+            SMALL_REAL_TIME.replace("num_spins: 2", "num_spins: 4")
+            .replace("num_steps: 5", "num_steps: 12")
+            .replace("h_x: 1.0", "h_x: linear-ramp(0, 1)")
+        )
+        build = trotter.trotter_step
+        calls = []
+
+        def counting(hamiltonian, t_eval, dt):
+            calls.append(t_eval)
+            return build(hamiltonian, t_eval, dt)
+
+        monkeypatch.setattr(trotter, "trotter_step", counting)
+        input_path = write_input(tmp_path, text)
+        assert main(["run", str(input_path), "--out", str(tmp_path / "out"), "--export"]) == 0
+        assert len(calls) == 12
+
+    @pytest.mark.parametrize(
+        "text",
+        [SMALL_REAL_TIME, SMALL_IMAGINARY + "QCQS: export-only\n"],
+        ids=["real-time", "imaginary-export-only"],
+    )
+    def test_export_over_the_byte_limit_exits_four_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, text
+    ):
+        input_path = write_input(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", str(input_path), "--out", str(out), "--export"]) == 0
+        written = sum(p.stat().st_size for p in (out / "circuits").iterdir())
+        capsys.readouterr()
+
+        monkeypatch.setattr(cli, "EXPORT_BYTE_LIMIT", written // 2)
+        again = tmp_path / "again"
+        assert main(["run", str(input_path), "--out", str(again), "--export"]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "limit" in err
+        assert not again.exists()
 
     def test_export_lowers_each_step_once(self, tmp_path, monkeypatch):
         # across 20 steps of a static chain, lowering sees the step block

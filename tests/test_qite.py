@@ -26,6 +26,7 @@ from spinsim.hamiltonian import HeisenbergHamiltonian, PauliTerm, snapshot
 from spinsim.ir import Program
 from spinsim.oracle import ground_state
 from spinsim.qite import (
+    REGULARIZATION,
     QiteParams,
     domain_window,
     fit_step_unitary,
@@ -68,7 +69,7 @@ class TestParams:
     def test_defaults(self):
         params = QiteParams(dbeta=0.1, num_steps=5)
         assert params.domain_radius == 0
-        assert params.regularization == 1e-6
+        assert REGULARIZATION == 1e-6
         assert params.shots == 0
 
 
@@ -260,7 +261,7 @@ def scalar_fit(state, basis, terms, params):
             phase, masks = scalar_product(left, term_masks)
             if phase.imag != 0.0:
                 b_vector[i] += coefficient * phase.imag * estimate(masks) / sqrt_c
-    a = np.linalg.solve(s_matrix + params.regularization * np.eye(m), b_vector)
+    a = np.linalg.solve(s_matrix + REGULARIZATION * np.eye(m), b_vector)
     residual = float(np.linalg.norm(s_matrix @ a - b_vector))
     return tuple(float(v) for v in a), residual, c
 

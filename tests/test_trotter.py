@@ -16,6 +16,7 @@ from spinsim.trotter import (
     build_evolution_program,
     evolve_series,
     state_preparation_gates,
+    step_blocks,
     step_midpoint,
     trotter_step,
 )
@@ -171,10 +172,9 @@ class TestEvolveSeries:
         hamiltonian = CHAINS[chain]
         params = TrotterParams(1.5, 6)
         spins = ["down", "up", "up"]
-        series = evolve_series(hamiltonian, params, spins, COMPILE_STEPS[compile_step])
+        blocks = step_blocks(hamiltonian, params, COMPILE_STEPS[compile_step])
         count = 0
-        for k, (t_k, state) in enumerate(series):
-            assert t_k == k * params.dt
+        for k, state in enumerate(evolve_series(spins, blocks)):
             program = build_evolution_program(hamiltonian, params, k, spins)
             want = run_statevector(program).amplitudes
             assert phase_aligned_distance(want, state.amplitudes) <= 1e-12, k
@@ -188,7 +188,8 @@ class TestEvolveSeries:
         params = TrotterParams(1.5, 4)
         spins = ["up", "down", "up"]
         want = run_statevector(ir.Program(3, state_preparation_gates(spins)))
-        for k, (_, state) in enumerate(evolve_series(hamiltonian, params, spins, lambda p: p)):
+        blocks = step_blocks(hamiltonian, params, lambda p: p)
+        for k, state in enumerate(evolve_series(spins, blocks)):
             if k:
                 block = trotter_step(hamiltonian, step_midpoint(k, params.dt), params.dt)
                 want = run_fused(fuse(block), want)
@@ -203,8 +204,8 @@ class TestEvolveSeries:
             return fuse(program)
 
         monkeypatch.setattr(trotter, "fuse", counting_fuse)
-        series = evolve_series(CHAINS[chain], TrotterParams(1.0, 5), ["up"] * 3, lower_to_native)
-        assert len(list(series)) == 6
+        blocks = step_blocks(CHAINS[chain], TrotterParams(1.0, 5), lower_to_native)
+        assert len(list(evolve_series(["up"] * 3, blocks))) == 6
         assert len(fused) == fusions
 
     @pytest.mark.parametrize("chain, compiles", [("static", 1), ("linear-ramp", 5)])
@@ -215,23 +216,23 @@ class TestEvolveSeries:
             compiled.append(program)
             return program
 
-        series = evolve_series(CHAINS[chain], TrotterParams(1.0, 5), ["up"] * 3, compile_block)
-        assert len(list(series)) == 6
+        blocks = step_blocks(CHAINS[chain], TrotterParams(1.0, 5), compile_block)
+        assert len(list(evolve_series(["up"] * 3, blocks))) == 6
         assert len(compiled) == compiles
 
     def test_later_steps_leave_yielded_states_alone(self):
         hamiltonian = CHAINS["linear-ramp"]
         params = TrotterParams(1.5, 4)
         spins = ["up", "down", "up"]
-        one_at_a_time = [
-            state.amplitudes.copy()
-            for _, state in evolve_series(hamiltonian, params, spins, lower_to_native)
-        ]
-        listed = list(evolve_series(hamiltonian, params, spins, lower_to_native))
+        blocks = list(step_blocks(hamiltonian, params, lower_to_native))
+        one_at_a_time = [state.amplitudes.copy() for state in evolve_series(spins, blocks)]
+        listed = list(evolve_series(spins, blocks))
         assert len(listed) == len(one_at_a_time)
-        for (_, state), want in zip(listed, one_at_a_time):
+        for state, want in zip(listed, one_at_a_time):
             assert state.amplitudes.tobytes() == want.tobytes()
 
     def test_initial_state_length_checked(self):
+        series = evolve_series(["up"], step_blocks(tfim(2), TrotterParams(1.0, 5), lower_to_native))
+        assert next(series).num_qubits == 1
         with pytest.raises(ValueError):
-            next(evolve_series(tfim(2), TrotterParams(1.0, 5), ["up"], lower_to_native))
+            next(series)
