@@ -9,7 +9,7 @@ qubit j ('1' means spin down).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -44,9 +44,20 @@ def zero_state(num_qubits: int) -> np.ndarray:
     return amps
 
 
+def _check_width(num_qubits: int) -> None:
+    if num_qubits > STATEVECTOR_QUBIT_LIMIT:
+        raise TooLargeError(
+            f"statevector simulation limited to {STATEVECTOR_QUBIT_LIMIT} qubits, got {num_qubits}"
+        )
+
+
 def product_state(spins: Sequence[str]) -> Statevector:
-    """|up...> style product state; ``spins`` holds 'up'/'down' per site."""
+    """|up...> style product state; ``spins`` holds 'up'/'down' per site.
+
+    At most STATEVECTOR_QUBIT_LIMIT sites, as for :func:`run_statevector`.
+    """
     n = len(spins)
+    _check_width(n)
     index = 0
     for spin in spins:
         if spin not in ("up", "down"):
@@ -168,10 +179,21 @@ _KRON_REST = 4
 
 @dataclass(frozen=True)
 class FusedBlock:
-    """A dense unitary on the qubits lo .. lo + m - 1; ``matrix`` has 2^m rows."""
+    """A dense unitary on the qubits lo .. lo + m - 1 of n; ``matrix`` has 2^m rows.
+
+    ``product`` is kron(matrix^T, I_rest), built once with the block when
+    at most _KRON_REST amplitudes lie below it, else None.
+    """
 
     lo: int
     matrix: np.ndarray
+    num_qubits: int
+    product: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rest = 2 ** (self.num_qubits - self.lo) // len(self.matrix)
+        product = np.kron(self.matrix.T, np.eye(rest)) if rest <= _KRON_REST else None
+        object.__setattr__(self, "product", product)
 
 
 def fuse(program: Program) -> tuple[FusedBlock | Gate, ...]:
@@ -201,7 +223,9 @@ def fuse(program: Program) -> tuple[FusedBlock | Gate, ...]:
         for q in gate.qubits:
             last[q] = newest
     return tuple(
-        entry if isinstance(entry, Gate) else FusedBlock(entry[0], _block_matrix(*entry))
+        entry
+        if isinstance(entry, Gate)
+        else FusedBlock(entry[0], _block_matrix(*entry), program.num_qubits)
         for entry in entries
     )
 
@@ -223,12 +247,11 @@ def _apply_block(amps: np.ndarray, block: FusedBlock) -> None:
     dim = len(block.matrix)
     rest = len(amps) // (dim << block.lo)
     rows = max(1, _FUSED_CHUNK // (dim * rest))
-    if rest <= _KRON_REST:
-        product = np.kron(block.matrix.T, np.eye(rest))
+    if block.product is not None:
         w = amps.reshape(-1, dim * rest)
         for a in range(0, len(w), rows):
             part = w[a : a + rows]
-            part[...] = part @ product
+            part[...] = part @ block.product
         return
     v = amps.reshape(-1, dim, rest)
     cols = min(rest, _FUSED_CHUNK // dim)
@@ -245,6 +268,8 @@ def run_fused(plan: Sequence[FusedBlock | Gate], initial: Statevector) -> Statev
     for entry in plan:
         if isinstance(entry, Gate):
             apply_gate(amps, entry, n)
+        elif entry.num_qubits != n:
+            raise ValueError("fused block width does not match the state")
         else:
             _apply_block(amps, entry)
     return Statevector(n, amps)
@@ -253,10 +278,7 @@ def run_fused(plan: Sequence[FusedBlock | Gate], initial: Statevector) -> Statev
 def run_statevector(program: Program, initial: Statevector | None = None) -> Statevector:
     """Execute a program on |0...0> (or a supplied initial state)."""
     n = program.num_qubits
-    if n > STATEVECTOR_QUBIT_LIMIT:
-        raise TooLargeError(
-            f"statevector simulation limited to {STATEVECTOR_QUBIT_LIMIT} qubits, got {n}"
-        )
+    _check_width(n)
     if initial is None:
         amps = zero_state(n)
     else:
@@ -305,58 +327,62 @@ def pauli_factors(masks: tuple[int, int], num_qubits: int) -> tuple[tuple[int, s
     return tuple(factors)
 
 
-# (-1)^popcount(b) for every byte b: the z sign of index k under mask z
-# is the product of this over the bytes of k & z
-_BYTE_SIGNS = np.prod(
-    1 - 2 * (np.arange(256)[:, None] >> np.arange(8) & 1), axis=1
-).astype(np.int8)
-
-# (-i)^k, the phase of sigma = (-i)^|x & z| Z^z X^x
-_MINUS_I_POWERS = (1, -1j, -1, 1j)
+# Distinct x masks are read in chunks whose Walsh-Hadamard table holds
+# about this many amplitudes.
+_WALSH_CHUNK = 2**18
 
 
-def _z_signs(z: np.ndarray, num_qubits: int) -> np.ndarray:
-    """(-1)^|k & z| as an int8 (len(z), 2^n) matrix: a row per z mask, a column per index k."""
-    signs = np.ones((len(z), 1), dtype=np.int8)
-    for shift in range(0, num_qubits, 8):
-        byte = _BYTE_SIGNS[z[:, None] >> shift & np.arange(2 ** min(8, num_qubits - shift))]
-        # higher bytes are the slower-varying part of the index
-        signs = (byte[:, :, None] * signs[:, None, :]).reshape(len(z), -1)
-    return signs
+def _walsh_hadamard(table: np.ndarray) -> None:
+    """table[z] <- sum_k (-1)^|k & z| table[k] along axis 0, in place, column by column.
+
+    One butterfly per qubit, each an elementwise add and subtract, so a
+    column rounds the same whatever columns share the table.
+    """
+    scratch = np.empty(table.size // 2, dtype=table.dtype)
+    span = table.shape[1]
+    while span < table.size:
+        pairs = table.reshape(-1, 2, span)
+        low, high = pairs[:, 0], pairs[:, 1]
+        total = scratch.reshape(low.shape)
+        np.add(low, high, out=total)
+        np.subtract(low, high, out=high)
+        low[...] = total
+        span *= 2
 
 
 def pauli_expectations(state: Statevector, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Re <state| sigma |state> for each Pauli string with masks (x[i], z[i]).
 
-    sigma|psi> = (-i)^|x & z| Z^z X^x |psi>.  The strings that share an
-    x mask share one flipped copy of the amplitudes, psi_{k xor x}; each
-    string multiplies it by its row of z signs and by its phase, and its
-    value is ``np.vdot(amps, w).real``.  Only products with +-1 and +-i
-    happen before the ``vdot``, so every value rounds exactly as
-    ``vdot`` of the applied string does.  The identity (0, 0) is
-    exactly 1.0.
+    <psi| sigma |psi> = (-i)^|x & z| sum_k (-1)^|k & z| conj(psi_k) psi_{k xor x},
+    so one Walsh-Hadamard transform of v_k = conj(psi_k) psi_{k xor x}
+    gives every z of one x mask at once.  The distinct x masks are taken
+    in chunks of columns of a (2^n, chunk) table, filled by one gather and
+    transformed by :func:`_walsh_hadamard`; a string reads its entry
+    times its phase.  Every step is elementwise, so a string's value does
+    not depend on which other strings share the call, and it agrees with
+    ``np.vdot`` of the applied string up to rounding.  The state is only
+    read, and the identity (0, 0) is exactly 1.0.
     """
     amps, n = state.amplitudes, state.num_qubits
     x = np.asarray(x, dtype=np.int64)
     z = np.asarray(z, dtype=np.int64)
     values = np.empty(len(x))
-    tensor = amps.reshape((2,) * n)
-    for x_mask in dict.fromkeys(x.tolist()):
-        members = np.flatnonzero(x == x_mask)
-        axes = [q for q in range(n) if x_mask >> (n - 1 - q) & 1]
-        # a contiguous copy of its own: flipping every axis would reshape to a
-        # reversed view of amps, which vdot sums in another order
-        flipped = np.flip(tensor, axes).copy().reshape(-1)
-        last = members[-1]
-        for i, z_mask, signs in zip(members, z[members].tolist(), _z_signs(z[members], n)):
-            w = flipped
-            if z_mask:
-                # the group's last string may overwrite the group's copy
-                w = np.multiply(flipped, signs, out=flipped if i == last else None)
-                power = (x_mask & z_mask).bit_count() % 4
-                if power:
-                    w *= _MINUS_I_POWERS[power]
-            values[i] = np.vdot(amps, w).real
+    x_masks, column = np.unique(x, return_inverse=True)
+    order = np.argsort(column, kind="stable")
+    width = max(1, _WALSH_CHUNK >> n)
+    starts = range(0, len(x_masks), width)
+    bounds = np.searchsorted(column[order], [*starts, len(x_masks)])
+    bra = amps.conj()[:, None]
+    for first, a, b in zip(starts, bounds[:-1], bounds[1:]):
+        chunk = x_masks[first : first + width]
+        table = amps[np.arange(len(amps))[:, None] ^ chunk]
+        np.multiply(bra, table, out=table)
+        _walsh_hadamard(table)
+        members = order[a:b]
+        read = table[z[members], column[members] - first]
+        # Re((-i)^p w) is w.real, w.imag, -w.real, -w.imag for p = 0..3
+        power = _popcount(x[members] & z[members]) % 4
+        values[members] = np.where(power % 2, read.imag, read.real) * (1 - (power & 2))
     values[(x == 0) & (z == 0)] = 1.0
     return values
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import ir
-from .backend import Statevector, fuse, run_fused, run_statevector
+from .backend import Statevector, fuse, product_state, run_fused
 from .hamiltonian import HeisenbergHamiltonian, snapshot
 from .ir import Gate, Program
 
@@ -117,16 +117,18 @@ def step_blocks(
 def evolve_series(
     initial_state: Sequence[str], blocks: Iterable[Program]
 ) -> Iterator[Statevector]:
-    """Yield the prepared product state, then the state after each of ``blocks``.
+    """Yield the product state, then the state after each of ``blocks``.
 
-    Each distinct block (typically from :func:`step_blocks`, so the
-    block simulated is the one exported) is fused once
-    (:func:`backend.fuse`) into a few dense unitaries, and the state
-    advances by those.  State k equals that of the preparation followed
+    The product state is built directly (:func:`backend.product_state`),
+    with the amplitudes that the X gates of :func:`state_preparation_gates`
+    give on |0...0>.  Each distinct block (typically from
+    :func:`step_blocks`, so the block simulated is the one exported) is
+    fused once (:func:`backend.fuse`) into a few dense unitaries, and the
+    state advances by those.  State k equals that of the preparation followed
     by the first k blocks, up to rounding.
     """
     n = len(initial_state)
-    state = run_statevector(Program(n, state_preparation_gates(initial_state)))
+    state = product_state(initial_state)
     yield state
     fused = plan = None
     for block in blocks:

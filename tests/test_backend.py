@@ -67,6 +67,16 @@ class TestExecution:
         with pytest.raises(TooLargeError):
             run_statevector(program)
 
+    def test_product_state_has_the_same_size_guard(self):
+        with pytest.raises(TooLargeError):
+            product_state(["up"] * (STATEVECTOR_QUBIT_LIMIT + 1))
+
+    def test_product_state_equals_its_preparation_gates(self):
+        spins = ["down", "up", "down", "down"]
+        prepared = program_of(4, [ir.x(q) for q, spin in enumerate(spins) if spin == "down"])
+        want = run_statevector(prepared).amplitudes
+        assert product_state(spins).amplitudes.tobytes() == want.tobytes()
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_unitary(self, seed):
@@ -226,8 +236,24 @@ class TestFusion:
         initial = random_state(rng, n)
         embedded = np.kron(np.kron(np.eye(2**lo), matrix), np.eye(2 ** (n - lo - width)))
         with mock.patch.object(backend, "_FUSED_CHUNK", chunk):
-            got = backend.run_fused([backend.FusedBlock(lo, matrix)], initial).amplitudes
+            got = backend.run_fused([backend.FusedBlock(lo, matrix, n)], initial).amplitudes
         np.testing.assert_allclose(got, embedded @ initial.amplitudes, rtol=0, atol=1e-13)
+
+    def test_kron_products_are_built_with_the_plan_not_per_application(self):
+        n = 5
+        program = program_of(n, [ir.h(4), ir.cnot(3, 4), ir.rx(0.4, 1), ir.rzz(0.3, 0, 1)])
+        plan = backend.fuse(program)
+        assert [entry.product is None for entry in plan] == [False, True]
+        initial = random_state(np.random.default_rng(5), n)
+        want = backend.run_fused(plan, initial).amplitudes
+        with mock.patch.object(np, "kron", side_effect=AssertionError("kron per application")):
+            got = backend.run_fused(plan, backend.run_fused(plan, initial)).amplitudes
+        np.testing.assert_allclose(got, ir.unitary_of(program) @ want, rtol=0, atol=1e-13)
+
+    def test_plan_width_must_match_the_state(self):
+        plan = backend.fuse(program_of(3, [ir.h(0)]))
+        with pytest.raises(ValueError):
+            backend.run_fused(plan, random_state(np.random.default_rng(0), 4))
 
     def test_gate_joins_the_newest_block_on_its_wires(self):
         # cnot(1, 3) follows cnot(3, 4) on wire 3: it must join that block,
@@ -336,7 +362,7 @@ class TestExpectation:
 
 
 class TestPauliExpectations:
-    """The per-x-mask table against vdot of the applied string, bit for bit."""
+    """The Walsh-Hadamard table against vdot of the applied string."""
 
     @staticmethod
     def reference(amps, x, z, n):
@@ -346,17 +372,21 @@ class TestPauliExpectations:
 
     @staticmethod
     def check(state, x, z):
-        before = state.amplitudes.copy()
         got = pauli_expectations(state, np.array(x), np.array(z))
         identity = (np.array(x) == 0) & (np.array(z) == 0)
-        want = TestPauliExpectations.reference(before, x, z, state.num_qubits)
-        assert np.array_equal(got[~identity], want[~identity])
+        want = TestPauliExpectations.reference(state.amplitudes, x, z, state.num_qubits)
+        np.testing.assert_allclose(got[~identity], want[~identity], rtol=0, atol=1e-12)
         assert np.all(got[identity] == 1.0)
-        # the flipped copies are written in place, never the state
-        assert np.array_equal(state.amplitudes, before)
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @staticmethod
+    def read_only(state):
+        amps = state.amplitudes.copy()
+        amps.flags.writeable = False
+        return Statevector(state.num_qubits, amps)
+
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_equals_vdot_of_the_applied_string(self, n):
+        """Up to 1e-12: the transform sums in another order than vdot."""
         rng = np.random.default_rng(100 + n)
         state = random_state(rng, n)
         full = 2**n - 1
@@ -379,6 +409,37 @@ class TestPauliExpectations:
         x = [1 << 17, 1 << 17, 3 << 16 | 1, full, 0, 0x2A5A5]
         z = [1 << 16, 3 << 16 | 0x101, 1 << 17, full, 1 << 17 | 1 << 8 | 1, 0x3C3C3]
         self.check(state, x, z)
+
+    @pytest.mark.parametrize("n", [3, 7, 12])
+    def test_a_string_reads_the_same_alone_and_in_a_batch(self, n):
+        rng = np.random.default_rng(200 + n)
+        state = random_state(rng, n)
+        x = rng.integers(2**n, size=120)
+        z = rng.integers(2**n, size=120)
+        x[:10] = 0
+        batch = pauli_expectations(state, x, z)
+        alone = [pauli_expectations(state, x[i : i + 1], z[i : i + 1])[0] for i in range(len(x))]
+        assert batch.tolist() == alone
+        assert pauli_expectations(state, x[::-1], z[::-1]).tolist() == alone[::-1]
+
+    def test_a_read_covers_more_masks_than_one_chunk(self):
+        n = 12
+        rng = np.random.default_rng(12)
+        state = random_state(rng, n)
+        x = rng.permutation(2**n)[:300]
+        z = rng.integers(2**n, size=300)
+        assert len(set(x.tolist())) > backend._WALSH_CHUNK >> n
+        self.check(state, x.tolist(), z.tolist())
+
+    @pytest.mark.parametrize("n", [1, 5, 10])
+    def test_the_state_is_never_written(self, n):
+        rng = np.random.default_rng(300 + n)
+        state = random_state(rng, n)
+        before = state.amplitudes.copy()
+        frozen = self.read_only(state)
+        x, z = rng.integers(2**n, size=40), rng.integers(2**n, size=40)
+        assert np.array_equal(pauli_expectations(frozen, x, z), pauli_expectations(state, x, z))
+        assert np.array_equal(state.amplitudes, before)
 
     def test_identity_is_exactly_one(self):
         state = Statevector(2, np.full(4, 0.5 + 1e-9, dtype=complex))

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_pauli, embedded_pauli, matrix_exponential, random_state
+from helpers import embedded_pauli, matrix_exponential, random_state
 import spinsim
 from spinsim import backend, ir
 from spinsim.backend import (
     _measurement_groups,
     expectation,
+    pauli_expectations,
     pauli_factors,
     pauli_masks,
     product_state,
@@ -225,16 +226,17 @@ def scalar_fit(state, basis, terms, params):
     """The exact fit as one scalar loop over mask pairs, with one cached value per string.
 
     A frozen reference for ``qite.fit_step_unitary``: strings are multiplied
-    one pair at a time, values are ``vdot`` of the applied string, and
-    every sum runs term by term.
+    one pair at a time, values come from one ``pauli_expectations`` table
+    over the strings the fit reads (a string's value does not depend on
+    the batch), and every sum runs term by term.
     """
     n = state.num_qubits
-    amps = state.amplitudes
-    cache = {(0, 0): 1.0}
+    strings = read_strings(basis, terms, n)
+    x, z = np.array(strings, dtype=np.int64).reshape(-1, 2).T
+    cache = dict(zip(strings, pauli_expectations(state, x, z).tolist()))
+    cache[0, 0] = 1.0
 
     def estimate(masks):
-        if masks not in cache:
-            cache[masks] = float(np.vdot(amps, apply_pauli(amps, masks, n)).real)
         return cache[masks]
 
     h = [(t.coefficient, pauli_masks(t.factors, n)) for t in terms]
