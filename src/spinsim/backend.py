@@ -327,9 +327,60 @@ def pauli_factors(masks: tuple[int, int], num_qubits: int) -> tuple[tuple[int, s
     return tuple(factors)
 
 
+# (-1)^popcount(b) for every byte b: the z sign of index k under mask z
+# is the product of this over the bytes of k & z
+_BYTE_SIGNS = np.prod(
+    1 - 2 * (np.arange(256)[:, None] >> np.arange(8) & 1), axis=1
+).astype(np.int8)
+
+# (-i)^k, the phase of sigma = (-i)^|x & z| Z^z X^x
+_MINUS_I_POWERS = (1, -1j, -1, 1j)
+
 # Distinct x masks are read in chunks whose Walsh-Hadamard table holds
 # about this many amplitudes.
 _WALSH_CHUNK = 2**18
+
+# From this many qubits on, an x mask with at most n strings is read by
+# vdot: one pass over the state per string beats the transform's n passes
+# per mask.  On smaller states the per-string call overhead of a vdot
+# outweighs a whole transform.
+_VDOT_MIN_QUBITS = 11
+
+
+def _z_signs(z: np.ndarray, num_qubits: int) -> np.ndarray:
+    """(-1)^|k & z| as an int8 (len(z), 2^n) matrix: a row per z mask, a column per index k."""
+    signs = np.ones((len(z), 1), dtype=np.int8)
+    for shift in range(0, num_qubits, 8):
+        byte = _BYTE_SIGNS[z[:, None] >> shift & np.arange(2 ** min(8, num_qubits - shift))]
+        # higher bytes are the slower-varying part of the index
+        signs = (byte[:, :, None] * signs[:, None, :]).reshape(len(z), -1)
+    return signs
+
+
+def _vdot_reads(amps: np.ndarray, num_qubits: int, x_mask: int, z: np.ndarray) -> np.ndarray:
+    """Re <psi| sigma |psi> for the strings (x_mask, z[i]), one vdot each.
+
+    The strings share one flipped copy of the amplitudes, psi_{k xor x};
+    each multiplies it by its row of z signs and by its phase.  Only
+    products with +-1 and +-i happen before the vdot, so a value rounds
+    exactly as ``np.vdot`` of the applied string does.
+    """
+    n = num_qubits
+    axes = [q for q in range(n) if x_mask >> (n - 1 - q) & 1]
+    # a contiguous copy of its own: flipping every axis would reshape to a
+    # reversed view of amps, which vdot sums in another order
+    flipped = np.flip(amps.reshape((2,) * n), axes).copy().reshape(-1)
+    values = np.empty(len(z))
+    for i, (z_mask, signs) in enumerate(zip(z.tolist(), _z_signs(z, n))):
+        w = flipped
+        if z_mask:
+            # the last string may overwrite the shared copy
+            w = np.multiply(flipped, signs, out=flipped if i == len(z) - 1 else None)
+            power = (x_mask & z_mask).bit_count() % 4
+            if power:
+                w *= _MINUS_I_POWERS[power]
+        values[i] = np.vdot(amps, w).real
+    return values
 
 
 def _walsh_hadamard(table: np.ndarray) -> None:
@@ -350,26 +401,22 @@ def _walsh_hadamard(table: np.ndarray) -> None:
         span *= 2
 
 
-def pauli_expectations(state: Statevector, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Re <state| sigma |state> for each Pauli string with masks (x[i], z[i]).
+def _transform_reads(amps: np.ndarray, num_qubits: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Re <psi| sigma |psi> for the strings (x[i], z[i]) from Walsh-Hadamard tables.
 
     <psi| sigma |psi> = (-i)^|x & z| sum_k (-1)^|k & z| conj(psi_k) psi_{k xor x},
-    so one Walsh-Hadamard transform of v_k = conj(psi_k) psi_{k xor x}
-    gives every z of one x mask at once.  The distinct x masks are taken
-    in chunks of columns of a (2^n, chunk) table, filled by one gather and
-    transformed by :func:`_walsh_hadamard`; a string reads its entry
-    times its phase.  Every step is elementwise, so a string's value does
-    not depend on which other strings share the call, and it agrees with
-    ``np.vdot`` of the applied string up to rounding.  The state is only
-    read, and the identity (0, 0) is exactly 1.0.
+    so one transform of v_k = conj(psi_k) psi_{k xor x} gives every z of
+    one x mask at once.  The distinct x masks are taken in chunks of
+    columns of a (2^n, chunk) table, filled by one gather and transformed
+    by :func:`_walsh_hadamard`; a string reads its entry times its phase.
+    Every step is elementwise, so a value does not depend on the other x
+    masks, and it agrees with ``np.vdot`` of the applied string up to
+    rounding.
     """
-    amps, n = state.amplitudes, state.num_qubits
-    x = np.asarray(x, dtype=np.int64)
-    z = np.asarray(z, dtype=np.int64)
     values = np.empty(len(x))
     x_masks, column = np.unique(x, return_inverse=True)
     order = np.argsort(column, kind="stable")
-    width = max(1, _WALSH_CHUNK >> n)
+    width = max(1, _WALSH_CHUNK >> num_qubits)
     starts = range(0, len(x_masks), width)
     bounds = np.searchsorted(column[order], [*starts, len(x_masks)])
     bra = amps.conj()[:, None]
@@ -383,6 +430,33 @@ def pauli_expectations(state: Statevector, x: np.ndarray, z: np.ndarray) -> np.n
         # Re((-i)^p w) is w.real, w.imag, -w.real, -w.imag for p = 0..3
         power = _popcount(x[members] & z[members]) % 4
         values[members] = np.where(power % 2, read.imag, read.real) * (1 - (power & 2))
+    return values
+
+
+def pauli_expectations(state: Statevector, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Re <state| sigma |state> for each Pauli string with masks (x[i], z[i]).
+
+    sigma|psi> = (-i)^|x & z| Z^z X^x |psi>.  The strings are grouped by x
+    mask.  On states of at least _VDOT_MIN_QUBITS qubits a group of at
+    most n strings is read one ``np.vdot`` per string
+    (:func:`_vdot_reads`), bit for bit as vdot of the applied string; the
+    other groups come from Walsh-Hadamard tables (:func:`_transform_reads`),
+    within rounding of it.  So a string's value depends on the size of its
+    x mask's group, never on the other groups in the call.  The state is
+    only read, and the identity (0, 0) is exactly 1.0.
+    """
+    amps, n = state.amplitudes, state.num_qubits
+    x = np.asarray(x, dtype=np.int64)
+    z = np.asarray(z, dtype=np.int64)
+    values = np.empty(len(x))
+    x_masks, column, counts = np.unique(x, return_inverse=True, return_counts=True)
+    by_vdot = (counts <= n) & (n >= _VDOT_MIN_QUBITS)
+    for x_mask in x_masks[by_vdot].tolist():
+        members = np.flatnonzero(x == x_mask)
+        values[members] = _vdot_reads(amps, n, x_mask, z[members])
+    rest = np.flatnonzero(~by_vdot[column])
+    if len(rest):
+        values[rest] = _transform_reads(amps, n, x[rest], z[rest])
     values[(x == 0) & (z == 0)] = 1.0
     return values
 

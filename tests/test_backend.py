@@ -362,7 +362,7 @@ class TestExpectation:
 
 
 class TestPauliExpectations:
-    """The Walsh-Hadamard table against vdot of the applied string."""
+    """Both read routes, vdot and Walsh-Hadamard, against vdot of the applied string."""
 
     @staticmethod
     def reference(amps, x, z, n):
@@ -386,7 +386,7 @@ class TestPauliExpectations:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_equals_vdot_of_the_applied_string(self, n):
-        """Up to 1e-12: the transform sums in another order than vdot."""
+        """Up to 1e-12: the transform route sums in another order than vdot."""
         rng = np.random.default_rng(100 + n)
         state = random_state(rng, n)
         full = 2**n - 1
@@ -410,34 +410,78 @@ class TestPauliExpectations:
         z = [1 << 16, 3 << 16 | 0x101, 1 << 17, full, 1 << 17 | 1 << 8 | 1, 0x3C3C3]
         self.check(state, x, z)
 
+    @staticmethod
+    def grouped_strings(rng, n, sizes):
+        """Strings on distinct random x masks, sizes[i] of them on the i-th."""
+        x_masks = rng.permutation(2**n)[: len(sizes)]
+        x = np.repeat(x_masks, sizes)
+        return rng.permutation(x), rng.integers(2**n, size=len(x))
+
     @pytest.mark.parametrize("n", [3, 7, 12])
-    def test_a_string_reads_the_same_alone_and_in_a_batch(self, n):
+    def test_a_group_reads_the_same_alone_and_in_a_batch(self, n):
+        """A value depends on its own x mask's group, not on the other groups."""
         rng = np.random.default_rng(200 + n)
         state = random_state(rng, n)
-        x = rng.integers(2**n, size=120)
-        z = rng.integers(2**n, size=120)
+        # groups on both sides of the vdot route's size limit
+        x, z = self.grouped_strings(rng, n, [1, 2, n, n + 1, 3 * n, 1, 5])
         x[:10] = 0
         batch = pauli_expectations(state, x, z)
-        alone = [pauli_expectations(state, x[i : i + 1], z[i : i + 1])[0] for i in range(len(x))]
-        assert batch.tolist() == alone
-        assert pauli_expectations(state, x[::-1], z[::-1]).tolist() == alone[::-1]
+        alone = np.empty(len(x))
+        for x_mask in set(x.tolist()):
+            group = x == x_mask
+            alone[group] = pauli_expectations(state, x[group], z[group])
+        assert batch.tolist() == alone.tolist()
+        assert pauli_expectations(state, x[::-1], z[::-1]).tolist() == alone[::-1].tolist()
+
+    @pytest.mark.parametrize("n", [11, 12, 18])
+    def test_small_groups_on_wide_states_equal_vdot_bit_for_bit(self, n):
+        rng = np.random.default_rng(400 + n)
+        state = random_state(rng, n)
+        x, z = self.grouped_strings(rng, n, [1, 2, n, 3])
+        z[:2] = 0
+        with mock.patch.object(backend, "_transform_reads", side_effect=AssertionError):
+            got = pauli_expectations(state, x, z)
+        assert np.array_equal(got, self.reference(state.amplitudes, x, z, n))
+
+    @pytest.mark.parametrize("n, size", [(10, 1), (11, 12), (12, 13), (18, 19)])
+    def test_other_groups_take_the_transform(self, n, size):
+        rng = np.random.default_rng(500 + n)
+        state = random_state(rng, n)
+        x, z = self.grouped_strings(rng, n, [size])
+        with mock.patch.object(backend, "_vdot_reads", side_effect=AssertionError):
+            got = pauli_expectations(state, x, z)
+        want = self.reference(state.amplitudes, x, z, n)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 4, 9, 12, 18])
+    def test_the_two_routes_agree(self, n):
+        rng = np.random.default_rng(600 + n)
+        amps = random_state(rng, n).amplitudes
+        x_mask = int(rng.integers(2**n))
+        z = rng.integers(2**n, size=12)
+        z[0] = 0
+        by_vdot = backend._vdot_reads(amps, n, x_mask, z)
+        by_transform = backend._transform_reads(amps, n, np.full(len(z), x_mask), z)
+        np.testing.assert_allclose(by_transform, by_vdot, rtol=0, atol=1e-12)
 
     def test_a_read_covers_more_masks_than_one_chunk(self):
-        n = 12
+        n = 10
         rng = np.random.default_rng(12)
         state = random_state(rng, n)
         x = rng.permutation(2**n)[:300]
         z = rng.integers(2**n, size=300)
+        assert n < backend._VDOT_MIN_QUBITS
         assert len(set(x.tolist())) > backend._WALSH_CHUNK >> n
         self.check(state, x.tolist(), z.tolist())
 
-    @pytest.mark.parametrize("n", [1, 5, 10])
+    @pytest.mark.parametrize("n", [1, 5, 10, 12])
     def test_the_state_is_never_written(self, n):
         rng = np.random.default_rng(300 + n)
         state = random_state(rng, n)
         before = state.amplitudes.copy()
         frozen = self.read_only(state)
-        x, z = rng.integers(2**n, size=40), rng.integers(2**n, size=40)
+        # both routes on the wide state: single strings and one group of 2n
+        x, z = self.grouped_strings(rng, n, [1] * min(20, 2**n - 1) + [2 * n])
         assert np.array_equal(pauli_expectations(frozen, x, z), pauli_expectations(state, x, z))
         assert np.array_equal(state.amplitudes, before)
 
