@@ -199,35 +199,48 @@ class FusedBlock:
 def fuse(program: Program) -> tuple[FusedBlock | Gate, ...]:
     """The program as a plan of dense blocks, each on at most FUSED_QUBITS contiguous qubits.
 
-    One greedy pass in gate order.  Each qubit remembers the last plan
-    entry that acted on it.  A gate joins the newest of those entries on
-    its qubits when the joined span still fits FUSED_QUBITS, else it
-    opens a new block; no later entry acts on the gate's qubits, so every
-    wire keeps its gate order.  A gate that spans more than FUSED_QUBITS
-    by itself stays a gate: it is applied by :func:`apply_gate` and ends
-    the blocks on its wires.  Each block's matrix is built by the gate
-    kernels acting on the rows of an identity matrix.
+    A sweep moves a window of FUSED_QUBITS qubits from qubit 0 to the
+    last qubit, one qubit at a time.  Each window takes, in gate order,
+    every remaining gate that lies inside it and shares no qubit with an
+    earlier gate the window left behind; the gates it takes become one
+    block on their tight span.  Sweeps repeat until no gate is left.  No
+    gate passes an earlier gate on one of its wires, so the product of
+    the plan is the program's unitary.  A gate that spans more than
+    FUSED_QUBITS by itself stays a gate, applied by :func:`apply_gate`:
+    it blocks its wires until it reaches the head of the remaining gates,
+    and then becomes a plan entry of its own.  Each block's matrix is
+    built by the gate kernels acting on the rows of an identity matrix.
     """
-    entries: list[Gate | list] = []  # a wide gate, or [lo, hi, gates] of a block
-    last: dict[int, int] = {}
-    for gate in program.gates:
-        lo, hi = min(gate.qubits), max(gate.qubits)
-        newest = max((last[q] for q in gate.qubits if q in last), default=None)
-        block = None if newest is None else entries[newest]
-        if isinstance(block, list) and max(hi, block[1]) - min(lo, block[0]) < FUSED_QUBITS:
-            block[0], block[1] = min(lo, block[0]), max(hi, block[1])
-            block[2].append(gate)
-        else:
-            newest = len(entries)
-            entries.append(gate if hi - lo >= FUSED_QUBITS else [lo, hi, [gate]])
-        for q in gate.qubits:
-            last[q] = newest
-    return tuple(
-        entry
-        if isinstance(entry, Gate)
-        else FusedBlock(entry[0], _block_matrix(*entry), program.num_qubits)
-        for entry in entries
-    )
+    n = program.num_qubits
+    remaining = list(program.gates)
+    plan: list[FusedBlock | Gate] = []
+    while remaining:
+        for lo in range(max(1, n - FUSED_QUBITS + 1)):
+            while remaining and _wide(remaining[0]):
+                plan.append(remaining.pop(0))
+            window = set(range(lo, min(lo + FUSED_QUBITS, n)))
+            taken, kept, blocked = [], [], set()
+            for i, gate in enumerate(remaining):
+                if window.issuperset(gate.qubits) and blocked.isdisjoint(gate.qubits):
+                    taken.append(gate)
+                    continue
+                kept.append(gate)
+                blocked.update(gate.qubits)
+                if window <= blocked:
+                    # no later gate can pass a left-behind one on every wire
+                    kept.extend(remaining[i + 1 :])
+                    break
+            if taken:
+                qubits = [q for gate in taken for q in gate.qubits]
+                block_lo, block_hi = min(qubits), max(qubits)
+                plan.append(FusedBlock(block_lo, _block_matrix(block_lo, block_hi, taken), n))
+            remaining = kept
+    return tuple(plan)
+
+
+def _wide(gate: Gate) -> bool:
+    """Whether the gate's operands span more than FUSED_QUBITS contiguous qubits."""
+    return max(gate.qubits) - min(gate.qubits) >= FUSED_QUBITS
 
 
 def _block_matrix(lo: int, hi: int, gates: Sequence[Gate]) -> np.ndarray:
@@ -465,38 +478,69 @@ def expectation(state: Statevector, terms: Sequence[PauliTerm]) -> float:
     """<state| sum of terms |state>, exactly, as a real number.
 
     The value of a Hermitian observable; any imaginary residue from
-    float arithmetic is discarded.  A term without x or y factors is
-    diagonal: its value is the z parity of |amplitude|^2 on its support,
-    read off one probability vector shared by all such terms.  One
-    dgemv by a vector of ones sums out the qubits before the support,
-    and a plain sum the rest.  The other terms' distinct strings are
-    evaluated together by :func:`pauli_expectations`.
+    float arithmetic is discarded.  A term without factors adds exactly
+    its coefficient.  A term without x or y factors is diagonal: its
+    value is the z parity of |amplitude|^2 on its support.  The diagonal
+    terms are read in order of their first site (the head) from one
+    |amplitude|^2 vector, squared in place.  As the head advances, the
+    qubits before it are summed out of that vector one at a time, in
+    place; each term then sums its other qubits outside the support
+    (:func:`_z_parity`).  Both are plain numpy adds, so a value depends
+    on the state and its own term only, not on the other terms or the
+    BLAS.  The other terms' distinct strings are evaluated together by
+    :func:`pauli_expectations`.
     """
     amps, n = state.amplitudes, state.num_qubits
     masks = [pauli_masks(term.factors, n) for term in terms]
+    values = np.ones(len(terms))  # the identity is exactly 1.0
     off_diagonal = list(dict.fromkeys(m for m in masks if m[0]))
-    table = {}
     if off_diagonal:
         xs, zs = np.array(off_diagonal, dtype=np.int64).T
         table = dict(zip(off_diagonal, pauli_expectations(state, xs, zs)))
-    probs = None
+        for i, mask in enumerate(masks):
+            if mask[0]:
+                values[i] = table[mask]
+    supports = {
+        i: [site - 1 for site, _ in term.factors]
+        for i, (term, (x, z)) in enumerate(zip(terms, masks))
+        if z and not x
+    }
+    if supports:
+        tail = np.abs(amps)
+        np.square(tail, out=tail)
+        head = 0
+        for i, support in sorted(supports.items(), key=lambda item: item[1][0]):
+            while head < support[0]:  # sum out the leading qubit, in place
+                half = len(tail) // 2
+                tail = np.add(tail[:half], tail[half:], out=tail[:half])
+                head += 1
+            values[i] = _z_parity(tail, [q - head for q in support])
     total = 0.0
-    for term, (x, z) in zip(terms, masks):
-        if x:
-            value = table[x, z]
-        else:
-            if probs is None:
-                probs = np.abs(amps) ** 2
-            support = [site - 1 for site, _ in term.factors]
-            head = min(support, default=0)
-            # summing many leading axes of the tensor runs in short inner loops
-            tail = probs if head == 0 else np.ones(2**head) @ probs.reshape(2**head, -1)
-            axes = tuple(q - head for q in range(head, n) if q not in support)
-            value = tail.reshape((2,) * (n - head)).sum(axis=axes)
-            for _ in support:
-                value = value[0] - value[1]
+    for term, value in zip(terms, values.tolist()):
         total += term.coefficient * value
     return float(total)
+
+
+def _z_parity(probs: np.ndarray, support: Sequence[int]) -> float:
+    """sum_k (-1)^(parity of k on ``support``) probs[k]; qubit 0 is the top bit.
+
+    Each run of qubits outside the support is one axis of the sum, so
+    the reduction sees as few axes as the support allows.
+    """
+    m = probs.size.bit_length() - 1
+    shape: list[int] = []
+    axes = []
+    bounds = [-1, *support, m]
+    for a, b in zip(bounds, bounds[1:]):
+        if b - a > 1:  # the qubits strictly between two support qubits
+            axes.append(len(shape))
+            shape.append(2 ** (b - a - 1))
+        if b < m:
+            shape.append(2)
+    value = probs.reshape(shape).sum(axis=tuple(axes))
+    for _ in support:
+        value = value[0] - value[1]
+    return float(value)
 
 
 def sample_counts(

@@ -123,9 +123,10 @@ def evolve_series(
     with the amplitudes that the X gates of :func:`state_preparation_gates`
     give on |0...0>.  Each distinct block (typically from
     :func:`step_blocks`, so the block simulated is the one exported) is
-    fused once (:func:`backend.fuse`) into a few dense unitaries, and the
-    state advances by those.  State k equals that of the preparation followed
-    by the first k blocks, up to rounding.
+    fused once (:func:`backend.fuse`) into dense unitaries on windows of
+    at most FUSED_QUBITS qubits, one per window for a chain step, and
+    the state advances by those.  State k equals that of the preparation
+    followed by the first k blocks, up to rounding.
     """
     n = len(initial_state)
     state = product_state(initial_state)

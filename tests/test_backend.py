@@ -1,5 +1,6 @@
 """Statevector execution, sampling, and sampled estimation."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,8 @@ from spinsim.backend import (
 from spinsim.config import ConstantSchedule
 from spinsim.errors import TooLargeError
 from spinsim.hamiltonian import HeisenbergHamiltonian, PauliTerm, snapshot
+from spinsim.optimizer import optimize
+from spinsim.trotter import trotter_step
 
 
 def program_of(num_qubits, gates):
@@ -243,7 +246,9 @@ class TestFusion:
         n = 5
         program = program_of(n, [ir.h(4), ir.cnot(3, 4), ir.rx(0.4, 1), ir.rzz(0.3, 0, 1)])
         plan = backend.fuse(program)
-        assert [entry.product is None for entry in plan] == [False, True]
+        # the window on qubits 0-3 takes rx and rzz (8 amplitudes below their
+        # span, matmul); the one on 1-4 takes h and cnot (one below, kron)
+        assert [entry.product is None for entry in plan] == [True, False]
         initial = random_state(np.random.default_rng(5), n)
         want = backend.run_fused(plan, initial).amplitudes
         with mock.patch.object(np, "kron", side_effect=AssertionError("kron per application")):
@@ -256,8 +261,9 @@ class TestFusion:
             backend.run_fused(plan, random_state(np.random.default_rng(0), 4))
 
     def test_gate_joins_the_newest_block_on_its_wires(self):
-        # cnot(1, 3) follows cnot(3, 4) on wire 3: it must join that block,
-        # although the older block of h(0) and cnot(0, 1) would fit it too
+        # cnot(1, 3) follows cnot(3, 4) on wire 3, which the window on qubits
+        # 0-3 leaves behind: it must wait for the window on 1-4, although the
+        # block of h(0) and cnot(0, 1) would fit it too
         gates = [ir.h(0), ir.h(4), ir.cnot(0, 1), ir.cnot(3, 4), ir.cnot(1, 3)]
         program = program_of(6, gates)
         plan = backend.fuse(program)
@@ -280,9 +286,10 @@ class TestFusion:
         ]
         program = program_of(n, gates)
         plan = backend.fuse(program)
+        # each sweep's first window takes what precedes a wide gate on its
+        # wires; the wide gate then heads the list and leaves it at once
         assert [entry if isinstance(entry, ir.Gate) else block_span(entry) for entry in plan] == [
-            (0, 0),
-            (1, 1),
+            (0, 1),
             gates[2],
             (0, 0),
             gates[4],
@@ -293,6 +300,50 @@ class TestFusion:
         want = run_statevector(program, initial=initial).amplitudes
         got = backend.run_fused(plan, initial).amplitudes
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    COUPLING_KEYS = [(kind, axis) for kind in "Jh" for axis in "xyz"]
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    @pytest.mark.parametrize("optimized", [False, True])
+    def test_a_chain_step_fuses_into_one_block_per_window(self, n, optimized):
+        # every nonempty set of input keys: the bonds run in chain order axis
+        # by axis, then the fields, and one sweep takes all of them
+        rng = np.random.default_rng(n)
+        for r in range(1, len(self.COUPLING_KEYS) + 1):
+            for keys in itertools.combinations(self.COUPLING_KEYS, r):
+                draw = lambda: ConstantSchedule(float(rng.uniform(0.5, 1.5)))
+                bonds = {(a, i): draw() for k, a in keys if k == "J" for i in range(1, n)}
+                fields = {(a, i): draw() for k, a in keys if k == "h" for i in range(1, n + 1)}
+                step = trotter_step(HeisenbergHamiltonian(n, bonds, fields), 0.0, 0.1)
+                block = ir.lower_to_native(step)
+                if optimized:
+                    block = optimize(block)
+                plan = backend.fuse(block)
+                assert len(plan) == n - backend.FUSED_QUBITS + 1, keys
+                assert all(isinstance(entry, backend.FusedBlock) for entry in plan)
+        initial = random_state(rng, n)
+        want = run_statevector(block, initial=initial).amplitudes
+        got = backend.run_fused(plan, initial).amplitudes
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "width, lo", [(w, lo) for w in range(1, backend.FUSED_QUBITS + 1) for lo in range(11 - w)]
+    )
+    def test_one_block_at_every_position_matches_the_gate_kernels(self, width, lo):
+        n = 10
+        rng = np.random.default_rng(width * 100 + lo)
+        local = [ir.h(0), ir.rx(0.7, width - 1), *fusion_program(rng, width, 24).gates]
+        (block,) = backend.fuse(program_of(width, local))
+        assert block_span(block) == (0, width - 1)
+        plan = [backend.FusedBlock(lo, block.matrix, n)]
+        shifted = [ir.Gate(g.kind, tuple(q + lo for q in g.qubits), g.theta) for g in local]
+        program = program_of(n, shifted)
+        initial = random_state(rng, n)
+        want = run_statevector(program, initial=initial).amplitudes
+        for chunk in (backend._FUSED_CHUNK, 64):
+            with mock.patch.object(backend, "_FUSED_CHUNK", chunk):
+                got = backend.run_fused(plan, initial).amplitudes
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestProductState:
@@ -347,6 +398,51 @@ class TestExpectation:
         dense = sum(t.coefficient * embedded_pauli(t.factors, n) for t in terms)
         want = np.vdot(state.amplitudes, dense @ state.amplitudes).real
         assert expectation(state, terms) == pytest.approx(want, abs=1e-10)
+
+    def test_a_constant_term_adds_exactly_its_coefficient(self):
+        # a norm away from 1 would scale a read of |psi|^2
+        state = Statevector(2, 1.1 * random_state(np.random.default_rng(2), 2).amplitudes)
+        z = PauliTerm(1.0, ((2, "z"),))
+        assert expectation(state, [PauliTerm(2.5, ())]) == 2.5
+        assert expectation(state, [PauliTerm(2.5, ()), z]) == 2.5 + expectation(state, [z])
+        assert pauli_expectations(state, [0], [0])[0] == 1.0
+
+    @staticmethod
+    def diagonal_terms(rng, n):
+        """Single-site, nearest-neighbour and spread-out z strings, in no head order."""
+        supports = [(s,) for s in range(1, n + 1)]
+        supports += [(s, s + 1) for s in range(1, n)]
+        for _ in range(n):
+            size = int(rng.integers(1, n + 1))
+            supports.append(tuple(sorted(rng.choice(np.arange(1, n + 1), size, replace=False))))
+        if n > 1:
+            supports.append((1, n))
+        rng.shuffle(supports)
+        return [PauliTerm(float(rng.normal()), tuple((int(s), "z") for s in f)) for f in supports]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_diagonal_reads_match_the_dense_diagonal(self, n):
+        rng = np.random.default_rng(40 + n)
+        state = random_state(rng, n)
+        bits = np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1  # column q: qubit q
+        for term in self.diagonal_terms(rng, n):
+            support = [site - 1 for site, _ in term.factors]
+            diagonal = 1 - 2 * (bits[:, support].sum(axis=1) % 2)
+            want = np.vdot(state.amplitudes, diagonal * state.amplitudes).real
+            alone = PauliTerm(1.0, term.factors)
+            assert abs(expectation(state, [alone]) - want) <= 1e-13, term.factors
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_a_diagonal_read_is_the_same_alone_and_among_other_terms(self, n):
+        rng = np.random.default_rng(60 + n)
+        state = random_state(rng, n)
+        terms = [PauliTerm(0.7, ()), *self.diagonal_terms(rng, n)]
+        if n > 1:
+            terms.insert(3, PauliTerm(-0.4, ((1, "x"), (2, "y"))))
+        total = 0.0
+        for term in terms:
+            total += term.coefficient * expectation(state, [PauliTerm(1.0, term.factors)])
+        assert expectation(state, terms) == total
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
