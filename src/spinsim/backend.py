@@ -167,7 +167,7 @@ _KERNELS = {"x": _x, "cnot": _cnot, "rz": _rz, "rx": _rx, "h": _h}
 
 # A fused block acts on at most this many contiguous qubits, so its
 # matrix has at most 2^FUSED_QUBITS rows.
-FUSED_QUBITS = 4
+FUSED_QUBITS = 5
 # A block is applied in products of at most this many amplitudes, which
 # bounds the temporary each product allocates.
 _FUSED_CHUNK = 2**16
@@ -181,6 +181,7 @@ _KRON_REST = 4
 class FusedBlock:
     """A dense unitary on the qubits lo .. lo + m - 1 of n; ``matrix`` has 2^m rows.
 
+    m is at most FUSED_QUBITS.
     ``product`` is kron(matrix^T, I_rest), built once with the block when
     at most _KRON_REST amplitudes lie below it, else None.
     """
@@ -199,25 +200,33 @@ class FusedBlock:
 def fuse(program: Program) -> tuple[FusedBlock | Gate, ...]:
     """The program as a plan of dense blocks, each on at most FUSED_QUBITS contiguous qubits.
 
-    A sweep moves a window of FUSED_QUBITS qubits from qubit 0 to the
-    last qubit, one qubit at a time.  Each window takes, in gate order,
-    every remaining gate that lies inside it and shares no qubit with an
-    earlier gate the window left behind; the gates it takes become one
-    block on their tight span.  Sweeps repeat until no gate is left.  No
-    gate passes an earlier gate on one of its wires, so the product of
-    the plan is the program's unitary.  A gate that spans more than
-    FUSED_QUBITS by itself stays a gate, applied by :func:`apply_gate`:
-    it blocks its wires until it reaches the head of the remaining gates,
-    and then becomes a plan entry of its own.  Each block's matrix is
-    built by the gate kernels acting on the rows of an identity matrix.
+    A sweep moves a window of FUSED_QUBITS qubits up the chain.  Each
+    window starts at the lowest qubit that a remaining gate touches, but
+    at least one qubit above the window before it and at most at
+    n - FUSED_QUBITS, where the sweep ends.  Each window takes, in gate
+    order, every remaining gate that lies inside it and shares no qubit
+    with an earlier gate the window left behind; the gates it takes
+    become one block on their tight span.  On a chain step with xx, yy
+    and zz bonds, the windows advance FUSED_QUBITS - 3 qubits per block.
+    Sweeps repeat until no gate is left.  No gate passes an earlier gate
+    on one of its wires, so the product of the plan is the program's
+    unitary.  A gate that spans more than FUSED_QUBITS by itself stays a
+    gate, applied by :func:`apply_gate`: it blocks its wires until it
+    reaches the head of the remaining gates, and then becomes a plan
+    entry of its own.  Each block's matrix is built by the gate kernels
+    acting on the rows of an identity matrix.
     """
     n = program.num_qubits
+    last = max(0, n - FUSED_QUBITS)
     remaining = list(program.gates)
     plan: list[FusedBlock | Gate] = []
     while remaining:
-        for lo in range(max(1, n - FUSED_QUBITS + 1)):
+        lo = -1
+        while remaining and lo < last:
             while remaining and _wide(remaining[0]):
                 plan.append(remaining.pop(0))
+            lowest = min((q for gate in remaining for q in gate.qubits), default=last)
+            lo = min(max(lo + 1, lowest), last)
             window = set(range(lo, min(lo + FUSED_QUBITS, n)))
             taken, kept, blocked = [], [], set()
             for i, gate in enumerate(remaining):
@@ -354,9 +363,9 @@ _MINUS_I_POWERS = (1, -1j, -1, 1j)
 _WALSH_CHUNK = 2**18
 
 # From this many qubits on, an x mask with at most n strings is read by
-# vdot: one pass over the state per string beats the transform's n passes
-# per mask.  On smaller states the per-string call overhead of a vdot
-# outweighs a whole transform.
+# dot products: one pass over the state per string beats the transform's
+# n passes per mask.  On smaller states the per-string call overhead of a
+# dot product outweighs a whole transform.
 _VDOT_MIN_QUBITS = 11
 
 
@@ -371,17 +380,17 @@ def _z_signs(z: np.ndarray, num_qubits: int) -> np.ndarray:
 
 
 def _vdot_reads(amps: np.ndarray, num_qubits: int, x_mask: int, z: np.ndarray) -> np.ndarray:
-    """Re <psi| sigma |psi> for the strings (x_mask, z[i]), one vdot each.
+    """Re <psi| sigma |psi> for the strings (x_mask, z[i]), one pass over the state each.
 
     The strings share one flipped copy of the amplitudes, psi_{k xor x};
     each multiplies it by its row of z signs and by its phase.  Only
-    products with +-1 and +-i happen before the vdot, so a value rounds
-    exactly as ``np.vdot`` of the applied string does.
+    products with +-1 and +-i happen before the read, so a value rounds
+    exactly as :func:`_real_dot` of psi and the applied string does.
     """
     n = num_qubits
     axes = [q for q in range(n) if x_mask >> (n - 1 - q) & 1]
     # a contiguous copy of its own: flipping every axis would reshape to a
-    # reversed view of amps, which vdot sums in another order
+    # reversed view of amps, which would be summed in another order
     flipped = np.flip(amps.reshape((2,) * n), axes).copy().reshape(-1)
     values = np.empty(len(z))
     for i, (z_mask, signs) in enumerate(zip(z.tolist(), _z_signs(z, n))):
@@ -392,8 +401,18 @@ def _vdot_reads(amps: np.ndarray, num_qubits: int, x_mask: int, z: np.ndarray) -
             power = (x_mask & z_mask).bit_count() % 4
             if power:
                 w *= _MINUS_I_POWERS[power]
-        values[i] = np.vdot(amps, w).real
+        values[i] = _real_dot(amps, w)
     return values
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re sum_k conj(a_k) b_k, summed by numpy's own loop on the float64 views.
+
+    Unlike ``np.vdot`` (BLAS zdotc, threaded on long vectors), its
+    rounding does not depend on the BLAS or its thread count.
+    """
+    a, b = (np.ascontiguousarray(v).view(np.float64) for v in (a, b))
+    return float(np.einsum("i,i->", a, b))
 
 
 def _walsh_hadamard(table: np.ndarray) -> None:
@@ -451,11 +470,12 @@ def pauli_expectations(state: Statevector, x: np.ndarray, z: np.ndarray) -> np.n
 
     sigma|psi> = (-i)^|x & z| Z^z X^x |psi>.  The strings are grouped by x
     mask.  On states of at least _VDOT_MIN_QUBITS qubits a group of at
-    most n strings is read one ``np.vdot`` per string
-    (:func:`_vdot_reads`), bit for bit as vdot of the applied string; the
-    other groups come from Walsh-Hadamard tables (:func:`_transform_reads`),
-    within rounding of it.  So a string's value depends on the size of its
-    x mask's group, never on the other groups in the call.  The state is
+    most n strings is read one dot product per string
+    (:func:`_vdot_reads`), bit for bit as :func:`_real_dot` of the applied
+    string; the other groups come from Walsh-Hadamard tables
+    (:func:`_transform_reads`), within rounding of it.  Neither route calls
+    BLAS.  So a string's value depends on the size of its x mask's group,
+    never on the other groups in the call or the BLAS thread count.  The state is
     only read, and the identity (0, 0) is exactly 1.0.
     """
     amps, n = state.amplitudes, state.num_qubits
@@ -528,6 +548,13 @@ def _z_parity(probs: np.ndarray, support: Sequence[int]) -> float:
     the reduction sees as few axes as the support allows.
     """
     m = probs.size.bit_length() - 1
+    if support[-1] == m - 1 and support[-1] - support[0] >= len(support):
+        # a gap before a trailing run would leave inner loops of 2^run
+        # elements: take the run's signs first, so the rest is contiguous
+        while support[-1] == m - 1:
+            pairs = probs.reshape(-1, 2)
+            probs = pairs[:, 0] - pairs[:, 1]
+            support, m = support[:-1], m - 1
     shape: list[int] = []
     axes = []
     bounds = [-1, *support, m]

@@ -124,9 +124,10 @@ def evolve_series(
     give on |0...0>.  Each distinct block (typically from
     :func:`step_blocks`, so the block simulated is the one exported) is
     fused once (:func:`backend.fuse`) into dense unitaries on windows of
-    at most FUSED_QUBITS qubits, one per window for a chain step, and
-    the state advances by those.  State k equals that of the preparation
-    followed by the first k blocks, up to rounding.
+    at most FUSED_QUBITS qubits, one per window (about one per two qubits
+    of the chain for a step with xx, yy and zz bonds), and the state
+    advances by those.  State k equals that of the preparation followed
+    by the first k blocks, up to rounding.
     """
     n = len(initial_state)
     state = product_state(initial_state)

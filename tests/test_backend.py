@@ -230,6 +230,12 @@ class TestFusion:
             (10, 6, 4, 2**16),  # kron, lo > 0, rest = 1
             (10, 4, 4, 16),  # kron, rest = 4, one row per chunk
             (10, 7, 1, 16),  # kron, rest = 4, one-qubit block, several rows per chunk
+            (10, 2, 5, 2**16),  # matmul, five-qubit block, rest = 8
+            (10, 2, 5, 64),  # matmul, five-qubit block, rows and columns chunked
+            (5, 0, 5, 2**16),  # kron, five-qubit block on the whole state
+            # kron, five-qubit block, at every rest up to _KRON_REST
+            *[(10, 5 - k, 5, 2**16) for k in range(backend._KRON_REST.bit_length())],
+            (10, 3, 5, 64),  # kron, five-qubit block, rest = 4, one row per chunk
         ],
     )
     def test_every_apply_branch_matches_the_embedded_matrix(self, n, lo, width, chunk):
@@ -243,11 +249,11 @@ class TestFusion:
         np.testing.assert_allclose(got, embedded @ initial.amplitudes, rtol=0, atol=1e-13)
 
     def test_kron_products_are_built_with_the_plan_not_per_application(self):
-        n = 5
-        program = program_of(n, [ir.h(4), ir.cnot(3, 4), ir.rx(0.4, 1), ir.rzz(0.3, 0, 1)])
+        n = 7
+        program = program_of(n, [ir.h(6), ir.cnot(5, 6), ir.rx(0.4, 1), ir.rzz(0.3, 0, 1)])
         plan = backend.fuse(program)
-        # the window on qubits 0-3 takes rx and rzz (8 amplitudes below their
-        # span, matmul); the one on 1-4 takes h and cnot (one below, kron)
+        # the window on qubits 0-4 takes rx and rzz (32 amplitudes below their
+        # span, matmul); the one on 2-6 takes h and cnot (one below, kron)
         assert [entry.product is None for entry in plan] == [True, False]
         initial = random_state(np.random.default_rng(5), n)
         want = backend.run_fused(plan, initial).amplitudes
@@ -261,17 +267,29 @@ class TestFusion:
             backend.run_fused(plan, random_state(np.random.default_rng(0), 4))
 
     def test_gate_joins_the_newest_block_on_its_wires(self):
-        # cnot(1, 3) follows cnot(3, 4) on wire 3, which the window on qubits
-        # 0-3 leaves behind: it must wait for the window on 1-4, although the
+        # cnot(1, 4) follows cnot(4, 5) on wire 4, which the window on qubits
+        # 0-4 leaves behind: it must wait for the window on 1-5, although the
         # block of h(0) and cnot(0, 1) would fit it too
-        gates = [ir.h(0), ir.h(4), ir.cnot(0, 1), ir.cnot(3, 4), ir.cnot(1, 3)]
-        program = program_of(6, gates)
+        gates = [ir.h(0), ir.h(5), ir.cnot(0, 1), ir.cnot(4, 5), ir.cnot(1, 4)]
+        program = program_of(7, gates)
         plan = backend.fuse(program)
-        assert [block_span(entry) for entry in plan] == [(0, 1), (1, 4)]
-        initial = random_state(np.random.default_rng(3), 6)
+        assert [block_span(entry) for entry in plan] == [(0, 1), (1, 5)]
+        initial = random_state(np.random.default_rng(3), 7)
         want = ir.unitary_of(program) @ initial.amplitudes
         got = backend.run_fused(plan, initial).amplitudes
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_a_window_starts_at_the_lowest_pending_qubit(self):
+        # a window starting at qubit 0 would take h(3) alone, and the rest
+        # would split into (3, 4) and (4, 6)
+        gates = [ir.h(3), ir.rx(0.5, 6), ir.cnot(3, 4), ir.cnot(5, 6), ir.rzz(0.8, 4, 5)]
+        program = program_of(10, gates)
+        plan = backend.fuse(program)
+        assert [block_span(entry) for entry in plan] == [(3, 6)]
+        initial = random_state(np.random.default_rng(6), 10)
+        want = run_statevector(program, initial=initial).amplitudes
+        got = backend.run_fused(plan, initial).amplitudes
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_wide_gates_run_unfused_and_end_the_blocks_on_their_wires(self):
         n = 12
@@ -307,10 +325,14 @@ class TestFusion:
     @pytest.mark.parametrize("optimized", [False, True])
     def test_a_chain_step_fuses_into_one_block_per_window(self, n, optimized):
         # every nonempty set of input keys: the bonds run in chain order axis
-        # by axis, then the fields, and one sweep takes all of them
+        # by axis, then the fields, and one sweep takes all of them.  Each
+        # bond axis leaves one more qubit of a window behind, so the windows
+        # advance FUSED_QUBITS minus the number of bond axes per block, up
+        # to the last window at n - FUSED_QUBITS
         rng = np.random.default_rng(n)
         for r in range(1, len(self.COUPLING_KEYS) + 1):
             for keys in itertools.combinations(self.COUPLING_KEYS, r):
+                advance = backend.FUSED_QUBITS - sum(k == "J" for k, _ in keys)
                 draw = lambda: ConstantSchedule(float(rng.uniform(0.5, 1.5)))
                 bonds = {(a, i): draw() for k, a in keys if k == "J" for i in range(1, n)}
                 fields = {(a, i): draw() for k, a in keys if k == "h" for i in range(1, n + 1)}
@@ -319,7 +341,7 @@ class TestFusion:
                 if optimized:
                     block = optimize(block)
                 plan = backend.fuse(block)
-                assert len(plan) == n - backend.FUSED_QUBITS + 1, keys
+                assert len(plan) == len(range(0, n - backend.FUSED_QUBITS, advance)) + 1, keys
                 assert all(isinstance(entry, backend.FusedBlock) for entry in plan)
         initial = random_state(rng, n)
         want = run_statevector(block, initial=initial).amplitudes
@@ -417,6 +439,8 @@ class TestExpectation:
             supports.append(tuple(sorted(rng.choice(np.arange(1, n + 1), size, replace=False))))
         if n > 1:
             supports.append((1, n))
+        if n > 3:  # a gap, then a run that ends at the last qubit
+            supports += [(1, n - 1, n), (2, n - 1, n)]
         rng.shuffle(supports)
         return [PauliTerm(float(rng.normal()), tuple((int(s), "z") for s in f)) for f in supports]
 
@@ -531,13 +555,20 @@ class TestPauliExpectations:
 
     @pytest.mark.parametrize("n", [11, 12, 18])
     def test_small_groups_on_wide_states_equal_vdot_bit_for_bit(self, n):
+        """Bit for bit as numpy's own sum of products of the float64 views of
+        psi and the applied string, which no BLAS rounds."""
         rng = np.random.default_rng(400 + n)
         state = random_state(rng, n)
         x, z = self.grouped_strings(rng, n, [1, 2, n, 3])
         z[:2] = 0
         with mock.patch.object(backend, "_transform_reads", side_effect=AssertionError):
             got = pauli_expectations(state, x, z)
-        assert np.array_equal(got, self.reference(state.amplitudes, x, z, n))
+        amps = state.amplitudes
+        want = [
+            np.einsum("i,i->", amps.view(float), apply_pauli(amps, (xi, zi), n).view(float))
+            for xi, zi in zip(x.tolist(), z.tolist())
+        ]
+        assert got.tolist() == want
 
     @pytest.mark.parametrize("n, size", [(10, 1), (11, 12), (12, 13), (18, 19)])
     def test_other_groups_take_the_transform(self, n, size):
