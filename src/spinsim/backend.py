@@ -494,6 +494,39 @@ def pauli_expectations(state: Statevector, x: np.ndarray, z: np.ndarray) -> np.n
     return values
 
 
+def pauli_rotations(state: Statevector, x, z, angles: Sequence[float]) -> Statevector:
+    """exp(-i angles[j] sigma_j) applied to a copy of ``state`` for j = 0, 1, ... in order.
+
+    sigma_j has masks (x[j], z[j]), and exp(-i theta sigma) = cos theta -
+    i sin theta sigma, so each rotation is
+
+        psi'_k = cos theta psi_k + sin theta (-i)^(|x & z| + 1) (-1)^|k & z| psi_{k xor x},
+
+    one gather and a few elementwise products, without BLAS.  The z signs
+    come as int8 rows from one :func:`_z_signs` call, and the gather
+    index is made per rotation, so no complex or int64 table of 2^n
+    entries per string is kept.  A string with an odd number of y
+    factors has a real phase, so it keeps a real state exactly real.  The
+    state is only read; no strings give an equal copy.
+    """
+    n = state.num_qubits
+    amps = state.amplitudes.astype(complex, copy=True)
+    x = np.asarray(x, dtype=np.int64)
+    z = np.asarray(z, dtype=np.int64)
+    if not len(x):
+        return Statevector(n, amps)
+    index = np.arange(len(amps))
+    powers = (_popcount(x & z) + 1) % 4
+    for x_mask, signs, power, theta in zip(x.tolist(), _z_signs(z, n), powers.tolist(), angles):
+        flipped = amps[index ^ x_mask]
+        flipped *= signs
+        # a real phase multiplies by a float, so a real state gains no imaginary part
+        flipped *= _MINUS_I_POWERS[power] * math.sin(theta)
+        amps *= math.cos(theta)
+        amps += flipped
+    return Statevector(n, amps)
+
+
 def expectation(state: Statevector, terms: Sequence[PauliTerm]) -> float:
     """<state| sum of terms |state>, exactly, as a real number.
 

@@ -12,10 +12,13 @@ equations
     b_I  = Im <psi| sigma_I h |psi> / sqrt(c),
     c    = 1 - 2 dbeta <psi|h|psi> + dbeta^2 <psi|h^2|psi>,
 
-and each Pauli string is exponentiated with the usual basis-change +
-CNOT-ladder + RZ construction.  The sign conventions above make the
-energy decrease; the one-qubit closed-form case in the test suite
-pins them down.
+and the state follows exp(-i dbeta a_I sigma_I) one string at a time,
+as rotations on the strings' (x, z) masks (:func:`backend.pauli_rotations`).
+Each step's circuit renders the same rotations with the usual
+basis-change + CNOT-ladder + RZ construction
+(:func:`pauli_rotation_gates`); only the RZ angles change from step to
+step.  The sign conventions above make the energy decrease; the
+one-qubit closed-form case in the test suite pins them down.
 
 Each step solves one system with h equal to the full Hamiltonian, over
 the union of the per-term string bases.  Its fixed points include every
@@ -28,8 +31,9 @@ strings with an odd number of y factors (Motta et al., Nat. Phys. 16,
 205 (2020)).  On a real state b vanishes on the even-y strings and S
 has no entries between the two sets, so their coefficients are exactly
 zero; each odd-y string is i times a real antisymmetric matrix, so the
-fitted unitary is real orthogonal and the state stays real, in exact
-and sampled mode alike.  Fitting the even-y strings anyway only
+fitted unitary is real orthogonal.  Its rotations on masks multiply by
+real numbers only, so the state stays exactly real, in exact and
+sampled mode alike.  Fitting the even-y strings anyway only
 amplifies float noise along S's near-null directions into an imaginary
 part of the state.  The cut takes the n=7 TFIM basis from 75 strings
 to 31 and the 3-spin one from 27 to 11.  Any y field or a complex
@@ -46,8 +50,8 @@ from typing import Sequence
 import numpy as np
 
 from . import ir
-from .backend import Statevector, _popcount, estimate_with_sigma
-from .backend import pauli_factors, pauli_masks, pauli_values, run_statevector
+from .backend import Statevector, _popcount, estimate_with_sigma, pauli_factors
+from .backend import pauli_masks, pauli_rotations, pauli_values, run_statevector
 # unused, but bound: the span tracer in perfbench/spans.py wraps it by name here
 from .backend import apply_gate  # noqa: F401
 from .errors import SingularSystemError, UnsupportedFeatureError
@@ -98,7 +102,10 @@ class QiteStepReport:
     step's fit, ``residual`` the norm of its least-squares residual and
     ``normalization`` its c factor.  ``program`` holds this step's gates
     alone: step 0's prepare the initial state from |0...0>, and each
-    later one is the fit applied to the previous report's state.
+    later one is the fit applied to the previous report's state, as
+    basis changes, CNOT ladders and RZ gates (:func:`pauli_rotation_gates`).
+    The state itself follows the same rotations on (x, z) masks
+    (:func:`backend.pauli_rotations`), not the gates.
     """
 
     step: int
@@ -180,14 +187,20 @@ def fitting_basis(
     return [masks for masks in basis if odd_y(masks)]
 
 
-def pauli_rotation_gates(factors: Sequence[tuple[int, str]], angle: float) -> list[Gate]:
-    """Circuit for exp(-i angle sigma_P): basis change, CNOT ladder, RZ."""
+def _rotation_skeleton(factors: Sequence[tuple[int, str]]) -> tuple[list[Gate], int, list[Gate]]:
+    """The angle-free parts of :func:`pauli_rotation_gates`: gates before, RZ qubit, gates after."""
     axes = [(site - 1, axis) for site, axis in factors]
     qubits = [q for q, _ in axes]
     enter = ir.basis_change(axes)
     leave = ir.basis_change(axes, inverse=True)
     ladder = [ir.cnot(qubits[k], qubits[k + 1]) for k in range(len(qubits) - 1)]
-    return enter + ladder + [ir.rz(2.0 * angle, qubits[-1])] + ladder[::-1] + leave[::-1]
+    return enter + ladder, qubits[-1], ladder[::-1] + leave[::-1]
+
+
+def pauli_rotation_gates(factors: Sequence[tuple[int, str]], angle: float) -> list[Gate]:
+    """Circuit for exp(-i angle sigma_P): basis change, CNOT ladder, RZ."""
+    before, qubit, after = _rotation_skeleton(factors)
+    return before + [ir.rz(2.0 * angle, qubit)] + after
 
 
 def fit_step_unitary(
@@ -196,13 +209,13 @@ def fit_step_unitary(
     terms: Sequence[PauliTerm],
     params: QiteParams,
     rng,
-) -> tuple[tuple[float, ...], tuple[Gate, ...], float, float]:
+) -> tuple[tuple[float, ...], float, float]:
     """Fit the step unitary for h = sum of ``terms`` over the masks in ``basis``.
 
-    Returns ``(coefficients, gates, residual, normalization)``: the
-    solved a vector, the circuit for exp(-i dbeta sum_I a_I sigma_I),
-    the norm of the least-squares residual and the c factor.  ``rng``
-    seeds the sampler when ``params.shots`` > 0.
+    Returns ``(coefficients, residual, normalization)``: the solved a
+    vector of exp(-i dbeta sum_I a_I sigma_I), the norm of the
+    least-squares residual and the c factor.  ``rng`` seeds the sampler
+    when ``params.shots`` > 0.
     """
     n = state.num_qubits
     hc = np.array([t.coefficient for t in terms])
@@ -261,11 +274,7 @@ def fit_step_unitary(
                 "regularized least-squares solve failed"
             ) from exc
     residual = float(np.linalg.norm(s_matrix @ a - b_vector))
-
-    gates: list[Gate] = []
-    for a_i, masks in zip(a, basis):
-        gates.extend(pauli_rotation_gates(pauli_factors(masks, n), params.dbeta * float(a_i)))
-    return tuple(float(v) for v in a), tuple(gates), residual, c
+    return tuple(float(v) for v in a), residual, c
 
 
 def run_qite(
@@ -279,7 +288,10 @@ def run_qite(
     with X gates) or an explicit preparation circuit.  Returns one
     report per step, preceded by a step-0 report for the prepared
     initial state.  Each step is a single fit of the full Hamiltonian
-    over :func:`fitting_basis` of the prepared state.
+    over :func:`fitting_basis` of the prepared state.  The state advances
+    by :func:`backend.pauli_rotations`; each report's program is built
+    from one :func:`_rotation_skeleton` per string, made once per run,
+    with only the RZ gates new at each step.
     """
     if hamiltonian.is_time_dependent:
         raise UnsupportedFeatureError(
@@ -301,12 +313,20 @@ def run_qite(
     measured = estimate_with_sigma(state, terms, params.shots, rng)
     reports = [QiteStepReport(0, *measured, (), 0.0, 1.0, program)]
     basis = fitting_basis(terms, params.domain_radius, state)
+    bx, bz = np.array(basis, dtype=np.int64).reshape(-1, 2).T
+    skeletons = [_rotation_skeleton(pauli_factors(masks, n)) for masks in basis]
     for step in range(1, params.num_steps + 1):
-        coefficients, gates, residual, normalization = fit_step_unitary(
+        coefficients, residual, normalization = fit_step_unitary(
             state, basis, terms, params, rng
         )
-        program = Program(n, gates)
-        state = run_statevector(program, initial=state)
+        angles = [params.dbeta * a for a in coefficients]
+        gates: list[Gate] = []
+        for (before, qubit, after), angle in zip(skeletons, angles):
+            gates += before
+            gates.append(ir.rz(2.0 * angle, qubit))
+            gates += after
+        program = Program(n, tuple(gates))
+        state = pauli_rotations(state, bx, bz, angles)
         measured = estimate_with_sigma(state, terms, params.shots, rng)
         reports.append(
             QiteStepReport(step, *measured, coefficients, residual, normalization, program)

@@ -15,6 +15,7 @@ from helpers import random_config, random_program
 from spinsim import ir
 from spinsim.backend import (
     expectation,
+    pauli_factors,
     product_state,
     run_statevector,
     sample_counts,
@@ -31,7 +32,13 @@ from spinsim.observables import (
 )
 from spinsim.optimizer import optimize
 from spinsim.oracle import evolve_exact, evolve_imaginary_exact, ground_state
-from spinsim.qite import QiteParams, fit_step_unitary, hamiltonian_basis, run_qite
+from spinsim.qite import (
+    QiteParams,
+    fit_step_unitary,
+    hamiltonian_basis,
+    pauli_rotation_gates,
+    run_qite,
+)
 from spinsim.trotter import TrotterParams, build_evolution_program, evolve_series, step_blocks
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -231,8 +238,11 @@ def test_criterion_6_qite_calibration():
 
         params = QiteParams(dbeta=0.1, num_steps=1)
         basis = hamiltonian_basis([term], 0, 1)
-        _, gates, _, _ = fit_step_unitary(plus, basis, [term], params, 0)
-        after = run_statevector(Program(1, gates), initial=plus)
+        coefficients, _, _ = fit_step_unitary(plus, basis, [term], params, 0)
+        gates = []
+        for a, masks in zip(coefficients, basis, strict=True):
+            gates += pauli_rotation_gates(pauli_factors(masks, 1), params.dbeta * a)
+        after = run_statevector(Program(1, tuple(gates)), initial=plus)
         fitted = expectation(after, [term])
         [(_, oracle_value)] = evolve_imaginary_exact([term], [0.1], plus)
         assert abs(fitted - oracle_value) <= 5e-3, (fitted, oracle_value)

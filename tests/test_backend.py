@@ -20,6 +20,7 @@ from spinsim.backend import (
     pauli_expectations,
     pauli_factors,
     pauli_masks,
+    pauli_rotations,
     pauli_values,
     product_state,
     run_statevector,
@@ -29,6 +30,7 @@ from spinsim.config import ConstantSchedule
 from spinsim.errors import TooLargeError
 from spinsim.hamiltonian import HeisenbergHamiltonian, PauliTerm, snapshot
 from spinsim.optimizer import optimize
+from spinsim.qite import pauli_rotation_gates
 from spinsim.trotter import trotter_step
 
 
@@ -615,6 +617,41 @@ class TestPauliExpectations:
     def test_identity_is_exactly_one(self):
         state = Statevector(2, np.full(4, 0.5 + 1e-9, dtype=complex))
         assert pauli_expectations(state, np.array([0]), np.array([0]))[0] == 1.0
+
+
+class TestPauliRotations:
+    @staticmethod
+    def rotation_strings(rng, n, count):
+        """``count`` random non-identity (x, z) masks; the first three hold an x, a y and a z."""
+        factors = [((1, axis),) for axis in "xyz"] + [
+            tuple((s, str(rng.choice(["x", "y", "z"]))) for s in range(1, n + 1) if rng.random() < 0.6)
+            for _ in range(count - 3)
+        ]
+        masks = [pauli_masks(f, n) for f in factors if f]
+        return np.array(masks, dtype=np.int64).T
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_dense_unitary_of_the_rotation_gates(self, n):
+        rng = np.random.default_rng(700 + n)
+        x, z = self.rotation_strings(rng, n, 12)
+        angles = [0.0, np.pi / 2, -np.pi / 2, *rng.uniform(-np.pi, np.pi, len(x) - 3)]
+        gates = []
+        for masks, angle in zip(zip(x.tolist(), z.tolist()), angles):
+            gates += pauli_rotation_gates(pauli_factors(masks, n), angle)
+        unitary = ir.unitary_of(program_of(n, gates))
+        state = random_state(rng, n)
+        before = state.amplitudes.copy()
+        got = pauli_rotations(state, x, z, angles)
+        np.testing.assert_allclose(got.amplitudes, unitary @ before, rtol=0, atol=1e-12)
+        assert np.array_equal(state.amplitudes, before)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_no_strings_give_an_equal_copy(self, n):
+        state = random_state(np.random.default_rng(n), n)
+        got = pauli_rotations(state, [], [], [])
+        assert got.num_qubits == n
+        assert np.array_equal(got.amplitudes, state.amplitudes)
+        assert not np.shares_memory(got.amplitudes, state.amplitudes)
 
 
 class TestSampling:

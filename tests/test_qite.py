@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from helpers import embedded_pauli, matrix_exponential, random_state
 import spinsim
-from spinsim import backend, ir
+from spinsim import backend, ir, qite
 from spinsim.backend import (
     _measurement_groups,
     expectation,
     pauli_expectations,
     pauli_factors,
     pauli_masks,
+    pauli_rotations,
     product_state,
     run_statevector,
     sample_counts,
@@ -44,6 +45,14 @@ from spinsim.trotter import state_preparation_gates
 def tfim(num_spins: int, j_z: float = 1.0, h_x: float = 1.0) -> HeisenbergHamiltonian:
     bonds = {("z", i): ConstantSchedule(j_z) for i in range(1, num_spins)}
     fields = {("x", i): ConstantSchedule(h_x) for i in range(1, num_spins + 1)}
+    return HeisenbergHamiltonian(num_spins, bonds, fields)
+
+
+def random_field_tfim(num_spins: int) -> HeisenbergHamiltonian:
+    """The TFIM with unit bonds and x fields drawn from U(0.8, 1.2), seed 4."""
+    h_x = np.random.default_rng(4).uniform(0.8, 1.2, num_spins)
+    bonds = {("z", i): ConstantSchedule(1.0) for i in range(1, num_spins)}
+    fields = {("x", i): ConstantSchedule(float(v)) for i, v in enumerate(h_x, 1)}
     return HeisenbergHamiltonian(num_spins, bonds, fields)
 
 
@@ -287,10 +296,8 @@ class TestFitAgainstScalarLoop:
     def test_exact_fit_is_bit_equal(self, seed):
         state, basis, terms, radius = random_fit_problem(seed)
         params = QiteParams(dbeta=0.2, num_steps=1, domain_radius=radius)
-        coefficients, _, residual, normalization = fit_step_unitary(
-            state, basis, terms, params, 0
-        )
-        assert (coefficients, residual, normalization) == scalar_fit(state, basis, terms, params)
+        fit = fit_step_unitary(state, basis, terms, params, 0)
+        assert fit == scalar_fit(state, basis, terms, params)
 
     def test_both_radii_and_every_axis_are_covered(self):
         problems = [random_fit_problem(seed) for seed in range(16)]
@@ -376,13 +383,22 @@ def fit_one_term(state, term, params):
     return fit_step_unitary(state, basis, [term], params, 0)
 
 
+def fitted_gates(coefficients, basis, params, num_qubits):
+    """The circuit of a fit: each string's rotation by dbeta a_I, in basis order."""
+    gates = []
+    for a, masks in zip(coefficients, basis, strict=True):
+        gates += pauli_rotation_gates(pauli_factors(masks, num_qubits), params.dbeta * a)
+    return tuple(gates)
+
+
 class TestSingleStepFit:
     def test_plus_state_magnetization_after_one_step(self):
         # against a z field the exact flow gives <sigma_z> = -tanh(2 dbeta)
         params = QiteParams(dbeta=0.1, num_steps=1)
         plus = run_statevector(Program(1, (ir.h(0),)))
         term = PauliTerm(1.0, ((1, "z"),))
-        _, gates, _, _ = fit_one_term(plus, term, params)
+        coefficients, _, _ = fit_one_term(plus, term, params)
+        gates = fitted_gates(coefficients, hamiltonian_basis([term], 0, 1), params, 1)
         after = run_statevector(Program(1, gates), initial=plus)
         got = expectation(after, [term])
         assert abs(got - (-math.tanh(0.2))) <= 5e-3
@@ -397,7 +413,7 @@ class TestSingleStepFit:
     def test_residual_small_in_exact_mode(self):
         params = QiteParams(dbeta=0.1, num_steps=1)
         plus = run_statevector(Program(1, (ir.h(0),)))
-        _, _, residual, _ = fit_one_term(plus, PauliTerm(1.0, ((1, "z"),)), params)
+        _, residual, _ = fit_one_term(plus, PauliTerm(1.0, ((1, "z"),)), params)
         assert residual <= 1e-6
 
     def test_vanishing_evolution_rate_raises(self):
@@ -510,6 +526,16 @@ class TestRunQite:
             assert expectation(state, terms) == pytest.approx(report.energy, abs=1e-9)
             assert abs(state.norm() - 1.0) <= 1e-12 * max(applied, 1)
 
+    def test_exported_circuits_replay_the_reported_energies(self):
+        # the state follows rotations on masks; the gates must be the same rotations
+        hamiltonian = random_field_tfim(7)
+        terms = snapshot(hamiltonian, 0.0)
+        reports = run_qite(hamiltonian, QiteParams(dbeta=0.3, num_steps=12), ["up"] * 7)
+        state = None
+        for report in reports:
+            state = run_statevector(report.program, initial=state)
+            assert abs(expectation(state, terms) - report.energy) <= 1e-12, report.step
+
     def test_preparation_program_width_checked(self):
         params = QiteParams(dbeta=0.1, num_steps=1)
         with pytest.raises(ValueError):
@@ -584,6 +610,22 @@ class TestSymmetryBasis:
             assert len(report.coefficients) == len(basis)
             state = run_statevector(report.program, initial=state)
             assert np.abs(state.amplitudes.imag).max() <= 1e-12, report.step
+
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_the_evolved_state_is_exactly_real(self, shots, monkeypatch):
+        # an odd-y rotation on masks multiplies by real numbers only
+        states = []
+
+        def recording(*args):
+            states.append(pauli_rotations(*args))
+            return states[-1]
+
+        monkeypatch.setattr(qite, "pauli_rotations", recording)
+        params = QiteParams(dbeta=0.3, num_steps=12, shots=shots, seed=5)
+        reports = run_qite(random_field_tfim(7), params, ["up"] * 7)
+        assert len(states) == len(reports) - 1 == 12
+        for step, state in enumerate(states, 1):
+            assert not state.amplitudes.imag.any(), step
 
     @pytest.mark.parametrize(
         "y_field, preparation, size",
