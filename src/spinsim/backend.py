@@ -69,101 +69,28 @@ def product_state(spins: Sequence[str]) -> Statevector:
 
 
 def apply_gate(amps: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
-    """Apply one gate to a contiguous complex amplitude vector in place.
+    """Multiply ``gate_matrix(gate)`` into the gate's operand axes of ``amps``, in place.
 
-    ``amps`` is overwritten with the new amplitudes and returned.  Each
-    native kind and ``x`` has its own kernel on strided views of
-    ``amps``; the other kinds contract the gate's matrix with the state
-    tensor.  The kernels round exactly as that contraction does, so
-    their results are bit-equal to it (at more than two qubits, where
-    numpy's dot goes through BLAS).
+    ``amps`` is a contiguous complex vector of 2^num_qubits amplitudes;
+    it is overwritten and returned.  Every kind takes one path: a gate
+    on qubits lo..hi is one ``np.matmul`` on the (2^lo, 2^k, rest) view
+    when its k operands are contiguous, else one ``np.einsum`` on the
+    (2^lo, 2, 2^(hi - lo - 1), 2, rest) view.
     """
-    _KERNELS.get(gate.kind, _contract)(amps, gate, num_qubits)
+    m = gate_matrix(gate)
+    lo, hi = min(gate.qubits), max(gate.qubits)
+    if gate.qubits[0] > lo:
+        # the first operand is the rows' high bit: make it the lower qubit's
+        m = m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    rest = 2 ** (num_qubits - 1 - hi)
+    if hi - lo < len(gate.qubits):
+        v = amps.reshape(2**lo, len(m), rest)
+        v[...] = np.matmul(m, v)
+    else:
+        v = amps.reshape(2**lo, 2, 2 ** (hi - lo - 1), 2, rest)
+        v[...] = np.einsum("ijkl,xkylz->xiyjz", m.reshape(2, 2, 2, 2), v)
     return amps
 
-
-def _contract(amps: np.ndarray, gate: Gate, num_qubits: int) -> None:
-    """Contract the gate's (2,)*2k tensor with its k operand axes of the (2,)*n view."""
-    k = len(gate.qubits)
-    m = gate_matrix(gate).reshape((2,) * 2 * k)
-    tensor = amps.reshape((2,) * num_qubits)
-    t = np.tensordot(m, tensor, axes=(range(k, 2 * k), gate.qubits))
-    tensor[...] = np.moveaxis(t, range(k), gate.qubits)
-
-
-def _split(amps: np.ndarray, qubit: int) -> np.ndarray:
-    """The (2^q, 2, rest) view of ``amps``; axis 1 is the qubit's bit."""
-    return amps.reshape(2**qubit, 2, -1)
-
-
-def _swap(a0: np.ndarray, a1: np.ndarray) -> None:
-    t = a0.copy()
-    a0[...] = a1
-    a1[...] = t
-
-
-def _x(amps: np.ndarray, gate: Gate, num_qubits: int) -> None:
-    v = _split(amps, gate.qubits[0])
-    _swap(v[:, 0], v[:, 1])
-
-
-def _cnot(amps: np.ndarray, gate: Gate, num_qubits: int) -> None:
-    control, target = gate.qubits
-    lo = min(control, target)
-    v = amps.reshape(2**lo, 2, 2 ** (abs(control - target) - 1), 2, -1)
-    if control < target:
-        _swap(v[:, 1, :, 0], v[:, 1, :, 1])
-    else:
-        _swap(v[:, 0, :, 1], v[:, 1, :, 1])
-
-
-# The real and imaginary parts of a complex matrix reach BLAS zgemm as
-# separate products, so each part of the contraction's result is rounded
-# on its own: for rz and rx, which have one nonzero entry per row in each
-# part, that is round(Re m * a) + round(i Im m * a), which numpy's
-# elementwise complex multiply and add reproduce.  A real matrix with two
-# nonzero entries per row, such as h, is accumulated with a fused
-# multiply-add, which only BLAS reproduces: h runs dgemm on the float64
-# view of the state.
-
-
-def _rz(amps: np.ndarray, gate: Gate, num_qubits: int) -> None:
-    m = gate_matrix(gate)
-    v = _split(amps, gate.qubits[0])
-    t = v * np.array([[1j * m[0, 0].imag], [1j * m[1, 1].imag]])
-    amps *= m[0, 0].real
-    v += t
-
-
-def _rx(amps: np.ndarray, gate: Gate, num_qubits: int) -> None:
-    m = gate_matrix(gate)
-    v = _split(amps, gate.qubits[0])
-    t = v * m[0, 1]
-    amps *= m[0, 0].real
-    v += t[:, ::-1]
-
-
-_HADAMARD = gate_matrix(Gate("h", (0,))).real
-# For a qubit with at most 4 amplitudes below it, one dgemm of rows
-# (a0, a1) of the float64 view by kron(H^T, I) replaces 2^q products of
-# 2x2 blocks; the zero entries add exact zeros, so the rounding is the
-# same.  With a single row (q = 0) numpy would take gemv instead.
-_HADAMARD_ROWS = {rest: np.kron(_HADAMARD.T, np.eye(2 * rest)) for rest in (1, 2, 4)}
-
-
-def _h(amps: np.ndarray, gate: Gate, num_qubits: int) -> None:
-    q = gate.qubits[0]
-    re = amps.view(np.float64)
-    rows = _HADAMARD_ROWS.get(2 ** (num_qubits - 1 - q))
-    if q and rows is not None:
-        w = re.reshape(-1, len(rows))
-        w[...] = w @ rows
-    else:
-        v = _split(re, q)
-        v[...] = _HADAMARD @ v
-
-
-_KERNELS = {"x": _x, "cnot": _cnot, "rz": _rz, "rx": _rx, "h": _h}
 
 # A fused block acts on at most this many contiguous qubits, so its
 # matrix has at most 2^FUSED_QUBITS rows.
@@ -213,8 +140,8 @@ def fuse(program: Program) -> tuple[FusedBlock | Gate, ...]:
     unitary.  A gate that spans more than FUSED_QUBITS by itself stays a
     gate, applied by :func:`apply_gate`: it blocks its wires until it
     reaches the head of the remaining gates, and then becomes a plan
-    entry of its own.  Each block's matrix is built by the gate kernels
-    acting on the rows of an identity matrix.
+    entry of its own.  Each block's matrix is built by :func:`apply_gate`,
+    gate by gate, on an identity matrix (:func:`_block_matrix`).
     """
     n = program.num_qubits
     last = max(0, n - FUSED_QUBITS)
@@ -253,8 +180,8 @@ def _wide(gate: Gate) -> bool:
 
 
 def _block_matrix(lo: int, hi: int, gates: Sequence[Gate]) -> np.ndarray:
-    """G_k ... G_1 on qubits lo..hi: the kernels run on the flattened identity
-    as a 2m-qubit state, whose first m qubits index its rows."""
+    """G_k ... G_1 on qubits lo..hi: :func:`apply_gate` runs each gate on the
+    flattened identity as a 2m-qubit state, whose first m qubits index its rows."""
     width = hi - lo + 1
     matrix = np.eye(2**width, dtype=complex)
     amps = matrix.reshape(-1)
@@ -507,12 +434,15 @@ def pauli_rotations(state: Statevector, x, z, angles: Sequence[float]) -> Statev
     index is made per rotation, so no complex or int64 table of 2^n
     entries per string is kept.  A string with an odd number of y
     factors has a real phase, so it keeps a real state exactly real.  The
-    state is only read; no strings give an equal copy.
+    state is only read; no strings give an equal copy.  ``x``, ``z`` and
+    ``angles`` must have one entry per string (ValueError otherwise).
     """
     n = state.num_qubits
     amps = state.amplitudes.astype(complex, copy=True)
     x = np.asarray(x, dtype=np.int64)
     z = np.asarray(z, dtype=np.int64)
+    if not len(x) == len(z) == len(angles):
+        raise ValueError(f"got {len(x)} x masks, {len(z)} z masks and {len(angles)} angles")
     if not len(x):
         return Statevector(n, amps)
     index = np.arange(len(amps))
@@ -653,7 +583,7 @@ def _sample_groups(state: Statevector, masks, shots: int, rng) -> Iterator[tuple
     rng = np.random.default_rng(rng)
     n = state.num_qubits
     for _, _, members in _measurement_groups(masks):
-        # in order of first touch: kernels on distinct qubits round differently in another order
+        # in order of first touch: gates on distinct qubits round differently in another order
         axes = dict.fromkeys((s - 1, a) for i in members for s, a in pauli_factors(masks[i], n))
         rotated = run_statevector(Program(n, tuple(basis_change(axes))), initial=state)
         counts = sample_counts(rotated, shots, rng)

@@ -148,8 +148,8 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 
     For two-qubit gates the first operand is the more significant index
     of the 4-dimensional space.  This table is the single source of
-    gate semantics; backend kernels and the reference unitary both
-    consume it.
+    gate semantics: ``backend.apply_gate`` multiplies it into the state
+    and :func:`unitary_of` embeds it in the full space.
     """
     kind, theta = gate.kind, gate.theta
     if kind == "x":
@@ -244,7 +244,7 @@ def unitary_of(program: Program) -> np.ndarray:
     """Dense 2^n x 2^n unitary of the program, gates applied left to right.
 
     Built by embedding each gate matrix into the full space and
-    multiplying, independently of the statevector kernels, so the two
+    multiplying, independently of ``backend.apply_gate``, so the two
     paths can be checked against each other.
     """
     n = program.num_qubits

@@ -1,7 +1,7 @@
 """Exact small-system references the circuit pipeline is checked against.
 
 Everything here goes through dense diagonalization, deliberately
-avoiding the gate kernels, so agreement between the two routes is a
+avoiding the gate routine, so agreement between the two routes is a
 meaningful test.  The evolution references take a whole grid of times
 (or betas) per call, so a static Hamiltonian is diagonalized once per
 series.

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import ir
 from .backend import Statevector, _popcount, estimate_with_sigma, pauli_factors
-from .backend import pauli_masks, pauli_rotations, pauli_values, run_statevector
+from .backend import pauli_masks, pauli_rotations, pauli_values, product_state, run_statevector
 # unused, but bound: the span tracer in perfbench/spans.py wraps it by name here
 from .backend import apply_gate  # noqa: F401
 from .errors import SingularSystemError, UnsupportedFeatureError
@@ -284,8 +284,10 @@ def run_qite(
 ) -> list[QiteStepReport]:
     """Evolve through ``num_steps`` imaginary-time steps.
 
-    ``initial_state`` is either a per-site up/down sequence (prepared
-    with X gates) or an explicit preparation circuit.  Returns one
+    ``initial_state`` is either a per-site up/down sequence, built
+    directly by :func:`backend.product_state` (the step-0 report's
+    program holds its X gates), or an explicit preparation circuit, run
+    by :func:`backend.run_statevector`.  Returns one
     report per step, preceded by a step-0 report for the prepared
     initial state.  Each step is a single fit of the full Hamiltonian
     over :func:`fitting_basis` of the prepared state.  The state advances
@@ -302,14 +304,15 @@ def run_qite(
         if initial_state.num_qubits != n:
             raise ValueError("preparation circuit width does not match the chain")
         program = Program(n, initial_state.gates)
+        state = run_statevector(program)
     else:
         if len(initial_state) != n:
             raise ValueError("initial state length does not match the chain")
         program = Program(n, state_preparation_gates(initial_state))
+        state = product_state(initial_state)
     terms = snapshot(hamiltonian, 0.0)
     rng = np.random.default_rng(params.seed)
 
-    state = run_statevector(program)
     measured = estimate_with_sigma(state, terms, params.shots, rng)
     reports = [QiteStepReport(0, *measured, (), 0.0, 1.0, program)]
     basis = fitting_basis(terms, params.domain_radius, state)

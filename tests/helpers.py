@@ -182,7 +182,7 @@ def product_formula_states(hamiltonian, total_time: float, num_steps: int, initi
     """Dense first-order product formula: the state after k steps, k = 0..num_steps.
 
     Each step exponentiates every snapshot term at the step midpoint
-    (j - 1/2) dt, in snapshot order, as a dense matrix; no gate kernel
+    (j - 1/2) dt, in snapshot order, as a dense matrix; no gate routine
     or circuit is involved.
     """
     n = hamiltonian.num_spins

@@ -100,26 +100,19 @@ class TestExecution:
         assert drift <= 1e-12 * max(len(program.gates), 1)
 
 
-def kernel_cases(n, rng):
-    """Every native kind and x on every qubit; cnot on neighbours and across
-    the chain, in both operand orders."""
-    for q in range(n):
-        yield ir.x(q)
-        yield ir.h(q)
-        yield ir.rz(float(rng.uniform(-7, 7)), q)
-        yield ir.rx(float(rng.uniform(-7, 7)), q)
-    for a in range(n):
-        for b in range(n):
-            if a != b and (abs(a - b) == 1 or {a, b} == {0, n - 1}):
-                yield ir.cnot(a, b)
-
-
-def contracted(amps, gate, n):
-    """The gate's tensor contracted with its operand axes, through BLAS."""
-    k = len(gate.qubits)
-    m = ir.gate_matrix(gate).reshape((2,) * 2 * k)
-    t = np.tensordot(m, amps.reshape((2,) * n), axes=(range(k, 2 * k), gate.qubits))
-    return np.moveaxis(t, range(k), gate.qubits).reshape(-1)
+def gate_cases(n, rng):
+    """Every kind of ir.GATE_ARITY on every qubit; two-qubit kinds on
+    neighbours and across the chain, in both operand orders."""
+    pairs = [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if a != b and (abs(a - b) == 1 or {a, b} == {0, n - 1})
+    ]
+    for kind, arity in ir.GATE_ARITY.items():
+        for qubits in [(q,) for q in range(n)] if arity == 1 else pairs:
+            theta = float(rng.uniform(-7, 7)) if kind in ir.PARAMETRIC_KINDS else None
+            yield ir.Gate(kind, qubits, theta)
 
 
 def permuted(amps, gate, n):
@@ -136,7 +129,7 @@ class TestKernels:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_kind_on_every_qubit_matches_dense_unitary(self, n):
         rng = np.random.default_rng(n)
-        for gate in kernel_cases(n, rng):
+        for gate in gate_cases(n, rng):
             amps = random_state(rng, n).amplitudes
             want = ir.unitary_of(program_of(n, [gate])) @ amps
             work = amps.copy()
@@ -144,16 +137,6 @@ class TestKernels:
             np.testing.assert_allclose(work, want, rtol=0, atol=1e-14, err_msg=str(gate))
             if gate.kind in ("x", "cnot"):
                 assert np.array_equal(work, permuted(amps, gate, n)), gate
-
-    @pytest.mark.parametrize("n", [3, 7, 12])
-    def test_native_kernels_round_as_the_contraction(self, n):
-        # QITE amplifies a one-ulp change per gate to ~1e-11 on the TFIM
-        # tutorial, so the kernels must keep the contraction's rounding.
-        rng = np.random.default_rng(100 + n)
-        amps = random_state(rng, n).amplitudes
-        for gate in kernel_cases(n, rng):
-            got = backend.apply_gate(amps.copy(), gate, n)
-            assert np.array_equal(got, contracted(amps, gate, n)), gate
 
     def test_initial_state_is_left_bit_unchanged(self):
         rng = np.random.default_rng(23)
@@ -653,6 +636,19 @@ class TestPauliRotations:
         assert np.array_equal(got.amplitudes, state.amplitudes)
         assert not np.shares_memory(got.amplitudes, state.amplitudes)
 
+    @pytest.mark.parametrize(
+        "x, z, angles",
+        [
+            ([1, 2, 4], [0, 0, 0], [0.3]),  # fewer angles than strings
+            ([1, 2, 4], [0], [0.3, 0.2, 0.1]),  # one z mask would broadcast
+            ([1], [0, 1], [0.3]),  # more z masks than x masks
+        ],
+    )
+    def test_lengths_that_disagree_are_refused(self, x, z, angles):
+        state = random_state(np.random.default_rng(9), 3)
+        with pytest.raises(ValueError):
+            pauli_rotations(state, x, z, angles)
+
 
 class TestSampling:
     def test_deterministic_outcome(self):
@@ -812,7 +808,7 @@ class TestCountsEstimation:
 
 
     def test_rotation_follows_the_order_members_first_touch_qubits(self, monkeypatch):
-        # kernels on distinct qubits round differently in another order
+        # gates on distinct qubits round differently in another order
         programs = []
 
         def recording(program, initial=None):

@@ -403,7 +403,7 @@ class TestRealTimeDifferential:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_run_matches_dense_product_formula(self, text):
         # the series and the last exported circuit against a dense
-        # product formula that shares neither kernels nor circuits
+        # product formula that shares neither gate routines nor circuits
         cfg = parse_input(text)
         n = cfg.num_spins
         hamiltonian = build_hamiltonian(cfg)

@@ -509,6 +509,14 @@ class TestRunQite:
                 rebuilt += pauli_rotation_gates(pauli_factors(masks, 2), params.dbeta * a)
             assert report.program == Program(2, tuple(rebuilt)), report.step
 
+    def test_spins_and_their_preparation_circuit_give_equal_reports(self):
+        # spins start from product_state, a circuit runs through run_statevector
+        spins = ["down", "up", "down"]
+        params = QiteParams(dbeta=0.3, num_steps=3)
+        from_spins = run_qite(tfim(3), params, spins)
+        preparation = Program(3, state_preparation_gates(spins))
+        assert from_spins == run_qite(tfim(3), params, preparation)
+
     def test_cumulative_program_reproduces_energy(self):
         params = QiteParams(dbeta=0.3, num_steps=5)
         hamiltonian = tfim(2)
