@@ -361,34 +361,49 @@ def _walsh_hadamard(table: np.ndarray) -> None:
 
 
 def _transform_reads(amps: np.ndarray, num_qubits: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Re <psi| sigma |psi> for the strings (x[i], z[i]) from Walsh-Hadamard tables.
+    """Re <psi| sigma |psi> for the strings (x[i], z[i]) from half Walsh-Hadamard tables.
 
-    <psi| sigma |psi> = (-i)^|x & z| sum_k (-1)^|k & z| conj(psi_k) psi_{k xor x},
-    so one transform of v_k = conj(psi_k) psi_{k xor x} gives every z of
-    one x mask at once.  The distinct x masks are taken in chunks of
-    columns of a (2^n, chunk) table, filled by one gather and transformed
-    by :func:`_walsh_hadamard`; a string reads its entry times its phase.
+    <psi| sigma |psi> = (-i)^|x & z| T(z), T(z) = sum_k (-1)^|k & z| v_k with
+    v_k = conj(psi_k) psi_{k xor x}, so one transform gives every z of one
+    x mask.  Only the half of v whose pairing bit p is 0 is transformed,
+    into H(z') with z' = z without bit p.  For x != 0, p is x's lowest set
+    bit; v_{k xor x} = conj(v_k), so T(z) is 2 Re H(z') when |x & z| is even
+    and 2i Im H(z') when it is odd.  For x = 0, v is real and p is the top
+    qubit's bit: the two halves are packed into the real and imaginary
+    parts, and T(z) = Re H(z') +- Im H(z') by z's bit p.  The distinct x
+    masks are taken in chunks of columns of a (2^(n-1), chunk) table,
+    filled by one gather and transformed by :func:`_walsh_hadamard`.
     Every step is elementwise, so a value does not depend on the other x
     masks, and it agrees with ``np.vdot`` of the applied string up to
     rounding.
     """
     values = np.empty(len(x))
+    half = len(amps) // 2
     x_masks, column = np.unique(x, return_inverse=True)
+    pairing = np.where(x_masks, x_masks & -x_masks, half)
     order = np.argsort(column, kind="stable")
     width = max(1, _WALSH_CHUNK >> num_qubits)
     starts = range(0, len(x_masks), width)
     bounds = np.searchsorted(column[order], [*starts, len(x_masks)])
-    bra = amps.conj()[:, None]
+    rows = np.arange(half)[:, None]
+    bra = amps.conj()
     for first, a, b in zip(starts, bounds[:-1], bounds[1:]):
-        chunk = x_masks[first : first + width]
-        table = amps[np.arange(len(amps))[:, None] ^ chunk]
-        np.multiply(bra, table, out=table)
+        chunk, bit = x_masks[first : first + width], pairing[first : first + width]
+        # k: the row index with a 0 inserted at the column's pairing bit
+        k = (rows & -bit) << 1 | rows & bit - 1
+        table = bra[k]
+        table *= amps[k ^ chunk]
+        if chunk[0] == 0:
+            table[:, 0].imag = (bra[half:] * amps[half:]).real
         _walsh_hadamard(table)
         members = order[a:b]
-        read = table[z[members], column[members] - first]
+        xm, zm, bit = x[members], z[members], pairing[column[members]]
+        read = table[zm >> 1 & -bit | zm & bit - 1, column[members] - first]
         # Re((-i)^p w) is w.real, w.imag, -w.real, -w.imag for p = 0..3
-        power = _popcount(x[members] & z[members]) % 4
-        values[members] = np.where(power % 2, read.imag, read.real) * (1 - (power & 2))
+        power = _popcount(xm & zm) % 4
+        paired = 2 * np.where(power % 2, read.imag, read.real) * (1 - (power & 2))
+        packed = read.real + np.where(zm & bit, -read.imag, read.imag)
+        values[members] = np.where(xm, paired, packed)
     return values
 
 
@@ -399,11 +414,12 @@ def pauli_expectations(state: Statevector, x: np.ndarray, z: np.ndarray) -> np.n
     mask.  On states of at least _VDOT_MIN_QUBITS qubits a group of at
     most n strings is read one dot product per string
     (:func:`_vdot_reads`), bit for bit as :func:`_real_dot` of the applied
-    string; the other groups come from Walsh-Hadamard tables
-    (:func:`_transform_reads`), within rounding of it.  Neither route calls
-    BLAS.  So a string's value depends on the size of its x mask's group,
-    never on the other groups in the call or the BLAS thread count.  The state is
-    only read, and the identity (0, 0) is exactly 1.0.
+    string; the other groups come from Walsh-Hadamard tables of half the
+    state's length (:func:`_transform_reads`), within rounding of it.
+    Neither route calls BLAS.  So a string's value depends on the size of
+    its x mask's group, never on the other groups in the call or the BLAS
+    thread count.  The state is only read, and the identity (0, 0) is
+    exactly 1.0 without a read.
     """
     amps, n = state.amplitudes, state.num_qubits
     x = np.asarray(x, dtype=np.int64)
@@ -414,10 +430,11 @@ def pauli_expectations(state: Statevector, x: np.ndarray, z: np.ndarray) -> np.n
     for x_mask in x_masks[by_vdot].tolist():
         members = np.flatnonzero(x == x_mask)
         values[members] = _vdot_reads(amps, n, x_mask, z[members])
-    rest = np.flatnonzero(~by_vdot[column])
+    identity = (x == 0) & (z == 0)
+    rest = np.flatnonzero(~by_vdot[column] & ~identity)
     if len(rest):
         values[rest] = _transform_reads(amps, n, x[rest], z[rest])
-    values[(x == 0) & (z == 0)] = 1.0
+    values[identity] = 1.0
     return values
 
 
@@ -572,39 +589,63 @@ def _measurement_groups(masks: Sequence[tuple[int, int]]) -> list[list]:
     return groups
 
 
-def _sample_groups(state: Statevector, masks, shots: int, rng) -> Iterator[tuple]:
-    """``(members, weights, parities)`` for each measurement group of ``masks``.
+MeasurementGroup = tuple[list[int], Program, np.ndarray]
 
-    A group is rotated into the z basis, one qubit at a time in the
-    order its members first touch them, and drawn ``shots`` times from
+
+def measurement_groups(masks: Sequence[tuple[int, int]], num_qubits: int) -> list[MeasurementGroup]:
+    """``(members, turn, supports)`` for each of :func:`_measurement_groups` of ``masks``.
+
+    ``turn`` rotates the group's qubits into the z basis, one qubit at a
+    time in the order its members first touch them, and ``supports``
+    holds each member's x | z mask.  A caller that reads the same strings
+    many times makes these once.
+    """
+    groups = []
+    for _, _, members in _measurement_groups(masks):
+        # in order of first touch: gates on distinct qubits round differently in another order
+        axes = dict.fromkeys(
+            (s - 1, a) for i in members for s, a in pauli_factors(masks[i], num_qubits)
+        )
+        supports = np.array([masks[i][0] | masks[i][1] for i in members], dtype=np.int64)
+        groups.append((members, Program(num_qubits, tuple(basis_change(axes))), supports))
+    return groups
+
+
+def _sample_groups(
+    state: Statevector, groups: Sequence[MeasurementGroup], shots: int, rng
+) -> Iterator[tuple]:
+    """``(members, weights, parities)`` for each of :func:`measurement_groups`.
+
+    A group is turned into the z basis and drawn ``shots`` times from
     ``rng``.  ``weights`` are the frequencies of the outcomes drawn and
     ``parities[k]`` member k's +-1 z parity on each of them.
     """
     rng = np.random.default_rng(rng)
-    n = state.num_qubits
-    for _, _, members in _measurement_groups(masks):
-        # in order of first touch: gates on distinct qubits round differently in another order
-        axes = dict.fromkeys((s - 1, a) for i in members for s, a in pauli_factors(masks[i], n))
-        rotated = run_statevector(Program(n, tuple(basis_change(axes))), initial=state)
-        counts = sample_counts(rotated, shots, rng)
+    for members, turn, supports in groups:
+        counts = sample_counts(run_statevector(turn, initial=state), shots, rng)
         outcomes = np.flatnonzero(counts)
-        supports = np.array([masks[i][0] | masks[i][1] for i in members], dtype=np.int64)
         parities = 1 - 2 * (_popcount(supports[:, None] & outcomes) & 1)
         yield members, counts[outcomes] / shots, parities
 
 
-def pauli_values(state: Statevector, x, z, shots: int, rng) -> np.ndarray:
+def pauli_values(
+    state: Statevector, x, z, shots: int, rng, groups: Sequence[MeasurementGroup] | None = None
+) -> np.ndarray:
     """<state| sigma |state> for each Pauli string with masks (x[i], z[i]).
 
     ``shots`` = 0 gives :func:`pauli_expectations`.  Otherwise a string's
     value is its mean parity over the ``shots`` draws of its measurement
-    group (see :func:`_sample_groups`).  The identity is exactly 1.0.
+    group (see :func:`_sample_groups`).  ``groups`` are the strings'
+    :func:`measurement_groups`, made here when not given.  The identity
+    is exactly 1.0.
     """
     if shots == 0:
         return pauli_expectations(state, x, z)
-    masks = list(zip(np.asarray(x).tolist(), np.asarray(z).tolist()))
-    values = np.ones(len(masks))
-    for members, weights, parities in _sample_groups(state, masks, shots, rng):
+    if groups is None:
+        masks = list(zip(np.asarray(x).tolist(), np.asarray(z).tolist()))
+        groups = measurement_groups(masks, state.num_qubits)
+    values = np.ones(len(x))
+    for members, weights, parities in _sample_groups(state, groups, shots, rng):
         values[members] = parities @ weights
     return values
 
@@ -614,6 +655,7 @@ def estimate_with_sigma(
     terms: Sequence[PauliTerm],
     shots: int,
     rng: int | np.random.Generator,
+    groups: Sequence[MeasurementGroup] | None = None,
 ) -> tuple[float, float | None]:
     """Sampled <state| sum of terms |state> and its standard error.
 
@@ -621,14 +663,17 @@ def estimate_with_sigma(
     alone.  Otherwise each measurement group of the terms is drawn
     ``shots`` times (see :func:`_sample_groups`); an outcome's value is
     the sum of coefficient times z parity over the group's terms, the
-    group variances add, and constant terms add exactly.
+    group variances add, and constant terms add exactly.  ``groups`` are
+    the terms' :func:`measurement_groups`, made here when not given.
     """
     if shots == 0:
         return expectation(state, terms), None
-    masks = [pauli_masks(term.factors, state.num_qubits) for term in terms]
+    if groups is None:
+        n = state.num_qubits
+        groups = measurement_groups([pauli_masks(t.factors, n) for t in terms], n)
     mean = sum(t.coefficient for t in terms if not t.factors)
     variance = 0.0
-    for members, weights, parities in _sample_groups(state, masks, shots, rng):
+    for members, weights, parities in _sample_groups(state, groups, shots, rng):
         values = np.zeros(len(weights))
         for i, parity in zip(members, parities):
             values += terms[i].coefficient * parity

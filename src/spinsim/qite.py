@@ -23,7 +23,10 @@ one-qubit closed-form case in the test suite pins them down.
 Each step solves one system with h equal to the full Hamiltonian, over
 the union of the per-term string bases.  Its fixed points include every
 eigenstate of H (there b is identically zero), so the iteration can
-settle onto the true ground state.
+settle onto the true ground state.  Which strings a fit reads, and how
+each read enters c, S and b, depend on the basis and H alone: a run
+plans them once (:class:`_FitPlan`), and a step only reads, assembles
+and solves.
 
 When every term of H has an even number of y factors (a real matrix)
 and the prepared state has real amplitudes, the basis keeps only the
@@ -45,12 +48,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
 
 from . import ir
-from .backend import Statevector, _popcount, estimate_with_sigma, pauli_factors
+from .backend import Statevector, _popcount, estimate_with_sigma, measurement_groups, pauli_factors
 from .backend import pauli_masks, pauli_rotations, pauli_values, product_state, run_statevector
 # unused, but bound: the span tracer in perfbench/spans.py wraps it by name here
 from .backend import apply_gate  # noqa: F401
@@ -103,9 +108,8 @@ class QiteStepReport:
     ``normalization`` its c factor.  ``program`` holds this step's gates
     alone: step 0's prepare the initial state from |0...0>, and each
     later one is the fit applied to the previous report's state, as
-    basis changes, CNOT ladders and RZ gates (:func:`pauli_rotation_gates`).
-    The state itself follows the same rotations on (x, z) masks
-    (:func:`backend.pauli_rotations`), not the gates.
+    basis changes, CNOT ladders and RZ gates (:func:`pauli_rotation_gates`)
+    that the state follows as rotations on (x, z) masks.
     """
 
     step: int
@@ -144,14 +148,11 @@ def domain_window(term: PauliTerm, radius: int, num_spins: int) -> tuple[int, ..
     """
     sites = [s for s, _ in term.factors]
     size = min(max(sites) - min(sites) + 1 + 2 * radius, num_spins)
-    low = min(min(sites) - radius, num_spins - size + 1)
-    low = max(low, 1)
+    low = max(min(min(sites) - radius, num_spins - size + 1), 1)
     return tuple(range(low, low + size))
 
 
-def hamiltonian_basis(
-    terms: Sequence[PauliTerm], radius: int, num_spins: int
-) -> list[PauliMasks]:
+def hamiltonian_basis(terms: Sequence[PauliTerm], radius: int, num_spins: int) -> list[PauliMasks]:
     """(x, z) masks of every non-identity string on some term's window.
 
     Each window's strings come in ``itertools.product("ixyz")`` order
@@ -168,13 +169,10 @@ def hamiltonian_basis(
 
 def odd_y(masks: PauliMasks) -> bool:
     """True when the string has an odd number of y factors: an imaginary matrix."""
-    x, z = masks
-    return _popcount(x & z) % 2 == 1
+    return _popcount(masks[0] & masks[1]) % 2 == 1
 
 
-def fitting_basis(
-    terms: Sequence[PauliTerm], radius: int, state: Statevector
-) -> list[PauliMasks]:
+def fitting_basis(terms: Sequence[PauliTerm], radius: int, state: Statevector) -> list[PauliMasks]:
     """The basis every step of :func:`run_qite` fits on, chosen from the prepared state.
 
     :func:`hamiltonian_basis`, cut to its :func:`odd_y` strings when no
@@ -203,6 +201,70 @@ def pauli_rotation_gates(factors: Sequence[tuple[int, str]], angle: float) -> li
     return before + [ir.rz(2.0 * angle, qubit)] + after
 
 
+class _FitPlan:
+    """What each fit of a run on ``basis`` and h = sum of ``terms`` reads, made once per run.
+
+    ``x``, ``z``: the distinct strings read, in key order x << n | z, and
+    ``inverse`` maps the h, kept hh, S and b products onto them.  A
+    product weighs its read by its coefficients times the part of its
+    phase that its sum takes; in S and b, a product whose phase has no
+    such part reads the identity with weight 0.  Sampled mode adds the
+    measurement groups of the reads and of the terms.
+    """
+
+    def __init__(self, basis, terms, n: int, params: QiteParams):
+        self.params = params
+        self.hc = hc = np.array([t.coefficient for t in terms])
+        h_masks = [pauli_masks(t.factors, n) for t in terms]
+        hx, hz = np.array(h_masks, dtype=np.int64).reshape(-1, 2).T
+        self.bx, self.bz = bx, bz = np.array(basis, dtype=np.int64).reshape(-1, 2).T
+        # only the S products with j >= i are read: one per upper-triangle pair
+        self.upper = np.triu(np.ones((len(basis), len(basis)), dtype=bool))
+        rows, cols = np.nonzero(self.upper)
+        # h_t1 h_t2: imaginary parts cancel over the symmetric (t1, t2) sum
+        hh_phase, (hh_x, hh_z) = pauli_string_product((hx[:, None], hz[:, None]), (hx, hz))
+        s_phase, (s_x, s_z) = pauli_string_product((bx[rows], bz[rows]), (bx[cols], bz[cols]))
+        b_phase, (b_x, b_z) = pauli_string_product((bx[:, None], bz[:, None]), (hx, hz))
+        hh_keep, s_keep, b_keep = hh_phase.real != 0.0, s_phase.real != 0.0, b_phase.imag != 0.0
+        self.hh_weights = (hc[:, None] * hc * hh_phase.real)[hh_keep]
+        self.s_weights = np.where(s_keep, s_phase.real, 0.0)
+        self.b_weights = np.where(b_keep, hc * b_phase.imag, 0.0)
+        reads = [hx << n | hz, (hh_x << n | hh_z)[hh_keep], np.where(s_keep, s_x << n | s_z, 0)]
+        reads.append(np.where(b_keep, b_x << n | b_z, 0).ravel())
+        keys, self.inverse = np.unique(np.concatenate(reads), return_inverse=True)
+        self.splits = np.cumsum([r.size for r in reads])[:-1]
+        self.x, self.z = keys >> n, keys & (1 << n) - 1
+        self.groups = self.term_groups = None
+        if params.shots:
+            self.groups = measurement_groups(list(zip(self.x.tolist(), self.z.tolist())), n)
+            self.term_groups = measurement_groups(h_masks, n)
+
+    def fit(self, state: Statevector, rng) -> tuple[tuple[float, ...], float, float, float]:
+        """:func:`fit_step_unitary` on ``state``, then the fit's read of <state|h|state>."""
+        values = pauli_values(state, self.x, self.z, self.params.shots, rng, self.groups)
+        h_read, hh_read, s_read, b_read = np.split(values[self.inverse], self.splits)
+        # the sums run term by term in the scalar loop's order, so they round as it did
+        energy = reduce(add, (self.hc * h_read).tolist(), 0.0)
+        second_moment = reduce(add, (self.hh_weights * hh_read).tolist(), 0.0)
+        c = 1.0 - 2.0 * self.params.dbeta * energy + self.params.dbeta**2 * second_moment
+        if c <= 1e-12:
+            raise SingularSystemError(f"step normalization collapsed (c = {c:.3e}); reduce dbeta")
+        s_matrix = np.empty(self.upper.shape)
+        s_matrix[self.upper] = s_matrix.T[self.upper] = self.s_weights * s_read
+        b_terms = self.b_weights * b_read.reshape(self.b_weights.shape) / math.sqrt(c)
+        b_vector = reduce(add, b_terms.T, np.zeros(len(b_terms)))
+        regularized = s_matrix + REGULARIZATION * np.eye(len(b_vector))
+        try:
+            a = np.linalg.solve(regularized, b_vector)
+        except np.linalg.LinAlgError:
+            try:
+                a = np.linalg.pinv(regularized) @ b_vector
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError("regularized least-squares solve failed") from exc
+        residual = float(np.linalg.norm(s_matrix @ a - b_vector))
+        return tuple(float(v) for v in a), residual, c, energy
+
+
 def fit_step_unitary(
     state: Statevector,
     basis: Sequence[PauliMasks],
@@ -215,85 +277,27 @@ def fit_step_unitary(
     Returns ``(coefficients, residual, normalization)``: the solved a
     vector of exp(-i dbeta sum_I a_I sigma_I), the norm of the
     least-squares residual and the c factor.  ``rng`` seeds the sampler
-    when ``params.shots`` > 0.
+    when ``params.shots`` > 0.  The read plan is made for this one fit.
     """
-    n = state.num_qubits
-    hc = np.array([t.coefficient for t in terms])
-    hx, hz = np.array([pauli_masks(t.factors, n) for t in terms], dtype=np.int64).reshape(-1, 2).T
-    bx, bz = np.array(basis, dtype=np.int64).reshape(-1, 2).T
-    m = len(basis)
-    # only the S products with j >= i are read: one per upper-triangle pair
-    rows, cols = np.triu_indices(m)
-    # h_t1 h_t2: imaginary parts cancel over the symmetric (t1, t2) sum
-    hh_phase, (hh_x, hh_z) = pauli_string_product((hx[:, None], hz[:, None]), (hx, hz))
-    s_phase, (s_x, s_z) = pauli_string_product((bx[rows], bz[rows]), (bx[cols], bz[cols]))
-    b_phase, (b_x, b_z) = pauli_string_product((bx[:, None], bz[:, None]), (hx, hz))
-    hh_keep = hh_phase.real != 0.0
-    s_keep = s_phase.real != 0.0
-    b_keep = b_phase.imag != 0.0
-
-    # each distinct string is read once; a product that is not kept reads the identity
-    products = [(True, hx, hz), (hh_keep, hh_x, hh_z), (s_keep, s_x, s_z), (b_keep, b_x, b_z)]
-    reads = [np.where(keep, x << n | z, 0) for keep, x, z in products]
-    keys, inverse = np.unique(np.concatenate([r.ravel() for r in reads]), return_inverse=True)
-    values = pauli_values(state, keys >> n, keys & (1 << n) - 1, params.shots, rng)[inverse]
-    parts = np.split(values, np.cumsum([r.size for r in reads])[:-1])
-    h_read, hh_read, s_read, b_read = (part.reshape(r.shape) for part, r in zip(parts, reads))
-
-    # the sums run term by term in the scalar loop's order, so they round as it did
-    energy = 0.0
-    for term in (hc * h_read).tolist():
-        energy += term
-    second_moment = 0.0
-    for term in (hc[:, None] * hc * hh_phase.real * hh_read)[hh_keep].tolist():
-        second_moment += term
-    c = 1.0 - 2.0 * params.dbeta * energy + params.dbeta**2 * second_moment
-    if c <= 1e-12:
-        raise SingularSystemError(
-            f"step normalization collapsed (c = {c:.3e}); reduce dbeta"
-        )
-    sqrt_c = math.sqrt(c)
-
-    entries = np.where(s_keep, s_phase.real * s_read, 0.0)
-    s_matrix = np.empty((m, m))
-    s_matrix[rows, cols] = entries
-    s_matrix[cols, rows] = entries
-    b_terms = np.where(b_keep, hc * b_phase.imag * b_read / sqrt_c, 0.0)
-    b_vector = np.zeros(m)
-    for column in b_terms.T:
-        b_vector += column
-
-    regularized = s_matrix + REGULARIZATION * np.eye(m)
-    try:
-        a = np.linalg.solve(regularized, b_vector)
-    except np.linalg.LinAlgError:
-        try:
-            a = np.linalg.pinv(regularized) @ b_vector
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                "regularized least-squares solve failed"
-            ) from exc
-    residual = float(np.linalg.norm(s_matrix @ a - b_vector))
-    return tuple(float(v) for v in a), residual, c
+    return _FitPlan(basis, terms, state.num_qubits, params).fit(state, rng)[:3]
 
 
 def run_qite(
-    hamiltonian: HeisenbergHamiltonian,
-    params: QiteParams,
-    initial_state: Sequence[str] | Program,
+    hamiltonian: HeisenbergHamiltonian, params: QiteParams, initial_state: Sequence[str] | Program
 ) -> list[QiteStepReport]:
     """Evolve through ``num_steps`` imaginary-time steps.
 
     ``initial_state`` is either a per-site up/down sequence, built
     directly by :func:`backend.product_state` (the step-0 report's
     program holds its X gates), or an explicit preparation circuit, run
-    by :func:`backend.run_statevector`.  Returns one
-    report per step, preceded by a step-0 report for the prepared
-    initial state.  Each step is a single fit of the full Hamiltonian
-    over :func:`fitting_basis` of the prepared state.  The state advances
-    by :func:`backend.pauli_rotations`; each report's program is built
-    from one :func:`_rotation_skeleton` per string, made once per run,
-    with only the RZ gates new at each step.
+    by :func:`backend.run_statevector`.  Returns one report per step,
+    preceded by a step-0 report for the prepared initial state.  Each
+    step is one fit of the full Hamiltonian over :func:`fitting_basis`
+    of the prepared state.  An exact report's energy is the next fit's
+    read of its state; the last report's is :func:`backend.expectation`.
+    The state advances by :func:`backend.pauli_rotations`; each report's
+    program is built from one :func:`_rotation_skeleton` per string,
+    made once per run, with only the RZ gates new at each step.
     """
     if hamiltonian.is_time_dependent:
         raise UnsupportedFeatureError(
@@ -313,25 +317,21 @@ def run_qite(
     terms = snapshot(hamiltonian, 0.0)
     rng = np.random.default_rng(params.seed)
 
-    measured = estimate_with_sigma(state, terms, params.shots, rng)
-    reports = [QiteStepReport(0, *measured, (), 0.0, 1.0, program)]
     basis = fitting_basis(terms, params.domain_radius, state)
-    bx, bz = np.array(basis, dtype=np.int64).reshape(-1, 2).T
+    plan = _FitPlan(basis, terms, n, params)
     skeletons = [_rotation_skeleton(pauli_factors(masks, n)) for masks in basis]
-    for step in range(1, params.num_steps + 1):
-        coefficients, residual, normalization = fit_step_unitary(
-            state, basis, terms, params, rng
-        )
-        angles = [params.dbeta * a for a in coefficients]
-        gates: list[Gate] = []
-        for (before, qubit, after), angle in zip(skeletons, angles):
-            gates += before
-            gates.append(ir.rz(2.0 * angle, qubit))
-            gates += after
+    measure = partial(
+        estimate_with_sigma, terms=terms, shots=params.shots, rng=rng, groups=plan.term_groups
+    )
+    reports, made_by = [], [(), 0.0, 1.0]  # made_by: the fit that made ``state``, none at step 0
+    for step in range(params.num_steps):
+        measured = measure(state) if params.shots else None  # drawn before the fit's draws
+        *fit, energy = plan.fit(state, rng)
+        reports.append(QiteStepReport(step, *(measured or (energy, None)), *made_by, program))
+        made_by, angles = fit, [params.dbeta * a for a in fit[0]]
+        rotations = zip(skeletons, angles)
+        gates = (g for (pre, q, post), a in rotations for g in (*pre, ir.rz(2.0 * a, q), *post))
         program = Program(n, tuple(gates))
-        state = pauli_rotations(state, bx, bz, angles)
-        measured = estimate_with_sigma(state, terms, params.shots, rng)
-        reports.append(
-            QiteStepReport(step, *measured, coefficients, residual, normalization, program)
-        )
+        state = pauli_rotations(state, plan.bx, plan.bz, angles)
+    reports.append(QiteStepReport(params.num_steps, *measure(state), *made_by, program))
     return reports

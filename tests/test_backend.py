@@ -125,13 +125,21 @@ def permuted(amps, gate, n):
     return amps[index ^ control * target]
 
 
+def embedded_gate(gate, n):
+    """The gate's 2^n x 2^n matrix, embedded as ``ir.unitary_of`` does, not by ``apply_gate``."""
+    m = ir.gate_matrix(gate)
+    if len(gate.qubits) == 1:
+        return ir._embed_single(m, gate.qubits[0], n)
+    return ir._embed_pair(m, *gate.qubits, n)
+
+
 class TestKernels:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_kind_on_every_qubit_matches_dense_unitary(self, n):
         rng = np.random.default_rng(n)
         for gate in gate_cases(n, rng):
             amps = random_state(rng, n).amplitudes
-            want = ir.unitary_of(program_of(n, [gate])) @ amps
+            want = embedded_gate(gate, n) @ amps
             work = amps.copy()
             assert backend.apply_gate(work, gate, n) is work
             np.testing.assert_allclose(work, want, rtol=0, atol=1e-14, err_msg=str(gate))
@@ -506,6 +514,30 @@ class TestPauliExpectations:
             pairs = sorted(pairs)
         x, z = map(list, zip(*pairs))
         self.check(state, x, z)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_half_tables_read_every_z_of_a_mask(self, n):
+        """Every z of a few x masks, 0 among them, against :func:`backend._real_dot`
+        of the applied string, within 2 n eps.  From _VDOT_MIN_QUBITS qubits on,
+        groups of at most n strings on other masks take the dot-product route."""
+        rng = np.random.default_rng(700 + n)
+        state = random_state(rng, n)
+        amps = state.amplitudes
+        x_masks = sorted({0, 2**n - 1, 1 << (n - 1), int(rng.integers(1, 2**n))})
+        x = np.repeat(x_masks, 2**n)
+        z = np.tile(np.arange(2**n), len(x_masks))
+        if n >= backend._VDOT_MIN_QUBITS:
+            small_x, small_z = self.grouped_strings(rng, n, [1, 2, n])
+            x, z = np.concatenate([x, small_x]), np.concatenate([z, small_z])
+        got = pauli_expectations(state, x, z)
+        want = [
+            backend._real_dot(amps, apply_pauli(amps, (xi, zi), n))
+            for xi, zi in zip(x.tolist(), z.tolist())
+        ]
+        identity = (x == 0) & (z == 0)
+        assert np.all(got[identity] == 1.0)
+        atol = 2 * n * np.finfo(float).eps
+        np.testing.assert_allclose(got[~identity], np.array(want)[~identity], rtol=0, atol=atol)
 
     def test_masks_in_the_third_byte(self):
         n = 18

@@ -353,6 +353,57 @@ class TestSampledFit:
         assert first == second
 
 
+class TestReadPlan:
+    """run_qite plans its fits once: string products and measurement groups."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"products": 0, "groups": 0}
+        product, grouping = qite.pauli_string_product, backend._measurement_groups
+
+        def counting_product(*args):
+            calls["products"] += 1
+            return product(*args)
+
+        def counting_groups(masks):
+            calls["groups"] += 1
+            return grouping(masks)
+
+        monkeypatch.setattr(qite, "pauli_string_product", counting_product)
+        monkeypatch.setattr(backend, "_measurement_groups", counting_groups)
+        return calls
+
+    @pytest.mark.parametrize("shots", [0, 64])
+    def test_the_plan_does_not_grow_with_the_steps(self, shots, monkeypatch):
+        calls = self.counted(monkeypatch)
+        counts = []
+        for num_steps in (1, 4):
+            calls.update(products=0, groups=0)
+            params = QiteParams(dbeta=0.2, num_steps=num_steps, domain_radius=1, shots=shots)
+            run_qite(random_field_tfim(4), params, ["up"] * 4)
+            counts.append(dict(calls))
+        # three products (hh, S, b); the reads' groups and the terms' groups
+        assert counts == [{"products": 3, "groups": 2 if shots else 0}] * 2
+
+    def test_every_sampled_step_draws_once_per_measurement_group(self, monkeypatch):
+        hamiltonian, spins = random_field_tfim(4), ["up", "down", "up", "up"]
+        params = QiteParams(dbeta=0.2, num_steps=3, domain_radius=1, shots=64, seed=5)
+        draws = []
+
+        def counting(state, shots, seed):
+            draws.append(shots)
+            return sample_counts(state, shots, seed)
+
+        monkeypatch.setattr(backend, "sample_counts", counting)
+        run_qite(hamiltonian, params, spins)
+        terms = snapshot(hamiltonian, 0.0)
+        basis = fitting_basis(terms, 1, product_state(spins))
+        fit_groups = _measurement_groups(read_strings(basis, terms, 4))
+        term_groups = _measurement_groups([pauli_masks(t.factors, 4) for t in terms])
+        per_step = len(term_groups) + len(fit_groups)
+        assert draws == [64] * (params.num_steps * per_step + len(term_groups))
+
+
 class TestRotationGates:
     @pytest.mark.parametrize(
         "factors",
