@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import TooLargeError
 from .hamiltonian import PauliTerm
-from .ir import Gate, Program, basis_change, gate_matrix
+from .ir import Gate, Program, gate_matrix
 
 STATEVECTOR_QUBIT_LIMIT = 24
 
@@ -296,14 +296,16 @@ _WALSH_CHUNK = 2**18
 _VDOT_MIN_QUBITS = 11
 
 
-def _z_signs(z: np.ndarray, num_qubits: int) -> np.ndarray:
-    """(-1)^|k & z| as an int8 (len(z), 2^n) matrix: a row per z mask, a column per index k."""
-    signs = np.ones((len(z), 1), dtype=np.int8)
-    for shift in range(0, num_qubits, 8):
-        byte = _BYTE_SIGNS[z[:, None] >> shift & np.arange(2 ** min(8, num_qubits - shift))]
-        # higher bytes are the slower-varying part of the index
-        signs = (byte[:, :, None] * signs[:, None, :]).reshape(len(z), -1)
-    return signs
+def _z_signs(z: np.ndarray, num_qubits: int) -> Iterator[np.ndarray]:
+    """(-1)^|k & z| as int8 rows of 2^n, one per z mask, made at most 2^20 entries at a time."""
+    rows = max(1, 2**20 >> num_qubits)
+    for chunk in (z[a : a + rows] for a in range(0, len(z), rows)):
+        signs = np.ones((len(chunk), 1), dtype=np.int8)
+        for shift in range(0, num_qubits, 8):
+            byte = _BYTE_SIGNS[chunk[:, None] >> shift & np.arange(2 ** min(8, num_qubits - shift))]
+            # higher bytes are the slower-varying part of the index
+            signs = (byte[:, :, None] * signs[:, None, :]).reshape(len(chunk), -1)
+        yield from signs
 
 
 def _vdot_reads(amps: np.ndarray, num_qubits: int, x_mask: int, z: np.ndarray) -> np.ndarray:
@@ -447,8 +449,8 @@ def pauli_rotations(state: Statevector, x, z, angles: Sequence[float]) -> Statev
         psi'_k = cos theta psi_k + sin theta (-i)^(|x & z| + 1) (-1)^|k & z| psi_{k xor x},
 
     one gather and a few elementwise products, without BLAS.  The z signs
-    come as int8 rows from one :func:`_z_signs` call, and the gather
-    index is made per rotation, so no complex or int64 table of 2^n
+    come as int8 rows from :func:`_z_signs`, a chunk at a time, and the
+    gather index is made per rotation, so no complex or int64 table of 2^n
     entries per string is kept.  A string with an odd number of y
     factors has a real phase, so it keeps a real state exactly real.  The
     state is only read; no strings give an equal copy.  ``x``, ``z`` and
@@ -460,8 +462,6 @@ def pauli_rotations(state: Statevector, x, z, angles: Sequence[float]) -> Statev
     z = np.asarray(z, dtype=np.int64)
     if not len(x) == len(z) == len(angles):
         raise ValueError(f"got {len(x)} x masks, {len(z)} z masks and {len(angles)} angles")
-    if not len(x):
-        return Statevector(n, amps)
     index = np.arange(len(amps))
     powers = (_popcount(x & z) + 1) % 4
     for x_mask, signs, power, theta in zip(x.tolist(), _z_signs(z, n), powers.tolist(), angles):
@@ -471,6 +471,7 @@ def pauli_rotations(state: Statevector, x, z, angles: Sequence[float]) -> Statev
         flipped *= _MINUS_I_POWERS[power] * math.sin(theta)
         amps *= math.cos(theta)
         amps += flipped
+        del flipped  # before the next gather, so two copies are never held
     return Statevector(n, amps)
 
 
@@ -589,25 +590,23 @@ def _measurement_groups(masks: Sequence[tuple[int, int]]) -> list[list]:
     return groups
 
 
-MeasurementGroup = tuple[list[int], Program, np.ndarray]
+MeasurementGroup = tuple[list[int], tuple[np.ndarray, np.ndarray, list[float]], np.ndarray]
 
 
 def measurement_groups(masks: Sequence[tuple[int, int]], num_qubits: int) -> list[MeasurementGroup]:
     """``(members, turn, supports)`` for each of :func:`_measurement_groups` of ``masks``.
 
-    ``turn`` rotates the group's qubits into the z basis, one qubit at a
-    time in the order its members first touch them, and ``supports``
-    holds each member's x | z mask.  A caller that reads the same strings
-    many times makes these once.
+    ``turn`` is the ``(x, z, angles)`` of :func:`pauli_rotations` into the z basis, by
+    ascending qubit: exp(+i pi/4 Y) on each qubit read along x, exp(-i pi/4 X) on each
+    read along y.  ``supports`` holds each member's x | z mask.  A caller that reads
+    the same strings many times makes these once.
     """
     groups = []
-    for _, _, members in _measurement_groups(masks):
-        # in order of first touch: gates on distinct qubits round differently in another order
-        axes = dict.fromkeys(
-            (s - 1, a) for i in members for s, a in pauli_factors(masks[i], num_qubits)
-        )
+    for gx, gz, members in _measurement_groups(masks):
+        bits = np.array([1 << s for s in range(num_qubits)[::-1] if gx >> s & 1], dtype=np.int64)
+        turn = bits, bits & ~gz, np.where(bits & gz, math.pi / 4, -math.pi / 4).tolist()
         supports = np.array([masks[i][0] | masks[i][1] for i in members], dtype=np.int64)
-        groups.append((members, Program(num_qubits, tuple(basis_change(axes))), supports))
+        groups.append((members, turn, supports))
     return groups
 
 
@@ -616,13 +615,13 @@ def _sample_groups(
 ) -> Iterator[tuple]:
     """``(members, weights, parities)`` for each of :func:`measurement_groups`.
 
-    A group is turned into the z basis and drawn ``shots`` times from
-    ``rng``.  ``weights`` are the frequencies of the outcomes drawn and
-    ``parities[k]`` member k's +-1 z parity on each of them.
+    A group is turned into the z basis by its rotations and drawn
+    ``shots`` times from ``rng``.  ``weights`` are the frequencies of the
+    outcomes drawn and ``parities[k]`` member k's +-1 z parity on each.
     """
     rng = np.random.default_rng(rng)
     for members, turn, supports in groups:
-        counts = sample_counts(run_statevector(turn, initial=state), shots, rng)
+        counts = sample_counts(pauli_rotations(state, *turn), shots, rng)
         outcomes = np.flatnonzero(counts)
         parities = 1 - 2 * (_popcount(supports[:, None] & outcomes) & 1)
         yield members, counts[outcomes] / shots, parities

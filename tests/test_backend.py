@@ -839,22 +839,48 @@ class TestCountsEstimation:
         assert abs(mean - expectation(state, terms)) <= 5 * sigma
 
 
-    def test_rotation_follows_the_order_members_first_touch_qubits(self, monkeypatch):
-        # gates on distinct qubits round differently in another order
-        programs = []
+    @pytest.mark.parametrize("seed", range(12))
+    def test_turned_probabilities_match_the_basis_change_unitary(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        state = random_state(rng, n)
+        x = rng.integers(2**n, size=10)
+        z = rng.integers(2**n, size=10)
+        masks = list(zip(x.tolist(), z.tolist()))
+        drawn = []
 
-        def recording(program, initial=None):
-            programs.append(program)
-            return run_statevector(program, initial)
+        def recording(turned, shots, seed):
+            drawn.append(turned.amplitudes)
+            return sample_counts(turned, shots, seed)
 
-        monkeypatch.setattr(backend, "run_statevector", recording)
+        monkeypatch.setattr(backend, "sample_counts", recording)
+        pauli_values(state, x, z, 10, 0)
+        groups = _measurement_groups(masks)
+        assert len(drawn) == len(groups)
+        for (gx, gz, _), turned in zip(groups, drawn):
+            # the reference is ir's dense unitary of the H / RX(pi/2) circuit
+            axes = [
+                (q, "y" if gz >> (n - 1 - q) & 1 else "x")
+                for q in range(n)
+                if gx >> (n - 1 - q) & 1
+            ]
+            unitary = ir.unitary_of(program_of(n, ir.basis_change(axes)))
+            want = np.abs(unitary @ state.amplitudes) ** 2
+            assert np.max(np.abs(np.abs(turned) ** 2 - want)) <= 1e-14
+
+    def test_sampled_reads_run_no_gate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sampled read ran a gate")
+
+        monkeypatch.setattr(backend, "apply_gate", refuse)
+        monkeypatch.setattr(backend, "run_statevector", refuse)
+        state = random_state(np.random.default_rng(3), 3)
         terms = [PauliTerm(1.0, ((3, "x"),)), PauliTerm(1.0, ((1, "y"), (2, "x")))]
-        estimate_with_sigma(random_state(np.random.default_rng(3), 3), terms, 10, 0)
-        assert [(g.kind, g.qubits) for g in programs[0].gates] == [
-            ("h", (2,)),
-            ("rx", (0,)),
-            ("h", (1,)),
-        ]
+        mean, sigma = estimate_with_sigma(state, terms, 1000, 0)
+        assert abs(mean - expectation(state, terms)) <= 5 * sigma
+        x, z = np.array([0b001, 0b110, 0b011]), np.array([0, 0b100, 0b010])
+        values = pauli_values(state, x, z, 1000, 0)
+        assert np.all(np.abs(values - pauli_expectations(state, x, z)) <= 0.2)
 
 
 @st.composite
