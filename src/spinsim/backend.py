@@ -562,7 +562,6 @@ def sample_counts(
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     probs = np.abs(state.amplitudes) ** 2
-    probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     return np.random.default_rng(seed).multinomial(shots, probs)
 

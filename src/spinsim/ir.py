@@ -8,7 +8,8 @@ Conventions used everywhere in the package:
   sigma_z x sigma_z / 2), and likewise for the x and y axes;
 * global phase is not tracked, so circuit equivalence is always checked
   up to a phase (see :func:`phase_aligned_distance`);
-* the native target gate set is {rz, rx, h, cnot}.
+* the native target gate set is {rz, rx, h, cnot}; every Pauli rotation,
+  lowered or in a QITE step, reaches it through :func:`pauli_rotation`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -198,6 +199,24 @@ def basis_change(axes: Iterable[tuple[int, str]], inverse: bool = False) -> list
     return gates
 
 
+def rotation_skeleton(axes: Sequence[tuple[int, str]]) -> tuple[list[Gate], int, list[Gate]]:
+    """The angle-free parts of :func:`pauli_rotation`: gates before, RZ qubit, gates after.
+
+    A basis change and a CNOT ladder over the (qubit, axis) pairs put the
+    string's parity on the last qubit; the reversed ladder and the
+    inverse basis change undo them.
+    """
+    qubits = [q for q, _ in axes]
+    ladder = [cnot(a, b) for a, b in zip(qubits, qubits[1:])]
+    return basis_change(axes) + ladder, qubits[-1], ladder[::-1] + basis_change(axes, inverse=True)
+
+
+def pauli_rotation(axes: Sequence[tuple[int, str]], theta: float) -> list[Gate]:
+    """Native gates of exp(-i theta sigma_P / 2), P the product of sigma_axis on each qubit."""
+    before, qubit, after = rotation_skeleton(axes)
+    return before + [rz(theta, qubit)] + after
+
+
 _ROTATION_AXIS = {"ry": "y", "rxx": "x", "ryy": "y", "rzz": "z"}
 
 
@@ -210,14 +229,7 @@ def _lower_gate(g: Gate) -> list[Gate]:
         return [rx(math.pi, g.qubits[0])]
     if kind not in _ROTATION_AXIS:
         raise ValueError(f"no lowering rule for {kind}")
-    # a z rotation (on the parity, for two qubits) inside a basis change
-    axes = [(q, _ROTATION_AXIS[kind]) for q in g.qubits]
-    if len(g.qubits) == 1:
-        core = [rz(g.theta, g.qubits[0])]
-    else:
-        a, b = g.qubits
-        core = [cnot(a, b), rz(g.theta, b), cnot(a, b)]
-    return basis_change(axes) + core + basis_change(axes, inverse=True)
+    return pauli_rotation([(q, _ROTATION_AXIS[kind]) for q in g.qubits], g.theta)
 
 
 def _embed_single(u2: np.ndarray, q: int, n: int) -> np.ndarray:

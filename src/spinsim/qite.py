@@ -14,11 +14,11 @@ equations
 
 and the state follows exp(-i dbeta a_I sigma_I) one string at a time,
 as rotations on the strings' (x, z) masks (:func:`backend.pauli_rotations`).
-Each step's circuit renders the same rotations with the usual
-basis-change + CNOT-ladder + RZ construction
-(:func:`pauli_rotation_gates`); only the RZ angles change from step to
-step.  The sign conventions above make the energy decrease; the
-one-qubit closed-form case in the test suite pins them down.
+Each step's circuit renders the same rotations in native gates through
+:func:`ir.pauli_rotation`, the renderer that also lowers the real-time
+rotation gates (:func:`pauli_rotation_gates`); only the RZ angles change
+from step to step.  The sign conventions above make the energy decrease;
+the one-qubit closed-form case in the test suite pins them down.
 
 Each step solves one system with h equal to the full Hamiltonian, over
 the union of the per-term string bases.  Its fixed points include every
@@ -107,9 +107,9 @@ class QiteStepReport:
     step's fit, ``residual`` the norm of its least-squares residual and
     ``normalization`` its c factor.  ``program`` holds this step's gates
     alone: step 0's prepare the initial state from |0...0>, and each
-    later one is the fit applied to the previous report's state, as
-    basis changes, CNOT ladders and RZ gates (:func:`pauli_rotation_gates`)
-    that the state follows as rotations on (x, z) masks.
+    later one is the fit applied to the previous report's state, one
+    :func:`ir.pauli_rotation` per string (:func:`pauli_rotation_gates`),
+    while the state follows the same rotations on (x, z) masks.
     """
 
     step: int
@@ -185,20 +185,9 @@ def fitting_basis(terms: Sequence[PauliTerm], radius: int, state: Statevector) -
     return [masks for masks in basis if odd_y(masks)]
 
 
-def _rotation_skeleton(factors: Sequence[tuple[int, str]]) -> tuple[list[Gate], int, list[Gate]]:
-    """The angle-free parts of :func:`pauli_rotation_gates`: gates before, RZ qubit, gates after."""
-    axes = [(site - 1, axis) for site, axis in factors]
-    qubits = [q for q, _ in axes]
-    enter = ir.basis_change(axes)
-    leave = ir.basis_change(axes, inverse=True)
-    ladder = [ir.cnot(qubits[k], qubits[k + 1]) for k in range(len(qubits) - 1)]
-    return enter + ladder, qubits[-1], ladder[::-1] + leave[::-1]
-
-
 def pauli_rotation_gates(factors: Sequence[tuple[int, str]], angle: float) -> list[Gate]:
-    """Circuit for exp(-i angle sigma_P): basis change, CNOT ladder, RZ."""
-    before, qubit, after = _rotation_skeleton(factors)
-    return before + [ir.rz(2.0 * angle, qubit)] + after
+    """Circuit for exp(-i angle sigma_P), P given by (site, axis) factors: :func:`ir.pauli_rotation`."""
+    return ir.pauli_rotation([(site - 1, axis) for site, axis in factors], 2.0 * angle)
 
 
 class _FitPlan:
@@ -296,7 +285,7 @@ def run_qite(
     of the prepared state.  An exact report's energy is the next fit's
     read of its state; the last report's is :func:`backend.expectation`.
     The state advances by :func:`backend.pauli_rotations`; each report's
-    program is built from one :func:`_rotation_skeleton` per string,
+    program is built from one :func:`ir.rotation_skeleton` per string,
     made once per run, with only the RZ gates new at each step.
     """
     if hamiltonian.is_time_dependent:
@@ -319,7 +308,7 @@ def run_qite(
 
     basis = fitting_basis(terms, params.domain_radius, state)
     plan = _FitPlan(basis, terms, n, params)
-    skeletons = [_rotation_skeleton(pauli_factors(masks, n)) for masks in basis]
+    skeletons = [ir.rotation_skeleton([(s - 1, a) for s, a in pauli_factors(m, n)]) for m in basis]
     measure = partial(
         estimate_with_sigma, terms=terms, shots=params.shots, rng=rng, groups=plan.term_groups
     )

@@ -10,6 +10,7 @@ so neither rebuilds a circuit from t=0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -77,10 +78,10 @@ def build_evolution_program(
     num_steps: int,
     initial_state: Sequence[str],
 ) -> Program:
-    """Preparation plus ``num_steps`` uncompiled Trotter steps as one circuit from t=0.
+    """Preparation plus the first ``num_steps`` uncompiled blocks of :func:`step_blocks`.
 
-    The whole-circuit builder for library use; the command line driver
-    carries its exported circuits forward from :func:`step_blocks`.
+    The whole-circuit builder from t=0 for library use; the command line
+    driver carries its exported circuits forward from :func:`step_blocks`.
     """
     if not 0 <= num_steps <= params.num_steps:
         raise ValueError(
@@ -88,11 +89,9 @@ def build_evolution_program(
         )
     if len(initial_state) != hamiltonian.num_spins:
         raise ValueError("initial state length does not match the chain")
-    gates = list(state_preparation_gates(initial_state))
-    dt = params.dt
-    for j in range(1, num_steps + 1):
-        gates.extend(trotter_step(hamiltonian, step_midpoint(j, dt), dt).gates)
-    return Program(hamiltonian.num_spins, tuple(gates))
+    blocks = itertools.islice(step_blocks(hamiltonian, params, lambda p: p), num_steps)
+    steps = (g for block in blocks for g in block.gates)
+    return Program(hamiltonian.num_spins, (*state_preparation_gates(initial_state), *steps))
 
 
 def step_blocks(

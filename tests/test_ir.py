@@ -26,6 +26,7 @@ from spinsim.ir import (
     phase_aligned_distance,
     unitary_of,
 )
+from spinsim.qite import pauli_rotation_gates
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -154,6 +155,24 @@ class TestLowering:
     def test_measured_flag_survives(self):
         program = Program(2, (ir.rzz(0.4, 0, 1),), measured=True)
         assert lower_to_native(program).measured
+
+    @pytest.mark.parametrize(
+        "kind, qubits",
+        [pytest.param("ry", (1,), id="ry-1")]
+        + [
+            pytest.param(kind, pair, id=f"{kind}-{pair[0]}-{pair[1]}")
+            for kind in ("rxx", "ryy", "rzz")
+            for pair in ((0, 1), (1, 0), (1, 3), (3, 1))
+        ],
+    )
+    def test_named_rotations_lower_as_qite_renders_their_string(self, kind, qubits):
+        # one renderer: the lowered gate and QITE's circuit for the same
+        # string, at half the angle, agree gate for gate
+        theta = 0.7
+        gate = Gate(kind, qubits, theta)
+        lowered = lower_to_native(Program(4, (gate,))).gates
+        factors = [(q + 1, kind[-1]) for q in qubits]
+        assert list(lowered) == pauli_rotation_gates(factors, theta / 2)
 
 
 class TestUnitaryOf:

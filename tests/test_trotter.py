@@ -119,9 +119,14 @@ class TestProgramAssembly:
 
     def test_gate_count_scales_linearly_in_steps(self):
         params = TrotterParams(1.0, 8)
-        per_step = len(trotter_step(tfim(3), 0.0, params.dt).gates)
-        program = build_evolution_program(tfim(3), params, 8, ["up"] * 3)
-        assert len(program.gates) == 8 * per_step
+        dt = params.dt
+        for hamiltonian in (tfim(3), CHAINS["linear-ramp"]):
+            per_step = len(trotter_step(hamiltonian, 0.0, dt).gates)
+            program = build_evolution_program(hamiltonian, params, 8, ["up"] * 3)
+            assert len(program.gates) == 8 * per_step
+            # each step's own block, its coefficients at that step's midpoint
+            steps = [trotter_step(hamiltonian, step_midpoint(j, dt), dt) for j in range(1, 9)]
+            assert program.gates == tuple(g for step in steps for g in step.gates)
 
     def test_params_validate(self):
         with pytest.raises(ValueError):
