@@ -12,10 +12,10 @@ the export both read that list.  Every point is read through
 ``backend.estimate_with_sigma``, which is exact when ``shots`` is 0.
 
 Every per-point product carries forward from the previous point: with
-``--export``, circuit k is circuit k-1 followed by the gates of step k,
-which are lowered alone and fed to the peephole pass's running state,
-so every gate is lowered, optimized and formatted once, and each
-circuit is written out before the next is assembled;
+``--export``, circuit k is circuit k-1 followed by the compiled gates
+of step k, fed to the peephole pass's running state, so every gate is
+compiled and formatted once, and each circuit is written out before
+the next is assembled;
 ``--ground-truth`` makes one oracle call for the whole series.  Circuit
 k repeats circuits 0..k-1, so an export grows with the square of the
 step count: one estimated above ``EXPORT_BYTE_LIMIT`` bytes exits 4
@@ -121,12 +121,12 @@ def _line(gate: Gate | None) -> str:
 def _cumulative_circuits(
     cfg: SimulationConfig, steps: Iterable[tuple[Gate, ...]]
 ) -> Iterator[str]:
-    """Yield the exported text of circuit k for each of ``steps``' gate
-    tuples: the first k + 1 tuples (the preparation first), compiled.
+    """Yield the exported text of circuit k for each of ``steps``' compiled
+    gate tuples: the first k + 1 tuples (the preparation first).
 
-    Each tuple is lowered alone and appended, through one running
-    peephole pass when the optimizer is on.  Each gate's line is
-    formatted once, and again only when a merge at the seam rewrites it.
+    Each tuple is appended, through one running peephole pass when the
+    optimizer is on.  Each gate's line is formatted once, and again only
+    when a merge at the seam rewrites it.
     """
     n = cfg.num_spins
     head, tail = export_frame(n, measured=cfg.shots > 0)
@@ -134,11 +134,10 @@ def _cumulative_circuits(
     out = [] if running is None else running.out
     lines: list[str] = []
     for gates in steps:
-        lowered = lower_to_native(Program(n, gates)).gates
         if running is None:
-            out += lowered
+            out += gates
         else:
-            for i in running.extend(lowered):
+            for i in running.extend(gates):
                 if i < len(lines):
                     lines[i] = _line(out[i])
         lines += map(_line, out[len(lines):])
@@ -149,7 +148,7 @@ def _export_bytes(cfg: SimulationConfig, steps: list[tuple[Gate, ...]]) -> int:
     """Estimated size of the cumulative circuits of ``steps``' gate tuples.
 
     Circuit k holds the lines of tuples 0..k, each measured as given,
-    before lowering and the peephole pass; a tuple that repeats the one
+    before the running peephole pass; a tuple that repeats the one
     before it is measured once.
     """
     frame = sum(map(len, export_frame(cfg.num_spins, measured=cfg.shots > 0)))
@@ -166,9 +165,11 @@ def _export_bytes(cfg: SimulationConfig, steps: list[tuple[Gate, ...]]) -> int:
 def _run_real_time(cfg: SimulationConfig, hamiltonian, seed: int):
     params = TrotterParams(cfg.total_time, cfg.num_steps)
     last_step = cfg.num_steps if cfg.total_time > 0.0 else 0
+    compile_program = _compile(cfg)
     # one walk: the simulation and the export read the same compiled blocks
-    blocks = list(islice(step_blocks(hamiltonian, params, _compile(cfg)), last_step))
-    steps = [state_preparation_gates(cfg.initial_state)] + [block.gates for block in blocks]
+    blocks = list(islice(step_blocks(hamiltonian, params, compile_program), last_step))
+    preparation = Program(cfg.num_spins, state_preparation_gates(cfg.initial_state))
+    steps = [compile_program(preparation).gates] + [block.gates for block in blocks]
     points = []
     if cfg.backend_mode == "QS":
         for k, state in enumerate(evolve_series(cfg.initial_state, blocks)):
@@ -184,7 +185,9 @@ def _run_imaginary_time(cfg: SimulationConfig, hamiltonian, seed: int):
     params = QiteParams(dbeta=dbeta, num_steps=cfg.num_steps, shots=cfg.shots, seed=seed)
     reports = run_qite(hamiltonian, params, cfg.initial_state)
     points = [(r.step * dbeta, r.energy, r.sigma) for r in reports]
-    return points, [r.program.gates for r in reports]
+    # every report's program after the preparation is native already
+    programs = [_compile(cfg)(reports[0].program)] + [r.program for r in reports[1:]]
+    return points, [program.gates for program in programs]
 
 
 def _ground_truth_values(cfg: SimulationConfig, hamiltonian, axis: list[float]) -> list[float]:

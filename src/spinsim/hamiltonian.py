@@ -11,12 +11,13 @@ with sites numbered from 1.  Site i lives on qubit i-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import TooLargeError
-from .ir import pauli_matrix
+from .ir import embed, pauli_matrix
 
 if TYPE_CHECKING:
     from .config import CoefficientSchedule
@@ -109,7 +110,11 @@ def snapshot(hamiltonian: HeisenbergHamiltonian, t: float) -> list[PauliTerm]:
 
 
 def dense_matrix(terms: list[PauliTerm], num_spins: int) -> np.ndarray:
-    """Dense 2^n x 2^n Hermitian matrix of a Pauli-term sum."""
+    """Dense 2^n x 2^n Hermitian matrix of a Pauli-term sum.
+
+    Each term's own kron product is placed by :func:`ir.embed`; the tests
+    compare with ``helpers.embedded_pauli``, a kron chain over every site.
+    """
     if num_spins > DENSE_QUBIT_LIMIT:
         raise TooLargeError(
             f"dense matrices limited to {DENSE_QUBIT_LIMIT} spins, got {num_spins}"
@@ -117,11 +122,6 @@ def dense_matrix(terms: list[PauliTerm], num_spins: int) -> np.ndarray:
     dim = 2**num_spins
     total = np.zeros((dim, dim), dtype=complex)
     for term in terms:
-        by_site = dict(term.factors)
-        partial = np.array([[1.0 + 0.0j]])
-        for site in range(1, num_spins + 1):
-            axis = by_site.get(site)
-            factor = pauli_matrix(axis) if axis else np.eye(2, dtype=complex)
-            partial = np.kron(partial, factor)
-        total += term.coefficient * partial
+        local = reduce(np.kron, [pauli_matrix(a) for _, a in term.factors] or [np.ones((1, 1))])
+        total += embed(term.coefficient * local, [s - 1 for s, _ in term.factors], num_spins)
     return total

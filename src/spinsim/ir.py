@@ -232,32 +232,32 @@ def _lower_gate(g: Gate) -> list[Gate]:
     return pauli_rotation([(q, _ROTATION_AXIS[kind]) for q in g.qubits], g.theta)
 
 
-def _embed_single(u2: np.ndarray, q: int, n: int) -> np.ndarray:
-    return np.kron(np.kron(np.eye(2**q), u2), np.eye(2 ** (n - 1 - q)))
+def embed(u: np.ndarray, qubits: Sequence[int], num_qubits: int) -> np.ndarray:
+    """u acting on ``qubits`` of a ``num_qubits`` register, as a complex 2^n x 2^n matrix.
 
-
-def _embed_pair(u4: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    dim = 2**n
-    pa, pb = n - 1 - a, n - 1 - b
-    keep = ~((1 << pa) | (1 << pb))
-    full = np.zeros((dim, dim), dtype=complex)
-    for row in range(dim):
-        ra = (row >> pa) & 1
-        rb = (row >> pb) & 1
-        rest = row & keep
-        for ca in (0, 1):
-            for cb in (0, 1):
-                col = rest | (ca << pa) | (cb << pb)
-                full[row, col] = u4[(ra << 1) | rb, (ca << 1) | cb]
+    The package's one embedding.  The first of the k qubits is the most
+    significant bit of u's index; they may come in any order and lie
+    anywhere.  Entry (r, c) is u at r's and c's bits on ``qubits`` where
+    r and c agree on every other qubit, else 0.
+    """
+    n, k = num_qubits, len(qubits)
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    # a column axis off ``qubits`` takes its row axis's label, so einsum gives
+    # a writeable view of the entries where r and c agree there, u's axes last
+    columns = [n + q if q in qubits else q for q in range(n)]
+    others = [q for q in range(n) if q not in qubits]
+    agree = np.einsum(full.reshape((2,) * 2 * n), [*range(n), *columns],
+                      [*others, *qubits, *(n + q for q in qubits)])
+    agree[...] = u.reshape((2,) * 2 * k)
     return full
 
 
 def unitary_of(program: Program) -> np.ndarray:
     """Dense 2^n x 2^n unitary of the program, gates applied left to right.
 
-    Built by embedding each gate matrix into the full space and
-    multiplying, independently of ``backend.apply_gate``, so the two
-    paths can be checked against each other.
+    Each gate matrix is placed by :func:`embed` and multiplied in,
+    independently of ``backend.apply_gate``, so the two paths can be
+    checked against each other.
     """
     n = program.num_qubits
     if n > UNITARY_QUBIT_LIMIT:
@@ -266,12 +266,7 @@ def unitary_of(program: Program) -> np.ndarray:
         )
     total = np.eye(2**n, dtype=complex)
     for g in program.gates:
-        m = gate_matrix(g)
-        if len(g.qubits) == 1:
-            full = _embed_single(m, g.qubits[0], n)
-        else:
-            full = _embed_pair(m, g.qubits[0], g.qubits[1], n)
-        total = full @ total
+        total = embed(gate_matrix(g), g.qubits, n) @ total
     return total
 
 

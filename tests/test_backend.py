@@ -127,13 +127,12 @@ def permuted(amps, gate, n):
 
 def embedded_gate(gate, n):
     """The gate's 2^n x 2^n matrix, embedded as ``ir.unitary_of`` does, not by ``apply_gate``."""
-    m = ir.gate_matrix(gate)
-    if len(gate.qubits) == 1:
-        return ir._embed_single(m, gate.qubits[0], n)
-    return ir._embed_pair(m, *gate.qubits, n)
+    return ir.embed(ir.gate_matrix(gate), gate.qubits, n)
 
 
 class TestKernels:
+    """``apply_gate`` against the dense unitary of each gate."""
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_kind_on_every_qubit_matches_dense_unitary(self, n):
         rng = np.random.default_rng(n)
@@ -345,6 +344,7 @@ class TestFusion:
         "width, lo", [(w, lo) for w in range(1, backend.FUSED_QUBITS + 1) for lo in range(11 - w)]
     )
     def test_one_block_at_every_position_matches_the_gate_kernels(self, width, lo):
+        # a fused block against run_statevector of its gates
         n = 10
         rng = np.random.default_rng(width * 100 + lo)
         local = [ir.h(0), ir.rx(0.7, width - 1), *fusion_program(rng, width, 24).gates]

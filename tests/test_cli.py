@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -616,7 +617,7 @@ class TestCircuitExport:
 
     def test_each_step_block_compiles_once(self, tmp_path, monkeypatch):
         # 12 distinct ramp blocks, shared by the simulation and the export,
-        # plus 13 cumulative circuits
+        # plus the preparation; the export lowers none of them again
         text = (
             SMALL_REAL_TIME.replace("num_spins: 2", "num_spins: 4")
             .replace("num_steps: 5", "num_steps: 12")
@@ -632,7 +633,7 @@ class TestCircuitExport:
         monkeypatch.setattr(cli, "lower_to_native", counting)
         input_path = write_input(tmp_path, text)
         assert main(["run", str(input_path), "--out", str(tmp_path / "out"), "--export"]) == 0
-        assert len(calls) == 25
+        assert len(calls) == 13
 
     def test_time_dependent_export_builds_each_step_once(self, tmp_path, monkeypatch):
         # the simulation and the export read one list of the 12 ramp blocks
@@ -677,8 +678,8 @@ class TestCircuitExport:
 
     def test_export_lowers_each_step_once(self, tmp_path, monkeypatch):
         # across 20 steps of a static chain, lowering sees the step block
-        # once to compile it, then the preparation and each of the 20
-        # compiled blocks once for export, never a cumulative prefix
+        # once and the preparation once, both with the run's compile step;
+        # the export appends the compiled gates and lowers nothing
         text = SMALL_REAL_TIME.replace("num_steps: 5", "num_steps: 20")
         cfg = parse_input(text)
         dt = TrotterParams(cfg.total_time, cfg.num_steps).dt
@@ -696,7 +697,27 @@ class TestCircuitExport:
         input_path = write_input(tmp_path, text)
         assert main(["run", str(input_path), "--out", str(tmp_path / "out"), "--export"]) == 0
         assert len(preparation) > 0
-        assert sum(lowered) == len(raw.gates) + len(preparation) + 20 * len(block.gates)
+        assert block.gates
+        assert lowered == [len(raw.gates), len(preparation)]
+
+    @pytest.mark.parametrize("level", ["peephole", "none"])
+    def test_qite_export_lowers_only_the_preparation(self, tmp_path, monkeypatch, level):
+        # every report's program after the first is native already
+        text = SMALL_IMAGINARY + f"initial_state: up,down\noptimizer_level: {level}\n"
+        lower = cli.lower_to_native
+        lowered = []
+
+        def counting(program):
+            lowered.append(program.gates)
+            return lower(program)
+
+        monkeypatch.setattr(cli, "lower_to_native", counting)
+        input_path = write_input(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", str(input_path), "--out", str(out), "--export"]) == 0
+        assert lowered == [(ir.x(1),)]
+        first = (out / "circuits" / "step_0000.qasm").read_text()
+        assert first == export_text(Program(2, (ir.rx(math.pi, 1),)))
 
     @given(
         pieces=cut_programs(num_qubits=3),
@@ -707,14 +728,17 @@ class TestCircuitExport:
     # a rotation merged into a gate of an earlier piece, whose line changes
     @example(pieces=[(ir.rz(0.3, 0), ir.h(1)), (ir.rz(0.4, 0),)], level="peephole", shots=50)
     def test_emitted_text_equals_export_of_each_compiled_prefix(self, pieces, level, shots):
+        # the run hands the export pieces compiled alone, as the step blocks are
         text = SMALL_REAL_TIME.replace("num_spins: 2", "num_spins: 3")
         cfg = parse_input(text + f"optimizer_level: {level}\nshots: {shots}\n")
+        compile_program = cli._compile(cfg)
+        pieces = [compile_program(Program(3, piece)).gates for piece in pieces]
         texts = list(cli._cumulative_circuits(cfg, pieces))
         assert len(texts) == len(pieces)
         fed = ()
         for piece, emitted in zip(pieces, texts):
             fed += piece
-            compiled = cli._compile(cfg)(Program(3, fed))
+            compiled = compile_program(Program(3, fed))
             assert emitted == export_text(Program(3, compiled.gates, measured=shots > 0))
 
     def test_exported_circuits_are_native_only(self, tmp_path):

@@ -108,6 +108,25 @@ class TestDenseMatrix:
         with pytest.raises(TooLargeError):
             dense_matrix([PauliTerm(1.0, ((1, "z"),))], 13)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bytes_equal_the_site_by_site_kron_chain(self, n):
+        # terms of 0-4 factors on sites in any pattern (gaps included),
+        # an identity term among them; the reference sums each term's
+        # kron chain over every site, the embedding builds none of it
+        rng = np.random.default_rng(n)
+        for _ in range(8):
+            terms = [PauliTerm(float(rng.normal()), ())]
+            for _ in range(rng.integers(1, 7)):
+                size = rng.integers(0, min(n, 4) + 1)
+                sites = sorted(int(s) for s in rng.choice(np.arange(1, n + 1), size, replace=False))
+                factors = tuple((s, str(rng.choice(["x", "y", "z"]))) for s in sites)
+                terms.append(PauliTerm(float(rng.normal()), factors))
+            rng.shuffle(terms)
+            reference = np.zeros((2**n, 2**n), dtype=complex)
+            for term in terms:
+                reference += term.coefficient * embedded_pauli(term.factors, n)
+            assert dense_matrix(terms, n).tobytes() == reference.tobytes()
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_hermitian_for_random_terms(self, seed):

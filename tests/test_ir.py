@@ -1,5 +1,6 @@
 """Gate semantics, lowering, text round-trips, unitary extraction."""
 
+import itertools
 import math
 
 import numpy as np
@@ -173,6 +174,52 @@ class TestLowering:
         lowered = lower_to_native(Program(4, (gate,))).gates
         factors = [(q + 1, kind[-1]) for q in qubits]
         assert list(lowered) == pauli_rotation_gates(factors, theta / 2)
+
+
+def gates_of_every_kind(n):
+    """Every gate kind on every qubit and on every ordered pair of qubits."""
+    for kind, arity in sorted(ir.GATE_ARITY.items()):
+        theta = 0.7 if kind in ir.PARAMETRIC_KINDS else None
+        for qubits in itertools.permutations(range(n), arity):
+            yield Gate(kind, qubits, theta)
+
+
+def permuted_kron(u, qubits, n):
+    """u on qubits 0..k-1 beside an identity, conjugated by the qubit
+    permutation that takes qubit i to qubits[i]."""
+    k = len(qubits)
+    order = [*qubits, *(q for q in range(n) if q not in qubits)]
+    inverse = list(np.argsort(order))
+    tensor = np.kron(u, np.eye(2 ** (n - k))).reshape((2,) * (2 * n))
+    return tensor.transpose(inverse + [n + i for i in inverse]).reshape(2**n, 2**n)
+
+
+def kron_embedding(u, qubits, n):
+    """u on ``qubits`` by explicit kron products: I (x) u (x) I on ascending
+    neighbours, :func:`permuted_kron` on any other order or spacing."""
+    lo, k = min(qubits), len(qubits)
+    if list(qubits) == list(range(lo, lo + k)):
+        return np.kron(np.kron(np.eye(2**lo), u), np.eye(2 ** (n - lo - k)))
+    return permuted_kron(u, qubits, n)
+
+
+class TestEmbed:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_gate_kind_on_every_qubit_and_pair_equals_the_kron_product(self, n):
+        for gate in gates_of_every_kind(n):
+            u = gate_matrix(gate)
+            got = ir.embed(u, gate.qubits, n)
+            assert got.dtype == complex
+            assert np.array_equal(got, kron_embedding(u, gate.qubits, n)), gate
+
+    def test_permuted_reference_equals_the_plain_kron_product_on_neighbours(self):
+        rng = np.random.default_rng(8)
+        for k in (1, 2, 3):
+            u = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+            for lo in range(6 - k):
+                qubits = tuple(range(lo, lo + k))
+                direct = np.kron(np.kron(np.eye(2**lo), u), np.eye(2 ** (5 - lo - k)))
+                assert np.array_equal(permuted_kron(u, qubits, 5), direct), qubits
 
 
 class TestUnitaryOf:
