@@ -289,10 +289,7 @@ _MINUS_I_POWERS = (1, -1j, -1, 1j)
 # about this many amplitudes.
 _WALSH_CHUNK = 2**18
 
-# From this many qubits on, an x mask with at most n strings is read by
-# dot products: one pass over the state per string beats the transform's
-# n passes per mask.  On smaller states the per-string call overhead of a
-# dot product outweighs a whole transform.
+# the smallest state whose small x-mask groups take dot products (see _route)
 _VDOT_MIN_QUBITS = 11
 
 
@@ -409,35 +406,20 @@ def _transform_reads(amps: np.ndarray, num_qubits: int, x: np.ndarray, z: np.nda
     return values
 
 
-def pauli_expectations(state: Statevector, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Re <state| sigma |state> for each Pauli string with masks (x[i], z[i]).
+def _route(x_mask: int, size: int, num_qubits: int) -> str:
+    """How an exact :class:`ReadPlan` reads the ``size`` strings on one x mask.
 
-    sigma|psi> = (-i)^|x & z| Z^z X^x |psi>.  The strings are grouped by x
-    mask.  On states of at least _VDOT_MIN_QUBITS qubits a group of at
-    most n strings is read one dot product per string
-    (:func:`_vdot_reads`), bit for bit as :func:`_real_dot` of the applied
-    string; the other groups come from Walsh-Hadamard tables of half the
-    state's length (:func:`_transform_reads`), within rounding of it.
-    Neither route calls BLAS.  So a string's value depends on the size of
-    its x mask's group, never on the other groups in the call or the BLAS
-    thread count.  The state is only read, and the identity (0, 0) is
-    exactly 1.0 without a read.
+    The one route rule; README gives its measurements.  z strings (x = 0)
+    take the fold (:func:`_z_parity`) while there are at most 2n - 1 of
+    them, as in a chain energy; the fold costs per string, the tables per
+    mask.  Another mask takes one dot product per string
+    (:func:`_vdot_reads`) while it has at most n + 1 - _VDOT_MIN_QUBITS
+    strings.  Every other group is a column of the half Walsh-Hadamard
+    tables (:func:`_transform_reads`).
     """
-    amps, n = state.amplitudes, state.num_qubits
-    x = np.asarray(x, dtype=np.int64)
-    z = np.asarray(z, dtype=np.int64)
-    values = np.empty(len(x))
-    x_masks, column, counts = np.unique(x, return_inverse=True, return_counts=True)
-    by_vdot = (counts <= n) & (n >= _VDOT_MIN_QUBITS)
-    for x_mask in x_masks[by_vdot].tolist():
-        members = np.flatnonzero(x == x_mask)
-        values[members] = _vdot_reads(amps, n, x_mask, z[members])
-    identity = (x == 0) & (z == 0)
-    rest = np.flatnonzero(~by_vdot[column] & ~identity)
-    if len(rest):
-        values[rest] = _transform_reads(amps, n, x[rest], z[rest])
-    values[identity] = 1.0
-    return values
+    if x_mask == 0:
+        return "fold" if size < 2 * num_qubits else "tables"
+    return "vdot" if size <= num_qubits + 1 - _VDOT_MIN_QUBITS else "tables"
 
 
 def pauli_rotations(state: Statevector, x, z, angles: Sequence[float]) -> Statevector:
@@ -473,53 +455,6 @@ def pauli_rotations(state: Statevector, x, z, angles: Sequence[float]) -> Statev
         amps += flipped
         del flipped  # before the next gather, so two copies are never held
     return Statevector(n, amps)
-
-
-def expectation(state: Statevector, terms: Sequence[PauliTerm]) -> float:
-    """<state| sum of terms |state>, exactly, as a real number.
-
-    The value of a Hermitian observable; any imaginary residue from
-    float arithmetic is discarded.  A term without factors adds exactly
-    its coefficient.  A term without x or y factors is diagonal: its
-    value is the z parity of |amplitude|^2 on its support.  The diagonal
-    terms are read in order of their first site (the head) from one
-    |amplitude|^2 vector, squared in place.  As the head advances, the
-    qubits before it are summed out of that vector one at a time, in
-    place; each term then sums its other qubits outside the support
-    (:func:`_z_parity`).  Both are plain numpy adds, so a value depends
-    on the state and its own term only, not on the other terms or the
-    BLAS.  The other terms' distinct strings are evaluated together by
-    :func:`pauli_expectations`.
-    """
-    amps, n = state.amplitudes, state.num_qubits
-    masks = [pauli_masks(term.factors, n) for term in terms]
-    values = np.ones(len(terms))  # the identity is exactly 1.0
-    off_diagonal = list(dict.fromkeys(m for m in masks if m[0]))
-    if off_diagonal:
-        xs, zs = np.array(off_diagonal, dtype=np.int64).T
-        table = dict(zip(off_diagonal, pauli_expectations(state, xs, zs)))
-        for i, mask in enumerate(masks):
-            if mask[0]:
-                values[i] = table[mask]
-    supports = {
-        i: [site - 1 for site, _ in term.factors]
-        for i, (term, (x, z)) in enumerate(zip(terms, masks))
-        if z and not x
-    }
-    if supports:
-        tail = np.abs(amps)
-        np.square(tail, out=tail)
-        head = 0
-        for i, support in sorted(supports.items(), key=lambda item: item[1][0]):
-            while head < support[0]:  # sum out the leading qubit, in place
-                half = len(tail) // 2
-                tail = np.add(tail[:half], tail[half:], out=tail[:half])
-                head += 1
-            values[i] = _z_parity(tail, [q - head for q in support])
-    total = 0.0
-    for term, value in zip(terms, values.tolist()):
-        total += term.coefficient * value
-    return float(total)
 
 
 def _z_parity(probs: np.ndarray, support: Sequence[int]) -> float:
@@ -589,93 +524,140 @@ def _measurement_groups(masks: Sequence[tuple[int, int]]) -> list[list]:
     return groups
 
 
-MeasurementGroup = tuple[list[int], tuple[np.ndarray, np.ndarray, list[float]], np.ndarray]
+class ReadPlan:
+    """Reads of one list of Pauli strings, given as (x, z) masks, planned once.
 
-
-def measurement_groups(masks: Sequence[tuple[int, int]], num_qubits: int) -> list[MeasurementGroup]:
-    """``(members, turn, supports)`` for each of :func:`_measurement_groups` of ``masks``.
-
-    ``turn`` is the ``(x, z, angles)`` of :func:`pauli_rotations` into the z basis, by
-    ascending qubit: exp(+i pi/4 Y) on each qubit read along x, exp(-i pi/4 X) on each
-    read along y.  ``supports`` holds each member's x | z mask.  A caller that reads
-    the same strings many times makes these once.
+    With ``shots`` = 0 the reads are exact: the strings are grouped by x
+    mask, and :func:`_route` fixes each group's route here,
+    in ``routes`` (x mask -> "fold", "vdot" or "tables").  No route calls
+    BLAS, and a string's value depends on its route and the state alone,
+    never on the other strings of the plan.  With ``shots`` > 0 the
+    strings share :func:`_measurement_groups`, each turned into the z
+    basis by :func:`pauli_rotations` and drawn ``shots`` times.  Either
+    way the identity (0, 0) is exactly 1.0 without a read, and the state
+    is only read.
     """
-    groups = []
-    for gx, gz, members in _measurement_groups(masks):
-        bits = np.array([1 << s for s in range(num_qubits)[::-1] if gx >> s & 1], dtype=np.int64)
-        turn = bits, bits & ~gz, np.where(bits & gz, math.pi / 4, -math.pi / 4).tolist()
-        supports = np.array([masks[i][0] | masks[i][1] for i in members], dtype=np.int64)
-        groups.append((members, turn, supports))
-    return groups
 
+    def __init__(self, masks: Sequence[tuple[int, int]], num_qubits: int, shots: int = 0):
+        if shots < 0:
+            raise ValueError(f"shots must be >= 0, got {shots}")
+        n = num_qubits
+        self.masks, self.num_qubits, self.shots = list(masks), n, shots
+        if shots:
+            self.groups = []
+            for gx, gz, members in _measurement_groups(self.masks):
+                # into the z basis by ascending qubit: exp(+i pi/4 Y) on each
+                # qubit read along x, exp(-i pi/4 X) on each read along y
+                bits = np.array([1 << s for s in range(n)[::-1] if gx >> s & 1], dtype=np.int64)
+                turn = bits, bits & ~gz, np.where(bits & gz, math.pi / 4, -math.pi / 4).tolist()
+                supports = [self.masks[i][0] | self.masks[i][1] for i in members]
+                self.groups.append((members, turn, np.array(supports, dtype=np.int64)))
+            return
+        by_x: dict[int, list[int]] = {}
+        for i, (x, z) in enumerate(self.masks):
+            if x | z:
+                by_x.setdefault(x, []).append(i)
+        self.routes = {x: _route(x, len(members), n) for x, members in by_x.items()}
+        x, self.z = np.array(self.masks, dtype=np.int64).reshape(-1, 2).T
+        self.vdot = [(x_mask, by_x[x_mask]) for x_mask, r in self.routes.items() if r == "vdot"]
+        tables = [i for x_mask, r in self.routes.items() if r == "tables" for i in by_x[x_mask]]
+        self.tables = tables, x[tables], self.z[tables]
+        folded = by_x[0] if self.routes.get(0) == "fold" else []
+        supports = [[q for q in range(n) if self.masks[i][1] >> (n - 1 - q) & 1] for i in folded]
+        self.fold = sorted(zip(folded, supports), key=lambda item: item[1][0])  # by first qubit
 
-def _sample_groups(
-    state: Statevector, groups: Sequence[MeasurementGroup], shots: int, rng
-) -> Iterator[tuple]:
-    """``(members, weights, parities)`` for each of :func:`measurement_groups`.
+    def values(self, state: Statevector, rng=None) -> np.ndarray:
+        """<state| sigma |state> for each string, in order.  A sampled value is the
+        string's mean parity over its group's draws from ``rng`` (an int seed or a
+        generator, consumed); exact plans leave ``rng`` alone."""
+        if not self.shots:
+            return self._exact(state)
+        values = np.ones(len(self.masks))
+        for members, weights, parities in self._draws(state, rng):
+            values[members] = parities @ weights
+        return values
 
-    A group is turned into the z basis by its rotations and drawn
-    ``shots`` times from ``rng``.  ``weights`` are the frequencies of the
-    outcomes drawn and ``parities[k]`` member k's +-1 z parity on each.
-    """
-    rng = np.random.default_rng(rng)
-    for members, turn, supports in groups:
-        counts = sample_counts(pauli_rotations(state, *turn), shots, rng)
-        outcomes = np.flatnonzero(counts)
-        parities = 1 - 2 * (_popcount(supports[:, None] & outcomes) & 1)
-        yield members, counts[outcomes] / shots, parities
+    def estimate(self, state: Statevector, coefficients, rng=None) -> tuple[float, float | None]:
+        """sum_i coefficients[i] <state| sigma_i |state> and its standard error.
 
+        Exact plans give (value, None), summed string by string in order.
+        Sampled ones add the identity strings' coefficients exactly; an
+        outcome's value is the sum of coefficient times z parity over its
+        group's strings, and the group variances add.
+        """
+        if not self.shots:
+            total = 0.0
+            for coefficient, value in zip(coefficients, self.values(state).tolist()):
+                total += coefficient * value
+            return float(total), None
+        mean = sum(c for c, (x, z) in zip(coefficients, self.masks) if not x | z)
+        variance = 0.0
+        for members, weights, parities in self._draws(state, rng):
+            values = np.zeros(len(weights))
+            for i, parity in zip(members, parities):
+                values += coefficients[i] * parity
+            group_mean = float(np.dot(weights, values))
+            mean += group_mean
+            variance += float(np.dot(weights, (values - group_mean) ** 2)) / self.shots
+        return float(mean), math.sqrt(variance)
 
-def pauli_values(
-    state: Statevector, x, z, shots: int, rng, groups: Sequence[MeasurementGroup] | None = None
-) -> np.ndarray:
-    """<state| sigma |state> for each Pauli string with masks (x[i], z[i]).
+    def _check(self, state: Statevector) -> None:
+        if state.num_qubits != self.num_qubits:
+            raise ValueError(f"the plan reads {self.num_qubits} qubits, not {state.num_qubits}")
 
-    ``shots`` = 0 gives :func:`pauli_expectations`.  Otherwise a string's
-    value is its mean parity over the ``shots`` draws of its measurement
-    group (see :func:`_sample_groups`).  ``groups`` are the strings'
-    :func:`measurement_groups`, made here when not given.  The identity
-    is exactly 1.0.
-    """
-    if shots == 0:
-        return pauli_expectations(state, x, z)
-    if groups is None:
-        masks = list(zip(np.asarray(x).tolist(), np.asarray(z).tolist()))
-        groups = measurement_groups(masks, state.num_qubits)
-    values = np.ones(len(x))
-    for members, weights, parities in _sample_groups(state, groups, shots, rng):
-        values[members] = parities @ weights
-    return values
+    def _exact(self, state: Statevector) -> np.ndarray:
+        """The value of each string.  The fold reads its strings by first
+        qubit (head) from one |amplitude|^2 vector, summing the qubits before the
+        head out of it in place, so a value does not depend on the other strings."""
+        self._check(state)
+        amps, n = state.amplitudes, self.num_qubits
+        values = np.ones(len(self.z))
+        for x_mask, members in self.vdot:
+            values[members] = _vdot_reads(amps, n, x_mask, self.z[members])
+        members, x, z = self.tables
+        if members:
+            values[members] = _transform_reads(amps, n, x, z)
+        if self.fold:
+            tail = np.abs(amps)
+            np.square(tail, out=tail)
+            head = 0
+            for i, support in self.fold:
+                while head < support[0]:  # sum out the leading qubit, in place
+                    half = len(tail) // 2
+                    tail = np.add(tail[:half], tail[half:], out=tail[:half])
+                    head += 1
+                values[i] = _z_parity(tail, [q - head for q in support])
+        return values
+
+    def _draws(self, state: Statevector, rng) -> Iterator[tuple]:
+        """``(members, weights, parities)`` per measurement group, drawn ``shots``
+        times from ``rng`` after its turn: the frequencies of the outcomes drawn
+        and ``parities[k]``, member k's +-1 z parity on each."""
+        self._check(state)
+        rng = np.random.default_rng(rng)
+        for members, turn, supports in self.groups:
+            counts = sample_counts(pauli_rotations(state, *turn), self.shots, rng)
+            outcomes = np.flatnonzero(counts)
+            parities = 1 - 2 * (_popcount(supports[:, None] & outcomes) & 1)
+            yield members, counts[outcomes] / self.shots, parities
 
 
 def estimate_with_sigma(
-    state: Statevector,
-    terms: Sequence[PauliTerm],
-    shots: int,
-    rng: int | np.random.Generator,
-    groups: Sequence[MeasurementGroup] | None = None,
+    state: Statevector, terms: Sequence[PauliTerm], shots: int, rng: int | np.random.Generator
 ) -> tuple[float, float | None]:
-    """Sampled <state| sum of terms |state> and its standard error.
+    """Sampled <state| sum of terms |state> and its standard error: a one-shot :class:`ReadPlan`.
 
     ``shots`` = 0 gives (:func:`expectation`, None) and leaves ``rng``
-    alone.  Otherwise each measurement group of the terms is drawn
-    ``shots`` times (see :func:`_sample_groups`); an outcome's value is
-    the sum of coefficient times z parity over the group's terms, the
-    group variances add, and constant terms add exactly.  ``groups`` are
-    the terms' :func:`measurement_groups`, made here when not given.
+    alone.  A term without factors adds exactly its coefficient.
     """
-    if shots == 0:
-        return expectation(state, terms), None
-    if groups is None:
-        n = state.num_qubits
-        groups = measurement_groups([pauli_masks(t.factors, n) for t in terms], n)
-    mean = sum(t.coefficient for t in terms if not t.factors)
-    variance = 0.0
-    for members, weights, parities in _sample_groups(state, groups, shots, rng):
-        values = np.zeros(len(weights))
-        for i, parity in zip(members, parities):
-            values += terms[i].coefficient * parity
-        group_mean = float(np.dot(weights, values))
-        mean += group_mean
-        variance += float(np.dot(weights, (values - group_mean) ** 2)) / shots
-    return float(mean), math.sqrt(variance)
+    n = state.num_qubits
+    plan = ReadPlan([pauli_masks(t.factors, n) for t in terms], n, shots)
+    return plan.estimate(state, [t.coefficient for t in terms], rng)
+
+
+def expectation(state: Statevector, terms: Sequence[PauliTerm]) -> float:
+    """<state| sum of terms |state>, exactly, as a real number: a one-shot :class:`ReadPlan`.
+
+    A term without factors adds exactly its coefficient.
+    """
+    return estimate_with_sigma(state, terms, 0, None)[0]

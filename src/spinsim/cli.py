@@ -8,8 +8,8 @@ directory.  The directory comes from ``--out``, else the
 ``output_dir`` key.
 
 A real-time run lists its compiled step blocks once; the simulation and
-the export both read that list.  Every point is read through
-``backend.estimate_with_sigma``, which is exact when ``shots`` is 0.
+the export both read that list.  Every point is read through one
+``backend.ReadPlan``, made again only when its string list changes.
 
 Every per-point product carries forward from the previous point: with
 ``--export``, circuit k is circuit k-1 followed by the compiled gates
@@ -37,11 +37,13 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import __version__
-# run_statevector and sample_counts are unused here but stay bound: the
-# span tracer in perfbench/spans.py wraps them by name in this module
+# estimate_with_sigma, run_statevector and sample_counts stay bound, unused:
+# the span tracer in perfbench/spans.py wraps them by name in this module
 from .backend import (
+    ReadPlan,
     estimate_with_sigma,
     expectation,
+    pauli_masks,
     product_state,
     run_statevector,
     sample_counts,
@@ -105,6 +107,21 @@ def _observable_terms(cfg: SimulationConfig, hamiltonian, t: float) -> list[Paul
         return energy_observable(hamiltonian, t)
     axis = name[len("site-magnetization(")]
     return site_magnetization_observable(cfg.num_spins, axis)
+
+
+def _read_series(cfg: SimulationConfig, hamiltonian, times, states, shots: int, seed: int):
+    """(value, sigma) of the observable at each of ``times`` in its state, read by one
+    :class:`backend.ReadPlan` that is made again only when the observable's string
+    list changes.  Sampled point k draws from ``derived_seed(seed, k)``."""
+    n = cfg.num_spins
+    plan = strings = None
+    for k, state in enumerate(states):
+        terms = _observable_terms(cfg, hamiltonian, times[k])
+        if [term.factors for term in terms] != strings:
+            strings = [term.factors for term in terms]
+            plan = ReadPlan([pauli_masks(factors, n) for factors in strings], n, shots)
+        rng = derived_seed(seed, k) if shots else None
+        yield plan.estimate(state, [term.coefficient for term in terms], rng)
 
 
 def _compile(cfg: SimulationConfig):
@@ -172,11 +189,10 @@ def _run_real_time(cfg: SimulationConfig, hamiltonian, seed: int):
     steps = [compile_program(preparation).gates] + [block.gates for block in blocks]
     points = []
     if cfg.backend_mode == "QS":
-        for k, state in enumerate(evolve_series(cfg.initial_state, blocks)):
-            t_k = k * params.dt
-            terms = _observable_terms(cfg, hamiltonian, t_k)
-            rng = derived_seed(seed, k)
-            points.append((t_k, *estimate_with_sigma(state, terms, cfg.shots, rng)))
+        times = [k * params.dt for k in range(len(steps))]
+        states = evolve_series(cfg.initial_state, blocks)
+        reads = _read_series(cfg, hamiltonian, times, states, cfg.shots, seed)
+        points = [(t, *read) for t, read in zip(times, reads)]
     return points, steps
 
 
@@ -196,10 +212,7 @@ def _ground_truth_values(cfg: SimulationConfig, hamiltonian, axis: list[float]) 
     if cfg.mode == "real-time":
         # a time-dependent H is carried forward with 10 midpoint substeps per step
         states = evolve_exact(hamiltonian, axis, initial, substeps=10)
-        return [
-            expectation(state, _observable_terms(cfg, hamiltonian, t))
-            for t, state in zip(axis, states)
-        ]
+        return [value for value, _ in _read_series(cfg, hamiltonian, axis, states, 0, 0)]
     terms = snapshot(hamiltonian, 0.0)
     references = evolve_imaginary_exact(terms, axis, initial)
     # beta = 0 is the prepared state itself: its energy is evaluated as

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import TooLargeError
-from .ir import embed, pauli_matrix
+from .ir import _agreement, pauli_matrix
 
 if TYPE_CHECKING:
     from .config import CoefficientSchedule
@@ -112,8 +112,8 @@ def snapshot(hamiltonian: HeisenbergHamiltonian, t: float) -> list[PauliTerm]:
 def dense_matrix(terms: list[PauliTerm], num_spins: int) -> np.ndarray:
     """Dense 2^n x 2^n Hermitian matrix of a Pauli-term sum.
 
-    Each term's own kron product is placed by :func:`ir.embed`; the tests
-    compare with ``helpers.embedded_pauli``, a kron chain over every site.
+    Each term's own kron product is added in place where :func:`ir.embed` would put it;
+    the tests compare with ``helpers.embedded_pauli``, a kron chain over every site.
     """
     if num_spins > DENSE_QUBIT_LIMIT:
         raise TooLargeError(
@@ -123,5 +123,6 @@ def dense_matrix(terms: list[PauliTerm], num_spins: int) -> np.ndarray:
     total = np.zeros((dim, dim), dtype=complex)
     for term in terms:
         local = reduce(np.kron, [pauli_matrix(a) for _, a in term.factors] or [np.ones((1, 1))])
-        total += embed(term.coefficient * local, [s - 1 for s, _ in term.factors], num_spins)
+        sites = [s - 1 for s, _ in term.factors]
+        _agreement(total, sites)[...] += (term.coefficient * local).reshape((2,) * 2 * len(sites))
     return total

@@ -240,16 +240,20 @@ def embed(u: np.ndarray, qubits: Sequence[int], num_qubits: int) -> np.ndarray:
     anywhere.  Entry (r, c) is u at r's and c's bits on ``qubits`` where
     r and c agree on every other qubit, else 0.
     """
-    n, k = num_qubits, len(qubits)
-    full = np.zeros((2**n, 2**n), dtype=complex)
-    # a column axis off ``qubits`` takes its row axis's label, so einsum gives
-    # a writeable view of the entries where r and c agree there, u's axes last
+    full = np.zeros((2**num_qubits, 2**num_qubits), dtype=complex)
+    _agreement(full, qubits)[...] = u.reshape((2,) * 2 * len(qubits))
+    return full
+
+
+def _agreement(full: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """The writeable ``np.einsum`` view of a 2^n x 2^n matrix at the entries (r, c) where
+    r and c agree off ``qubits`` (a column axis there takes its row axis's label): one
+    axis per other qubit, then r's and c's bits on ``qubits``."""
+    n = len(full).bit_length() - 1
     columns = [n + q if q in qubits else q for q in range(n)]
     others = [q for q in range(n) if q not in qubits]
-    agree = np.einsum(full.reshape((2,) * 2 * n), [*range(n), *columns],
-                      [*others, *qubits, *(n + q for q in qubits)])
-    agree[...] = u.reshape((2,) * 2 * k)
-    return full
+    return np.einsum(full.reshape((2,) * 2 * n), [*range(n), *columns],
+                     [*others, *qubits, *(n + q for q in qubits)])
 
 
 def unitary_of(program: Program) -> np.ndarray:

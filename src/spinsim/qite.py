@@ -55,8 +55,8 @@ from typing import Sequence
 import numpy as np
 
 from . import ir
-from .backend import Statevector, _popcount, estimate_with_sigma, measurement_groups, pauli_factors
-from .backend import pauli_masks, pauli_rotations, pauli_values, product_state, run_statevector
+from .backend import ReadPlan, Statevector, _popcount, pauli_factors, pauli_masks, pauli_rotations
+from .backend import product_state, run_statevector
 # unused, but bound: the span tracer in perfbench/spans.py wraps it by name here
 from .backend import apply_gate  # noqa: F401
 from .errors import SingularSystemError, UnsupportedFeatureError
@@ -193,12 +193,11 @@ def pauli_rotation_gates(factors: Sequence[tuple[int, str]], angle: float) -> li
 class _FitPlan:
     """What each fit of a run on ``basis`` and h = sum of ``terms`` reads, made once per run.
 
-    ``x``, ``z``: the distinct strings read, in key order x << n | z, and
-    ``inverse`` maps the h, kept hh, S and b products onto them.  A
-    product weighs its read by its coefficients times the part of its
-    phase that its sum takes; in S and b, a product whose phase has no
-    such part reads the identity with weight 0.  Sampled mode adds the
-    measurement groups of the reads and of the terms.
+    ``reads``: a :class:`backend.ReadPlan` of the distinct strings read, in
+    key order x << n | z, and ``inverse`` maps the h, kept hh, S and b
+    products onto them.  A product weighs its read by its coefficients
+    times the part of its phase that its sum takes; in S and b, a product
+    whose phase has no such part reads the identity with weight 0.
     """
 
     def __init__(self, basis, terms, n: int, params: QiteParams):
@@ -222,15 +221,12 @@ class _FitPlan:
         reads.append(np.where(b_keep, b_x << n | b_z, 0).ravel())
         keys, self.inverse = np.unique(np.concatenate(reads), return_inverse=True)
         self.splits = np.cumsum([r.size for r in reads])[:-1]
-        self.x, self.z = keys >> n, keys & (1 << n) - 1
-        self.groups = self.term_groups = None
-        if params.shots:
-            self.groups = measurement_groups(list(zip(self.x.tolist(), self.z.tolist())), n)
-            self.term_groups = measurement_groups(h_masks, n)
+        masks = zip((keys >> n).tolist(), (keys & (1 << n) - 1).tolist())
+        self.reads = ReadPlan(list(masks), n, params.shots)
 
     def fit(self, state: Statevector, rng) -> tuple[tuple[float, ...], float, float, float]:
         """:func:`fit_step_unitary` on ``state``, then the fit's read of <state|h|state>."""
-        values = pauli_values(state, self.x, self.z, self.params.shots, rng, self.groups)
+        values = self.reads.values(state, rng)
         h_read, hh_read, s_read, b_read = np.split(values[self.inverse], self.splits)
         # the sums run term by term in the scalar loop's order, so they round as it did
         energy = reduce(add, (self.hc * h_read).tolist(), 0.0)
@@ -283,7 +279,8 @@ def run_qite(
     preceded by a step-0 report for the prepared initial state.  Each
     step is one fit of the full Hamiltonian over :func:`fitting_basis`
     of the prepared state.  An exact report's energy is the next fit's
-    read of its state; the last report's is :func:`backend.expectation`.
+    read of its state; the last report's, and every sampled one, is read
+    by a :class:`backend.ReadPlan` of the terms, made once per run.
     The state advances by :func:`backend.pauli_rotations`; each report's
     program is built from one :func:`ir.rotation_skeleton` per string,
     made once per run, with only the RZ gates new at each step.
@@ -309,9 +306,8 @@ def run_qite(
     basis = fitting_basis(terms, params.domain_radius, state)
     plan = _FitPlan(basis, terms, n, params)
     skeletons = [ir.rotation_skeleton([(s - 1, a) for s, a in pauli_factors(m, n)]) for m in basis]
-    measure = partial(
-        estimate_with_sigma, terms=terms, shots=params.shots, rng=rng, groups=plan.term_groups
-    )
+    term_reads = ReadPlan([pauli_masks(t.factors, n) for t in terms], n, params.shots)
+    measure = partial(term_reads.estimate, coefficients=[t.coefficient for t in terms], rng=rng)
     reports, made_by = [], [(), 0.0, 1.0]  # made_by: the fit that made ``state``, none at step 0
     for step in range(params.num_steps):
         measured = measure(state) if params.shots else None  # drawn before the fit's draws

@@ -13,15 +13,14 @@ from spinsim import ir
 from spinsim import backend
 from spinsim.backend import (
     STATEVECTOR_QUBIT_LIMIT,
+    ReadPlan,
     Statevector,
     _measurement_groups,
     expectation,
     estimate_with_sigma,
-    pauli_expectations,
     pauli_factors,
     pauli_masks,
     pauli_rotations,
-    pauli_values,
     product_state,
     run_statevector,
     sample_counts,
@@ -36,6 +35,12 @@ from spinsim.trotter import trotter_step
 
 def program_of(num_qubits, gates):
     return ir.Program(num_qubits=num_qubits, gates=tuple(gates))
+
+
+def plan_values(state, x, z, shots=0, rng=None):
+    """A one-shot :class:`ReadPlan`'s values of the strings (x[i], z[i])."""
+    masks = list(zip(np.asarray(x).tolist(), np.asarray(z).tolist()))
+    return ReadPlan(masks, state.num_qubits, shots).values(state, rng)
 
 
 class TestExecution:
@@ -420,7 +425,7 @@ class TestExpectation:
         z = PauliTerm(1.0, ((2, "z"),))
         assert expectation(state, [PauliTerm(2.5, ())]) == 2.5
         assert expectation(state, [PauliTerm(2.5, ()), z]) == 2.5 + expectation(state, [z])
-        assert pauli_expectations(state, [0], [0])[0] == 1.0
+        assert plan_values(state, [0], [0])[0] == 1.0
 
     @staticmethod
     def diagonal_terms(rng, n):
@@ -449,17 +454,34 @@ class TestExpectation:
             alone = PauliTerm(1.0, term.factors)
             assert abs(expectation(state, [alone]) - want) <= 1e-13, term.factors
 
+    @staticmethod
+    def read_alone(state, factors, route):
+        """The string's value read by itself on the route its group took."""
+        n = state.num_qubits
+        x, z = pauli_masks(factors, n)
+        if route == "tables" and z and not x:
+            return backend._transform_reads(state.amplitudes, n, np.array([0]), np.array([z]))[0]
+        return expectation(state, [PauliTerm(1.0, factors)])
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_a_diagonal_read_is_the_same_alone_and_among_other_terms(self, n):
+        """A value depends on its route and the state only.  The first 2n - 1
+        z strings stay on the fold; all of them take the tables."""
         rng = np.random.default_rng(60 + n)
         state = random_state(rng, n)
-        terms = [PauliTerm(0.7, ()), *self.diagonal_terms(rng, n)]
-        if n > 1:
-            terms.insert(3, PauliTerm(-0.4, ((1, "x"), (2, "y"))))
-        total = 0.0
-        for term in terms:
-            total += term.coefficient * expectation(state, [PauliTerm(1.0, term.factors)])
-        assert expectation(state, terms) == total
+        diagonal = self.diagonal_terms(rng, n)
+        routes = set()
+        for count in (2 * n - 1, len(diagonal)):
+            terms = [PauliTerm(0.7, ()), *diagonal[:count]]
+            if n > 1:
+                terms.insert(3, PauliTerm(-0.4, ((1, "x"), (2, "y"))))
+            route = ReadPlan([pauli_masks(t.factors, n) for t in terms], n).routes[0]
+            routes.add(route)
+            total = 0.0
+            for term in terms:
+                total += term.coefficient * self.read_alone(state, term.factors, route)
+            assert expectation(state, terms) == total
+        assert routes == {"fold", "tables"}
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -475,7 +497,7 @@ class TestExpectation:
 
 
 class TestPauliExpectations:
-    """Both read routes, vdot and Walsh-Hadamard, against vdot of the applied string."""
+    """Exact :class:`ReadPlan` reads on every route against vdot of the applied string."""
 
     @staticmethod
     def reference(amps, x, z, n):
@@ -485,7 +507,7 @@ class TestPauliExpectations:
 
     @staticmethod
     def check(state, x, z):
-        got = pauli_expectations(state, np.array(x), np.array(z))
+        got = plan_values(state, x, z)
         identity = (np.array(x) == 0) & (np.array(z) == 0)
         want = TestPauliExpectations.reference(state.amplitudes, x, z, state.num_qubits)
         np.testing.assert_allclose(got[~identity], want[~identity], rtol=0, atol=1e-12)
@@ -519,7 +541,8 @@ class TestPauliExpectations:
     def test_half_tables_read_every_z_of_a_mask(self, n):
         """Every z of a few x masks, 0 among them, against :func:`backend._real_dot`
         of the applied string, within 2 n eps.  From _VDOT_MIN_QUBITS qubits on,
-        groups of at most n strings on other masks take the dot-product route."""
+        groups of at most n + 1 - _VDOT_MIN_QUBITS strings on other masks take
+        the dot-product route, and a group of n strings the tables."""
         rng = np.random.default_rng(700 + n)
         state = random_state(rng, n)
         amps = state.amplitudes
@@ -527,9 +550,10 @@ class TestPauliExpectations:
         x = np.repeat(x_masks, 2**n)
         z = np.tile(np.arange(2**n), len(x_masks))
         if n >= backend._VDOT_MIN_QUBITS:
-            small_x, small_z = self.grouped_strings(rng, n, [1, 2, n])
+            sizes = [1, n + 1 - backend._VDOT_MIN_QUBITS, n]
+            small_x, small_z = self.grouped_strings(rng, n, sizes)
             x, z = np.concatenate([x, small_x]), np.concatenate([z, small_z])
-        got = pauli_expectations(state, x, z)
+        got = plan_values(state, x, z)
         want = [
             backend._real_dot(amps, apply_pauli(amps, (xi, zi), n))
             for xi, zi in zip(x.tolist(), z.tolist())
@@ -559,16 +583,16 @@ class TestPauliExpectations:
         """A value depends on its own x mask's group, not on the other groups."""
         rng = np.random.default_rng(200 + n)
         state = random_state(rng, n)
-        # groups on both sides of the vdot route's size limit
+        # groups on both sides of the vdot route's size limit, and z strings
         x, z = self.grouped_strings(rng, n, [1, 2, n, n + 1, 3 * n, 1, 5])
         x[:10] = 0
-        batch = pauli_expectations(state, x, z)
+        batch = plan_values(state, x, z)
         alone = np.empty(len(x))
         for x_mask in set(x.tolist()):
             group = x == x_mask
-            alone[group] = pauli_expectations(state, x[group], z[group])
+            alone[group] = plan_values(state, x[group], z[group])
         assert batch.tolist() == alone.tolist()
-        assert pauli_expectations(state, x[::-1], z[::-1]).tolist() == alone[::-1].tolist()
+        assert plan_values(state, x[::-1], z[::-1]).tolist() == alone[::-1].tolist()
 
     @pytest.mark.parametrize("n", [11, 12, 18])
     def test_small_groups_on_wide_states_equal_vdot_bit_for_bit(self, n):
@@ -576,10 +600,11 @@ class TestPauliExpectations:
         psi and the applied string, which no BLAS rounds."""
         rng = np.random.default_rng(400 + n)
         state = random_state(rng, n)
-        x, z = self.grouped_strings(rng, n, [1, 2, n, 3])
+        limit = n + 1 - backend._VDOT_MIN_QUBITS
+        x, z = self.grouped_strings(rng, n, [1, limit, 1, limit])
         z[:2] = 0
         with mock.patch.object(backend, "_transform_reads", side_effect=AssertionError):
-            got = pauli_expectations(state, x, z)
+            got = plan_values(state, x, z)
         amps = state.amplitudes
         want = [
             np.einsum("i,i->", amps.view(float), apply_pauli(amps, (xi, zi), n).view(float))
@@ -593,7 +618,7 @@ class TestPauliExpectations:
         state = random_state(rng, n)
         x, z = self.grouped_strings(rng, n, [size])
         with mock.patch.object(backend, "_vdot_reads", side_effect=AssertionError):
-            got = pauli_expectations(state, x, z)
+            got = plan_values(state, x, z)
         want = self.reference(state.amplitudes, x, z, n)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -624,14 +649,19 @@ class TestPauliExpectations:
         state = random_state(rng, n)
         before = state.amplitudes.copy()
         frozen = self.read_only(state)
-        # both routes on the wide state: single strings and one group of 2n
+        # both routes on the wide state: single strings and one group of 2n;
+        # z strings on the fold, and a sampled read
         x, z = self.grouped_strings(rng, n, [1] * min(20, 2**n - 1) + [2 * n])
-        assert np.array_equal(pauli_expectations(frozen, x, z), pauli_expectations(state, x, z))
+        x[:3] = 0
+        assert np.array_equal(plan_values(frozen, x, z), plan_values(state, x, z))
+        sampled = [plan_values(s, x, z, 50, 7) for s in (frozen, state)]
+        assert np.array_equal(*sampled)
         assert np.array_equal(state.amplitudes, before)
 
     def test_identity_is_exactly_one(self):
         state = Statevector(2, np.full(4, 0.5 + 1e-9, dtype=complex))
-        assert pauli_expectations(state, np.array([0]), np.array([0]))[0] == 1.0
+        assert plan_values(state, np.array([0]), np.array([0]))[0] == 1.0
+        assert plan_values(state, [0, 1], [0, 1], 10, 0)[0] == 1.0
 
 
 class TestPauliRotations:
@@ -854,7 +884,7 @@ class TestCountsEstimation:
             return sample_counts(turned, shots, seed)
 
         monkeypatch.setattr(backend, "sample_counts", recording)
-        pauli_values(state, x, z, 10, 0)
+        plan_values(state, x, z, 10, 0)
         groups = _measurement_groups(masks)
         assert len(drawn) == len(groups)
         for (gx, gz, _), turned in zip(groups, drawn):
@@ -879,8 +909,8 @@ class TestCountsEstimation:
         mean, sigma = estimate_with_sigma(state, terms, 1000, 0)
         assert abs(mean - expectation(state, terms)) <= 5 * sigma
         x, z = np.array([0b001, 0b110, 0b011]), np.array([0, 0b100, 0b010])
-        values = pauli_values(state, x, z, 1000, 0)
-        assert np.all(np.abs(values - pauli_expectations(state, x, z)) <= 0.2)
+        values = plan_values(state, x, z, 1000, 0)
+        assert np.all(np.abs(values - plan_values(state, x, z)) <= 0.2)
 
 
 @st.composite
@@ -912,9 +942,14 @@ class TestMeasurementGroups:
 
 class TestPauliValues:
     def test_exact_mode_is_pauli_expectations(self):
+        # an exact plan reads each string as a one-shot read of it alone, and leaves rng alone
         state = random_state(np.random.default_rng(4), 3)
-        x, z = np.array([0, 1, 5, 7, 2]), np.array([0, 1, 4, 0, 6])
-        assert np.array_equal(pauli_values(state, x, z, 0, 0), pauli_expectations(state, x, z))
+        masks = [(0, 0), (1, 1), (5, 4), (7, 0), (2, 6), (0, 3)]
+        rng = np.random.default_rng(5)
+        got = ReadPlan(masks, 3).values(state, rng)
+        want = [expectation(state, [PauliTerm(1.0, pauli_factors(m, 3))]) for m in masks]
+        assert got.tolist() == want
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
     @pytest.mark.parametrize("seed", range(8))
     def test_sampled_values_within_five_sigma(self, seed):
@@ -927,8 +962,8 @@ class TestPauliValues:
         x[0] = z[0] = 1 << int(rng.integers(n))
         x[1] = z[1] = 0
         shots = 20_000
-        got = pauli_values(state, x, z, shots, rng)
-        exact = pauli_expectations(state, x, z)
+        got = plan_values(state, x, z, shots, rng)
+        exact = plan_values(state, x, z)
         sigma = np.sqrt((1.0 - exact**2) / shots)
         assert np.all(np.abs(got - exact) <= 5 * sigma + 1e-12)
         assert got[1] == 1.0
@@ -936,7 +971,7 @@ class TestPauliValues:
     def test_z_strings_on_a_basis_state_are_exact(self):
         state = product_state(["down", "up", "down"])
         z = np.arange(8)
-        got = pauli_values(state, np.zeros(8, dtype=np.int64), z, 5, 0)
+        got = plan_values(state, np.zeros(8, dtype=np.int64), z, 5, 0)
         want = [(-1.0) ** ((k & 0b101).bit_count()) for k in z]
         assert got.tolist() == want
 

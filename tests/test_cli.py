@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from collections import Counter
 from itertools import accumulate
 from pathlib import Path
 
@@ -20,8 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import cut_programs, dense_expectation, product_formula_states
-from spinsim import cli, ir, oracle, trotter
-from spinsim.backend import expectation, product_state, run_statevector
+from spinsim import backend, cli, ir, oracle, qite, trotter
+from spinsim.backend import expectation, pauli_masks, product_state, run_statevector
 from spinsim.cli import main
 from spinsim.config import INPUT_KEYS, build_hamiltonian, parse_input
 from spinsim.hamiltonian import snapshot
@@ -265,7 +266,8 @@ class TestBenchmarkTracer:
                 out = path + ".out"
                 assert spinsim.cli.main(["run", path, "--out", out, "--export"]) == 0, path
             names = {span[0] for span in tracer.spans}
-            assert {"qite", "backend.sample"} <= names, names
+            # per-point reads go through backend.ReadPlan, which no span wraps
+            assert {"qite", "observables"} <= names, names
             assert tracer.gates, "no gate went through the wrapped apply_gate"
             """
         )
@@ -276,6 +278,133 @@ class TestBenchmarkTracer:
             text=True,
         )
         assert result.returncode == 0, result.stderr
+
+
+WIDE_ENERGY = """\
+num_spins: 20
+mode: real-time
+total_time: 1.0
+num_steps: 1
+J_x: 1.0
+J_y: 1.0
+J_z: 0.5
+h_x: linear-ramp(0, 0.6)
+h_z: random-uniform(-1, 1)
+initial_state: flip-first
+observable: energy
+rng_seed: 2
+"""
+
+QITE_TFIM = """\
+num_spins: 7
+mode: imaginary-time
+total_time: 3.6
+num_steps: 12
+J_z: 1.0
+h_x: random-uniform(0.8, 1.2)
+initial_state: all-up
+observable: energy
+rng_seed: 2
+"""
+
+
+def read_routes(text: str, reads: str) -> dict[str, int]:
+    """How many x masks of one exact read set take each route.
+
+    ``reads`` is "t=<time>" for the observable at that time, "fit" for a
+    QITE fit's reads or "terms" for QITE's energy terms.
+    """
+    cfg = parse_input(text)
+    hamiltonian, n = build_hamiltonian(cfg), cfg.num_spins
+    if reads.startswith("t="):
+        terms = cli._observable_terms(cfg, hamiltonian, float(reads[2:]))
+    else:
+        terms = snapshot(hamiltonian, 0.0)
+    plan = backend.ReadPlan([pauli_masks(t.factors, n) for t in terms], n)
+    if reads == "fit":
+        basis = qite.fitting_basis(terms, 0, product_state(cfg.initial_state))
+        plan = qite._FitPlan(basis, terms, n, QiteParams(dbeta=0.3, num_steps=1)).reads
+    return dict(Counter(plan.routes.values()))
+
+
+def counted_plans(monkeypatch) -> list[list]:
+    """Record the masks of every ReadPlan made from now on."""
+    made, init = [], backend.ReadPlan.__init__
+
+    def counting(plan, masks, num_qubits, shots=0):
+        made.append(list(masks))
+        init(plan, masks, num_qubits, shots)
+
+    monkeypatch.setattr(backend.ReadPlan, "__init__", counting)
+    return made
+
+
+class TestReadPlans:
+    @pytest.mark.parametrize(
+        "name, reads, routes",
+        [
+            # the routes the workloads and tutorials read by, as before the plan
+            ("localization", "t=3.0", {"fold": 1}),
+            ("wide-chain", "t=1.0", {"fold": 1}),
+            ("wide_energy", "t=0.0", {"fold": 1, "vdot": 19}),
+            ("wide_energy", "t=1.0", {"fold": 1, "vdot": 39}),
+            ("qite-tfim", "fit", {"tables": 64}),
+            ("qite-tfim", "terms", {"fold": 1, "tables": 7}),
+            ("tfim", "fit", {"tables": 8}),
+            ("tfim", "terms", {"fold": 1, "tables": 3}),
+        ],
+    )
+    def test_workload_reads_keep_their_routes(self, name, reads, routes):
+        texts = {
+            "localization": (ROOT / "scripts/inputs/localization_chain.txt").read_text(),
+            "wide-chain": WIDE_ENERGY.replace("energy", "site-magnetization(z)"),
+            "wide_energy": WIDE_ENERGY,
+            "qite-tfim": QITE_TFIM,
+            "tfim": (ROOT / "scripts/inputs/tfim_ground_state.txt").read_text(),
+        }
+        assert read_routes(texts[name], reads) == routes
+
+    def test_small_chain_energies_keep_the_fold(self):
+        # n - 1 zz bonds and n z fields: 2n - 1 z strings, the fold's limit
+        text = SMALL_REAL_TIME.replace("h_x: 1.0", "J_x: 0.5\nh_z: 0.3").replace(
+            "site-magnetization(z)", "energy"
+        )
+        assert read_routes(text, "t=0.0") == {"fold": 1, "tables": 1}
+        assert read_routes(text.replace("num_spins: 2", "num_spins: 5"), "t=0.0") == {
+            "fold": 1,
+            "tables": 4,
+        }
+
+    @pytest.mark.parametrize(
+        "text, plans",
+        [
+            (SMALL_REAL_TIME, 1),
+            (SMALL_REAL_TIME.replace("h_x: 1.0", "h_x: linear-ramp(0.5, 1)"), 1),
+            (SMALL_IMAGINARY, 2),  # the fit's reads and the energy terms
+            (SMALL_IMAGINARY + "shots: 50\n", 2),
+        ],
+    )
+    def test_a_run_makes_one_plan_per_read_set(self, tmp_path, monkeypatch, text, plans):
+        made = counted_plans(monkeypatch)
+        assert main(["run", str(write_input(tmp_path, text)), "--out", str(tmp_path)]) == 0
+        assert len(made) == plans
+
+    def test_a_plan_is_made_again_only_when_the_strings_change(self, tmp_path, monkeypatch):
+        # h_x is exactly 0 at t = 0, so its strings join the energy at step 1
+        text = SMALL_REAL_TIME.replace("h_x: 1.0", "h_x: linear-ramp(0, 1)").replace(
+            "site-magnetization(z)", "energy"
+        )
+        made = counted_plans(monkeypatch)
+        assert main(["run", str(write_input(tmp_path, text)), "--out", str(tmp_path)]) == 0
+        cfg = parse_input(text)
+        hamiltonian, dt = build_hamiltonian(cfg), cfg.total_time / cfg.num_steps
+        lists = [
+            [pauli_masks(t.factors, 2) for t in snapshot(hamiltonian, k * dt)]
+            for k in range(cfg.num_steps + 1)
+        ]
+        changes = [masks for k, masks in enumerate(lists) if k == 0 or masks != lists[k - 1]]
+        assert made == changes
+        assert len(made) == 2
 
 
 # Candidate values per input key: (ordinary, edge).  Edge values include

@@ -12,9 +12,9 @@ from helpers import embedded_pauli, matrix_exponential, random_state
 import spinsim
 from spinsim import backend, ir, qite
 from spinsim.backend import (
+    ReadPlan,
     _measurement_groups,
     expectation,
-    pauli_expectations,
     pauli_factors,
     pauli_masks,
     pauli_rotations,
@@ -235,14 +235,13 @@ def scalar_fit(state, basis, terms, params):
     """The exact fit as one scalar loop over mask pairs, with one cached value per string.
 
     A frozen reference for ``qite.fit_step_unitary``: strings are multiplied
-    one pair at a time, values come from one ``pauli_expectations`` table
-    over the strings the fit reads (a string's value does not depend on
-    the batch), and every sum runs term by term.
+    one pair at a time, values come from one exact ``ReadPlan`` over the
+    strings the fit reads (a string's value does not depend on the other
+    strings of the plan), and every sum runs term by term.
     """
     n = state.num_qubits
     strings = read_strings(basis, terms, n)
-    x, z = np.array(strings, dtype=np.int64).reshape(-1, 2).T
-    cache = dict(zip(strings, pauli_expectations(state, x, z).tolist()))
+    cache = dict(zip(strings, ReadPlan(strings, n).values(state).tolist()))
     cache[0, 0] = 1.0
 
     def estimate(masks):
