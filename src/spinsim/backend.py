@@ -305,20 +305,23 @@ def _z_signs(z: np.ndarray, num_qubits: int) -> Iterator[np.ndarray]:
         yield from signs
 
 
-def _vdot_reads(amps: np.ndarray, num_qubits: int, x_mask: int, z: np.ndarray) -> np.ndarray:
-    """Re <psi| sigma |psi> for the strings (x_mask, z[i]), one pass over the state each.
+def _vdot_reads(
+    batch: Sequence[np.ndarray], num_qubits: int, x_mask: int, z: np.ndarray
+) -> np.ndarray:
+    """Re <psi| sigma |psi> for each state psi of ``batch`` (row) and string (x_mask, z[i]).
 
-    The strings share one flipped copy of the amplitudes, psi_{k xor x};
-    each multiplies it by its row of z signs and by its phase.  Only
+    Each state's flipped amplitudes psi_{k xor x} are written to its row
+    of one contiguous copy; each string multiplies the copy by its row of
+    z signs and by its phase, and takes one dot product per state.  Only
     products with +-1 and +-i happen before the read, so a value rounds
     exactly as :func:`_real_dot` of psi and the applied string does.
     """
     n = num_qubits
     axes = [q for q in range(n) if x_mask >> (n - 1 - q) & 1]
-    # a contiguous copy of its own: flipping every axis would reshape to a
-    # reversed view of amps, which would be summed in another order
-    flipped = np.flip(amps.reshape((2,) * n), axes).copy().reshape(-1)
-    values = np.empty(len(z))
+    flipped = np.empty((len(batch), 2**n), dtype=complex)
+    for row, amps in zip(flipped, batch):
+        row.reshape((2,) * n)[...] = np.flip(amps.reshape((2,) * n), axes)
+    values = np.empty((len(batch), len(z)))
     for i, (z_mask, signs) in enumerate(zip(z.tolist(), _z_signs(z, n))):
         w = flipped
         if z_mask:
@@ -327,7 +330,7 @@ def _vdot_reads(amps: np.ndarray, num_qubits: int, x_mask: int, z: np.ndarray) -
             power = (x_mask & z_mask).bit_count() % 4
             if power:
                 w *= _MINUS_I_POWERS[power]
-        values[i] = _real_dot(amps, w)
+        values[:, i] = [_real_dot(amps, row) for amps, row in zip(batch, w)]
     return values
 
 
@@ -359,8 +362,11 @@ def _walsh_hadamard(table: np.ndarray) -> None:
         span *= 2
 
 
-def _transform_reads(amps: np.ndarray, num_qubits: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Re <psi| sigma |psi> for the strings (x[i], z[i]) from half Walsh-Hadamard tables.
+def _transform_reads(
+    batch: Sequence[np.ndarray], num_qubits: int, x: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """Re <psi| sigma |psi> for each state psi of ``batch`` (row) and string (x[i], z[i]),
+    from half Walsh-Hadamard tables.
 
     <psi| sigma |psi> = (-i)^|x & z| T(z), T(z) = sum_k (-1)^|k & z| v_k with
     v_k = conj(psi_k) psi_{k xor x}, so one transform gives every z of one
@@ -369,41 +375,53 @@ def _transform_reads(amps: np.ndarray, num_qubits: int, x: np.ndarray, z: np.nda
     bit; v_{k xor x} = conj(v_k), so T(z) is 2 Re H(z') when |x & z| is even
     and 2i Im H(z') when it is odd.  For x = 0, v is real and p is the top
     qubit's bit: the two halves are packed into the real and imaginary
-    parts, and T(z) = Re H(z') +- Im H(z') by z's bit p.  The distinct x
-    masks are taken in chunks of columns of a (2^(n-1), chunk) table,
-    filled by one gather and transformed by :func:`_walsh_hadamard`.
-    Every step is elementwise, so a value does not depend on the other x
-    masks, and it agrees with ``np.vdot`` of the applied string up to
-    rounding.
+    parts, and T(z) = Re H(z') +- Im H(z') by z's bit p.  The (state,
+    distinct x mask) pairs, state by state, are the columns of
+    (2^(n-1), chunk) tables of at most _WALSH_CHUNK amplitudes; each state
+    gathers its own columns from its own amplitudes, and
+    :func:`_walsh_hadamard` transforms them.  Every step is elementwise, so
+    a value depends on neither the other x masks nor the other states, and
+    it agrees with ``np.vdot`` of the applied string up to rounding.
     """
-    values = np.empty(len(x))
-    half = len(amps) // 2
+    n = num_qubits
+    half = 2 ** (n - 1)
     x_masks, column = np.unique(x, return_inverse=True)
     pairing = np.where(x_masks, x_masks & -x_masks, half)
-    order = np.argsort(column, kind="stable")
-    width = max(1, _WALSH_CHUNK >> num_qubits)
-    starts = range(0, len(x_masks), width)
-    bounds = np.searchsorted(column[order], [*starts, len(x_masks)])
+    # pair[b * len(x) + i]: the column of string i in state b
+    pair = (np.arange(len(batch))[:, None] * len(x_masks) + column).ravel()
+    order = np.argsort(pair, kind="stable")
+    total, width = len(batch) * len(x_masks), max(1, _WALSH_CHUNK >> n)
+    starts = range(0, total, width)
+    bounds = np.searchsorted(pair[order], [*starts, total])
     rows = np.arange(half)[:, None]
-    bra = amps.conj()
+    values = np.empty(len(pair))
     for first, a, b in zip(starts, bounds[:-1], bounds[1:]):
-        chunk, bit = x_masks[first : first + width], pairing[first : first + width]
+        last = min(first + width, total)
+        mask = np.arange(first, last) % len(x_masks)
+        chunk, bit = x_masks[mask], pairing[mask]
         # k: the row index with a 0 inserted at the column's pairing bit
         k = (rows & -bit) << 1 | rows & bit - 1
-        table = bra[k]
-        table *= amps[k ^ chunk]
-        if chunk[0] == 0:
-            table[:, 0].imag = (bra[half:] * amps[half:]).real
+        flipped = k ^ chunk
+        table = np.empty(k.shape, dtype=complex)
+        for state in range(first // len(x_masks), (last - 1) // len(x_masks) + 1):
+            lo = max(first, state * len(x_masks)) - first
+            hi = min(last, (state + 1) * len(x_masks)) - first
+            amps, part = batch[state], table[:, lo:hi]
+            np.conjugate(amps[k[:, lo:hi]], out=part)
+            part *= amps[flipped[:, lo:hi]]
+            if chunk[lo] == 0:
+                part[:, 0].imag = (amps[half:].conj() * amps[half:]).real
         _walsh_hadamard(table)
         members = order[a:b]
-        xm, zm, bit = x[members], z[members], pairing[column[members]]
-        read = table[zm >> 1 & -bit | zm & bit - 1, column[members] - first]
+        i = members % len(x)
+        xm, zm, bit = x[i], z[i], pairing[column[i]]
+        read = table[zm >> 1 & -bit | zm & bit - 1, pair[members] - first]
         # Re((-i)^p w) is w.real, w.imag, -w.real, -w.imag for p = 0..3
         power = _popcount(xm & zm) % 4
         paired = 2 * np.where(power % 2, read.imag, read.real) * (1 - (power & 2))
         packed = read.real + np.where(zm & bit, -read.imag, read.imag)
         values[members] = np.where(xm, paired, packed)
-    return values
+    return values.reshape(len(batch), len(x))
 
 
 def _route(x_mask: int, size: int, num_qubits: int) -> str:
@@ -422,56 +440,67 @@ def _route(x_mask: int, size: int, num_qubits: int) -> str:
     return "vdot" if size <= num_qubits + 1 - _VDOT_MIN_QUBITS else "tables"
 
 
-def pauli_rotations(state: Statevector, x, z, angles: Sequence[float]) -> Statevector:
-    """exp(-i angles[j] sigma_j) applied to a copy of ``state`` for j = 0, 1, ... in order.
+def pauli_rotations(
+    states: Sequence[Statevector], x, z, angles: Sequence[float]
+) -> list[Statevector]:
+    """exp(-i angles[j] sigma_j) applied to a copy of each of ``states``, j = 0, 1, ... in order.
 
     sigma_j has masks (x[j], z[j]), and exp(-i theta sigma) = cos theta -
     i sin theta sigma, so each rotation is
 
         psi'_k = cos theta psi_k + sin theta (-i)^(|x & z| + 1) (-1)^|k & z| psi_{k xor x},
 
-    one gather and a few elementwise products, without BLAS.  The z signs
-    come as int8 rows from :func:`_z_signs`, a chunk at a time, and the
-    gather index is made per rotation, so no complex or int64 table of 2^n
-    entries per string is kept.  A string with an odd number of y
-    factors has a real phase, so it keeps a real state exactly real.  The
-    state is only read; no strings give an equal copy.  ``x``, ``z`` and
-    ``angles`` must have one entry per string (ValueError otherwise).
+    one gather and a few elementwise products, without BLAS.  The states,
+    one or more of one width, are copied into the rows of one array, and
+    each rotation turns every row at once; every product is elementwise,
+    so a row rounds the same in any batch.  The results are views of
+    those rows.  The z signs come as int8 rows from :func:`_z_signs`, a
+    chunk at a time, and the gather index is made per rotation, so no
+    complex or int64 table of 2^n entries per string is kept.  A string
+    with an odd number of y factors has a real phase, so it keeps a real
+    state exactly real.  The states are only read; no strings give equal
+    copies.  ``x``, ``z`` and ``angles`` must have one entry per string
+    (ValueError otherwise).
     """
-    n = state.num_qubits
-    amps = state.amplitudes.astype(complex, copy=True)
+    n = states[0].num_qubits
+    amps = np.empty((len(states), 2**n), dtype=complex)
+    for row, state in zip(amps, states):
+        row[...] = state.amplitudes
     x = np.asarray(x, dtype=np.int64)
     z = np.asarray(z, dtype=np.int64)
     if not len(x) == len(z) == len(angles):
         raise ValueError(f"got {len(x)} x masks, {len(z)} z masks and {len(angles)} angles")
-    index = np.arange(len(amps))
+    # index[b, k] = b 2^n + k, the flat position of row b's amplitude k, so
+    # index ^ x_mask gathers psi_{k xor x} of every row from the flat view
+    flat, index = amps.reshape(-1), np.arange(amps.size).reshape(amps.shape)
     powers = (_popcount(x & z) + 1) % 4
     for x_mask, signs, power, theta in zip(x.tolist(), _z_signs(z, n), powers.tolist(), angles):
-        flipped = amps[index ^ x_mask]
+        flipped = flat[index ^ x_mask]
         flipped *= signs
         # a real phase multiplies by a float, so a real state gains no imaginary part
         flipped *= _MINUS_I_POWERS[power] * math.sin(theta)
         amps *= math.cos(theta)
         amps += flipped
         del flipped  # before the next gather, so two copies are never held
-    return Statevector(n, amps)
+    return [Statevector(n, row) for row in amps]
 
 
-def _z_parity(probs: np.ndarray, support: Sequence[int]) -> float:
-    """sum_k (-1)^(parity of k on ``support``) probs[k]; qubit 0 is the top bit.
+def _z_parity(probs: np.ndarray, support: Sequence[int]) -> np.ndarray:
+    """sum_k (-1)^(parity of k on ``support``) probs[:, k] for each row; qubit 0 is the top bit.
 
     Each run of qubits outside the support is one axis of the sum, so
-    the reduction sees as few axes as the support allows.
+    the reduction sees as few axes as the support allows; the rows are
+    one more axis, outside all of them.
     """
-    m = probs.size.bit_length() - 1
+    m = probs.shape[1].bit_length() - 1
     if support[-1] == m - 1 and support[-1] - support[0] >= len(support):
         # a gap before a trailing run would leave inner loops of 2^run
         # elements: take the run's signs first, so the rest is contiguous
         while support[-1] == m - 1:
-            pairs = probs.reshape(-1, 2)
-            probs = pairs[:, 0] - pairs[:, 1]
+            pairs = probs.reshape(len(probs), -1, 2)
+            probs = pairs[:, :, 0] - pairs[:, :, 1]
             support, m = support[:-1], m - 1
-    shape: list[int] = []
+    shape = [len(probs)]
     axes = []
     bounds = [-1, *support, m]
     for a, b in zip(bounds, bounds[1:]):
@@ -482,8 +511,8 @@ def _z_parity(probs: np.ndarray, support: Sequence[int]) -> float:
             shape.append(2)
     value = probs.reshape(shape).sum(axis=tuple(axes))
     for _ in support:
-        value = value[0] - value[1]
-    return float(value)
+        value = value[:, 0] - value[:, 1]
+    return value
 
 
 def sample_counts(
@@ -527,15 +556,18 @@ def _measurement_groups(masks: Sequence[tuple[int, int]]) -> list[list]:
 class ReadPlan:
     """Reads of one list of Pauli strings, given as (x, z) masks, planned once.
 
-    With ``shots`` = 0 the reads are exact: the strings are grouped by x
-    mask, and :func:`_route` fixes each group's route here,
-    in ``routes`` (x mask -> "fold", "vdot" or "tables").  No route calls
-    BLAS, and a string's value depends on its route and the state alone,
-    never on the other strings of the plan.  With ``shots`` > 0 the
-    strings share :func:`_measurement_groups`, each turned into the z
-    basis by :func:`pauli_rotations` and drawn ``shots`` times.  Either
-    way the identity (0, 0) is exactly 1.0 without a read, and the state
-    is only read.
+    A read takes a batch of states of the plan's width, each read as if
+    alone: :attr:`batch` states fill about _WALSH_CHUNK amplitudes.  With
+    ``shots`` = 0 the reads are exact: the strings are grouped by x mask,
+    and :func:`_route` fixes each group's route here, in ``routes`` (x
+    mask -> "fold", "vdot" or "tables").  No route calls BLAS, and a
+    string's value depends on its route and its state alone, never on the
+    other strings or states of the read.  With ``shots`` > 0 the strings
+    share :func:`_measurement_groups`, each turned into the z basis by
+    :func:`pauli_rotations` and drawn ``shots`` times per state.  Either way
+    the identity (0, 0) is exactly 1.0 without a read, and the states are
+    only read: each route writes its working rows (|amplitude|^2, flipped
+    or turned copies, table columns) from every state's own amplitudes.
     """
 
     def __init__(self, masks: Sequence[tuple[int, int]], num_qubits: int, shots: int = 0):
@@ -543,6 +575,7 @@ class ReadPlan:
             raise ValueError(f"shots must be >= 0, got {shots}")
         n = num_qubits
         self.masks, self.num_qubits, self.shots = list(masks), n, shots
+        self.batch = max(1, _WALSH_CHUNK >> n)
         if shots:
             self.groups = []
             for gx, gz, members in _measurement_groups(self.masks):
@@ -566,93 +599,115 @@ class ReadPlan:
         supports = [[q for q in range(n) if self.masks[i][1] >> (n - 1 - q) & 1] for i in folded]
         self.fold = sorted(zip(folded, supports), key=lambda item: item[1][0])  # by first qubit
 
-    def values(self, state: Statevector, rng=None) -> np.ndarray:
-        """<state| sigma |state> for each string, in order.  A sampled value is the
-        string's mean parity over its group's draws from ``rng`` (an int seed or a
-        generator, consumed); exact plans leave ``rng`` alone."""
+    def values(self, states: Sequence[Statevector], rngs=None) -> np.ndarray:
+        """<state| sigma |state> for each state (row) and string (column).  A sampled
+        value is the string's mean parity over its group's draws from the state's
+        entry of ``rngs`` (int seeds or generators, consumed); exact plans leave
+        ``rngs`` alone."""
         if not self.shots:
-            return self._exact(state)
-        values = np.ones(len(self.masks))
-        for members, weights, parities in self._draws(state, rng):
-            values[members] = parities @ weights
+            return self._exact(states)
+        values = np.ones((len(states), len(self.masks)))
+        for b, members, weights, parities in self._draws(states, rngs):
+            values[b, members] = parities @ weights
         return values
 
-    def estimate(self, state: Statevector, coefficients, rng=None) -> tuple[float, float | None]:
-        """sum_i coefficients[i] <state| sigma_i |state> and its standard error.
+    def estimates(
+        self, states: Sequence[Statevector], coefficients, rngs=None
+    ) -> list[tuple[float, float | None]]:
+        """sum_i coefficients[b, i] <state| sigma_i |state> and its standard error, per state b.
 
-        Exact plans give (value, None), summed string by string in order.
-        Sampled ones add the identity strings' coefficients exactly; an
-        outcome's value is the sum of coefficient times z parity over its
-        group's strings, and the group variances add.
+        ``coefficients`` has one row per state.  A string whose coefficient
+        is 0 is not part of that state's sum.  Exact plans give (value,
+        None), summed string by string in order; a 0 adds nothing there,
+        since a sum that starts at +0.0 stays the same when +-0.0 is added.
+        Sampled ones add the identity strings' coefficients exactly, and
+        draw only the groups that hold one of the state's strings, in
+        order; an outcome's value is the sum of coefficient times z parity
+        over the group's strings, and the group variances add.
         """
+        coefficients = np.asarray(coefficients, dtype=float).reshape(len(states), len(self.masks))
         if not self.shots:
-            total = 0.0
-            for coefficient, value in zip(coefficients, self.values(state).tolist()):
-                total += coefficient * value
-            return float(total), None
-        mean = sum(c for c, (x, z) in zip(coefficients, self.masks) if not x | z)
-        variance = 0.0
-        for members, weights, parities in self._draws(state, rng):
+            totals = np.zeros(len(states))
+            for column, values in zip(coefficients.T, self._exact(states).T):
+                totals += column * values
+            return [(total, None) for total in totals.tolist()]
+        identity = [not x | z for x, z in self.masks]
+        means = [sum(row[identity].tolist()) for row in coefficients]
+        variances = [0.0] * len(states)
+        counted = [coefficients[:, members].any(axis=1) for members, _, _ in self.groups]
+        for b, members, weights, parities in self._draws(states, rngs, counted):
             values = np.zeros(len(weights))
             for i, parity in zip(members, parities):
-                values += coefficients[i] * parity
+                if coefficients[b, i]:
+                    values += coefficients[b, i] * parity
             group_mean = float(np.dot(weights, values))
-            mean += group_mean
-            variance += float(np.dot(weights, (values - group_mean) ** 2)) / self.shots
-        return float(mean), math.sqrt(variance)
+            means[b] += group_mean
+            variances[b] += float(np.dot(weights, (values - group_mean) ** 2)) / self.shots
+        return [(float(mean), math.sqrt(var)) for mean, var in zip(means, variances)]
 
-    def _check(self, state: Statevector) -> None:
-        if state.num_qubits != self.num_qubits:
-            raise ValueError(f"the plan reads {self.num_qubits} qubits, not {state.num_qubits}")
+    def _check(self, states: Sequence[Statevector]) -> None:
+        for state in states:
+            if state.num_qubits != self.num_qubits:
+                raise ValueError(f"the plan reads {self.num_qubits} qubits, not {state.num_qubits}")
 
-    def _exact(self, state: Statevector) -> np.ndarray:
-        """The value of each string.  The fold reads its strings by first
-        qubit (head) from one |amplitude|^2 vector, summing the qubits before the
-        head out of it in place, so a value does not depend on the other strings."""
-        self._check(state)
-        amps, n = state.amplitudes, self.num_qubits
-        values = np.ones(len(self.z))
+    def _exact(self, states: Sequence[Statevector]) -> np.ndarray:
+        """The value of each string in each state.  The fold reads its strings by
+        first qubit (head) from the |amplitude|^2 rows of the states, summing the
+        qubits before the head out of them in place, so a value does not depend on
+        the other strings."""
+        self._check(states)
+        batch, n = [state.amplitudes for state in states], self.num_qubits
+        values = np.ones((len(batch), len(self.z)))
         for x_mask, members in self.vdot:
-            values[members] = _vdot_reads(amps, n, x_mask, self.z[members])
+            values[:, members] = _vdot_reads(batch, n, x_mask, self.z[members])
         members, x, z = self.tables
         if members:
-            values[members] = _transform_reads(amps, n, x, z)
+            values[:, members] = _transform_reads(batch, n, x, z)
         if self.fold:
-            tail = np.abs(amps)
+            tail = np.empty((len(batch), 2**n))
+            for row, amps in zip(tail, batch):
+                np.abs(amps, out=row)
             np.square(tail, out=tail)
             head = 0
             for i, support in self.fold:
                 while head < support[0]:  # sum out the leading qubit, in place
-                    half = len(tail) // 2
-                    tail = np.add(tail[:half], tail[half:], out=tail[:half])
+                    half = tail.shape[1] // 2
+                    tail = np.add(tail[:, :half], tail[:, half:], out=tail[:, :half])
                     head += 1
-                values[i] = _z_parity(tail, [q - head for q in support])
+                values[:, i] = _z_parity(tail, [q - head for q in support])
         return values
 
-    def _draws(self, state: Statevector, rng) -> Iterator[tuple]:
-        """``(members, weights, parities)`` per measurement group, drawn ``shots``
-        times from ``rng`` after its turn: the frequencies of the outcomes drawn
-        and ``parities[k]``, member k's +-1 z parity on each."""
-        self._check(state)
-        rng = np.random.default_rng(rng)
-        for members, turn, supports in self.groups:
-            counts = sample_counts(pauli_rotations(state, *turn), self.shots, rng)
-            outcomes = np.flatnonzero(counts)
-            parities = 1 - 2 * (_popcount(supports[:, None] & outcomes) & 1)
-            yield members, counts[outcomes] / self.shots, parities
+    def _draws(self, states: Sequence[Statevector], rngs, counted=None) -> Iterator[tuple]:
+        """``(b, members, weights, parities)`` per measurement group and state b,
+        group by group: the state turned by the group's turn and drawn ``shots``
+        times from its own entry of ``rngs``, the frequencies of the outcomes drawn
+        and ``parities[k]``, member k's +-1 z parity on each.  ``counted[g]``, when
+        given, says which states draw group g."""
+        self._check(states)
+        generators = [np.random.default_rng(rng) for rng in rngs or [None] * len(states)]
+        for g, (members, turn, supports) in enumerate(self.groups):
+            rows = range(len(states)) if counted is None else np.flatnonzero(counted[g]).tolist()
+            if not rows:
+                continue
+            for b, turned in zip(rows, pauli_rotations([states[b] for b in rows], *turn)):
+                counts = sample_counts(turned, self.shots, generators[b])
+                outcomes = np.flatnonzero(counts)
+                parities = 1 - 2 * (_popcount(supports[:, None] & outcomes) & 1)
+                yield b, members, counts[outcomes] / self.shots, parities
 
 
 def estimate_with_sigma(
     state: Statevector, terms: Sequence[PauliTerm], shots: int, rng: int | np.random.Generator
 ) -> tuple[float, float | None]:
-    """Sampled <state| sum of terms |state> and its standard error: a one-shot :class:`ReadPlan`.
+    """Sampled <state| sum of terms |state> and its standard error: a one-shot
+    :class:`ReadPlan` of a one-state batch.
 
     ``shots`` = 0 gives (:func:`expectation`, None) and leaves ``rng``
     alone.  A term without factors adds exactly its coefficient.
     """
     n = state.num_qubits
     plan = ReadPlan([pauli_masks(t.factors, n) for t in terms], n, shots)
-    return plan.estimate(state, [t.coefficient for t in terms], rng)
+    return plan.estimates([state], [[t.coefficient for t in terms]], [rng])[0]
 
 
 def expectation(state: Statevector, terms: Sequence[PauliTerm]) -> float:

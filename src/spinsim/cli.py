@@ -9,7 +9,8 @@ directory.  The directory comes from ``--out``, else the
 
 A real-time run lists its compiled step blocks once; the simulation and
 the export both read that list.  Every point is read through one
-``backend.ReadPlan``, made again only when its string list changes.
+``backend.ReadPlan`` of the strings the observable has at any of the
+points, which reads the states in batches.
 
 Every per-point product carries forward from the previous point: with
 ``--export``, circuit k is circuit k-1 followed by the compiled gates
@@ -57,7 +58,7 @@ from .config import (
     with_overrides,
 )
 from .errors import SpinsimError, TooLargeError, UnsupportedFeatureError
-from .hamiltonian import PauliTerm, snapshot
+from .hamiltonian import PauliTerm, snapshot, snapshot_table
 # export_text is unused here but stays bound: the span tracer in
 # perfbench/spans.py wraps it by name in this module
 from .ir import Gate, Program, export_frame, export_line, export_text, lower_to_native
@@ -109,19 +110,30 @@ def _observable_terms(cfg: SimulationConfig, hamiltonian, t: float) -> list[Paul
     return site_magnetization_observable(cfg.num_spins, axis)
 
 
+def _observable_table(cfg: SimulationConfig, hamiltonian, times):
+    """The factors of the observable's strings over ``times`` and their coefficients,
+    one row per time: a time-dependent energy's :func:`hamiltonian.snapshot_table`,
+    else the terms at t = 0 on every row."""
+    if cfg.observable == "energy" and hamiltonian.is_time_dependent:
+        return snapshot_table(hamiltonian, times)
+    terms = _observable_terms(cfg, hamiltonian, 0.0)
+    return [term.factors for term in terms], [[term.coefficient for term in terms]] * len(times)
+
+
 def _read_series(cfg: SimulationConfig, hamiltonian, times, states, shots: int, seed: int):
     """(value, sigma) of the observable at each of ``times`` in its state, read by one
-    :class:`backend.ReadPlan` that is made again only when the observable's string
-    list changes.  Sampled point k draws from ``derived_seed(seed, k)``."""
+    :class:`backend.ReadPlan` of the run's strings, ``plan.batch`` states at a time.
+    Each point sums only its own strings; sampled point k draws from
+    ``derived_seed(seed, k)``."""
     n = cfg.num_spins
-    plan = strings = None
-    for k, state in enumerate(states):
-        terms = _observable_terms(cfg, hamiltonian, times[k])
-        if [term.factors for term in terms] != strings:
-            strings = [term.factors for term in terms]
-            plan = ReadPlan([pauli_masks(factors, n) for factors in strings], n, shots)
-        rng = derived_seed(seed, k) if shots else None
-        yield plan.estimate(state, [term.coefficient for term in terms], rng)
+    strings, coefficients = _observable_table(cfg, hamiltonian, times)
+    plan = ReadPlan([pauli_masks(factors, n) for factors in strings], n, shots)
+    states = iter(states)
+    for first in range(0, len(times), plan.batch):
+        batch = list(islice(states, plan.batch))
+        points = range(first, first + len(batch))
+        rngs = [derived_seed(seed, k) for k in points] if shots else None
+        yield from plan.estimates(batch, coefficients[first : first + len(batch)], rngs)
 
 
 def _compile(cfg: SimulationConfig):

@@ -64,7 +64,7 @@ class ConstantSchedule:
         values = self.values if isinstance(self.values, tuple) else (self.values,)
         return max(abs(v) for v in values)
 
-    def resolve(self, count: int, total_time: float, fallback_seed: int):
+    def resolve(self, count: int, total_time: float, fallback_seed: int | None):
         """One schedule per bond or site."""
         if isinstance(self.values, tuple):
             return tuple(ConstantSchedule(v) for v in self.values)
@@ -102,7 +102,7 @@ class LinearRampSchedule:
     def peak(self) -> float:
         return max(abs(self.start), abs(self.stop))
 
-    def resolve(self, count: int, total_time: float, fallback_seed: int):
+    def resolve(self, count: int, total_time: float, fallback_seed: int | None):
         return (replace(self, total_time=total_time),) * count
 
     def __str__(self) -> str:
@@ -129,7 +129,7 @@ class GaussianPulseSchedule:
     def peak(self) -> float:
         return abs(self.amplitude)
 
-    def resolve(self, count: int, total_time: float, fallback_seed: int):
+    def resolve(self, count: int, total_time: float, fallback_seed: int | None):
         return (self,) * count
 
     def __str__(self) -> str:
@@ -156,7 +156,7 @@ class RandomUniformSchedule:
     def peak(self) -> float:
         return max(abs(self.low), abs(self.high))
 
-    def resolve(self, count: int, total_time: float, fallback_seed: int):
+    def resolve(self, count: int, total_time: float, fallback_seed: int | None):
         seed = self.seed if self.seed is not None else fallback_seed
         rng = np.random.default_rng(seed)
         draws = rng.uniform(self.low, self.high, size=count)
@@ -481,12 +481,17 @@ def build_hamiltonian(cfg: SimulationConfig) -> HeisenbergHamiltonian:
 
     Random-uniform schedules are drawn here, once per bond or site, so
     the result is deterministic for a given (config, rng_seed) pair.
+    Only one without a seed of its own takes a :func:`derived_seed`, so
+    a description that draws nothing leaves ``numpy.random`` unimported.
     """
     base_seed = cfg.rng_seed if cfg.rng_seed is not None else 0
     coefficients: dict[str, dict] = {"J": {}, "h": {}}
     for salt, (key, count) in enumerate(_schedule_slots(cfg.num_spins)):
         schedule = getattr(cfg, INPUT_KEYS[key].field)
-        resolved = schedule.resolve(count, cfg.total_time, derived_seed(base_seed, salt))
+        fallback = None
+        if isinstance(schedule, RandomUniformSchedule) and schedule.seed is None:
+            fallback = derived_seed(base_seed, salt)
+        resolved = schedule.resolve(count, cfg.total_time, fallback)
         for i, coefficient in enumerate(resolved, start=1):
             coefficients[key[0]][(key[-1], i)] = coefficient
     return HeisenbergHamiltonian(cfg.num_spins, coefficients["J"], coefficients["h"])

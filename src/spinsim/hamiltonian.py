@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -81,6 +81,21 @@ class HeisenbergHamiltonian:
         return any(c.is_time_dependent for c in coeffs)
 
 
+def _schedules(hamiltonian: HeisenbergHamiltonian):
+    """(factors, schedule) of every bond and field term, in :func:`snapshot` order."""
+    n = hamiltonian.num_spins
+    for axis in AXES:
+        for i in range(1, n):
+            coeff = hamiltonian.bond_coefficients.get((axis, i))
+            if coeff is not None:
+                yield ((i, axis), (i + 1, axis)), coeff
+    for axis in AXES:
+        for i in range(1, n + 1):
+            coeff = hamiltonian.field_coefficients.get((axis, i))
+            if coeff is not None:
+                yield ((i, axis),), coeff
+
+
 def snapshot(hamiltonian: HeisenbergHamiltonian, t: float) -> list[PauliTerm]:
     """Evaluate every coefficient at time t and list the nonzero terms.
 
@@ -88,25 +103,27 @@ def snapshot(hamiltonian: HeisenbergHamiltonian, t: float) -> list[PauliTerm]:
     then y, then z), then field terms in the same axis-major order.
     Terms whose coefficient evaluates to exactly zero are dropped.
     """
-    n = hamiltonian.num_spins
     terms: list[PauliTerm] = []
-    for axis in AXES:
-        for i in range(1, n):
-            coeff = hamiltonian.bond_coefficients.get((axis, i))
-            if coeff is None:
-                continue
-            value = coeff.at(t)
-            if value != 0.0:
-                terms.append(PauliTerm(value, ((i, axis), (i + 1, axis))))
-    for axis in AXES:
-        for i in range(1, n + 1):
-            coeff = hamiltonian.field_coefficients.get((axis, i))
-            if coeff is None:
-                continue
-            value = coeff.at(t)
-            if value != 0.0:
-                terms.append(PauliTerm(value, ((i, axis),)))
+    for factors, coeff in _schedules(hamiltonian):
+        value = coeff.at(t)
+        if value != 0.0:
+            terms.append(PauliTerm(value, factors))
     return terms
+
+
+def snapshot_table(
+    hamiltonian: HeisenbergHamiltonian, times: Sequence[float]
+) -> tuple[list[tuple[tuple[int, str], ...]], np.ndarray]:
+    """The factors of every term that :func:`snapshot` lists at one of ``times`` at least,
+    in its order, and their coefficients: one row per time, 0.0 where a term is dropped.
+
+    Row k restricted to its nonzero entries is ``snapshot(hamiltonian, times[k])``.
+    """
+    keyed = list(_schedules(hamiltonian))
+    table = np.array([[coeff.at(t) for _, coeff in keyed] for t in times], dtype=float)
+    table = table.reshape(len(times), len(keyed))
+    kept = (table != 0.0).any(axis=0)
+    return [factors for (factors, _), keep in zip(keyed, kept) if keep], table[:, kept]
 
 
 def dense_matrix(terms: list[PauliTerm], num_spins: int) -> np.ndarray:

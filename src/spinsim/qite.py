@@ -226,7 +226,7 @@ class _FitPlan:
 
     def fit(self, state: Statevector, rng) -> tuple[tuple[float, ...], float, float, float]:
         """:func:`fit_step_unitary` on ``state``, then the fit's read of <state|h|state>."""
-        values = self.reads.values(state, rng)
+        [values] = self.reads.values([state], [rng])
         h_read, hh_read, s_read, b_read = np.split(values[self.inverse], self.splits)
         # the sums run term by term in the scalar loop's order, so they round as it did
         energy = reduce(add, (self.hc * h_read).tolist(), 0.0)
@@ -280,7 +280,9 @@ def run_qite(
     step is one fit of the full Hamiltonian over :func:`fitting_basis`
     of the prepared state.  An exact report's energy is the next fit's
     read of its state; the last report's, and every sampled one, is read
-    by a :class:`backend.ReadPlan` of the terms, made once per run.
+    by a :class:`backend.ReadPlan` of the terms, made once per run.  Both
+    plans read one-state batches.  A sampled run draws every read from
+    one generator seeded by ``params.seed``; an exact run makes none.
     The state advances by :func:`backend.pauli_rotations`; each report's
     program is built from one :func:`ir.rotation_skeleton` per string,
     made once per run, with only the RZ gates new at each step.
@@ -301,22 +303,23 @@ def run_qite(
         program = Program(n, state_preparation_gates(initial_state))
         state = product_state(initial_state)
     terms = snapshot(hamiltonian, 0.0)
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(params.seed) if params.shots else None
 
     basis = fitting_basis(terms, params.domain_radius, state)
     plan = _FitPlan(basis, terms, n, params)
     skeletons = [ir.rotation_skeleton([(s - 1, a) for s, a in pauli_factors(m, n)]) for m in basis]
     term_reads = ReadPlan([pauli_masks(t.factors, n) for t in terms], n, params.shots)
-    measure = partial(term_reads.estimate, coefficients=[t.coefficient for t in terms], rng=rng)
+    coefficients = [[t.coefficient for t in terms]]
+    measure = partial(term_reads.estimates, coefficients=coefficients, rngs=[rng])
     reports, made_by = [], [(), 0.0, 1.0]  # made_by: the fit that made ``state``, none at step 0
     for step in range(params.num_steps):
-        measured = measure(state) if params.shots else None  # drawn before the fit's draws
+        measured = measure([state])[0] if params.shots else None  # drawn before the fit's draws
         *fit, energy = plan.fit(state, rng)
         reports.append(QiteStepReport(step, *(measured or (energy, None)), *made_by, program))
         made_by, angles = fit, [params.dbeta * a for a in fit[0]]
         rotations = zip(skeletons, angles)
         gates = (g for (pre, q, post), a in rotations for g in (*pre, ir.rz(2.0 * a, q), *post))
         program = Program(n, tuple(gates))
-        state = pauli_rotations(state, plan.bx, plan.bz, angles)
-    reports.append(QiteStepReport(params.num_steps, *measure(state), *made_by, program))
+        [state] = pauli_rotations([state], plan.bx, plan.bz, angles)
+    reports.append(QiteStepReport(params.num_steps, *measure([state])[0], *made_by, program))
     return reports

@@ -1,6 +1,7 @@
 """Statevector execution, sampling, and sampled estimation."""
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -40,7 +41,7 @@ def program_of(num_qubits, gates):
 def plan_values(state, x, z, shots=0, rng=None):
     """A one-shot :class:`ReadPlan`'s values of the strings (x[i], z[i])."""
     masks = list(zip(np.asarray(x).tolist(), np.asarray(z).tolist()))
-    return ReadPlan(masks, state.num_qubits, shots).values(state, rng)
+    return ReadPlan(masks, state.num_qubits, shots).values([state], [rng])[0]
 
 
 class TestExecution:
@@ -460,7 +461,9 @@ class TestExpectation:
         n = state.num_qubits
         x, z = pauli_masks(factors, n)
         if route == "tables" and z and not x:
-            return backend._transform_reads(state.amplitudes, n, np.array([0]), np.array([z]))[0]
+            batch = [state.amplitudes]
+            [[value]] = backend._transform_reads(batch, n, np.array([0]), np.array([z]))
+            return value
         return expectation(state, [PauliTerm(1.0, factors)])
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -629,8 +632,8 @@ class TestPauliExpectations:
         x_mask = int(rng.integers(2**n))
         z = rng.integers(2**n, size=12)
         z[0] = 0
-        by_vdot = backend._vdot_reads(amps, n, x_mask, z)
-        by_transform = backend._transform_reads(amps, n, np.full(len(z), x_mask), z)
+        [by_vdot] = backend._vdot_reads([amps], n, x_mask, z)
+        [by_transform] = backend._transform_reads([amps], n, np.full(len(z), x_mask), z)
         np.testing.assert_allclose(by_transform, by_vdot, rtol=0, atol=1e-12)
 
     def test_a_read_covers_more_masks_than_one_chunk(self):
@@ -664,6 +667,88 @@ class TestPauliExpectations:
         assert plan_values(state, [0, 1], [0, 1], 10, 0)[0] == 1.0
 
 
+class TestBatchedReads:
+    """A batch of states reads each state as if it were alone, bit for bit.
+
+    Series of ``count`` states at widths where one plan batch holds all of
+    them (n = 4), several (n = 14: 16 of 20) and one (n = 18)."""
+
+    SERIES = [(4, 12, 1), (14, 20, 2), (18, 3, 3)]  # (n, count, batches)
+
+    @staticmethod
+    def strings(rng, n, z_strings):
+        """The identity, ``z_strings`` z strings, three single strings on their own
+        x masks and three x masks of n + 1 strings each."""
+        x, z = TestPauliExpectations.grouped_strings(rng, n, [1, 1, 1, n + 1, n + 1, n + 1])
+        masks = [(0, 0), *((0, int(v)) for v in rng.integers(1, 2**n, size=z_strings))]
+        return masks + list(zip(x.tolist(), z.tolist()))
+
+    @staticmethod
+    def in_batches(read, plan, states, *per_state):
+        """``read`` over consecutive batches of ``plan.batch`` states, concatenated."""
+        out = []
+        for a in range(0, len(states), plan.batch):
+            batch = slice(a, a + plan.batch)
+            out += list(read(states[batch], *(p[batch] for p in per_state)))
+        return out
+
+    @pytest.mark.parametrize("n, count, batches", SERIES)
+    @pytest.mark.parametrize("z_strings", ["fold", "tables"])
+    def test_exact_reads_equal_one_state_reads(self, n, count, batches, z_strings):
+        rng = np.random.default_rng(900 + n)
+        states = [random_state(rng, n) for _ in range(count)]
+        plan = ReadPlan(self.strings(rng, n, 2 * n - 1 if z_strings == "fold" else 2 * n), n)
+        assert len(range(0, count, plan.batch)) == batches
+        routes = {"fold", "tables"} if z_strings == "fold" else {"tables"}
+        assert set(plan.routes.values()) == routes | ({"vdot"} if n >= 11 else set())
+        alone = [plan.values([state])[0].tolist() for state in states]
+        assert [row.tolist() for row in self.in_batches(plan.values, plan, states)] == alone
+        assert plan.values(states).tolist() == alone
+        coefficients = rng.normal(size=(count, len(plan.masks)))
+        coefficients[rng.random(coefficients.shape) < 0.3] = 0.0
+        want = [plan.estimates([s], [c])[0] for s, c in zip(states, coefficients)]
+        assert self.in_batches(plan.estimates, plan, states, coefficients) == want
+
+    @pytest.mark.parametrize("n, count, batches", SERIES)
+    def test_sampled_reads_equal_one_state_reads(self, n, count, batches):
+        """Each state draws from its own seed, over its groups in order."""
+        rng = np.random.default_rng(950 + n)
+        states = [random_state(rng, n) for _ in range(count)]
+        # xx, yy and zz bonds on sites 1 to 3, a mixed string and a z field: four groups
+        factors = [((i, a), (i + 1, a)) for a in "xyz" for i in (1, 2)]
+        factors += [((1, "x"), (2, "z")), ((n, "z"),)]
+        plan = ReadPlan([(0, 0), *(pauli_masks(f, n) for f in factors)], n, shots=64)
+        assert len(plan.groups) == 4
+        assert len(range(0, count, plan.batch)) == batches
+        seeds = list(range(100, 100 + count))
+        alone = [plan.values([s], [seed])[0].tolist() for s, seed in zip(states, seeds)]
+        batched = self.in_batches(plan.values, plan, states, seeds)
+        assert [row.tolist() for row in batched] == alone
+        coefficients = rng.normal(size=(count, len(plan.masks)))
+        # state 0 has no string of group 0, so it does not draw that group
+        coefficients[0, plan.groups[0][0]] = 0.0
+        want = [
+            plan.estimates([s], [c], [seed])[0] for s, c, seed in zip(states, coefficients, seeds)
+        ]
+        assert self.in_batches(plan.estimates, plan, states, coefficients, seeds) == want
+
+    def test_a_one_state_batch_copies_nothing(self):
+        """The z reads of a wide state (as the 20-spin benchmark chain's) work on
+        |amplitude|^2 rows taken from the state itself: the read's peak stays below
+        the state's own size."""
+        n = 18
+        state = random_state(np.random.default_rng(18), n)
+        plan = ReadPlan([pauli_masks(((site, "z"),), n) for site in range(1, n + 1)], n)
+        assert plan.routes == {0: "fold"} and plan.batch == 1
+        tracemalloc.start()
+        try:
+            plan.estimates([state], [[1.0 / n] * n])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < state.amplitudes.nbytes
+
+
 class TestPauliRotations:
     @staticmethod
     def rotation_strings(rng, n, count):
@@ -686,14 +771,14 @@ class TestPauliRotations:
         unitary = ir.unitary_of(program_of(n, gates))
         state = random_state(rng, n)
         before = state.amplitudes.copy()
-        got = pauli_rotations(state, x, z, angles)
+        [got] = pauli_rotations([state], x, z, angles)
         np.testing.assert_allclose(got.amplitudes, unitary @ before, rtol=0, atol=1e-12)
         assert np.array_equal(state.amplitudes, before)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_no_strings_give_an_equal_copy(self, n):
         state = random_state(np.random.default_rng(n), n)
-        got = pauli_rotations(state, [], [], [])
+        [got] = pauli_rotations([state], [], [], [])
         assert got.num_qubits == n
         assert np.array_equal(got.amplitudes, state.amplitudes)
         assert not np.shares_memory(got.amplitudes, state.amplitudes)
@@ -709,7 +794,7 @@ class TestPauliRotations:
     def test_lengths_that_disagree_are_refused(self, x, z, angles):
         state = random_state(np.random.default_rng(9), 3)
         with pytest.raises(ValueError):
-            pauli_rotations(state, x, z, angles)
+            pauli_rotations([state], x, z, angles)
 
 
 class TestSampling:
@@ -946,7 +1031,7 @@ class TestPauliValues:
         state = random_state(np.random.default_rng(4), 3)
         masks = [(0, 0), (1, 1), (5, 4), (7, 0), (2, 6), (0, 3)]
         rng = np.random.default_rng(5)
-        got = ReadPlan(masks, 3).values(state, rng)
+        [got] = ReadPlan(masks, 3).values([state], [rng])
         want = [expectation(state, [PauliTerm(1.0, pauli_factors(m, 3))]) for m in masks]
         assert got.tolist() == want
         assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state

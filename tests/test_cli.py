@@ -24,7 +24,7 @@ from helpers import cut_programs, dense_expectation, product_formula_states
 from spinsim import backend, cli, ir, oracle, qite, trotter
 from spinsim.backend import expectation, pauli_masks, product_state, run_statevector
 from spinsim.cli import main
-from spinsim.config import INPUT_KEYS, build_hamiltonian, parse_input
+from spinsim.config import INPUT_KEYS, build_hamiltonian, derived_seed, parse_input
 from spinsim.hamiltonian import snapshot
 from spinsim.ir import Program, export_text, import_text, phase_aligned_distance, unitary_of
 from spinsim.observables import read_csv, site_magnetization_observable
@@ -280,6 +280,49 @@ class TestBenchmarkTracer:
         assert result.returncode == 0, result.stderr
 
 
+CONSTANT_ENERGY = """\
+num_spins: 6
+mode: real-time
+total_time: 1.0
+num_steps: 10
+J_x: 1.0
+J_y: 1.0
+J_z: 0.5
+h_z: 0.3, -0.2, 0.1, 0.4, -0.5, 0.2
+initial_state: flip-first
+observable: energy
+"""
+
+
+class TestRandomImport:
+    @pytest.mark.parametrize(
+        "extra, imported",
+        [("", False), ("h_x: random-uniform(-1, 1)\n", True), ("shots: 100\n", True)],
+        ids=["constant-exact", "random-uniform", "sampled"],
+    )
+    def test_only_a_run_that_draws_imports_numpy_random(self, tmp_path, extra, imported):
+        # numpy imports numpy.random lazily, on first use
+        path = write_input(tmp_path, CONSTANT_ENERGY + extra)
+        script = textwrap.dedent(
+            """
+            import sys
+            root, path, out = sys.argv[1:]
+            sys.path[:0] = [root + "/src"]
+            import spinsim.cli
+            assert spinsim.cli.main(["run", path, "--out", out, "--export", "--ground-truth"]) == 0
+            print("numpy.random" in sys.modules)
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(ROOT), str(path), str(tmp_path / "out")],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == str(imported)
+
+
 WIDE_ENERGY = """\
 num_spins: 20
 mode: real-time
@@ -389,22 +432,50 @@ class TestReadPlans:
         assert main(["run", str(write_input(tmp_path, text)), "--out", str(tmp_path)]) == 0
         assert len(made) == plans
 
-    def test_a_plan_is_made_again_only_when_the_strings_change(self, tmp_path, monkeypatch):
-        # h_x is exactly 0 at t = 0, so its strings join the energy at step 1
+    def test_a_ramp_from_zero_reads_through_one_plan(self, tmp_path, monkeypatch):
+        # h_x is exactly 0 at t = 0: its strings are in the plan, with coefficient 0 there
         text = SMALL_REAL_TIME.replace("h_x: 1.0", "h_x: linear-ramp(0, 1)").replace(
             "site-magnetization(z)", "energy"
         )
         made = counted_plans(monkeypatch)
+        batches, estimates = [], backend.ReadPlan.estimates
+
+        def counting(plan, states, *args):
+            batches.append(len(states))
+            return estimates(plan, states, *args)
+
+        monkeypatch.setattr(backend.ReadPlan, "estimates", counting)
         assert main(["run", str(write_input(tmp_path, text)), "--out", str(tmp_path)]) == 0
         cfg = parse_input(text)
         hamiltonian, dt = build_hamiltonian(cfg), cfg.total_time / cfg.num_steps
-        lists = [
-            [pauli_masks(t.factors, 2) for t in snapshot(hamiltonian, k * dt)]
-            for k in range(cfg.num_steps + 1)
+        assert [pauli_masks(t.factors, 2) for t in snapshot(hamiltonian, 0.0)] == [(0, 3)]
+        assert made == [[pauli_masks(t.factors, 2) for t in snapshot(hamiltonian, dt)]]
+        assert batches == [cfg.num_steps + 1]
+
+    @pytest.mark.parametrize("shots", [0, 300])
+    @pytest.mark.parametrize(
+        "couplings",
+        [
+            "J_x: 1.0\nJ_y: 0.7\nJ_z: 0.4\nh_x: linear-ramp(0, 1)\nh_z: random-uniform(-1, 1)",
+            "J_x: linear-ramp(0, 1)\nJ_z: gaussian-pulse(1, 0.5, 0.2)\nh_y: linear-ramp(1, 0)",
+        ],
+        ids=["field-ramp", "bond-ramp"],
+    )
+    def test_a_time_dependent_energy_reads_each_point_as_alone(self, couplings, shots):
+        """Each point of the one plan sums its own strings in snapshot order, and a
+        sampled point draws from its own seed: as a one-shot read of its terms."""
+        text = f"num_spins: 4\ntotal_time: 1.0\nnum_steps: 6\n{couplings}\n"
+        cfg = parse_input(text + "initial_state: flip-first\nobservable: energy\n")
+        hamiltonian = build_hamiltonian(cfg)
+        times = [k * cfg.total_time / cfg.num_steps for k in range(cfg.num_steps + 1)]
+        states = evolve_exact(hamiltonian, times, product_state(cfg.initial_state))
+        assert len({len(snapshot(hamiltonian, t)) for t in times}) > 1
+        got = list(cli._read_series(cfg, hamiltonian, times, states, shots, 9))
+        want = [
+            backend.estimate_with_sigma(state, snapshot(hamiltonian, t), shots, derived_seed(9, k))
+            for k, (t, state) in enumerate(zip(times, states))
         ]
-        changes = [masks for k, masks in enumerate(lists) if k == 0 or masks != lists[k - 1]]
-        assert made == changes
-        assert len(made) == 2
+        assert got == want
 
 
 # Candidate values per input key: (ordinary, edge).  Edge values include

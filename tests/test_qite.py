@@ -241,7 +241,7 @@ def scalar_fit(state, basis, terms, params):
     """
     n = state.num_qubits
     strings = read_strings(basis, terms, n)
-    cache = dict(zip(strings, ReadPlan(strings, n).values(state).tolist()))
+    cache = dict(zip(strings, ReadPlan(strings, n).values([state])[0].tolist()))
     cache[0, 0] = 1.0
 
     def estimate(masks):
@@ -675,8 +675,8 @@ class TestSymmetryBasis:
         states = []
 
         def recording(*args):
-            states.append(pauli_rotations(*args))
-            return states[-1]
+            states.extend(pauli_rotations(*args))
+            return states[-1:]
 
         monkeypatch.setattr(qite, "pauli_rotations", recording)
         params = QiteParams(dbeta=0.3, num_steps=12, shots=shots, seed=5)
