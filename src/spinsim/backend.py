@@ -14,11 +14,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import TooLargeError
+from .errors import NormDriftError, TooLargeError
 from .hamiltonian import PauliTerm
 from .ir import Gate, Program, gate_matrix
 
 STATEVECTOR_QUBIT_LIMIT = 24
+
+# the largest |1 - ||psi||| that :func:`checked_norm_drift` lets pass
+NORM_DRIFT_BUDGET = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,9 +98,10 @@ def apply_gate(amps: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
 # A fused block acts on at most this many contiguous qubits, so its
 # matrix has at most 2^FUSED_QUBITS rows.
 FUSED_QUBITS = 5
-# A block is applied in products of at most this many amplitudes, which
-# bounds the temporary each product allocates.
-_FUSED_CHUNK = 2**16
+# A block is applied in products of at most this many amplitudes, and a
+# fold read forms |amplitude|^2 in slices of at most this many, which
+# bounds the temporary each product or slice allocates.
+_CHUNK = 2**16
 # With at most this many amplitudes below a block, one product of the
 # rows of the (-1, 2^m rest) view by kron(U^T, I_rest) replaces 2^lo
 # products with only `rest` columns each.
@@ -195,7 +199,7 @@ def _apply_block(amps: np.ndarray, block: FusedBlock) -> None:
     """Multiply the block's qubits of ``amps`` by its matrix, in place, a chunk at a time."""
     dim = len(block.matrix)
     rest = len(amps) // (dim << block.lo)
-    rows = max(1, _FUSED_CHUNK // (dim * rest))
+    rows = max(1, _CHUNK // (dim * rest))
     if block.product is not None:
         w = amps.reshape(-1, dim * rest)
         for a in range(0, len(w), rows):
@@ -203,7 +207,7 @@ def _apply_block(amps: np.ndarray, block: FusedBlock) -> None:
             part[...] = part @ block.product
         return
     v = amps.reshape(-1, dim, rest)
-    cols = min(rest, _FUSED_CHUNK // dim)
+    cols = min(rest, _CHUNK // dim)
     for a in range(0, len(v), rows):
         for c in range(0, rest, cols):
             part = v[a : a + rows, :, c : c + cols]
@@ -342,6 +346,20 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
     """
     a, b = (np.ascontiguousarray(v).view(np.float64) for v in (a, b))
     return float(np.einsum("i,i->", a, b))
+
+
+def checked_norm_drift(state: Statevector) -> float:
+    """|1 - ||psi||| of ``state``, from one pass of :func:`_real_dot`, so without BLAS.
+
+    Raises NormDriftError when it exceeds NORM_DRIFT_BUDGET.
+    """
+    drift = abs(1.0 - math.sqrt(_real_dot(state.amplitudes, state.amplitudes)))
+    if not drift <= NORM_DRIFT_BUDGET:
+        raise NormDriftError(
+            f"the simulated state's norm drifted from 1 by {drift:.3e}, "
+            f"over the budget of {NORM_DRIFT_BUDGET:g}"
+        )
+    return drift
 
 
 def _walsh_hadamard(table: np.ndarray) -> None:
@@ -515,6 +533,63 @@ def _z_parity(probs: np.ndarray, support: Sequence[int]) -> np.ndarray:
     return value
 
 
+def _fold_reads(
+    batch: Sequence[np.ndarray], num_qubits: int, supports: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """sum_k (-1)^(parity of k on the support) |psi_k|^2 for each state psi of ``batch``
+    (row) and z string (column), given by its support qubits; ``supports`` is sorted
+    by first qubit.
+
+    |psi|^2 is formed a slice of at most _CHUNK amplitudes at a time.  A slice
+    fixes the leading ``lead`` = n - 16 qubits (none for n <= 16, where the one
+    slice is the whole state), and the slices add up, in order, into a running
+    sum over those qubits, ``tail``.  A string whose first qubit lies past them
+    reads ``tail``: the strings are visited by first qubit (head), and as the
+    head advances the qubits before it are summed out of ``tail`` in place, so a
+    value does not depend on the other strings.  A string that touches the
+    leading qubits adds, on each slice, its :func:`_z_parity` on its qubits past
+    them, or the slice total if it has none there, times the slice index's
+    parity on its leading qubits.  Every step depends on n alone, so a state
+    reads the same in any batch.
+    """
+    n = num_qubits
+    size = min(2**n, _CHUNK)
+    lead = n + 1 - size.bit_length()
+    outer = sum(s[0] < lead for s in supports)
+    values = np.zeros((len(batch), len(supports)))
+    if outer:
+        # each leading string's qubits past the leading ones, and its sign on
+        # slice j: (-1)^(parity of j on its leading qubits)
+        trailing = [[q - lead for q in s if q >= lead] for s in supports[:outer]]
+        lead_bits = [sum(1 << (lead - 1 - q) for q in s if q < lead) for s in supports[:outer]]
+        signs = 1.0 - 2.0 * (_popcount(np.array(lead_bits)[:, None] & np.arange(2**lead)) & 1)
+        shared = not all(trailing)
+        parts = np.empty((len(batch), outer))
+    tail = np.empty((len(batch), size))
+    probs = np.empty_like(tail) if lead else None
+    for j in range(2**lead):
+        block, window = (tail if j == 0 else probs), slice(j * size, (j + 1) * size)
+        for row, amps in zip(block, batch):
+            np.abs(amps[window] if lead else amps, out=row)  # one slice: no view
+        np.square(block, out=block)
+        if outer:
+            # strings wholly on the leading qubits share the slice total
+            total = block.sum(axis=1) if shared else None
+            for c, t in enumerate(trailing):
+                parts[:, c] = _z_parity(block, t) if t else total
+            values[:, :outer] += parts * signs[:, j]
+        if j:
+            tail += probs
+    head = lead
+    for i, support in enumerate(supports[outer:], outer):
+        while head < support[0]:  # sum out the leading qubit, in place
+            half = tail.shape[1] // 2
+            tail = np.add(tail[:, :half], tail[:, half:], out=tail[:, :half])
+            head += 1
+        values[:, i] = _z_parity(tail, [q - head for q in support])
+    return values
+
+
 def sample_counts(
     state: Statevector, shots: int, seed: int | np.random.Generator
 ) -> np.ndarray:
@@ -651,10 +726,7 @@ class ReadPlan:
                 raise ValueError(f"the plan reads {self.num_qubits} qubits, not {state.num_qubits}")
 
     def _exact(self, states: Sequence[Statevector]) -> np.ndarray:
-        """The value of each string in each state.  The fold reads its strings by
-        first qubit (head) from the |amplitude|^2 rows of the states, summing the
-        qubits before the head out of them in place, so a value does not depend on
-        the other strings."""
+        """The value of each string in each state, group by group on its route."""
         self._check(states)
         batch, n = [state.amplitudes for state in states], self.num_qubits
         values = np.ones((len(batch), len(self.z)))
@@ -664,17 +736,8 @@ class ReadPlan:
         if members:
             values[:, members] = _transform_reads(batch, n, x, z)
         if self.fold:
-            tail = np.empty((len(batch), 2**n))
-            for row, amps in zip(tail, batch):
-                np.abs(amps, out=row)
-            np.square(tail, out=tail)
-            head = 0
-            for i, support in self.fold:
-                while head < support[0]:  # sum out the leading qubit, in place
-                    half = tail.shape[1] // 2
-                    tail = np.add(tail[:, :half], tail[:, half:], out=tail[:, :half])
-                    head += 1
-                values[:, i] = _z_parity(tail, [q - head for q in support])
+            members, supports = zip(*self.fold)
+            values[:, members] = _fold_reads(batch, n, supports)
         return values
 
     def _draws(self, states: Sequence[Statevector], rngs, counted=None) -> Iterator[tuple]:

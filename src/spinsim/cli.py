@@ -35,13 +35,15 @@ import os
 import sys
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 # estimate_with_sigma, run_statevector and sample_counts stay bound, unused:
 # the span tracer in perfbench/spans.py wraps them by name in this module
 from .backend import (
     ReadPlan,
+    Statevector,
+    checked_norm_drift,
     estimate_with_sigma,
     expectation,
     pauli_masks,
@@ -143,19 +145,36 @@ def _compile(cfg: SimulationConfig):
     return lower_to_native
 
 
-def _line(gate: Gate | None) -> str:
-    return "" if gate is None else export_line(gate)
+def _line_formatter() -> Callable[[Gate | None], str]:
+    """One run's map from gate to exported line: each distinct gate is formatted
+    once (:func:`ir.export_line`), and None, a gate the peephole pass dropped,
+    is the empty line."""
+    lines: dict[tuple, str] = {}
+
+    def line(gate: Gate | None) -> str:
+        if gate is None:
+            return ""
+        # -0.0 == 0.0, but their lines differ: a zero or absent angle keys by its text
+        theta = gate.theta
+        key = gate.kind, gate.qubits, theta if theta else str(theta)
+        text = lines.get(key)
+        if text is None:
+            text = lines[key] = export_line(gate)
+        return text
+
+    return line
 
 
 def _cumulative_circuits(
-    cfg: SimulationConfig, steps: Iterable[tuple[Gate, ...]]
+    cfg: SimulationConfig, steps: Iterable[tuple[Gate, ...]], line: Callable[[Gate | None], str]
 ) -> Iterator[str]:
     """Yield the exported text of circuit k for each of ``steps``' compiled
     gate tuples: the first k + 1 tuples (the preparation first).
 
     Each tuple is appended, through one running peephole pass when the
-    optimizer is on.  Each gate's line is formatted once, and again only
-    when a merge at the seam rewrites it.
+    optimizer is on.  Each gate's line comes from ``line``, the run's
+    :func:`_line_formatter`; a line is looked up again only when a merge at
+    the seam rewrites its gate.
     """
     n = cfg.num_spins
     head, tail = export_frame(n, measured=cfg.shots > 0)
@@ -168,24 +187,27 @@ def _cumulative_circuits(
         else:
             for i in running.extend(gates):
                 if i < len(lines):
-                    lines[i] = _line(out[i])
-        lines += map(_line, out[len(lines):])
+                    lines[i] = line(out[i])
+        lines += map(line, out[len(lines):])
         yield head + "".join(lines) + tail
 
 
-def _export_bytes(cfg: SimulationConfig, steps: list[tuple[Gate, ...]]) -> int:
+def _export_bytes(
+    cfg: SimulationConfig, steps: list[tuple[Gate, ...]], line: Callable[[Gate | None], str]
+) -> int:
     """Estimated size of the cumulative circuits of ``steps``' gate tuples.
 
     Circuit k holds the lines of tuples 0..k, each measured as given,
     before the running peephole pass; a tuple that repeats the one
-    before it is measured once.
+    before it is measured once.  The lines come from ``line``, the run's
+    :func:`_line_formatter`.
     """
     frame = sum(map(len, export_frame(cfg.num_spins, measured=cfg.shots > 0)))
     total = lines = 0
     previous = size = None
     for gates in steps:
         if gates is not previous:
-            previous, size = gates, sum(len(export_line(gate)) for gate in gates)
+            previous, size = gates, sum(len(line(gate)) for gate in gates)
         lines += size
         total += frame + lines
     return total
@@ -199,13 +221,22 @@ def _run_real_time(cfg: SimulationConfig, hamiltonian, seed: int):
     blocks = list(islice(step_blocks(hamiltonian, params, compile_program), last_step))
     preparation = Program(cfg.num_spins, state_preparation_gates(cfg.initial_state))
     steps = [compile_program(preparation).gates] + [block.gates for block in blocks]
-    points = []
+    points, drift = [], None
     if cfg.backend_mode == "QS":
         times = [k * params.dt for k in range(len(steps))]
-        states = evolve_series(cfg.initial_state, blocks)
+        last: list[Statevector] = []
+        states = _keep_last(evolve_series(cfg.initial_state, blocks), last)
         reads = _read_series(cfg, hamiltonian, times, states, cfg.shots, seed)
         points = [(t, *read) for t, read in zip(times, reads)]
-    return points, steps
+        drift = checked_norm_drift(last[0])
+    return points, steps, {"norm_drift": drift}
+
+
+def _keep_last(states: Iterable[Statevector], last: list) -> Iterator[Statevector]:
+    """Yield ``states``, keeping the one yielded last as ``last[0]``."""
+    for state in states:
+        last[:] = [state]
+        yield state
 
 
 def _run_imaginary_time(cfg: SimulationConfig, hamiltonian, seed: int):
@@ -215,7 +246,12 @@ def _run_imaginary_time(cfg: SimulationConfig, hamiltonian, seed: int):
     points = [(r.step * dbeta, r.energy, r.sigma) for r in reports]
     # every report's program after the preparation is native already
     programs = [_compile(cfg)(reports[0].program)] + [r.program for r in reports[1:]]
-    return points, [program.gates for program in programs]
+    fits = [
+        {"normalization": r.normalization, "residual": r.residual, "step": r.step}
+        for r in reports[1:]
+    ]
+    diagnostics = {"norm_drift": reports[-1].norm_drift, "qite_steps": fits}
+    return points, [program.gates for program in programs], diagnostics
 
 
 def _ground_truth_values(cfg: SimulationConfig, hamiltonian, axis: list[float]) -> list[float]:
@@ -269,17 +305,18 @@ def run_simulation(args: argparse.Namespace) -> int:
             )
         hamiltonian = build_hamiltonian(cfg)
         if cfg.mode == "real-time":
-            points, steps = _run_real_time(cfg, hamiltonian, seed)
+            points, steps, diagnostics = _run_real_time(cfg, hamiltonian, seed)
             axis_label = "t"
             observable_name = cfg.observable
         else:
-            points, steps = _run_imaginary_time(cfg, hamiltonian, seed)
+            points, steps, diagnostics = _run_imaginary_time(cfg, hamiltonian, seed)
             axis_label = "beta"
             observable_name = "energy"
 
         export = args.export or cfg.backend_mode == "export-only"
         if export:
-            size = _export_bytes(cfg, steps)
+            line = _line_formatter()
+            size = _export_bytes(cfg, steps, line)
             if size > EXPORT_BYTE_LIMIT:
                 raise TooLargeError(
                     f"the exported circuits would take about {size} bytes, "
@@ -292,7 +329,7 @@ def run_simulation(args: argparse.Namespace) -> int:
         if export:
             circuit_dir = out_path / "circuits"
             circuit_dir.mkdir(exist_ok=True)
-            for k, circuit in enumerate(_cumulative_circuits(cfg, steps)):
+            for k, circuit in enumerate(_cumulative_circuits(cfg, steps, line)):
                 name = f"circuits/step_{k:04d}.qasm"
                 (out_path / name).write_text(circuit, encoding="utf-8")
                 written.append(name)
@@ -322,6 +359,7 @@ def run_simulation(args: argparse.Namespace) -> int:
             observable=observable_name,
             output_files=written,
             version=__version__,
+            diagnostics=diagnostics,
         )
         written.append("manifest.json")
     except SpinsimError as exc:

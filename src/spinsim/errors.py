@@ -65,5 +65,9 @@ class ZeroOverlapError(SpinsimError):
     """Initial state has no numerically resolvable overlap with the target spectrum slice."""
 
 
+class NormDriftError(SpinsimError):
+    """A simulated state's norm moved further from 1 than the drift budget allows."""
+
+
 class UnsupportedFeatureError(SpinsimError):
     """Feature is recognized but intentionally not implemented."""

@@ -264,8 +264,12 @@ def write_manifest(
     observable: str,
     output_files: Sequence[str],
     version: str,
+    diagnostics: dict | None = None,
 ) -> None:
-    """Emit the JSON run manifest with a stable key order."""
+    """Emit the JSON run manifest with a stable key order.
+
+    ``diagnostics``, when given, is written as is under that key.
+    """
     manifest = {
         "config": config_text,
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
@@ -276,6 +280,8 @@ def write_manifest(
         "shots": shots,
         "version": version,
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     Path(path).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

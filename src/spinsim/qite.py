@@ -56,7 +56,7 @@ import numpy as np
 
 from . import ir
 from .backend import ReadPlan, Statevector, _popcount, pauli_factors, pauli_masks, pauli_rotations
-from .backend import product_state, run_statevector
+from .backend import checked_norm_drift, product_state, run_statevector
 # unused, but bound: the span tracer in perfbench/spans.py wraps it by name here
 from .backend import apply_gate  # noqa: F401
 from .errors import SingularSystemError, UnsupportedFeatureError
@@ -110,6 +110,8 @@ class QiteStepReport:
     later one is the fit applied to the previous report's state, one
     :func:`ir.pauli_rotation` per string (:func:`pauli_rotation_gates`),
     while the state follows the same rotations on (x, z) masks.
+    ``norm_drift`` is |1 - ||psi||| of the last report's state
+    (:func:`backend.checked_norm_drift`), None on the others.
     """
 
     step: int
@@ -119,6 +121,7 @@ class QiteStepReport:
     residual: float
     normalization: float
     program: Program
+    norm_drift: float | None = None
 
 
 _I_POWERS = np.array([1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j])
@@ -246,7 +249,10 @@ class _FitPlan:
                 a = np.linalg.pinv(regularized) @ b_vector
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError("regularized least-squares solve failed") from exc
-        residual = float(np.linalg.norm(s_matrix @ a - b_vector))
+        # without BLAS, so it rounds the same on any thread count: S is symmetric,
+        # so (S a)_i sums column i of a_j S_ji, which numpy adds row after row
+        misfit = np.add.reduce(a[:, None] * s_matrix, axis=0) - b_vector
+        residual = math.sqrt(reduce(add, (misfit * misfit).tolist(), 0.0))
         return tuple(float(v) for v in a), residual, c, energy
 
 
@@ -285,7 +291,9 @@ def run_qite(
     one generator seeded by ``params.seed``; an exact run makes none.
     The state advances by :func:`backend.pauli_rotations`; each report's
     program is built from one :func:`ir.rotation_skeleton` per string,
-    made once per run, with only the RZ gates new at each step.
+    made once per run, with only the RZ gates new at each step.  The final
+    state's norm drift is checked (:func:`backend.checked_norm_drift`,
+    NormDriftError over the budget) and kept in the last report.
     """
     if hamiltonian.is_time_dependent:
         raise UnsupportedFeatureError(
@@ -321,5 +329,8 @@ def run_qite(
         gates = (g for (pre, q, post), a in rotations for g in (*pre, ir.rz(2.0 * a, q), *post))
         program = Program(n, tuple(gates))
         [state] = pauli_rotations([state], plan.bx, plan.bz, angles)
-    reports.append(QiteStepReport(params.num_steps, *measure([state])[0], *made_by, program))
+    drift = checked_norm_drift(state)
+    reports.append(
+        QiteStepReport(params.num_steps, *measure([state])[0], *made_by, program, drift)
+    )
     return reports

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from spinsim import ir
-from spinsim.backend import Statevector
+from spinsim.backend import Statevector, _z_parity
 from spinsim.config import (
     ConstantSchedule,
     GaussianPulseSchedule,
@@ -224,3 +224,27 @@ def apply_pauli(amps: np.ndarray, masks: tuple[int, int], num_qubits: int) -> np
     if power:
         out *= (1, -1j, -1, 1j)[power]
     return out.reshape(-1)
+
+
+def unsliced_fold(states, supports) -> np.ndarray:
+    """The fold read of z strings from one whole |amplitude|^2 row per state.
+
+    The reference for ``backend._fold_reads``, which forms the rows in
+    slices: the strings (``supports``, sorted by first qubit) are read in
+    turn, and as the first qubit advances the qubits before it are summed
+    out of the rows in place, then ``backend._z_parity`` signs the rest.
+    """
+    n = states[0].num_qubits
+    tail = np.empty((len(states), 2**n))
+    for row, state in zip(tail, states):
+        np.abs(state.amplitudes, out=row)
+    np.square(tail, out=tail)
+    values = np.empty((len(states), len(supports)))
+    head = 0
+    for i, support in enumerate(supports):
+        while head < support[0]:
+            half = tail.shape[1] // 2
+            tail = np.add(tail[:, :half], tail[:, half:], out=tail[:, :half])
+            head += 1
+        values[:, i] = _z_parity(tail, [q - head for q in support])
+    return values

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_pauli, embedded_pauli, random_program, random_state
+from helpers import apply_pauli, embedded_pauli, random_program, random_state, unsliced_fold
 from spinsim import ir
 from spinsim import backend
 from spinsim.backend import (
@@ -27,7 +27,7 @@ from spinsim.backend import (
     sample_counts,
 )
 from spinsim.config import ConstantSchedule
-from spinsim.errors import TooLargeError
+from spinsim.errors import NormDriftError, TooLargeError
 from spinsim.hamiltonian import HeisenbergHamiltonian, PauliTerm, snapshot
 from spinsim.optimizer import optimize
 from spinsim.qite import pauli_rotation_gates
@@ -104,6 +104,15 @@ class TestExecution:
         state = run_statevector(program)
         drift = abs(np.linalg.norm(state.amplitudes) - 1.0)
         assert drift <= 1e-12 * max(len(program.gates), 1)
+
+    def test_the_norm_drift_guard(self):
+        state = random_state(np.random.default_rng(6), 6)
+        drift = backend.checked_norm_drift(state)
+        assert drift == abs(1.0 - np.sqrt(backend._real_dot(state.amplitudes, state.amplitudes)))
+        assert drift <= 1e-15
+        scaled = Statevector(6, state.amplitudes * (1.0 + 2 * backend.NORM_DRIFT_BUDGET))
+        with pytest.raises(NormDriftError, match="norm drifted from 1 by 2.000e-09"):
+            backend.checked_norm_drift(scaled)
 
 
 def gate_cases(n, rng):
@@ -192,7 +201,7 @@ class TestFusion:
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(1, 10),
-        chunk=st.sampled_from([backend._FUSED_CHUNK, 2**backend.FUSED_QUBITS, 64]),
+        chunk=st.sampled_from([backend._CHUNK, 2**backend.FUSED_QUBITS, 64]),
     )
     @settings(max_examples=40, deadline=None)
     def test_plan_matches_dense_unitary(self, seed, n, chunk):
@@ -201,7 +210,7 @@ class TestFusion:
         initial = random_state(rng, n)
         before = initial.amplitudes.copy()
         plan = backend.fuse(program)
-        with mock.patch.object(backend, "_FUSED_CHUNK", chunk):
+        with mock.patch.object(backend, "_CHUNK", chunk):
             got = backend.run_fused(plan, initial).amplitudes
         np.testing.assert_array_equal(initial.amplitudes, before)
         want = ir.unitary_of(program) @ before
@@ -242,7 +251,7 @@ class TestFusion:
         matrix, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
         initial = random_state(rng, n)
         embedded = np.kron(np.kron(np.eye(2**lo), matrix), np.eye(2 ** (n - lo - width)))
-        with mock.patch.object(backend, "_FUSED_CHUNK", chunk):
+        with mock.patch.object(backend, "_CHUNK", chunk):
             got = backend.run_fused([backend.FusedBlock(lo, matrix, n)], initial).amplitudes
         np.testing.assert_allclose(got, embedded @ initial.amplitudes, rtol=0, atol=1e-13)
 
@@ -361,8 +370,8 @@ class TestFusion:
         program = program_of(n, shifted)
         initial = random_state(rng, n)
         want = run_statevector(program, initial=initial).amplitudes
-        for chunk in (backend._FUSED_CHUNK, 64):
-            with mock.patch.object(backend, "_FUSED_CHUNK", chunk):
+        for chunk in (backend._CHUNK, 64):
+            with mock.patch.object(backend, "_CHUNK", chunk):
                 got = backend.run_fused(plan, initial).amplitudes
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -747,6 +756,69 @@ class TestBatchedReads:
         finally:
             tracemalloc.stop()
         assert peak < state.amplitudes.nbytes
+
+
+class TestSlicedFold:
+    """The fold forms |psi|^2 in slices of backend._CHUNK (2^16) amplitudes: one
+    slice below 17 qubits, where it reads as the unsliced fold bit for bit."""
+
+    @staticmethod
+    def supports(rng, n):
+        """The qubits of TestExpectation.diagonal_terms, sorted by first qubit."""
+        terms = TestExpectation.diagonal_terms(rng, n)
+        return sorted(([s - 1 for s, _ in t.factors] for t in terms), key=lambda s: s[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 15, 16])
+    def test_one_slice_reads_as_the_unsliced_fold(self, n):
+        rng = np.random.default_rng(1600 + n)
+        states = [random_state(rng, n) for _ in range(3)]
+        supports = self.supports(rng, n)
+        batch = [state.amplitudes for state in states]
+        got = backend._fold_reads(batch, n, supports)
+        assert got.tobytes() == unsliced_fold(states, supports).tobytes()
+
+    @pytest.mark.parametrize("n", [17, 18, 19, 20])
+    def test_slices_agree_with_the_unsliced_fold(self, n):
+        rng = np.random.default_rng(1700 + n)
+        state = random_state(rng, n)
+        supports = self.supports(rng, n)
+        # strings on the leading qubits alone, across them and past them
+        lead = n - 16
+        assert {s[-1] < lead for s in supports} == {True, False}
+        assert any(s[0] < lead <= s[-1] for s in supports)
+        got = backend._fold_reads([state.amplitudes], n, supports)
+        want = unsliced_fold([state], supports)
+        assert np.abs(got - want).max() <= 4 * n * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_a_state_reads_the_same_alone_and_in_a_batch(self, n):
+        rng = np.random.default_rng(1800 + n)
+        states = [random_state(rng, n) for _ in range(3)]
+        masks = [pauli_masks(((s, "z"), (s + 1, "z")), n) for s in range(1, n)]
+        masks += [pauli_masks(((s, "z"),), n) for s in range(n, 0, -1)]
+        plan = ReadPlan(masks, n)
+        assert plan.routes == {0: "fold"} and plan.batch == max(1, 2**18 >> n)
+        alone = [plan.values([state])[0].tolist() for state in states]
+        assert plan.values(states).tolist() == alone
+        batched = TestBatchedReads.in_batches(plan.values, plan, states)
+        assert [row.tolist() for row in batched] == alone
+
+    def test_a_20_spin_read_holds_no_whole_probability_row(self):
+        """A one-state read of a chain energy's 39 z strings peaks at a few slices
+        (the unsliced fold took one 8 MiB row)."""
+        n = 20
+        state = random_state(np.random.default_rng(20), n)
+        masks = [pauli_masks(((s, "z"), (s + 1, "z")), n) for s in range(1, n)]
+        masks += [pauli_masks(((s, "z"),), n) for s in range(1, n + 1)]
+        plan = ReadPlan(masks, n)
+        assert plan.routes == {0: "fold"}
+        tracemalloc.start()
+        try:
+            plan.values([state])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestPauliRotations:

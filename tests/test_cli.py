@@ -26,7 +26,15 @@ from spinsim.backend import expectation, pauli_masks, product_state, run_stateve
 from spinsim.cli import main
 from spinsim.config import INPUT_KEYS, build_hamiltonian, derived_seed, parse_input
 from spinsim.hamiltonian import snapshot
-from spinsim.ir import Program, export_text, import_text, phase_aligned_distance, unitary_of
+from spinsim.ir import (
+    Program,
+    export_frame,
+    export_line,
+    export_text,
+    import_text,
+    phase_aligned_distance,
+    unitary_of,
+)
 from spinsim.observables import read_csv, site_magnetization_observable
 from spinsim.oracle import evolve_exact
 from spinsim.qite import QiteParams, run_qite
@@ -126,6 +134,36 @@ class TestArtifacts:
         assert re.search(r'^version = \{attr = "spinsim\.__version__"\}$', pyproject, re.M)
         init = (ROOT / "src" / "spinsim" / "__init__.py").read_text()
         assert re.search(r'^__version__ = "0\.1\.0"$', init, re.M)
+
+    @pytest.mark.parametrize("backend_mode", ["QS", "export-only"])
+    def test_real_time_diagnostics_hold_the_last_state_drift(self, tmp_path, backend_mode):
+        input_path = write_input(tmp_path, SMALL_REAL_TIME + f"QCQS: {backend_mode}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(input_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        if backend_mode == "export-only":  # nothing was simulated
+            assert manifest["diagnostics"] == {"norm_drift": None}
+            return
+        cfg = parse_input(SMALL_REAL_TIME)
+        params = TrotterParams(cfg.total_time, cfg.num_steps)
+        blocks = step_blocks(build_hamiltonian(cfg), params, cli._compile(cfg))
+        *_, last = trotter.evolve_series(cfg.initial_state, blocks)
+        drift = backend.checked_norm_drift(last)
+        assert manifest["diagnostics"] == {"norm_drift": drift}
+
+    def test_imaginary_time_diagnostics_hold_each_fit(self, tmp_path):
+        input_path = write_input(tmp_path, SMALL_IMAGINARY)
+        out = tmp_path / "out"
+        assert main(["run", str(input_path), "--out", str(out)]) == 0
+        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        cfg = parse_input(SMALL_IMAGINARY)
+        params = QiteParams(dbeta=cfg.total_time / cfg.num_steps, num_steps=cfg.num_steps, seed=3)
+        reports = run_qite(build_hamiltonian(cfg), params, cfg.initial_state)
+        assert diagnostics["norm_drift"] == reports[-1].norm_drift <= backend.NORM_DRIFT_BUDGET
+        fits = [(r.step, r.residual, r.normalization) for r in reports[1:]]
+        steps = diagnostics["qite_steps"]
+        assert [(f["step"], f["residual"], f["normalization"]) for f in steps] == fits
+        assert [sorted(f) for f in steps] == [["normalization", "residual", "step"]] * 5
 
     def test_imaginary_axis_is_beta_and_energy_decreases(self, tmp_path):
         input_path = write_input(tmp_path, SMALL_IMAGINARY)
@@ -234,6 +272,32 @@ class TestExitCodes:
         code = main(["run", str(input_path), "--out", str(tmp_path / "o"), "--ground-truth"])
         assert code == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, module, name",
+        [(SMALL_REAL_TIME, trotter, "run_fused"), (SMALL_IMAGINARY, qite, "pauli_rotations")],
+        ids=["real-time", "imaginary-time"],
+    )
+    def test_norm_drift_over_budget_exits_two(
+        self, tmp_path, capsys, monkeypatch, text, module, name
+    ):
+        advance = getattr(module, name)
+
+        def scaled(*args):
+            result = advance(*args)
+            states = result if isinstance(result, list) else [result]
+            for state in states:
+                state.amplitudes[...] *= 1.0 + 1e-6
+            return result
+
+        monkeypatch.setattr(module, name, scaled)
+        input_path = write_input(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["run", str(input_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "norm drifted from 1" in err
+        assert not out.exists()
 
     def test_ground_truth_size_checked_before_simulating(self, tmp_path, capsys):
         input_path = write_input(tmp_path, "num_spins: 12\nJ_z: 1.0\nnum_steps: 1\n")
@@ -690,6 +754,29 @@ class TestImaginaryTimeFloor:
 
 
 class TestCircuitExport:
+    def test_each_distinct_line_of_a_static_export_is_formatted_once(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "export_line", lambda gate: calls.append(gate) or export_line(gate))
+        input_path = write_input(tmp_path, SMALL_REAL_TIME)
+        out = tmp_path / "out"
+        assert main(["run", str(input_path), "--out", str(out), "--export"]) == 0
+        lines = set()
+        for path in (out / "circuits").iterdir():
+            lines.update(line for line in path.read_text().splitlines() if "q[" in line)
+        lines.discard("qreg q[2];")
+        assert len(calls) == len(lines) > 1
+
+    def test_signed_zero_angles_keep_their_own_lines(self):
+        # QITE's zero coefficients reach the export when the peephole pass is off
+        cfg = parse_input(SMALL_REAL_TIME + "optimizer_level: none\n")
+        steps = [(ir.rz(0.0, 0), ir.rz(-0.0, 0)), (ir.rz(-0.0, 0), ir.rz(0.0, 0), ir.h(0))]
+        line = cli._line_formatter()
+        size = cli._export_bytes(cfg, steps, line)
+        texts = list(cli._cumulative_circuits(cfg, steps, line))
+        body = "rz(0) q[0];\nrz(-0) q[0];\nrz(-0) q[0];\nrz(0) q[0];\nh q[0];\n"
+        assert texts[-1] == export_frame(2, measured=False)[0] + body
+        assert size == sum(map(len, texts))
+
     def test_export_flag_writes_one_circuit_per_step(self, tmp_path):
         input_path = write_input(tmp_path, SMALL_REAL_TIME)
         out = tmp_path / "out"
@@ -715,8 +802,8 @@ class TestCircuitExport:
         cumulative = cli._cumulative_circuits
         yielded = []
 
-        def streaming(cfg, steps):
-            for k, circuit in enumerate(cumulative(cfg, steps)):
+        def streaming(cfg, steps, line):
+            for k, circuit in enumerate(cumulative(cfg, steps, line)):
                 if k > 0:
                     assert (out / "circuits" / f"step_{k - 1:04d}.qasm").exists(), k
                 yielded.append(k)
@@ -933,7 +1020,7 @@ class TestCircuitExport:
         cfg = parse_input(text + f"optimizer_level: {level}\nshots: {shots}\n")
         compile_program = cli._compile(cfg)
         pieces = [compile_program(Program(3, piece)).gates for piece in pieces]
-        texts = list(cli._cumulative_circuits(cfg, pieces))
+        texts = list(cli._cumulative_circuits(cfg, pieces, cli._line_formatter()))
         assert len(texts) == len(pieces)
         fed = ()
         for piece, emitted in zip(pieces, texts):

@@ -272,7 +272,14 @@ def scalar_fit(state, basis, terms, params):
             if phase.imag != 0.0:
                 b_vector[i] += coefficient * phase.imag * estimate(masks) / sqrt_c
     a = np.linalg.solve(s_matrix + REGULARIZATION * np.eye(m), b_vector)
-    residual = float(np.linalg.norm(s_matrix @ a - b_vector))
+    squares = 0.0
+    for i in range(m):
+        misfit = 0.0
+        for j in range(m):
+            misfit += s_matrix[i, j] * a[j]
+        misfit -= b_vector[i]
+        squares += misfit * misfit
+    residual = math.sqrt(squares)
     return tuple(float(v) for v in a), residual, c
 
 
