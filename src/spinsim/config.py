@@ -15,8 +15,11 @@ schedule forms ``constant(v)``, ``linear-ramp(v0, v1)``,
 ``random-uniform(lo, hi[, seed])``.  The ramp runs over [0, total_time]
 and random-uniform draws one value per bond or site when the
 Hamiltonian is built, reproducibly from its seed (falling back to
-rng_seed when none is given inline).  Resolved schedules are the
-coefficient functions J^a_i(t) and h^a_i(t) of the Hamiltonian.
+rng_seed when none is given inline).  The draws are numpy's
+``default_rng(seed).uniform`` stream, replayed in plain integers by
+:func:`_uniform_draws`, so building a Hamiltonian never imports
+``numpy.random``.  Resolved schedules are the coefficient functions
+J^a_i(t) and h^a_i(t) of the Hamiltonian.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .errors import (
     ConfigError,
@@ -141,9 +142,11 @@ class GaussianPulseSchedule:
 class RandomUniformSchedule:
     """One uniform draw from [low, high] per index, fixed at build time.
 
-    When ``seed`` is None the draw is seeded from the config's rng_seed
-    together with a stable per-key salt, so distinct keys get distinct
-    but reproducible values.
+    The draws equal ``numpy.random.default_rng(seed).uniform(low, high,
+    size=count)`` bit for bit, without importing ``numpy.random``.  When
+    ``seed`` is None the draw is seeded from the config's rng_seed
+    together with a stable per-key salt (:func:`derived_seed`), so
+    distinct keys get distinct but reproducible values.
     """
 
     low: float
@@ -158,9 +161,8 @@ class RandomUniformSchedule:
 
     def resolve(self, count: int, total_time: float, fallback_seed: int | None):
         seed = self.seed if self.seed is not None else fallback_seed
-        rng = np.random.default_rng(seed)
-        draws = rng.uniform(self.low, self.high, size=count)
-        return tuple(ConstantSchedule(float(v)) for v in draws)
+        draws = _uniform_draws(seed, self.low, self.high, count)
+        return tuple(ConstantSchedule(v) for v in draws)
 
     def __str__(self) -> str:
         parts = [_format_number(self.low), _format_number(self.high)]
@@ -481,8 +483,9 @@ def build_hamiltonian(cfg: SimulationConfig) -> HeisenbergHamiltonian:
 
     Random-uniform schedules are drawn here, once per bond or site, so
     the result is deterministic for a given (config, rng_seed) pair.
-    Only one without a seed of its own takes a :func:`derived_seed`, so
-    a description that draws nothing leaves ``numpy.random`` unimported.
+    One without a seed of its own takes a :func:`derived_seed`.  Both
+    the seeds and the draws replay numpy's streams in plain integers,
+    so building never imports ``numpy.random``.
     """
     base_seed = cfg.rng_seed if cfg.rng_seed is not None else 0
     coefficients: dict[str, dict] = {"J": {}, "h": {}}
@@ -498,8 +501,91 @@ def build_hamiltonian(cfg: SimulationConfig) -> HeisenbergHamiltonian:
 
 
 def derived_seed(base_seed: int, salt: int) -> int:
-    """A stable seed per salt; SeedSequence keeps the draws of different salts independent."""
-    return int(np.random.SeedSequence([base_seed, salt]).generate_state(1)[0])
+    """A stable 32-bit seed per salt, ``SeedSequence([base_seed, salt]).generate_state(1)[0]``.
+
+    The SeedSequence hash keeps the draws of different salts independent.
+    It is computed in plain integers (:func:`_seed_state`), so a caller
+    that only needs the seed leaves ``numpy.random`` unimported.
+    """
+    return _seed_state((base_seed, salt), 1)[0]
+
+
+# numpy's SeedSequence and PCG64, whose streams numpy keeps stable (NEP 19),
+# in plain integers: drawing a few coefficients then needs no numpy.random.
+_MASK32 = 0xFFFF_FFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_POOL_SIZE = 4
+
+
+def _seed_state(entropy: tuple[int, ...], n_words: int) -> list[int]:
+    """``SeedSequence(entropy).generate_state(n_words)`` (uint32 words) as ints.
+
+    Each entry of ``entropy`` is split into 32-bit words, least significant first.
+    """
+    words = []
+    for value in entropy:
+        if value < 0:
+            raise ValueError(f"seed entropy must be non-negative, got {value}")
+        words.append(value & _MASK32)
+        while value := value >> 32:
+            words.append(value & _MASK32)
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _HASH_INIT_B
+    state = []
+    for i in range(n_words):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _HASH_MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    return state
+
+
+def _uniform_draws(seed: int, low: float, high: float, count: int) -> list[float]:
+    """``numpy.random.default_rng(seed).uniform(low, high, size=count)``, bit for bit.
+
+    PCG64 is seeded from four little-endian uint64 words of the seed's
+    SeedSequence (state, then increment, high word first); each draw
+    steps the 128-bit LCG and takes its XSL-RR output.
+    """
+    w = _seed_state((seed,), 8)
+    initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+    inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _MASK128 | 1
+    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
+    span = high - low
+    draws = []
+    for _ in range(count):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        rot = state >> 122
+        x = (state >> 64 ^ state) & _MASK64
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        draws.append(low + span * ((x >> 11) * 2.0**-53))
+    return draws
 
 
 def with_overrides(

@@ -106,9 +106,10 @@ def step_blocks(
     and once per midpoint otherwise.
     """
     dt = params.dt
+    time_dependent = hamiltonian.is_time_dependent
     block = None
     for j in range(1, params.num_steps + 1):
-        if block is None or hamiltonian.is_time_dependent:
+        if block is None or time_dependent:
             block = compile_block(trotter_step(hamiltonian, step_midpoint(j, dt), dt))
         yield block
 

@@ -358,15 +358,34 @@ observable: energy
 """
 
 
+RANDOM_QITE = """\
+num_spins: 4
+mode: imaginary-time
+total_time: 1.2
+num_steps: 4
+J_z: 1.0
+h_x: random-uniform(0.8, 1.2)
+observable: energy
+rng_seed: 18446744073709551621
+"""
+
+
 class TestRandomImport:
     @pytest.mark.parametrize(
-        "extra, imported",
-        [("", False), ("h_x: random-uniform(-1, 1)\n", True), ("shots: 100\n", True)],
-        ids=["constant-exact", "random-uniform", "sampled"],
+        "text, imported",
+        [
+            (CONSTANT_ENERGY, False),
+            (CONSTANT_ENERGY + "h_x: random-uniform(-1, 1)\n", False),
+            (CONSTANT_ENERGY + "h_x: random-uniform(-1, 1, 100000000000000000000003)\n", False),
+            (RANDOM_QITE, False),
+            (CONSTANT_ENERGY + "shots: 100\n", True),
+        ],
+        ids=["constant-exact", "random-uniform", "schedule-seed", "random-qite", "sampled"],
     )
-    def test_only_a_run_that_draws_imports_numpy_random(self, tmp_path, extra, imported):
-        # numpy imports numpy.random lazily, on first use
-        path = write_input(tmp_path, CONSTANT_ENERGY + extra)
+    def test_only_a_run_that_draws_imports_numpy_random(self, tmp_path, text, imported):
+        # numpy imports numpy.random lazily, on first use; coefficient draws
+        # replay its streams in plain integers, so only drawing shots imports it
+        path = write_input(tmp_path, text)
         script = textwrap.dedent(
             """
             import sys

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from spinsim.config import (
     RandomUniformSchedule,
     SimulationConfig,
     build_hamiltonian,
+    derived_seed,
     parse_input,
     serialize,
     with_overrides,
@@ -250,6 +252,38 @@ class TestSchedules:
         assert a == b
 
 
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 10**30]
+
+
+class TestNumpyStreams:
+    """Coefficients draw numpy's SeedSequence and PCG64 streams without numpy.random."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_derived_seed_is_seed_sequence_state(self, seed):
+        for salt in range(6):  # J_x..h_z
+            expected = int(np.random.SeedSequence([seed, salt]).generate_state(1)[0])
+            assert derived_seed(seed, salt) == expected
+
+    def test_negative_entropy_is_rejected_as_numpy_does(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence([-1, 0])
+        with pytest.raises(ValueError):
+            derived_seed(-1, 0)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize(
+        "low, high",
+        [(0.7, 0.7), (0.0, 0.0), (5e-324, 1e-320), (-2.5, 0.75)],
+        ids=["equal", "zero", "subnormal", "mixed-signs"],
+    )
+    def test_draws_are_generator_uniform_bit_for_bit(self, seed, low, high):
+        for count in range(1, 41):
+            resolved = RandomUniformSchedule(low, high, seed).resolve(count, 0.0, None)
+            draws = np.array([schedule.values for schedule in resolved])
+            expected = np.random.default_rng(seed).uniform(low, high, size=count)
+            assert draws.tobytes() == expected.tobytes()
+
+
 class TestBuildHamiltonian:
     def test_bond_and_field_counts(self):
         cfg = parse_lines(
@@ -316,8 +350,6 @@ class TestRoundTrip:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
     def test_fuzzed_configs_round_trip(self, seed):
-        import numpy as np
-
         cfg = random_config(np.random.default_rng(seed))
         assert parse_input(serialize(cfg)) == cfg
 
