@@ -54,6 +54,17 @@ def _check_width(num_qubits: int) -> None:
         )
 
 
+def basis_index(spins: Sequence[str]) -> int:
+    """The basis-state index of the product state ``spins`` ('up'/'down' per site):
+    site 1 is the most significant bit, and 'down' sets it."""
+    index = 0
+    for spin in spins:
+        if spin not in ("up", "down"):
+            raise ValueError(f"spins must be 'up' or 'down', got {spin!r}")
+        index = (index << 1) | (1 if spin == "down" else 0)
+    return index
+
+
 def product_state(spins: Sequence[str]) -> Statevector:
     """|up...> style product state; ``spins`` holds 'up'/'down' per site.
 
@@ -61,13 +72,8 @@ def product_state(spins: Sequence[str]) -> Statevector:
     """
     n = len(spins)
     _check_width(n)
-    index = 0
-    for spin in spins:
-        if spin not in ("up", "down"):
-            raise ValueError(f"spins must be 'up' or 'down', got {spin!r}")
-        index = (index << 1) | (1 if spin == "down" else 0)
     amps = np.zeros(2**n, dtype=complex)
-    amps[index] = 1.0
+    amps[basis_index(spins)] = 1.0
     return Statevector(n, amps)
 
 
@@ -195,36 +201,117 @@ def _block_matrix(lo: int, hi: int, gates: Sequence[Gate]) -> np.ndarray:
     return matrix
 
 
-def _apply_block(amps: np.ndarray, block: FusedBlock) -> None:
-    """Multiply the block's qubits of ``amps`` by its matrix, in place, a chunk at a time."""
+def _apply_block(region: np.ndarray, block: FusedBlock, offset: int) -> None:
+    """Multiply the block's qubits of ``region`` by its matrix, in place, a chunk at a time.
+
+    ``region`` is a 1-D view of the amplitudes on qubits a..b of the state
+    for one setting of the others (the whole state when a = 0 and
+    b = n - 1), and the block's qubits are offset .. offset + m - 1 of
+    them.  A contiguous region (b = n - 1) is multiplied in place, chunk
+    by chunk, as the whole state is.  A strided one (b < n - 1) is
+    gathered a chunk of whole columns at a time into one contiguous
+    (2^m, columns) copy, which one product multiplies; copy and product
+    hold at most _CHUNK / 2 amplitudes together, so a region never holds
+    more temporary memory than the whole state's one product.  Either way
+    every column meets the same BLAS kernel as on the whole state (see
+    :func:`_live_range`).
+    """
     dim = len(block.matrix)
-    rest = len(amps) // (dim << block.lo)
+    rest = len(region) // (dim << offset)
     rows = max(1, _CHUNK // (dim * rest))
     if block.product is not None:
-        w = amps.reshape(-1, dim * rest)
+        w = region.reshape(-1, dim * rest)
         for a in range(0, len(w), rows):
             part = w[a : a + rows]
             part[...] = part @ block.product
         return
-    v = amps.reshape(-1, dim, rest)
-    cols = min(rest, _CHUNK // dim)
+    v = region.reshape(-1, dim, rest)
+    if region.strides[0] == region.itemsize:
+        cols = min(rest, _CHUNK // dim)
+        for a in range(0, len(v), rows):
+            for c in range(0, rest, cols):
+                part = v[a : a + rows, :, c : c + cols]
+                part[...] = np.matmul(block.matrix, part)
+        return
+    size = _CHUNK // 4  # of the copy, and of the product
+    rows, cols = max(1, size // (dim * rest)), min(rest, max(1, size // dim))
     for a in range(0, len(v), rows):
         for c in range(0, rest, cols):
             part = v[a : a + rows, :, c : c + cols]
-            part[...] = np.matmul(block.matrix, part)
+            copy = np.ascontiguousarray(part.transpose(1, 0, 2))
+            product = block.matrix @ copy.reshape(dim, -1)
+            part[...] = product.reshape(copy.shape).transpose(1, 0, 2)
 
 
-def run_fused(plan: Sequence[FusedBlock | Gate], initial: Statevector) -> Statevector:
-    """Advance a copy of ``initial`` by a plan from :func:`fuse`."""
+def _live_range(a: int, b: int, block: FusedBlock) -> tuple[int, int]:
+    """The live range [a, b] once ``block`` has run: the hull of [a, b] and the
+    block's qubits, widened so that each product of :func:`_apply_block` takes
+    the route through BLAS that it takes on the whole state.
+
+    BLAS multiplies a single row as a matrix-vector product, and the columns
+    left over from a zgemm kernel's unrolling (4 on x86-64) by other code;
+    either may round otherwise, or turn a row of zeros into -0.0.  So:
+
+    - a block without a kron product has at least three qubits below it,
+      and its products on the whole state at least 8 columns: its range
+      keeps at least three qubits besides the block's, for as many columns;
+    - a block with one (``block.product``) multiplies whole rows of the
+      amplitudes from its first qubit down, at least two unless that qubit
+      is 0: its range runs to the last qubit and starts at least one qubit
+      above the block;
+    - a kron product of fewer than 8 columns takes the whole register.
+    """
+    n, lo = block.num_qubits, block.lo
+    hi = lo + len(block.matrix).bit_length() - 2
+    a, b = min(a, lo), max(b, hi)
+    if block.product is None:
+        return a, max(b, a + hi - lo + 3)
+    if len(block.product) < 8:
+        return 0, n - 1
+    return min(a, max(lo - 1, 0)), n - 1
+
+
+def run_fused(
+    plan: Sequence[FusedBlock | Gate], initial: Statevector, basis: int | None = None
+) -> Statevector:
+    """Advance a copy of ``initial`` by a plan from :func:`fuse`.
+
+    ``basis``, when given, says that ``initial`` is a basis state and gives
+    its index.  The run then starts from zeros that hold that one amplitude
+    and keeps a live range of qubits [a, b] (:func:`_live_range`), the
+    qubits the entries so far have touched: every amplitude whose bits
+    outside the range differ from the index's is still zero.  Each block
+    multiplies only the 2^(b - a + 1) amplitudes whose bits outside the
+    range equal the index's, one strided view of the state.  A plain
+    :class:`Gate` makes the range the whole register.  Without ``basis``
+    the range is the whole register throughout.  Either way each amplitude
+    is the same sum of the same products, bit for bit.
+    """
     n = initial.num_qubits
-    amps = initial.amplitudes.astype(complex, copy=True)
+    if basis is None:
+        amps = initial.amplitudes.astype(complex, copy=True)
+        a, b = 0, n - 1
+    elif not 0 <= basis < 2**n:
+        raise ValueError(f"basis index {basis} is out of range for {n} qubits")
+    else:
+        amps = np.zeros(2**n, dtype=complex)
+        amps[basis] = initial.amplitudes[basis]
+        a, b = n, -1  # nothing touched yet
     for entry in plan:
         if isinstance(entry, Gate):
+            a, b = 0, n - 1
             apply_gate(amps, entry, n)
-        elif entry.num_qubits != n:
+            continue
+        if entry.num_qubits != n:
             raise ValueError("fused block width does not match the state")
-        else:
-            _apply_block(amps, entry)
+        region = amps
+        if b - a < n - 1:
+            a, b = _live_range(a, b, entry)
+            stride = 1 << (n - 1 - b)
+            span = stride << (b - a + 1)
+            first = basis & ~(span - stride)  # the index with the range's bits cleared
+            region = amps[first : first + span : stride]
+        _apply_block(region, entry, entry.lo - a)
     return Statevector(n, amps)
 
 

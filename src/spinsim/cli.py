@@ -312,6 +312,9 @@ def run_simulation(args: argparse.Namespace) -> int:
             points, steps, diagnostics = _run_imaginary_time(cfg, hamiltonian, seed)
             axis_label = "beta"
             observable_name = "energy"
+        # the largest reported standard error; None when the run is exact
+        sigmas = [sigma for _, _, sigma in points if sigma is not None]
+        diagnostics["max_sigma"] = max(sigmas, default=None)
 
         export = args.export or cfg.backend_mode == "export-only"
         if export:

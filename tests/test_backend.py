@@ -26,7 +26,7 @@ from spinsim.backend import (
     run_statevector,
     sample_counts,
 )
-from spinsim.config import ConstantSchedule
+from spinsim.config import ConstantSchedule, build_hamiltonian, parse_input
 from spinsim.errors import NormDriftError, TooLargeError
 from spinsim.hamiltonian import HeisenbergHamiltonian, PauliTerm, snapshot
 from spinsim.optimizer import optimize
@@ -376,6 +376,151 @@ class TestFusion:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def random_unitary(rng, dim):
+    matrix, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return matrix
+
+
+def chain_step_plan(n):
+    """The fused plan of the compiled step of an n-spin XXZ chain with an x ramp
+    and random z fields, the 20-spin benchmark chain's step at n = 20."""
+    cfg = parse_input(
+        f"num_spins: {n}\nJ_x: 1.0\nJ_y: 1.0\nJ_z: 0.5\n"
+        "h_x: linear-ramp(0, 0.6)\nh_z: random-uniform(-1, 1)\nrng_seed: 2\n"
+    )
+    step = trotter_step(build_hamiltonian(cfg), 0.5, 1.0)
+    return backend.fuse(optimize(ir.lower_to_native(step)))
+
+
+def chain_spins(n, initial):
+    if initial == "flip-first":
+        return ["down"] + ["up"] * (n - 1)
+    return [("up", "down")[site % 2] for site in range(n)]  # Neel
+
+
+class TestBasisStart:
+    """run_fused from a basis index multiplies only the live range of qubits and
+    gives what run_fused of the whole state gives, bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(plan, initial, index):
+        before = initial.amplitudes.tobytes()
+        want = backend.run_fused(plan, initial).amplitudes
+        got = backend.run_fused(plan, initial, basis=index).amplitudes
+        assert got.tobytes() == want.tobytes(), index
+        assert initial.amplitudes.tobytes() == before
+
+    @staticmethod
+    def basis_state(n, index, amplitude=1.0):
+        amps = np.zeros(2**n, dtype=complex)
+        amps[index] = amplitude
+        return Statevector(n, amps)
+
+    @staticmethod
+    def shifted_program(rng, n, skip):
+        """A random program on qubits skip .. n - 1 of n."""
+        local = random_program(rng, n - skip, 40, min_qubits=n - skip)
+        gates = [ir.Gate(g.kind, tuple(q + skip for q in g.qubits), g.theta) for g in local.gates]
+        return program_of(n, gates)
+
+    @staticmethod
+    def wide_gate_program(rng, n):
+        """Random gates on qubits 0-4, a cnot across the register, then more."""
+        local = [random_program(rng, 5, 20, min_qubits=5).gates for _ in range(2)]
+        return program_of(n, [*local[0], ir.cnot(0, n - 1), *local[1]])
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_random_programs(self, n):
+        # every index up to n = 4, four random ones beyond; a unit phase on
+        # the one amplitude, which the start takes from the state
+        rng = np.random.default_rng(4000 + n)
+        for _ in range(8):
+            plan = backend.fuse(random_program(rng, n, 40, min_qubits=n))
+            indices = range(2**n) if n <= 4 else rng.integers(0, 2**n, size=4).tolist()
+            for index in indices:
+                phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+                self.assert_bitwise(plan, self.basis_state(n, index, phase), index)
+
+    KINDS = [
+        "avoids-qubit-0",
+        "last-six-qubits",
+        "kron-twice",
+        "last-qubit-alone",
+        "wide-gate",
+        "empty",
+    ]
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_special_plans(self, n, kind):
+        # kron-twice: a second kron-product block starts at the range's first
+        # qubit; a block on the last qubit alone has a 2-column kron product
+        rng = np.random.default_rng(4100 + n)
+        if kind in ("avoids-qubit-0", "last-six-qubits"):
+            skip = 2 if kind == "avoids-qubit-0" else n - 6
+            plan = backend.fuse(self.shifted_program(rng, n, skip))
+            assert min(block_span(entry)[0] for entry in plan) >= skip
+        elif kind == "kron-twice":
+            plan = [backend.FusedBlock(n - 3, random_unitary(rng, 8), n) for _ in range(2)]
+        elif kind == "last-qubit-alone":
+            plan = [backend.FusedBlock(q, random_unitary(rng, 2), n) for q in (1, n - 1)]
+        elif kind == "wide-gate":
+            plan = backend.fuse(self.wide_gate_program(rng, n))
+            assert any(isinstance(entry, ir.Gate) for entry in plan)
+        else:
+            plan = ()
+        for index in rng.integers(0, 2**n, size=8).tolist():
+            self.assert_bitwise(plan, self.basis_state(n, index), index)
+
+    @pytest.mark.parametrize("n", [17, 20])
+    @pytest.mark.parametrize("initial", ["flip-first", "neel"])
+    def test_a_chain_step(self, n, initial):
+        spins = chain_spins(n, initial)
+        self.assert_bitwise(chain_step_plan(n), product_state(spins), backend.basis_index(spins))
+
+    def test_the_benchmark_step_multiplies_a_fraction_of_the_state(self):
+        # the windows advance two qubits per block from qubit 0; the last two
+        # blocks apply kron products, which take the whole state
+        n = 20
+        spins = chain_spins(n, "flip-first")
+        plan, index = chain_step_plan(n), backend.basis_index(spins)
+        sizes = []
+        apply = backend._apply_block
+
+        def counted(region, *args):
+            sizes.append(len(region))
+            apply(region, *args)
+
+        with mock.patch.object(backend, "_apply_block", counted):
+            backend.run_fused(plan, product_state(spins), basis=index)
+        assert sizes == [2**8, 2**8, 2**9, 2**11, 2**13, 2**15, 2**17, 2**20, 2**20]
+
+    def test_an_index_outside_the_state_is_refused(self):
+        plan = backend.fuse(program_of(3, [ir.h(0)]))
+        for index in (-1, 8):
+            with pytest.raises(ValueError):
+                backend.run_fused(plan, self.basis_state(3, 0), basis=index)
+
+    def test_the_start_holds_no_more_memory_than_the_whole_state(self):
+        """The 18-spin chain step: the basis start's tracemalloc peak, a zeroed state
+        and its chunked products, is no higher than that of the state's copy and
+        its one product of the whole state."""
+        n = 18
+        plan = chain_step_plan(n)
+        spins = chain_spins(n, "flip-first")
+        state = product_state(spins)
+        peaks = []
+        for basis in (None, backend.basis_index(spins)):
+            tracemalloc.start()
+            try:
+                backend.run_fused(plan, state, basis=basis)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        whole, start = peaks
+        assert start <= whole
+
+
 class TestProductState:
     def test_all_up_is_zero_index(self):
         state = product_state(["up", "up", "up"])
@@ -388,6 +533,14 @@ class TestProductState:
     def test_last_site_is_least_significant_bit(self):
         state = product_state(["up", "up", "down"])
         assert state.amplitudes[1] == 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_basis_index_is_the_one_amplitude(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            spins = [str(rng.choice(["up", "down"])) for _ in range(n)]
+            amps = product_state(spins).amplitudes
+            assert np.flatnonzero(amps).tolist() == [backend.basis_index(spins)]
 
 
 class TestPauliMasks:

@@ -142,14 +142,29 @@ class TestArtifacts:
         assert main(["run", str(input_path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         if backend_mode == "export-only":  # nothing was simulated
-            assert manifest["diagnostics"] == {"norm_drift": None}
+            assert manifest["diagnostics"] == {"max_sigma": None, "norm_drift": None}
             return
         cfg = parse_input(SMALL_REAL_TIME)
         params = TrotterParams(cfg.total_time, cfg.num_steps)
         blocks = step_blocks(build_hamiltonian(cfg), params, cli._compile(cfg))
         *_, last = trotter.evolve_series(cfg.initial_state, blocks)
         drift = backend.checked_norm_drift(last)
-        assert manifest["diagnostics"] == {"norm_drift": drift}
+        assert manifest["diagnostics"] == {"max_sigma": None, "norm_drift": drift}
+
+    @pytest.mark.parametrize("shots", [0, 400], ids=["exact", "sampled"])
+    @pytest.mark.parametrize(
+        "text", [SMALL_REAL_TIME, SMALL_IMAGINARY], ids=["real-time", "imaginary-time"]
+    )
+    def test_max_sigma_is_the_largest_reported_sigma(self, tmp_path, text, shots):
+        input_path = write_input(tmp_path, text + f"shots: {shots}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(input_path), "--out", str(out)]) == 0
+        max_sigma = json.loads((out / "manifest.json").read_text())["diagnostics"]["max_sigma"]
+        sigmas = [sigma for _, _, sigma in read_csv(out / "results.csv")]
+        if shots:
+            assert max_sigma == max(sigmas) > 0.0
+        else:
+            assert max_sigma is None and sigmas == [None] * len(sigmas)
 
     def test_imaginary_time_diagnostics_hold_each_fit(self, tmp_path):
         input_path = write_input(tmp_path, SMALL_IMAGINARY)
@@ -283,8 +298,8 @@ class TestExitCodes:
     ):
         advance = getattr(module, name)
 
-        def scaled(*args):
-            result = advance(*args)
+        def scaled(*args, **kwargs):
+            result = advance(*args, **kwargs)
             states = result if isinstance(result, list) else [result]
             for state in states:
                 state.amplitudes[...] *= 1.0 + 1e-6

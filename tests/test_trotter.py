@@ -5,7 +5,7 @@ import pytest
 
 from helpers import matrix_exponential
 from spinsim import ir, trotter
-from spinsim.backend import fuse, product_state, run_fused, run_statevector
+from spinsim.backend import basis_index, fuse, product_state, run_fused, run_statevector
 from spinsim.config import ConstantSchedule, GaussianPulseSchedule, LinearRampSchedule
 from spinsim.hamiltonian import HeisenbergHamiltonian, dense_matrix, snapshot
 from spinsim.ir import lower_to_native, phase_aligned_distance
@@ -224,6 +224,19 @@ class TestEvolveSeries:
         blocks = step_blocks(CHAINS[chain], TrotterParams(1.0, 5), compile_block)
         assert len(list(evolve_series(["up"] * 3, blocks))) == 6
         assert len(compiled) == compiles
+
+    def test_only_the_first_step_starts_from_the_basis_index(self, monkeypatch):
+        starts = []
+
+        def spying_run_fused(plan, initial, basis=None):
+            starts.append(basis)
+            return run_fused(plan, initial, basis=basis)
+
+        monkeypatch.setattr(trotter, "run_fused", spying_run_fused)
+        spins = ["down", "up", "down"]
+        blocks = step_blocks(CHAINS["linear-ramp"], TrotterParams(1.0, 3), lower_to_native)
+        assert len(list(evolve_series(spins, blocks))) == 4
+        assert starts == [basis_index(spins), None, None] == [0b101, None, None]
 
     def test_later_steps_leave_yielded_states_alone(self):
         hamiltonian = CHAINS["linear-ramp"]
