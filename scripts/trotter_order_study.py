@@ -3,7 +3,8 @@
 Evolves the 3-spin Ising quench to t = 1 with increasing step counts
 and fits the terminal-state infidelity against the exact propagator on
 a log-log scale.  Midpoint coefficient sampling makes the observed
-order close to 2 even for the first-order splitting.
+order close to 2 even for the first-order splitting.  Exits 1 when the
+observed order falls outside [1.9, 2.1].
 """
 
 import sys
@@ -46,7 +47,11 @@ def main() -> int:
         print(f"{n_steps:4d}   {infidelity:.3e}")
 
     slope, _ = np.polyfit(np.log(step_counts), np.log(infidelities), 1)
-    print(f"observed order: {-slope:.3f}")
+    order = -slope
+    print(f"observed order: {order:.3f}")
+    if not 1.9 <= order <= 2.1:
+        print("the observed order lies outside [1.9, 2.1]", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -9,6 +9,7 @@ qubit j ('1' means spin down).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -41,12 +42,6 @@ class Statevector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def zero_state(num_qubits: int) -> np.ndarray:
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[0] = 1.0
-    return amps
-
-
 def _check_width(num_qubits: int) -> None:
     if num_qubits > STATEVECTOR_QUBIT_LIMIT:
         raise TooLargeError(
@@ -68,7 +63,7 @@ def basis_index(spins: Sequence[str]) -> int:
 def product_state(spins: Sequence[str]) -> Statevector:
     """|up...> style product state; ``spins`` holds 'up'/'down' per site.
 
-    At most STATEVECTOR_QUBIT_LIMIT sites, as for :func:`run_statevector`.
+    At most STATEVECTOR_QUBIT_LIMIT sites, as for :func:`run_statevector` (all up by default).
     """
     n = len(spins)
     _check_width(n)
@@ -151,18 +146,21 @@ def fuse(program: Program) -> tuple[FusedBlock | Gate, ...]:
     gate, applied by :func:`apply_gate`: it blocks its wires until it
     reaches the head of the remaining gates, and then becomes a plan
     entry of its own.  Each block's matrix is built by :func:`apply_gate`,
-    gate by gate, on an identity matrix (:func:`_block_matrix`).
+    gate by gate, on an identity matrix (:func:`_block_matrix`).  Per-qubit
+    counts of the remaining gates give each window's lowest pending qubit.
     """
     n = program.num_qubits
     last = max(0, n - FUSED_QUBITS)
     remaining = list(program.gates)
+    pending = Counter(q for gate in remaining for q in gate.qubits)
     plan: list[FusedBlock | Gate] = []
     while remaining:
         lo = -1
         while remaining and lo < last:
             while remaining and _wide(remaining[0]):
                 plan.append(remaining.pop(0))
-            lowest = min((q for gate in remaining for q in gate.qubits), default=last)
+                pending.subtract(plan[-1].qubits)
+            lowest = next((q for q in range(n) if pending[q]), last)
             lo = min(max(lo + 1, lowest), last)
             window = set(range(lo, min(lo + FUSED_QUBITS, n)))
             taken, kept, blocked = [], [], set()
@@ -178,6 +176,7 @@ def fuse(program: Program) -> tuple[FusedBlock | Gate, ...]:
                     break
             if taken:
                 qubits = [q for gate in taken for q in gate.qubits]
+                pending.subtract(qubits)
                 block_lo, block_hi = min(qubits), max(qubits)
                 plan.append(FusedBlock(block_lo, _block_matrix(block_lo, block_hi, taken), n))
             remaining = kept
@@ -274,7 +273,7 @@ def _live_range(a: int, b: int, block: FusedBlock) -> tuple[int, int]:
 def run_fused(
     plan: Sequence[FusedBlock | Gate], initial: Statevector, basis: int | None = None
 ) -> Statevector:
-    """Advance a copy of ``initial`` by a plan from :func:`fuse`.
+    """Advance a copy of ``initial`` by a plan (:func:`fuse`'s, or gates): the one driver.
 
     ``basis``, when given, says that ``initial`` is a basis state and gives
     its index.  The run then starts from zeros that hold that one amplitude
@@ -300,7 +299,7 @@ def run_fused(
     for entry in plan:
         if isinstance(entry, Gate):
             a, b = 0, n - 1
-            apply_gate(amps, entry, n)
+            apply_gate(amps, entry, n)  # a module lookup, so wrappers see each gate
             continue
         if entry.num_qubits != n:
             raise ValueError("fused block width does not match the state")
@@ -316,19 +315,17 @@ def run_fused(
 
 
 def run_statevector(program: Program, initial: Statevector | None = None) -> Statevector:
-    """Execute a program on |0...0> (or a supplied initial state)."""
+    """Run a program by :func:`run_fused` from |0...0> (as basis index 0) or a copy of ``initial``:
+    on ``fuse(program)`` from 2m + 2 qubits (m = FUSED_QUBITS) up, where the state holds at
+    least four times a block's 2^2m-amplitude build, and on the program's gates below that."""
     n = program.num_qubits
     _check_width(n)
+    if initial is not None and initial.num_qubits != n:
+        raise ValueError("initial state width does not match the program")
+    plan = fuse(program) if n >= 2 * FUSED_QUBITS + 2 else program.gates
     if initial is None:
-        amps = zero_state(n)
-    else:
-        if initial.num_qubits != n:
-            raise ValueError("initial state width does not match the program")
-        amps = initial.amplitudes.astype(complex, copy=True)
-    for gate in program.gates:
-        # looked up per gate, so a wrapper installed on backend.apply_gate sees each one
-        apply_gate(amps, gate, n)
-    return Statevector(n, amps)
+        return run_fused(plan, product_state(("up",) * n), basis=0)
+    return run_fused(plan, initial)
 
 
 def pauli_masks(factors: Iterable[tuple[int, str]], num_qubits: int) -> tuple[int, int]:

@@ -281,7 +281,8 @@ def run_qite(
     ``initial_state`` is either a per-site up/down sequence, built
     directly by :func:`backend.product_state` (the step-0 report's
     program holds its X gates), or an explicit preparation circuit, run
-    by :func:`backend.run_statevector`.  Returns one report per step,
+    by :func:`backend.run_statevector` (fused from 12 spins up, while QITE
+    steps never are).  Returns one report per step,
     preceded by a step-0 report for the prepared initial state.  Each
     step is one fit of the full Hamiltonian over :func:`fitting_basis`
     of the prepared state.  An exact report's energy is the next fit's

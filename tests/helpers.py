@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from spinsim import ir
-from spinsim.backend import Statevector, _z_parity
+from spinsim.backend import Statevector, _z_parity, apply_gate, product_state
 from spinsim.config import (
     ConstantSchedule,
     GaussianPulseSchedule,
@@ -86,6 +86,21 @@ def cut_programs(draw, num_qubits: int, max_gates: int = 40) -> list[tuple[ir.Ga
     cuts = draw(st.lists(st.integers(0, len(gates)), max_size=6))
     seams = [0, *sorted(cuts), len(gates)]
     return [tuple(gates[a:b]) for a, b in zip(seams, seams[1:])]
+
+
+def run_gates(program: Program, initial: Statevector | None = None) -> Statevector:
+    """The program applied gate by gate to a copy of ``initial`` (|0...0> if None).
+
+    The reference for ``backend.run_statevector``, which fuses wide
+    states' programs into blocks: one ``backend.apply_gate`` per gate,
+    with no plan in between.
+    """
+    n = program.num_qubits
+    start = product_state(("up",) * n) if initial is None else initial
+    amps = start.amplitudes.astype(complex, copy=True)
+    for gate in program.gates:
+        apply_gate(amps, gate, n)
+    return Statevector(n, amps)
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> Statevector:

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_pauli, embedded_pauli, random_program, random_state, unsliced_fold
+from helpers import (
+    apply_pauli,
+    embedded_pauli,
+    random_program,
+    random_state,
+    run_gates,
+    unsliced_fold,
+)
 from spinsim import ir
 from spinsim import backend
 from spinsim.backend import (
@@ -160,10 +167,12 @@ class TestKernels:
             if gate.kind in ("x", "cnot"):
                 assert np.array_equal(work, permuted(amps, gate, n)), gate
 
-    def test_initial_state_is_left_bit_unchanged(self):
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_initial_state_is_left_bit_unchanged(self, n):
+        # gate by gate at 6 qubits, fused at 12
         rng = np.random.default_rng(23)
-        program = ir.lower_to_native(random_program(rng, max_qubits=6, max_gates=40, min_qubits=6))
-        initial = random_state(rng, 6)
+        program = ir.lower_to_native(random_program(rng, max_qubits=n, max_gates=40, min_qubits=n))
+        initial = random_state(rng, n)
         before = initial.amplitudes.tobytes()
         state = run_statevector(program, initial=initial)
         assert initial.amplitudes.tobytes() == before
@@ -294,9 +303,19 @@ class TestFusion:
         plan = backend.fuse(program)
         assert [block_span(entry) for entry in plan] == [(3, 6)]
         initial = random_state(np.random.default_rng(6), 10)
-        want = run_statevector(program, initial=initial).amplitudes
+        want = run_gates(program, initial=initial).amplitudes
         got = backend.run_fused(plan, initial).amplitudes
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_a_wide_gate_that_left_holds_back_no_window(self):
+        # once cnot(0, 11) has left, qubit 6 is the lowest pending one, so one
+        # window takes h(6) and cnot(6, 7) together
+        gates = [ir.cnot(0, 11), ir.h(6), ir.cnot(6, 7)]
+        plan = backend.fuse(program_of(12, gates))
+        assert [entry if isinstance(entry, ir.Gate) else block_span(entry) for entry in plan] == [
+            gates[0],
+            (6, 7),
+        ]
 
     def test_wide_gates_run_unfused_and_end_the_blocks_on_their_wires(self):
         n = 12
@@ -322,7 +341,7 @@ class TestFusion:
             (0, 1),
         ]
         initial = random_state(np.random.default_rng(4), n)
-        want = run_statevector(program, initial=initial).amplitudes
+        want = run_gates(program, initial=initial).amplitudes
         got = backend.run_fused(plan, initial).amplitudes
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -351,7 +370,7 @@ class TestFusion:
                 assert len(plan) == len(range(0, n - backend.FUSED_QUBITS, advance)) + 1, keys
                 assert all(isinstance(entry, backend.FusedBlock) for entry in plan)
         initial = random_state(rng, n)
-        want = run_statevector(block, initial=initial).amplitudes
+        want = run_gates(block, initial=initial).amplitudes
         got = backend.run_fused(plan, initial).amplitudes
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -359,7 +378,7 @@ class TestFusion:
         "width, lo", [(w, lo) for w in range(1, backend.FUSED_QUBITS + 1) for lo in range(11 - w)]
     )
     def test_one_block_at_every_position_matches_the_gate_kernels(self, width, lo):
-        # a fused block against run_statevector of its gates
+        # a fused block against its gates applied one by one
         n = 10
         rng = np.random.default_rng(width * 100 + lo)
         local = [ir.h(0), ir.rx(0.7, width - 1), *fusion_program(rng, width, 24).gates]
@@ -369,7 +388,7 @@ class TestFusion:
         shifted = [ir.Gate(g.kind, tuple(q + lo for q in g.qubits), g.theta) for g in local]
         program = program_of(n, shifted)
         initial = random_state(rng, n)
-        want = run_statevector(program, initial=initial).amplitudes
+        want = run_gates(program, initial=initial).amplitudes
         for chunk in (backend._CHUNK, 64):
             with mock.patch.object(backend, "_CHUNK", chunk):
                 got = backend.run_fused(plan, initial).amplitudes
@@ -381,15 +400,43 @@ def random_unitary(rng, dim):
     return matrix
 
 
-def chain_step_plan(n):
-    """The fused plan of the compiled step of an n-spin XXZ chain with an x ramp
-    and random z fields, the 20-spin benchmark chain's step at n = 20."""
+def chain_step(n):
+    """The compiled step of an n-spin XXZ chain with an x ramp and random z
+    fields, the 20-spin benchmark chain's step at n = 20."""
     cfg = parse_input(
         f"num_spins: {n}\nJ_x: 1.0\nJ_y: 1.0\nJ_z: 0.5\n"
         "h_x: linear-ramp(0, 0.6)\nh_z: random-uniform(-1, 1)\nrng_seed: 2\n"
     )
     step = trotter_step(build_hamiltonian(cfg), 0.5, 1.0)
-    return backend.fuse(optimize(ir.lower_to_native(step)))
+    return optimize(ir.lower_to_native(step))
+
+
+def chain_step_plan(n):
+    return backend.fuse(chain_step(n))
+
+
+class TestOneDriver:
+    """run_statevector fuses programs from 2 FUSED_QUBITS + 2 qubits up and
+    runs their gates one by one below that, through run_fused either way."""
+
+    FUSING_WIDTH = 2 * backend.FUSED_QUBITS + 2
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_equals_the_gate_by_gate_reference(self, n):
+        rng = np.random.default_rng(3100 + n)
+        gates = random_program(rng, n, 40, min_qubits=n).gates
+        wide = [ir.rxx(0.9, 0, n - 1)] if n > 1 else []  # wider than a block from n = 6
+        mixed = program_of(n, [*gates[:20], *wide, *gates[20:]])
+        states = [None, random_state(rng, n), random_state(rng, n)]
+        for program, initial in zip([mixed, mixed, chain_step(n)], states):
+            with mock.patch.object(backend, "fuse", wraps=backend.fuse) as fuse:
+                got = run_statevector(program, initial).amplitudes
+            want = run_gates(program, initial).amplitudes
+            assert fuse.call_count == (n >= self.FUSING_WIDTH)
+            if n < self.FUSING_WIDTH:
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def chain_spins(n, initial):
@@ -1251,7 +1298,7 @@ class TestMeasurementGroups:
 
 
 class TestPauliValues:
-    def test_exact_mode_is_pauli_expectations(self):
+    def test_exact_mode_is_one_read_plan_per_string(self):
         # an exact plan reads each string as a one-shot read of it alone, and leaves rng alone
         state = random_state(np.random.default_rng(4), 3)
         masks = [(0, 0), (1, 1), (5, 4), (7, 0), (2, 6), (0, 3)]
