@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -18,6 +17,7 @@ import numpy as np
 from .errors import NormDriftError, TooLargeError
 from .hamiltonian import PauliTerm
 from .ir import Gate, Program, gate_matrix
+from .value import Value, set_field, set_fields
 
 STATEVECTOR_QUBIT_LIMIT = 24
 
@@ -25,18 +25,14 @@ STATEVECTOR_QUBIT_LIMIT = 24
 NORM_DRIFT_BUDGET = 1e-9
 
 
-@dataclass(frozen=True)
-class Statevector:
+class Statevector(Value, eq=False):
     """Amplitudes of an n-qubit pure state, unit norm up to float error."""
 
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.amplitudes.shape != (2**self.num_qubits,):
-            raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes, got {self.amplitudes.shape}"
-            )
+    def __init__(self, num_qubits: int, amplitudes: np.ndarray):
+        if amplitudes.shape != (2**num_qubits,):
+            raise ValueError(f"expected {2**num_qubits} amplitudes, got {amplitudes.shape}")
+        set_field(self, "num_qubits", num_qubits)
+        set_field(self, "amplitudes", amplitudes)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -109,8 +105,7 @@ _CHUNK = 2**16
 _KRON_REST = 4
 
 
-@dataclass(frozen=True)
-class FusedBlock:
+class FusedBlock(Value, eq=False):
     """A dense unitary on the qubits lo .. lo + m - 1 of n; ``matrix`` has 2^m rows.
 
     m is at most FUSED_QUBITS.
@@ -118,15 +113,10 @@ class FusedBlock:
     at most _KRON_REST amplitudes lie below it, else None.
     """
 
-    lo: int
-    matrix: np.ndarray
-    num_qubits: int
-    product: np.ndarray | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        rest = 2 ** (self.num_qubits - self.lo) // len(self.matrix)
-        product = np.kron(self.matrix.T, np.eye(rest)) if rest <= _KRON_REST else None
-        object.__setattr__(self, "product", product)
+    def __init__(self, lo: int, matrix: np.ndarray, num_qubits: int):
+        rest = 2 ** (num_qubits - lo) // len(matrix)
+        set_fields(self, lo, matrix, num_qubits)
+        set_field(self, "product", np.kron(matrix.T, np.eye(rest)) if rest <= _KRON_REST else None)
 
 
 def fuse(program: Program) -> tuple[FusedBlock | Gate, ...]:

@@ -28,7 +28,6 @@ import math
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 
 from .errors import (
     ConfigError,
@@ -39,21 +38,20 @@ from .errors import (
     ValueOutOfRangeError,
 )
 from .hamiltonian import HeisenbergHamiltonian
+from .value import Value, set_fields
 
 
-@dataclass(frozen=True)
-class ConstantSchedule:
+class ConstantSchedule(Value):
     """Scalar broadcast to every index, or an explicit per-index tuple."""
-
-    values: float | tuple[float, ...]
 
     is_time_dependent = False
 
-    def __post_init__(self):
+    def __init__(self, values: float | tuple[float, ...]):
         # a one-entry list means the same thing as a scalar; normalizing
         # here keeps serialize/parse round-trips exact
-        if isinstance(self.values, tuple) and len(self.values) == 1:
-            object.__setattr__(self, "values", self.values[0])
+        if isinstance(values, tuple) and len(values) == 1:
+            values = values[0]
+        set_fields(self, values)
 
     def at(self, t: float) -> float:
         """Value of a scalar schedule; resolve() splits a list into scalars."""
@@ -77,17 +75,15 @@ class ConstantSchedule:
         return _format_number(self.values)
 
 
-@dataclass(frozen=True)
-class LinearRampSchedule:
+class LinearRampSchedule(Value):
     """Interpolates from start at t=0 to stop at t=total_time.
 
     ``total_time`` is filled in by :meth:`resolve`; while it is unset or
     zero the ramp sits at ``stop``.
     """
 
-    start: float
-    stop: float
-    total_time: float | None = None
+    def __init__(self, start: float, stop: float, total_time: float | None = None):
+        set_fields(self, start, stop, total_time)
 
     def at(self, t: float) -> float:
         if not self.total_time:
@@ -104,19 +100,17 @@ class LinearRampSchedule:
         return max(abs(self.start), abs(self.stop))
 
     def resolve(self, count: int, total_time: float, fallback_seed: int | None):
-        return (replace(self, total_time=total_time),) * count
+        return (LinearRampSchedule(self.start, self.stop, total_time),) * count
 
     def __str__(self) -> str:
         return f"linear-ramp({_format_number(self.start)}, {_format_number(self.stop)})"
 
 
-@dataclass(frozen=True)
-class GaussianPulseSchedule:
+class GaussianPulseSchedule(Value):
     """Envelope amplitude * exp(-(t-center)^2 / (2 width^2))."""
 
-    amplitude: float
-    center: float
-    width: float
+    def __init__(self, amplitude: float, center: float, width: float):
+        set_fields(self, amplitude, center, width)
 
     def at(self, t: float) -> float:
         arg = (t - self.center) / self.width
@@ -138,8 +132,7 @@ class GaussianPulseSchedule:
         return f"gaussian-pulse({', '.join(_format_number(v) for v in parts)})"
 
 
-@dataclass(frozen=True)
-class RandomUniformSchedule:
+class RandomUniformSchedule(Value):
     """One uniform draw from [low, high] per index, fixed at build time.
 
     The draws equal ``numpy.random.default_rng(seed).uniform(low, high,
@@ -149,11 +142,10 @@ class RandomUniformSchedule:
     distinct keys get distinct but reproducible values.
     """
 
-    low: float
-    high: float
-    seed: int | None = None
-
     is_time_dependent = False
+
+    def __init__(self, low: float, high: float, seed: int | None = None):
+        set_fields(self, low, high, seed)
 
     @property
     def peak(self) -> float:
@@ -178,33 +170,36 @@ CoefficientSchedule = (
 ZERO_SCHEDULE = ConstantSchedule(0.0)
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(Value):
     """A fully validated simulation description."""
 
-    num_spins: int
-    mode: str = "real-time"
-    total_time: float = 1.0
-    num_steps: int = 10
-    j_x: CoefficientSchedule = ZERO_SCHEDULE
-    j_y: CoefficientSchedule = ZERO_SCHEDULE
-    j_z: CoefficientSchedule = ZERO_SCHEDULE
-    h_x: CoefficientSchedule = ZERO_SCHEDULE
-    h_y: CoefficientSchedule = ZERO_SCHEDULE
-    h_z: CoefficientSchedule = ZERO_SCHEDULE
-    initial_state: tuple[str, ...] = ()
-    backend_mode: str = "QS"
-    shots: int = 0
-    observable: str = "site-magnetization(z)"
-    optimizer_level: str = "peephole"
-    constant_depth: bool = False
-    rng_seed: int | None = None
-    output_dir: str = "results"
-
-    def __post_init__(self):
-        _check_chain_length(self.num_spins)
-        if not self.initial_state:
-            object.__setattr__(self, "initial_state", ("up",) * self.num_spins)
+    def __init__(
+        self,
+        num_spins: int,
+        mode: str = "real-time",
+        total_time: float = 1.0,
+        num_steps: int = 10,
+        j_x: CoefficientSchedule = ZERO_SCHEDULE,
+        j_y: CoefficientSchedule = ZERO_SCHEDULE,
+        j_z: CoefficientSchedule = ZERO_SCHEDULE,
+        h_x: CoefficientSchedule = ZERO_SCHEDULE,
+        h_y: CoefficientSchedule = ZERO_SCHEDULE,
+        h_z: CoefficientSchedule = ZERO_SCHEDULE,
+        initial_state: tuple[str, ...] = (),
+        backend_mode: str = "QS",
+        shots: int = 0,
+        observable: str = "site-magnetization(z)",
+        optimizer_level: str = "peephole",
+        constant_depth: bool = False,
+        rng_seed: int | None = None,
+        output_dir: str = "results",
+    ):
+        _check_chain_length(num_spins)
+        set_fields(
+            self, num_spins, mode, total_time, num_steps, j_x, j_y, j_z, h_x, h_y, h_z,
+            initial_state or ("up",) * num_spins, backend_mode, shots, observable,
+            optimizer_level, constant_depth, rng_seed, output_dir,
+        )
         _validate_config(self)
 
 
@@ -293,15 +288,18 @@ def _schedule(text: str, num_spins: int = 0) -> CoefficientSchedule:
     return cls(*(_number(a) for a in args))
 
 
-@dataclass(frozen=True)
-class InputKey:
+class InputKey(Value):
     """How one input key maps onto a :class:`SimulationConfig` field."""
 
-    field: str
-    parse: Callable[[str, int], object]
-    render: Callable[[object], str] = str
-    choices: tuple[str, ...] = ()
-    minimum: int | None = None
+    def __init__(
+        self,
+        field: str,
+        parse: Callable[[str, int], object],
+        render: Callable[[object], str] = str,
+        choices: tuple[str, ...] = (),
+        minimum: int | None = None,
+    ):
+        set_fields(self, field, parse, render, choices, minimum)
 
 
 # The input key set, in serialization order.  Fields left None
@@ -596,4 +594,5 @@ def with_overrides(
     """Apply command-line overrides on top of file values."""
     updates = {"rng_seed": seed, "shots": shots}
     updates = {k: v for k, v in updates.items() if v is not None}
-    return replace(cfg, **updates) if updates else cfg
+    fields = {name: getattr(cfg, name) for name in cfg._fields}
+    return SimulationConfig(**fields | updates) if updates else cfg

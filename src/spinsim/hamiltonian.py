@@ -10,7 +10,6 @@ with sites numbered from 1.  Site i lives on qubit i-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING, Sequence
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from .errors import TooLargeError
 from .ir import _agreement, pauli_matrix
+from .value import Value, set_field, set_fields
 
 if TYPE_CHECKING:
     from .config import CoefficientSchedule
@@ -27,8 +27,7 @@ AXES = ("x", "y", "z")
 DENSE_QUBIT_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class PauliTerm:
+class PauliTerm(Value):
     """A real coefficient times a product of single-site Pauli factors.
 
     ``factors`` is a tuple of (site, axis) pairs with 1-based, strictly
@@ -36,22 +35,30 @@ class PauliTerm:
     offset).
     """
 
-    coefficient: float
-    factors: tuple[tuple[int, str], ...]
-
-    def __post_init__(self):
-        sites = [s for s, _ in self.factors]
-        if sorted(set(sites)) != sites:
-            raise ValueError(f"factor sites must be strictly increasing, got {sites}")
-        for site, axis in self.factors:
-            if site < 1:
-                raise ValueError(f"sites are 1-based, got {site}")
-            if axis not in AXES:
-                raise ValueError(f"unknown axis {axis!r}")
+    def __init__(self, coefficient: float, factors: tuple[tuple[int, str], ...]):
+        previous = 0
+        for site, axis in factors:
+            if not previous < site or site < 1 or axis not in AXES:
+                _check_factors(factors)
+            previous = site
+        set_field(self, "coefficient", coefficient)
+        set_field(self, "factors", factors)
+        set_field(self, "_key", (coefficient, factors))
 
 
-@dataclass(frozen=True)
-class HeisenbergHamiltonian:
+def _check_factors(factors: tuple[tuple[int, str], ...]) -> None:
+    """Raise the first fault of PauliTerm factors: their order, then each one's site and axis."""
+    sites = [s for s, _ in factors]
+    if sorted(set(sites)) != sites:
+        raise ValueError(f"factor sites must be strictly increasing, got {sites}")
+    for site, axis in factors:
+        if site < 1:
+            raise ValueError(f"sites are 1-based, got {site}")
+        if axis not in AXES:
+            raise ValueError(f"unknown axis {axis!r}")
+
+
+class HeisenbergHamiltonian(Value):
     """Per-bond and per-site coefficient schedules of an open chain.
 
     ``bond_coefficients`` maps (axis, i) to the J^axis_i(t) schedule for
@@ -60,19 +67,21 @@ class HeisenbergHamiltonian:
     :mod:`spinsim.config` schedules: ``at(t)`` gives its value.
     """
 
-    num_spins: int
-    bond_coefficients: dict[tuple[str, int], CoefficientSchedule]
-    field_coefficients: dict[tuple[str, int], CoefficientSchedule]
-
-    def __post_init__(self):
-        if self.num_spins < 1:
+    def __init__(
+        self,
+        num_spins: int,
+        bond_coefficients: dict[tuple[str, int], CoefficientSchedule],
+        field_coefficients: dict[tuple[str, int], CoefficientSchedule],
+    ):
+        if num_spins < 1:
             raise ValueError("need at least one spin")
-        for axis, i in self.bond_coefficients:
-            if axis not in AXES or not 1 <= i <= self.num_spins - 1:
+        for axis, i in bond_coefficients:
+            if axis not in AXES or not 1 <= i <= num_spins - 1:
                 raise ValueError(f"bad bond key {(axis, i)}")
-        for axis, i in self.field_coefficients:
-            if axis not in AXES or not 1 <= i <= self.num_spins:
+        for axis, i in field_coefficients:
+            if axis not in AXES or not 1 <= i <= num_spins:
                 raise ValueError(f"bad field key {(axis, i)}")
+        set_fields(self, num_spins, bond_coefficients, field_coefficients)
 
     @property
     def is_time_dependent(self) -> bool:

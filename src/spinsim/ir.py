@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (
     TooLargeError,
     UnknownGateError,
 )
+from .value import Value, set_field
 
 GATE_ARITY = {
     "x": 1,
@@ -46,30 +46,28 @@ NATIVE_KINDS = frozenset({"rz", "rx", "h", "cnot"})
 UNITARY_QUBIT_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(Value):
     """One gate application: a kind, its operand qubits, optional angle."""
 
-    kind: str
-    qubits: tuple[int, ...]
-    theta: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in GATE_ARITY:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != GATE_ARITY[self.kind]:
-            raise ValueError(
-                f"{self.kind} takes {GATE_ARITY[self.kind]} operand(s), got {self.qubits!r}"
-            )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"{self.kind} operands must be distinct, got {self.qubits!r}")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index in {self.qubits!r}")
-        if self.kind in PARAMETRIC_KINDS:
-            if self.theta is None or not math.isfinite(self.theta):
-                raise ValueError(f"{self.kind} requires a finite angle, got {self.theta!r}")
-        elif self.theta is not None:
-            raise ValueError(f"{self.kind} takes no angle")
+    def __init__(self, kind: str, qubits: tuple[int, ...], theta: float | None = None):
+        arity = GATE_ARITY.get(kind)
+        if arity is None:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if len(qubits) != arity:
+            raise ValueError(f"{kind} takes {arity} operand(s), got {qubits!r}")
+        if len(set(qubits)) != arity:
+            raise ValueError(f"{kind} operands must be distinct, got {qubits!r}")
+        if min(qubits) < 0:
+            raise ValueError(f"negative qubit index in {qubits!r}")
+        if kind in PARAMETRIC_KINDS:
+            if theta is None or not math.isfinite(theta):
+                raise ValueError(f"{kind} requires a finite angle, got {theta!r}")
+        elif theta is not None:
+            raise ValueError(f"{kind} takes no angle")
+        set_field(self, "kind", kind)
+        set_field(self, "qubits", qubits)
+        set_field(self, "theta", theta)
+        set_field(self, "_key", (kind, qubits, theta))
 
 
 def x(q: int) -> Gate:
@@ -108,24 +106,23 @@ def rzz(theta: float, a: int, b: int) -> Gate:
     return Gate("rzz", (a, b), float(theta))
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Value):
     """An ordered gate list on a fixed-width qubit register.
 
     ``measured`` marks a terminal measurement of every qubit in the
     computational basis; it has no effect on :func:`unitary_of`.
     """
 
-    num_qubits: int
-    gates: tuple[Gate, ...] = ()
-    measured: bool = False
-
-    def __post_init__(self):
-        if self.num_qubits < 1:
+    def __init__(self, num_qubits: int, gates: tuple[Gate, ...] = (), measured: bool = False):
+        if num_qubits < 1:
             raise ValueError("a program needs at least one qubit")
-        for g in self.gates:
-            if any(q >= self.num_qubits for q in g.qubits):
-                raise ValueError(f"gate {g} exceeds register width {self.num_qubits}")
+        for g in gates:
+            if max(g.qubits) >= num_qubits:
+                raise ValueError(f"gate {g} exceeds register width {num_qubits}")
+        set_field(self, "num_qubits", num_qubits)
+        set_field(self, "gates", gates)
+        set_field(self, "measured", measured)
+        set_field(self, "_key", (num_qubits, gates, measured))
 
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

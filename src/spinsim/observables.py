@@ -11,17 +11,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .hamiltonian import HeisenbergHamiltonian, PauliTerm, snapshot
+from .value import Value, set_fields
 
 Point = tuple[float, float, float | None]
 
 
-@dataclass(frozen=True)
-class ResultSeries:
+class ResultSeries(Value):
     """An observable traced over time (or inverse temperature).
 
     ``points`` holds (axis value, observable value, sigma) triples with
@@ -29,14 +28,11 @@ class ResultSeries:
     a one-standard-error estimate for sampled ones.
     """
 
-    axis_label: str
-    points: tuple[Point, ...]
-    metadata: Mapping[str, str]
-
-    def __post_init__(self):
-        axis = [p[0] for p in self.points]
+    def __init__(self, axis_label: str, points: tuple[Point, ...], metadata: Mapping[str, str]):
+        axis = [p[0] for p in points]
         if any(b <= a for a, b in zip(axis, axis[1:])):
             raise ValueError("axis values must be strictly increasing")
+        set_fields(self, axis_label, points, metadata)
 
 
 def excitation_displacement_observable(num_spins: int) -> list[PauliTerm]:

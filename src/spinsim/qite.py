@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add
 from typing import Sequence
@@ -63,6 +62,7 @@ from .errors import SingularSystemError, UnsupportedFeatureError
 from .hamiltonian import HeisenbergHamiltonian, PauliTerm, snapshot
 from .ir import Gate, Program
 from .trotter import state_preparation_gates
+from .value import Value, set_fields
 
 PauliMasks = tuple[int, int]
 
@@ -70,8 +70,7 @@ PauliMasks = tuple[int, int]
 REGULARIZATION = 1e-6
 
 
-@dataclass(frozen=True)
-class QiteParams:
+class QiteParams(Value):
     """Knobs of the imaginary-time loop.
 
     ``shots`` = 0 evaluates every expectation value exactly from the
@@ -81,25 +80,21 @@ class QiteParams:
     basis, keeping each window contiguous inside the chain.
     """
 
-    dbeta: float
-    num_steps: int
-    domain_radius: int = 0
-    shots: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.dbeta <= 0.0:
-            raise ValueError(f"dbeta must be positive, got {self.dbeta}")
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be positive, got {self.num_steps}")
-        if self.domain_radius < 0:
-            raise ValueError(f"domain_radius must be >= 0, got {self.domain_radius}")
-        if self.shots < 0:
-            raise ValueError(f"shots must be >= 0, got {self.shots}")
+    def __init__(
+        self, dbeta: float, num_steps: int, domain_radius: int = 0, shots: int = 0, seed: int = 0
+    ):
+        if dbeta <= 0.0:
+            raise ValueError(f"dbeta must be positive, got {dbeta}")
+        if num_steps < 1:
+            raise ValueError(f"num_steps must be positive, got {num_steps}")
+        if domain_radius < 0:
+            raise ValueError(f"domain_radius must be >= 0, got {domain_radius}")
+        if shots < 0:
+            raise ValueError(f"shots must be >= 0, got {shots}")
+        set_fields(self, dbeta, num_steps, domain_radius, shots, seed)
 
 
-@dataclass(frozen=True)
-class QiteStepReport:
+class QiteStepReport(Value):
     """Outcome of one imaginary-time step.
 
     ``sigma`` is the standard error of a sampled ``energy`` (None in
@@ -114,14 +109,20 @@ class QiteStepReport:
     (:func:`backend.checked_norm_drift`), None on the others.
     """
 
-    step: int
-    energy: float
-    sigma: float | None
-    coefficients: tuple[float, ...]
-    residual: float
-    normalization: float
-    program: Program
-    norm_drift: float | None = None
+    def __init__(
+        self,
+        step: int,
+        energy: float,
+        sigma: float | None,
+        coefficients: tuple[float, ...],
+        residual: float,
+        normalization: float,
+        program: Program,
+        norm_drift: float | None = None,
+    ):
+        set_fields(
+            self, step, energy, sigma, coefficients, residual, normalization, program, norm_drift
+        )
 
 
 _I_POWERS = np.array([1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j])

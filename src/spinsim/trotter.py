@@ -11,27 +11,24 @@ so neither rebuilds a circuit from t=0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import ir
 from .backend import Statevector, basis_index, fuse, product_state, run_fused
 from .hamiltonian import HeisenbergHamiltonian, snapshot
 from .ir import Gate, Program
+from .value import Value, set_fields
 
 
-@dataclass(frozen=True)
-class TrotterParams:
+class TrotterParams(Value):
     """Step-count discretization of t_max into num_steps equal slices."""
 
-    total_time: float
-    num_steps: int
-
-    def __post_init__(self):
-        if self.total_time < 0.0:
-            raise ValueError(f"total_time must be >= 0, got {self.total_time}")
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be positive, got {self.num_steps}")
+    def __init__(self, total_time: float, num_steps: int):
+        if total_time < 0.0:
+            raise ValueError(f"total_time must be >= 0, got {total_time}")
+        if num_steps < 1:
+            raise ValueError(f"num_steps must be positive, got {num_steps}")
+        set_fields(self, total_time, num_steps)
 
     @property
     def dt(self) -> float:

@@ -152,7 +152,7 @@ def embedded_gate(gate, n):
     return ir.embed(ir.gate_matrix(gate), gate.qubits, n)
 
 
-class TestKernels:
+class TestApplyGate:
     """``apply_gate`` against the dense unitary of each gate."""
 
     @pytest.mark.parametrize("n", range(1, 11))
@@ -1297,7 +1297,7 @@ class TestMeasurementGroups:
         assert _measurement_groups(masks) == [[0b11, 0, [0, 2]], [0, 0b11, [1, 3]]]
 
 
-class TestPauliValues:
+class TestReadPlanValues:
     def test_exact_mode_is_one_read_plan_per_string(self):
         # an exact plan reads each string as a one-shot read of it alone, and leaves rng alone
         state = random_state(np.random.default_rng(4), 3)

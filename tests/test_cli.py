@@ -420,6 +420,14 @@ class TestRandomImport:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == str(imported)
 
+    def test_the_package_does_not_import_dataclasses(self):
+        # dataclasses generates and compiles code for each class it makes, at
+        # every start; spinsim's value types subclass spinsim.value.Value instead
+        code = "import sys, spinsim.cli; print('dataclasses' in sys.modules)"
+        command = [sys.executable, "-c", code]
+        result = subprocess.run(command, cwd=ROOT / "src", capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
+
 
 WIDE_ENERGY = """\
 num_spins: 20
