@@ -96,7 +96,7 @@ def apply_gate(amps: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
 # matrix has at most 2^FUSED_QUBITS rows.
 FUSED_QUBITS = 5
 # A block is applied in products of at most this many amplitudes, and a
-# fold read forms |amplitude|^2 in slices of at most this many, which
+# fold read forms its products in slices of at most this many, which
 # bounds the temporary each product or slice allocates.
 _CHUNK = 2**16
 # With at most this many amplitudes below a block, one product of the
@@ -367,8 +367,8 @@ _MINUS_I_POWERS = (1, -1j, -1, 1j)
 # about this many amplitudes.
 _WALSH_CHUNK = 2**18
 
-# the smallest state whose small x-mask groups take dot products (see _route)
-_VDOT_MIN_QUBITS = 11
+# the smallest state whose small x != 0 groups take the fold (see _route)
+_X_FOLD_MIN_QUBITS = 11
 
 
 def _z_signs(z: np.ndarray, num_qubits: int) -> Iterator[np.ndarray]:
@@ -383,40 +383,11 @@ def _z_signs(z: np.ndarray, num_qubits: int) -> Iterator[np.ndarray]:
         yield from signs
 
 
-def _vdot_reads(
-    batch: Sequence[np.ndarray], num_qubits: int, x_mask: int, z: np.ndarray
-) -> np.ndarray:
-    """Re <psi| sigma |psi> for each state psi of ``batch`` (row) and string (x_mask, z[i]).
-
-    Each state's flipped amplitudes psi_{k xor x} are written to its row
-    of one contiguous copy; each string multiplies the copy by its row of
-    z signs and by its phase, and takes one dot product per state.  Only
-    products with +-1 and +-i happen before the read, so a value rounds
-    exactly as :func:`_real_dot` of psi and the applied string does.
-    """
-    n = num_qubits
-    axes = [q for q in range(n) if x_mask >> (n - 1 - q) & 1]
-    flipped = np.empty((len(batch), 2**n), dtype=complex)
-    for row, amps in zip(flipped, batch):
-        row.reshape((2,) * n)[...] = np.flip(amps.reshape((2,) * n), axes)
-    values = np.empty((len(batch), len(z)))
-    for i, (z_mask, signs) in enumerate(zip(z.tolist(), _z_signs(z, n))):
-        w = flipped
-        if z_mask:
-            # the last string may overwrite the shared copy
-            w = np.multiply(flipped, signs, out=flipped if i == len(z) - 1 else None)
-            power = (x_mask & z_mask).bit_count() % 4
-            if power:
-                w *= _MINUS_I_POWERS[power]
-        values[:, i] = [_real_dot(amps, row) for amps, row in zip(batch, w)]
-    return values
-
-
 def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Re sum_k conj(a_k) b_k, summed by numpy's own loop on the float64 views.
 
-    Unlike ``np.vdot`` (BLAS zdotc, threaded on long vectors), its
-    rounding does not depend on the BLAS or its thread count.
+    Unlike BLAS zdotc (threaded on long vectors), its rounding does not
+    depend on the BLAS or its thread count.
     """
     a, b = (np.ascontiguousarray(v).view(np.float64) for v in (a, b))
     return float(np.einsum("i,i->", a, b))
@@ -473,7 +444,7 @@ def _transform_reads(
     gathers its own columns from its own amplitudes, and
     :func:`_walsh_hadamard` transforms them.  Every step is elementwise, so
     a value depends on neither the other x masks nor the other states, and
-    it agrees with ``np.vdot`` of the applied string up to rounding.
+    it agrees with :func:`_real_dot` of the applied string up to rounding.
     """
     n = num_qubits
     half = 2 ** (n - 1)
@@ -519,17 +490,18 @@ def _transform_reads(
 def _route(x_mask: int, size: int, num_qubits: int) -> str:
     """How an exact :class:`ReadPlan` reads the ``size`` strings on one x mask.
 
-    The one route rule; README gives its measurements.  z strings (x = 0)
-    take the fold (:func:`_z_parity`) while there are at most 2n - 1 of
-    them, as in a chain energy; the fold costs per string, the tables per
-    mask.  Another mask takes one dot product per string
-    (:func:`_vdot_reads`) while it has at most n + 1 - _VDOT_MIN_QUBITS
-    strings.  Every other group is a column of the half Walsh-Hadamard
-    tables (:func:`_transform_reads`).
+    The one route rule; README gives its measurements.  A group takes the
+    fold (:func:`_fold_reads`) while it has at most 2n - 1 z strings (x = 0),
+    as in a chain energy, or, from _X_FOLD_MIN_QUBITS qubits on, at most two
+    strings on another mask, as a bond's xx and yy or a site's x and y.  The
+    fold costs per string, the tables per mask: every other group is a
+    column of the half Walsh-Hadamard tables (:func:`_transform_reads`).
     """
     if x_mask == 0:
-        return "fold" if size < 2 * num_qubits else "tables"
-    return "vdot" if size <= num_qubits + 1 - _VDOT_MIN_QUBITS else "tables"
+        limit = 2 * num_qubits - 1
+    else:
+        limit = 2 if num_qubits >= _X_FOLD_MIN_QUBITS else 0
+    return "fold" if size <= limit else "tables"
 
 
 def pauli_rotations(
@@ -608,29 +580,37 @@ def _z_parity(probs: np.ndarray, support: Sequence[int]) -> np.ndarray:
 
 
 def _fold_reads(
-    batch: Sequence[np.ndarray], num_qubits: int, supports: Sequence[Sequence[int]]
+    batch: Sequence[np.ndarray],
+    num_qubits: int,
+    supports: Sequence[Sequence[int]],
+    x_mask: int = 0,
 ) -> np.ndarray:
-    """sum_k (-1)^(parity of k on the support) |psi_k|^2 for each state psi of ``batch``
-    (row) and z string (column), given by its support qubits; ``supports`` is sorted
-    by first qubit.
+    """Re <psi| sigma |psi> for each state psi of ``batch`` (row) and string (column) on
+    one x mask: sum_k (-1)^(parity of k on the support) v_k, times (-i)^|x & z|, with
+    v_k = |psi_k|^2 for x = 0, else conj(psi_k) psi_{k xor x}.  A string is given
+    by its support, the qubits of its z mask; ``supports`` is sorted by first qubit,
+    an empty support (z = 0) first.
 
-    |psi|^2 is formed a slice of at most _CHUNK amplitudes at a time.  A slice
+    v is formed a slice of at most _CHUNK amplitudes at a time.  A slice
     fixes the leading ``lead`` = n - 16 qubits (none for n <= 16, where the one
     slice is the whole state), and the slices add up, in order, into a running
-    sum over those qubits, ``tail``.  A string whose first qubit lies past them
-    reads ``tail``: the strings are visited by first qubit (head), and as the
-    head advances the qubits before it are summed out of ``tail`` in place, so a
-    value does not depend on the other strings.  A string that touches the
-    leading qubits adds, on each slice, its :func:`_z_parity` on its qubits past
-    them, or the slice total if it has none there, times the slice index's
-    parity on its leading qubits.  Every step depends on n alone, so a state
-    reads the same in any batch.
+    sum over those qubits, ``tail``.  Slice j pairs psi's slice j with its slice
+    j xor (x's leading bits), flipped on x's other bits as a view.  A string
+    whose first qubit lies past the leading ones reads ``tail``: the strings are
+    visited by first qubit (head), and as the head advances the qubits before it
+    are summed out of ``tail`` in place, so a value does not depend on the other
+    strings.  A string that touches the leading qubits adds, on each slice, its
+    :func:`_z_parity` on its qubits past them, times the slice index's parity on
+    its leading qubits; one with no qubit past them adds the slice total, which
+    all such strings share, as does an empty support.  Every step depends on n
+    alone, so a state reads the same in any batch.
     """
     n = num_qubits
     size = min(2**n, _CHUNK)
     lead = n + 1 - size.bit_length()
-    outer = sum(s[0] < lead for s in supports)
-    values = np.zeros((len(batch), len(supports)))
+    outer = sum(not s or s[0] < lead for s in supports)
+    dtype = complex if x_mask else float
+    values = np.zeros((len(batch), len(supports)), dtype)
     if outer:
         # each leading string's qubits past the leading ones, and its sign on
         # slice j: (-1)^(parity of j on its leading qubits)
@@ -638,14 +618,23 @@ def _fold_reads(
         lead_bits = [sum(1 << (lead - 1 - q) for q in s if q < lead) for s in supports[:outer]]
         signs = 1.0 - 2.0 * (_popcount(np.array(lead_bits)[:, None] & np.arange(2**lead)) & 1)
         shared = not all(trailing)
-        parts = np.empty((len(batch), outer))
-    tail = np.empty((len(batch), size))
+        parts = np.empty((len(batch), outer), dtype)
+    tail = np.empty((len(batch), size), dtype)
     probs = np.empty_like(tail) if lead else None
+    # psi's partner slice, reversed along x's trailing qubits: a view
+    shape = (2,) * (n - lead)
+    flip = tuple(slice(None, None, -1 if x_mask >> (n - 1 - q) & 1 else 1) for q in range(lead, n))
     for j in range(2**lead):
         block, window = (tail if j == 0 else probs), slice(j * size, (j + 1) * size)
-        for row, amps in zip(block, batch):
-            np.abs(amps[window] if lead else amps, out=row)  # one slice: no view
-        np.square(block, out=block)
+        if x_mask:
+            partner = (j ^ x_mask >> (n - lead)) * size
+            for row, amps in zip(block, batch):
+                np.conjugate(amps[window], out=row)
+                row.reshape(shape)[...] *= amps[partner : partner + size].reshape(shape)[flip]
+        else:
+            for row, amps in zip(block, batch):
+                np.abs(amps[window] if lead else amps, out=row)  # one slice: no view
+            np.square(block, out=block)
         if outer:
             # strings wholly on the leading qubits share the slice total
             total = block.sum(axis=1) if shared else None
@@ -661,7 +650,11 @@ def _fold_reads(
             tail = np.add(tail[:, :half], tail[:, half:], out=tail[:, :half])
             head += 1
         values[:, i] = _z_parity(tail, [q - head for q in support])
-    return values
+    if not x_mask:
+        return values
+    # Re((-i)^p w) is w.real, w.imag, -w.real, -w.imag for p = 0..3
+    power = np.array([sum(x_mask >> (n - 1 - q) & 1 for q in s) % 4 for s in supports])
+    return np.where(power % 2, values.imag, values.real) * (1 - (power & 2))
 
 
 def sample_counts(
@@ -709,14 +702,15 @@ class ReadPlan:
     alone: :attr:`batch` states fill about _WALSH_CHUNK amplitudes.  With
     ``shots`` = 0 the reads are exact: the strings are grouped by x mask,
     and :func:`_route` fixes each group's route here, in ``routes`` (x
-    mask -> "fold", "vdot" or "tables").  No route calls BLAS, and a
-    string's value depends on its route and its state alone, never on the
-    other strings or states of the read.  With ``shots`` > 0 the strings
-    share :func:`_measurement_groups`, each turned into the z basis by
-    :func:`pauli_rotations` and drawn ``shots`` times per state.  Either way
-    the identity (0, 0) is exactly 1.0 without a read, and the states are
-    only read: each route writes its working rows (|amplitude|^2, flipped
-    or turned copies, table columns) from every state's own amplitudes.
+    mask -> "fold" or "tables"), and the fold's members and supports, in
+    ``fold``.  No route calls BLAS, and a string's value depends on its
+    route and its state alone, never on the other strings or states of the
+    read.  With ``shots`` > 0 the strings share :func:`_measurement_groups`,
+    each turned into the z basis by :func:`pauli_rotations` and drawn
+    ``shots`` times per state.  Either way the identity (0, 0) is exactly
+    1.0 without a read, and the states are only read: each route writes its
+    working rows (the fold's slices, turned copies, table columns) from
+    every state's own amplitudes.
     """
 
     def __init__(self, masks: Sequence[tuple[int, int]], num_qubits: int, shots: int = 0):
@@ -741,12 +735,15 @@ class ReadPlan:
                 by_x.setdefault(x, []).append(i)
         self.routes = {x: _route(x, len(members), n) for x, members in by_x.items()}
         x, self.z = np.array(self.masks, dtype=np.int64).reshape(-1, 2).T
-        self.vdot = [(x_mask, by_x[x_mask]) for x_mask, r in self.routes.items() if r == "vdot"]
         tables = [i for x_mask, r in self.routes.items() if r == "tables" for i in by_x[x_mask]]
         self.tables = tables, x[tables], self.z[tables]
-        folded = by_x[0] if self.routes.get(0) == "fold" else []
-        supports = [[q for q in range(n) if self.masks[i][1] >> (n - 1 - q) & 1] for i in folded]
-        self.fold = sorted(zip(folded, supports), key=lambda item: item[1][0])  # by first qubit
+        self.fold = []  # (x mask, members, supports), by first support qubit, z = 0 first
+        for x_mask, members in by_x.items():
+            if self.routes[x_mask] == "fold":
+                z_masks = [self.masks[i][1] for i in members]
+                supports = [[q for q in range(n) if z >> (n - 1 - q) & 1] for z in z_masks]
+                group = sorted(zip(members, supports), key=lambda m: m[1][0] if m[1] else -1)
+                self.fold.append((x_mask, *zip(*group)))
 
     def values(self, states: Sequence[Statevector], rngs=None) -> np.ndarray:
         """<state| sigma |state> for each state (row) and string (column).  A sampled
@@ -804,14 +801,11 @@ class ReadPlan:
         self._check(states)
         batch, n = [state.amplitudes for state in states], self.num_qubits
         values = np.ones((len(batch), len(self.z)))
-        for x_mask, members in self.vdot:
-            values[:, members] = _vdot_reads(batch, n, x_mask, self.z[members])
         members, x, z = self.tables
         if members:
             values[:, members] = _transform_reads(batch, n, x, z)
-        if self.fold:
-            members, supports = zip(*self.fold)
-            values[:, members] = _fold_reads(batch, n, supports)
+        for x_mask, members, supports in self.fold:
+            values[:, members] = _fold_reads(batch, n, supports, x_mask)
         return values
 
     def _draws(self, states: Sequence[Statevector], rngs, counted=None) -> Iterator[tuple]:

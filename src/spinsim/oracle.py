@@ -120,6 +120,6 @@ def evolve_imaginary_exact(
             )
         components /= norm
         amps = vectors @ components
-        energy = float(np.vdot(amps, matrix @ amps).real)
+        energy = float(np.dot(amps.conj(), matrix @ amps).real)
         results.append((Statevector(n, amps), energy))
     return results

@@ -457,6 +457,22 @@ rng_seed: 2
 """
 
 
+# J_y ramps to 0: each bond's x mask holds xx and yy until t = 1, and xx alone there
+BOND_RAMP_11 = """\
+num_spins: 11
+mode: real-time
+total_time: 1.0
+num_steps: 3
+J_x: 1.0
+J_y: linear-ramp(1, 0)
+J_z: 0.5
+h_z: random-uniform(-1, 1)
+initial_state: up,down,up,down,up,down,up,down,up,down,up
+observable: energy
+rng_seed: 5
+"""
+
+
 def read_routes(text: str, reads: str) -> dict[str, int]:
     """How many x masks of one exact read set take each route.
 
@@ -495,8 +511,8 @@ class TestReadPlans:
             # the routes the workloads and tutorials read by, as before the plan
             ("localization", "t=3.0", {"fold": 1}),
             ("wide-chain", "t=1.0", {"fold": 1}),
-            ("wide_energy", "t=0.0", {"fold": 1, "vdot": 19}),
-            ("wide_energy", "t=1.0", {"fold": 1, "vdot": 39}),
+            ("wide_energy", "t=0.0", {"fold": 20}),
+            ("wide_energy", "t=1.0", {"fold": 40}),
             ("qite-tfim", "fit", {"tables": 64}),
             ("qite-tfim", "terms", {"fold": 1, "tables": 7}),
             ("tfim", "fit", {"tables": 8}),
@@ -580,6 +596,24 @@ class TestReadPlans:
         want = [
             backend.estimate_with_sigma(state, snapshot(hamiltonian, t), shots, derived_seed(9, k))
             for k, (t, state) in enumerate(zip(times, states))
+        ]
+        assert got == want
+
+    def test_an_11_spin_bond_ramp_reads_each_point_as_alone(self):
+        """The union plan reads an x mask of two strings on the route that a plan
+        of the point's own strings takes for one, so every point, t = 1 among them,
+        is bit-identical to a one-shot read of its own terms."""
+        cfg = parse_input(BOND_RAMP_11)
+        hamiltonian = build_hamiltonian(cfg)
+        params = TrotterParams(cfg.total_time, cfg.num_steps)
+        blocks = list(step_blocks(hamiltonian, params, cli._compile(cfg)))
+        states = list(trotter.evolve_series(cfg.initial_state, blocks))
+        times = [k * params.dt for k in range(len(states))]
+        assert len(snapshot(hamiltonian, times[-1])) < len(snapshot(hamiltonian, 0.0))
+        got = list(cli._read_series(cfg, hamiltonian, times, states, 0, 0))
+        want = [
+            backend.estimate_with_sigma(state, snapshot(hamiltonian, t), 0, None)
+            for t, state in zip(times, states)
         ]
         assert got == want
 
@@ -736,6 +770,43 @@ class TestRealTimeDifferential:
         want = states[-1]
         overlap = np.vdot(want, got)
         assert abs(got - overlap / abs(overlap) * want).max() <= 1e-10
+
+
+def mirror_texts(n: int, seed: int) -> tuple[str, str]:
+    """A real-time energy input with per-bond couplings, per-site x and z fields and
+    a random product state, and its mirror image: every list and the state reversed."""
+    rng = np.random.default_rng(seed)
+    spins = rng.choice(["up", "down"], size=n).tolist()
+    lists = {
+        key: rng.uniform(-1, 1, size=n - 1 if key[0] == "J" else n).tolist()
+        for key in ("J_x", "J_y", "J_z", "h_x", "h_z")
+    }
+    texts = []
+    for order in (slice(None), slice(None, None, -1)):
+        lines = [f"num_spins: {n}", "total_time: 0.9", "num_steps: 3", "observable: energy"]
+        lines += [f"{key}: {', '.join(map(repr, values[order]))}" for key, values in lists.items()]
+        texts.append("\n".join([*lines, f"initial_state: {','.join(spins[order])}"]) + "\n")
+    assert texts[0] != texts[1]
+    return texts[0], texts[1]
+
+
+class TestMirrorRelation:
+    def test_a_mirrored_chain_has_the_same_energies(self, tmp_path):
+        """Reversing every per-bond and per-site list and the initial state maps
+        each term group of the step onto itself, so the energies agree.  At 18
+        spins the fold reads the xx, yy and x strings in four slices, each paired
+        with slice j xor x's leading bits and flipped on x's other bits.  The
+        largest difference seen was 2.7e-15 on this input, 8.0e-15 over four
+        other seeds."""
+        energies = []
+        for name, text in zip(("chain", "mirror"), mirror_texts(18, 31)):
+            out = tmp_path / name
+            with contextlib.redirect_stdout(io.StringIO()):
+                path = write_input(tmp_path, text, f"{name}.txt")
+                assert main(["run", str(path), "--out", str(out)]) == 0
+            energies.append(np.array([value for _, value, _ in read_csv(out / "results.csv")]))
+        assert len(energies[0]) == 4
+        assert np.abs(energies[0] - energies[1]).max() <= 2e-14
 
 
 # imaginary-time evolution accepts only a time-independent Hamiltonian
