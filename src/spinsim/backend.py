@@ -438,53 +438,47 @@ def _transform_reads(
     bit; v_{k xor x} = conj(v_k), so T(z) is 2 Re H(z') when |x & z| is even
     and 2i Im H(z') when it is odd.  For x = 0, v is real and p is the top
     qubit's bit: the two halves are packed into the real and imaginary
-    parts, and T(z) = Re H(z') +- Im H(z') by z's bit p.  The (state,
-    distinct x mask) pairs, state by state, are the columns of
-    (2^(n-1), chunk) tables of at most _WALSH_CHUNK amplitudes; each state
-    gathers its own columns from its own amplitudes, and
-    :func:`_walsh_hadamard` transforms them.  Every step is elementwise, so
-    a value depends on neither the other x masks nor the other states, and
-    it agrees with :func:`_real_dot` of the applied string up to rounding.
+    parts, and T(z) = Re H(z') +- Im H(z') by z's bit p.  The distinct x
+    masks are the columns of (2^(n-1), chunk) tables of at most
+    _WALSH_CHUNK / 2 entries, and a table holds one state's columns only:
+    per chunk the row indices and the read entries are built once, then
+    each state in turn gathers its columns from its own amplitudes and
+    :func:`_walsh_hadamard` transforms them.  A batch's read so peaks near
+    one state's (traced: 0.36 MB for 61 10-spin states on ten x masks,
+    0.34 MB for one).  Every step is elementwise, so a value depends on
+    neither the other x masks nor the other states, and it agrees with
+    :func:`_real_dot` of the applied string up to rounding.
     """
     n = num_qubits
     half = 2 ** (n - 1)
     x_masks, column = np.unique(x, return_inverse=True)
     pairing = np.where(x_masks, x_masks & -x_masks, half)
-    # pair[b * len(x) + i]: the column of string i in state b
-    pair = (np.arange(len(batch))[:, None] * len(x_masks) + column).ravel()
-    order = np.argsort(pair, kind="stable")
-    total, width = len(batch) * len(x_masks), max(1, _WALSH_CHUNK >> n)
-    starts = range(0, total, width)
-    bounds = np.searchsorted(pair[order], [*starts, total])
+    width = max(1, _WALSH_CHUNK >> n)
     rows = np.arange(half)[:, None]
-    values = np.empty(len(pair))
-    for first, a, b in zip(starts, bounds[:-1], bounds[1:]):
-        last = min(first + width, total)
-        mask = np.arange(first, last) % len(x_masks)
-        chunk, bit = x_masks[mask], pairing[mask]
+    values = np.empty((len(batch), len(x)))
+    for first in range(0, len(x_masks), width):
+        chunk, bit = x_masks[first : first + width], pairing[first : first + width]
         # k: the row index with a 0 inserted at the column's pairing bit
         k = (rows & -bit) << 1 | rows & bit - 1
         flipped = k ^ chunk
-        table = np.empty(k.shape, dtype=complex)
-        for state in range(first // len(x_masks), (last - 1) // len(x_masks) + 1):
-            lo = max(first, state * len(x_masks)) - first
-            hi = min(last, (state + 1) * len(x_masks)) - first
-            amps, part = batch[state], table[:, lo:hi]
-            np.conjugate(amps[k[:, lo:hi]], out=part)
-            part *= amps[flipped[:, lo:hi]]
-            if chunk[lo] == 0:
-                part[:, 0].imag = (amps[half:].conj() * amps[half:]).real
-        _walsh_hadamard(table)
-        members = order[a:b]
-        i = members % len(x)
-        xm, zm, bit = x[i], z[i], pairing[column[i]]
-        read = table[zm >> 1 & -bit | zm & bit - 1, pair[members] - first]
+        members = np.flatnonzero(column // width == first // width)
+        xm, zm, bit = x[members], z[members], pairing[column[members]]
+        entry = zm >> 1 & -bit | zm & bit - 1, column[members] - first
         # Re((-i)^p w) is w.real, w.imag, -w.real, -w.imag for p = 0..3
         power = _popcount(xm & zm) % 4
+        table = np.empty(k.shape, dtype=complex)
+        read = np.empty((len(batch), len(members)), dtype=complex)
+        for state, amps in enumerate(batch):
+            np.conjugate(amps[k], out=table)
+            table *= amps[flipped]
+            if chunk[0] == 0:
+                table[:, 0].imag = (amps[half:].conj() * amps[half:]).real
+            _walsh_hadamard(table)
+            read[state] = table[entry]
         paired = 2 * np.where(power % 2, read.imag, read.real) * (1 - (power & 2))
         packed = read.real + np.where(zm & bit, -read.imag, read.imag)
-        values[members] = np.where(xm, paired, packed)
-    return values.reshape(len(batch), len(x))
+        values[:, members] = np.where(xm, paired, packed)
+    return values
 
 
 def _route(x_mask: int, size: int, num_qubits: int) -> str:
@@ -699,7 +693,8 @@ class ReadPlan:
     """Reads of one list of Pauli strings, given as (x, z) masks, planned once.
 
     A read takes a batch of states of the plan's width, each read as if
-    alone: :attr:`batch` states fill about _WALSH_CHUNK amplitudes.  With
+    alone: :attr:`batch` states fill about _WALSH_CHUNK amplitudes, which
+    the fold reads together and the tables one state at a time.  With
     ``shots`` = 0 the reads are exact: the strings are grouped by x mask,
     and :func:`_route` fixes each group's route here, in ``routes`` (x
     mask -> "fold" or "tables"), and the fold's members and supports, in

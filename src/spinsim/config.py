@@ -38,6 +38,7 @@ from .errors import (
     ValueOutOfRangeError,
 )
 from .hamiltonian import HeisenbergHamiltonian
+from .ir import format_float
 from .value import Value, set_fields
 
 
@@ -71,8 +72,8 @@ class ConstantSchedule(Value):
 
     def __str__(self) -> str:
         if isinstance(self.values, tuple):
-            return ", ".join(_format_number(v) for v in self.values)
-        return _format_number(self.values)
+            return ", ".join(format_float(v) for v in self.values)
+        return format_float(self.values)
 
 
 class LinearRampSchedule(Value):
@@ -103,7 +104,7 @@ class LinearRampSchedule(Value):
         return (LinearRampSchedule(self.start, self.stop, total_time),) * count
 
     def __str__(self) -> str:
-        return f"linear-ramp({_format_number(self.start)}, {_format_number(self.stop)})"
+        return f"linear-ramp({format_float(self.start)}, {format_float(self.stop)})"
 
 
 class GaussianPulseSchedule(Value):
@@ -129,7 +130,7 @@ class GaussianPulseSchedule(Value):
 
     def __str__(self) -> str:
         parts = (self.amplitude, self.center, self.width)
-        return f"gaussian-pulse({', '.join(_format_number(v) for v in parts)})"
+        return f"gaussian-pulse({', '.join(format_float(v) for v in parts)})"
 
 
 class RandomUniformSchedule(Value):
@@ -157,7 +158,7 @@ class RandomUniformSchedule(Value):
         return tuple(ConstantSchedule(v) for v in draws)
 
     def __str__(self) -> str:
-        parts = [_format_number(self.low), _format_number(self.high)]
+        parts = [format_float(self.low), format_float(self.high)]
         if self.seed is not None:
             parts.append(str(self.seed))
         return f"random-uniform({', '.join(parts)})"
@@ -205,10 +206,6 @@ class SimulationConfig(Value):
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _SCHEDULE_RE = re.compile(r"^(?P<name>[a-z-]+)\s*\(\s*(?P<args>[^()]*)\s*\)$")
-
-
-def _format_number(v: float) -> str:
-    return f"{v:.17g}"
 
 
 # Value parsers take the stripped value text and the chain length; only
@@ -307,7 +304,7 @@ class InputKey(Value):
 INPUT_KEYS = {
     "num_spins": InputKey("num_spins", _chain_length, minimum=1),
     "mode": InputKey("mode", _text, choices=("real-time", "imaginary-time")),
-    "total_time": InputKey("total_time", _number, _format_number, minimum=0),
+    "total_time": InputKey("total_time", _number, format_float, minimum=0),
     "num_steps": InputKey("num_steps", _integer, minimum=1),
     "J_x": InputKey("j_x", _schedule),
     "J_y": InputKey("j_y", _schedule),

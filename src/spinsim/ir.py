@@ -287,8 +287,9 @@ _EXPORT_NAME = {"cnot": "cx"}
 _IMPORT_NAME = {"cx": "cnot"}
 
 
-def _format_angle(theta: float) -> str:
-    return f"{theta:.17g}"
+def format_float(v: float) -> str:
+    """``v`` to 17 significant digits, which read back as the same float."""
+    return f"{v:.17g}"
 
 
 def export_frame(num_qubits: int, measured: bool) -> tuple[str, str]:
@@ -304,7 +305,7 @@ def export_line(gate: Gate) -> str:
     name = _EXPORT_NAME.get(gate.kind, gate.kind)
     operands = ",".join(f"q[{q}]" for q in gate.qubits)
     if gate.kind in PARAMETRIC_KINDS:
-        return f"{name}({_format_angle(gate.theta)}) {operands};\n"
+        return f"{name}({format_float(gate.theta)}) {operands};\n"
     return f"{name} {operands};\n"
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .hamiltonian import HeisenbergHamiltonian, PauliTerm, snapshot
+from .ir import format_float
 from .value import Value, set_fields
 
 Point = tuple[float, float, float | None]
@@ -62,10 +63,6 @@ def energy_observable(hamiltonian: HeisenbergHamiltonian, t: float) -> list[Paul
     return snapshot(hamiltonian, t)
 
 
-def _format_value(v: float) -> str:
-    return f"{v:.17g}"
-
-
 CSV_HEADER = "axis,observable,sigma"
 
 
@@ -85,9 +82,9 @@ def write_csv(
             raise ValueError(f"extra column {name!r} length does not match series")
     lines = [",".join([CSV_HEADER] + names)]
     for row, (axis_value, value, sigma) in enumerate(series.points):
-        sigma_text = _format_value(sigma) if sigma is not None else ""
-        cells = [_format_value(axis_value), _format_value(value), sigma_text]
-        cells += [_format_value(extra_columns[name][row]) for name in names]
+        sigma_text = format_float(sigma) if sigma is not None else ""
+        cells = [format_float(axis_value), format_float(value), sigma_text]
+        cells += [format_float(extra_columns[name][row]) for name in names]
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

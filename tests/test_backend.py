@@ -377,7 +377,7 @@ class TestFusion:
     @pytest.mark.parametrize(
         "width, lo", [(w, lo) for w in range(1, backend.FUSED_QUBITS + 1) for lo in range(11 - w)]
     )
-    def test_one_block_at_every_position_matches_the_gate_kernels(self, width, lo):
+    def test_one_block_at_every_position_matches_gate_by_gate(self, width, lo):
         # a fused block against its gates applied one by one
         n = 10
         rng = np.random.default_rng(width * 100 + lo)
@@ -993,6 +993,28 @@ class TestBatchedReads:
         finally:
             tracemalloc.stop()
         assert peak < state.amplitudes.nbytes
+
+    def test_a_batch_through_the_tables_holds_one_states_table(self):
+        """61 10-spin states (a 60-step series) read through the tables need
+        no more memory than one state but the returned values and a slack of
+        64 KiB, which holds the few other (61, 10) arrays of the read: the
+        tables' values and the entries they read.  17.3 KB over one state
+        seen, 6.1 MB when a table held every (state, x mask) column of the
+        batch."""
+        n, count, slack = 10, 61, 64 * 1024
+        rng = np.random.default_rng(61)
+        states = [random_state(rng, n) for _ in range(count)]
+        plan = ReadPlan([pauli_masks(((site, "x"),), n) for site in range(1, n + 1)], n)
+        assert set(plan.routes.values()) == {"tables"} and plan.batch >= count
+        peaks = []
+        for batch in (states[:1], states):
+            tracemalloc.start()
+            try:
+                values = plan.values(batch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= values.nbytes + slack
 
 
 class TestSlicedFold:
