@@ -26,13 +26,18 @@ NORM_DRIFT_BUDGET = 1e-9
 
 
 class Statevector(Value, eq=False):
-    """Amplitudes of an n-qubit pure state, unit norm up to float error."""
+    """Amplitudes of an n-qubit pure state, unit norm up to float error.
+
+    ``basis`` is the index of the one amplitude, 1.0, of a basis state that
+    :func:`product_state` made, else None.
+    """
 
     def __init__(self, num_qubits: int, amplitudes: np.ndarray):
         if amplitudes.shape != (2**num_qubits,):
             raise ValueError(f"expected {2**num_qubits} amplitudes, got {amplitudes.shape}")
         set_field(self, "num_qubits", num_qubits)
         set_field(self, "amplitudes", amplitudes)
+        set_field(self, "basis", None)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -60,12 +65,17 @@ def product_state(spins: Sequence[str]) -> Statevector:
     """|up...> style product state; ``spins`` holds 'up'/'down' per site.
 
     At most STATEVECTOR_QUBIT_LIMIT sites, as for :func:`run_statevector` (all up by default).
+    The state records its :func:`basis_index` as ``basis``, from which
+    :class:`ReadPlan` reads it without touching an amplitude.
     """
     n = len(spins)
     _check_width(n)
+    index = basis_index(spins)
     amps = np.zeros(2**n, dtype=complex)
-    amps[basis_index(spins)] = 1.0
-    return Statevector(n, amps)
+    amps[index] = 1.0
+    state = Statevector(n, amps)
+    set_field(state, "basis", index)
+    return state
 
 
 def apply_gate(amps: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
@@ -92,8 +102,9 @@ def apply_gate(amps: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
     return amps
 
 
-# A fused block acts on at most this many contiguous qubits, so its
-# matrix has at most 2^FUSED_QUBITS rows.
+# A fused window takes at most this many contiguous qubits, so a block's
+# matrix has at most 2^FUSED_QUBITS rows, or 2^(FUSED_QUBITS + 2) for a
+# tail block (see fuse).
 FUSED_QUBITS = 5
 # A block is applied in products of at most this many amplitudes, and a
 # fold read forms its products in slices of at most this many, which
@@ -101,16 +112,19 @@ FUSED_QUBITS = 5
 _CHUNK = 2**16
 # With at most this many amplitudes below a block, one product of the
 # rows of the (-1, 2^m rest) view by kron(U^T, I_rest) replaces 2^lo
-# products with only `rest` columns each.
+# products with only `rest` columns each.  fuse widens a window's block
+# that leaves so few below it into a tail block, with rest = 1.
 _KRON_REST = 4
 
 
 class FusedBlock(Value, eq=False):
     """A dense unitary on the qubits lo .. lo + m - 1 of n; ``matrix`` has 2^m rows.
 
-    m is at most FUSED_QUBITS.
+    From :func:`fuse`, m is at most FUSED_QUBITS, or at most FUSED_QUBITS + 2
+    for a tail block, which ends at the last qubit.
     ``product`` is kron(matrix^T, I_rest), built once with the block when
-    at most _KRON_REST amplitudes lie below it, else None.
+    at most _KRON_REST amplitudes lie below it, else None; a tail block has
+    rest = 1.
     """
 
     def __init__(self, lo: int, matrix: np.ndarray, num_qubits: int):
@@ -120,7 +134,8 @@ class FusedBlock(Value, eq=False):
 
 
 def fuse(program: Program) -> tuple[FusedBlock | Gate, ...]:
-    """The program as a plan of dense blocks, each on at most FUSED_QUBITS contiguous qubits.
+    """The program as a plan of dense blocks on contiguous qubits: each on at most
+    FUSED_QUBITS, or a tail block on at most FUSED_QUBITS + 2 that ends at the last qubit.
 
     A sweep moves a window of FUSED_QUBITS qubits up the chain.  Each
     window starts at the lowest qubit that a remaining gate touches, but
@@ -128,28 +143,36 @@ def fuse(program: Program) -> tuple[FusedBlock | Gate, ...]:
     n - FUSED_QUBITS, where the sweep ends.  Each window takes, in gate
     order, every remaining gate that lies inside it and shares no qubit
     with an earlier gate the window left behind; the gates it takes
-    become one block on their tight span.  On a chain step with xx, yy
-    and zz bonds, the windows advance FUSED_QUBITS - 3 qubits per block.
-    Sweeps repeat until no gate is left.  No gate passes an earlier gate
-    on one of its wires, so the product of the plan is the program's
-    unitary.  A gate that spans more than FUSED_QUBITS by itself stays a
-    gate, applied by :func:`apply_gate`: it blocks its wires until it
-    reaches the head of the remaining gates, and then becomes a plan
-    entry of its own.  Each block's matrix is built by :func:`apply_gate`,
-    gate by gate, on an identity matrix (:func:`_block_matrix`).  Per-qubit
-    counts of the remaining gates give each window's lowest pending qubit.
+    become one block on their tight span.  A block that would leave at
+    most _KRON_REST amplitudes below it becomes a tail block instead: its
+    span runs on to the last qubit, and its matrix is kron(U, I_rest).  A
+    later block that lies inside the newest tail's span, with no entry in
+    between on its qubits, joins that tail: its matrix multiplies the
+    tail's from the left through ``np.einsum``, which calls no BLAS.  So a
+    sweep ends in one tail block of at most FUSED_QUBITS + 2 qubits, with
+    nothing below it.  On a chain step with xx, yy and zz bonds, the
+    windows advance FUSED_QUBITS - 3 qubits per block.  Sweeps repeat
+    until no gate is left.  No gate passes an earlier gate on one of its
+    wires, so the product of the plan is the program's unitary.  A gate
+    that spans more than FUSED_QUBITS by itself stays a gate, applied by
+    :func:`apply_gate`: it blocks its wires until it reaches the head of
+    the remaining gates, and then becomes a plan entry of its own.  Each
+    window's matrix U is built by :func:`apply_gate`, gate by gate, on an
+    identity matrix (:func:`_block_matrix`).  Per-qubit counts of the
+    remaining gates give each window's lowest pending qubit.
     """
     n = program.num_qubits
     last = max(0, n - FUSED_QUBITS)
     remaining = list(program.gates)
     pending = Counter(q for gate in remaining for q in gate.qubits)
-    plan: list[FusedBlock | Gate] = []
+    entries: list[list | Gate] = []  # a block is [lo, hi, matrix]
+    tail = None  # the index of the newest tail block
     while remaining:
         lo = -1
         while remaining and lo < last:
             while remaining and _wide(remaining[0]):
-                plan.append(remaining.pop(0))
-                pending.subtract(plan[-1].qubits)
+                entries.append(remaining.pop(0))
+                pending.subtract(entries[-1].qubits)
             lowest = next((q for q in range(n) if pending[q]), last)
             lo = min(max(lo + 1, lowest), last)
             window = set(range(lo, min(lo + FUSED_QUBITS, n)))
@@ -168,9 +191,35 @@ def fuse(program: Program) -> tuple[FusedBlock | Gate, ...]:
                 qubits = [q for gate in taken for q in gate.qubits]
                 pending.subtract(qubits)
                 block_lo, block_hi = min(qubits), max(qubits)
-                plan.append(FusedBlock(block_lo, _block_matrix(block_lo, block_hi, taken), n))
+                matrix = _block_matrix(block_lo, block_hi, taken)
+                below = 2 ** (n - 1 - block_hi)
+                if tail is not None and _joins_tail(entries, tail, block_lo, block_hi):
+                    # the tail's rows, as (above the block, its qubits, below it and the columns)
+                    tail_lo, _, tail_matrix = entries[tail]
+                    view = tail_matrix.reshape(2 ** (block_lo - tail_lo), len(matrix), -1)
+                    view[...] = np.einsum("ij,ajc->aic", matrix, view)  # no BLAS call
+                elif below <= _KRON_REST:
+                    tail = len(entries)
+                    entries.append([block_lo, n - 1, np.kron(matrix, np.eye(below))])
+                else:
+                    entries.append([block_lo, block_hi, matrix])
             remaining = kept
-    return tuple(plan)
+    return tuple(
+        entry if isinstance(entry, Gate) else FusedBlock(entry[0], entry[2], n)
+        for entry in entries
+    )
+
+
+def _joins_tail(entries: Sequence[list | Gate], tail: int, lo: int, hi: int) -> bool:
+    """Whether a block on qubits lo..hi can join the tail block ``entries[tail]``: it lies
+    inside the tail's span, and no later entry's span meets it, so it commutes with them."""
+    if lo < entries[tail][0]:
+        return False
+    for entry in entries[tail + 1 :]:
+        a, b = (min(entry.qubits), max(entry.qubits)) if isinstance(entry, Gate) else entry[:2]
+        if a <= hi and lo <= b:
+            return False
+    return True
 
 
 def _wide(gate: Gate) -> bool:
@@ -244,10 +293,11 @@ def _live_range(a: int, b: int, block: FusedBlock) -> tuple[int, int]:
     - a block without a kron product has at least three qubits below it,
       and its products on the whole state at least 8 columns: its range
       keeps at least three qubits besides the block's, for as many columns;
-    - a block with one (``block.product``) multiplies whole rows of the
-      amplitudes from its first qubit down, at least two unless that qubit
-      is 0: its range runs to the last qubit and starts at least one qubit
-      above the block;
+    - a block with one (``block.product``; from :func:`fuse`, the tail
+      block that ends each sweep) multiplies whole rows of the amplitudes
+      from its first qubit down, at least two unless that qubit is 0: its
+      range runs to the last qubit and starts at least one qubit above the
+      block;
     - a kron product of fewer than 8 columns takes the whole register.
     """
     n, lo = block.num_qubits, block.lo
@@ -274,7 +324,9 @@ def run_fused(
     range equal the index's, one strided view of the state.  A plain
     :class:`Gate` makes the range the whole register.  Without ``basis``
     the range is the whole register throughout.  Either way each amplitude
-    is the same sum of the same products, bit for bit.
+    is the same sum of the same products, bit for bit.  On the 20-spin
+    benchmark chain's fused step from an index, only the last entry, the
+    sweep's tail block, runs over the whole state.
     """
     n = initial.num_qubits
     if basis is None:
@@ -700,12 +752,15 @@ class ReadPlan:
     mask -> "fold" or "tables"), and the fold's members and supports, in
     ``fold``.  No route calls BLAS, and a string's value depends on its
     route and its state alone, never on the other strings or states of the
-    read.  With ``shots`` > 0 the strings share :func:`_measurement_groups`,
-    each turned into the z basis by :func:`pauli_rotations` and drawn
-    ``shots`` times per state.  Either way the identity (0, 0) is exactly
-    1.0 without a read, and the states are only read: each route writes its
-    working rows (the fold's slices, turned copies, table columns) from
-    every state's own amplitudes.
+    read.  A batch of basis states that :func:`product_state` made reads
+    from their ``basis`` indices alone, bit for bit as the routes would
+    (:meth:`_basis_values`); a batch that holds any other state takes the
+    routes throughout.  With ``shots`` > 0 the strings share
+    :func:`_measurement_groups`, each turned into the z basis by
+    :func:`pauli_rotations` and drawn ``shots`` times per state.  Either
+    way the identity (0, 0) is exactly 1.0 without a read, and the states
+    are only read: each route writes its working rows (the fold's slices,
+    turned copies, table columns) from every state's own amplitudes.
     """
 
     def __init__(self, masks: Sequence[tuple[int, int]], num_qubits: int, shots: int = 0):
@@ -729,9 +784,9 @@ class ReadPlan:
             if x | z:
                 by_x.setdefault(x, []).append(i)
         self.routes = {x: _route(x, len(members), n) for x, members in by_x.items()}
-        x, self.z = np.array(self.masks, dtype=np.int64).reshape(-1, 2).T
+        self.x, self.z = np.array(self.masks, dtype=np.int64).reshape(-1, 2).T
         tables = [i for x_mask, r in self.routes.items() if r == "tables" for i in by_x[x_mask]]
-        self.tables = tables, x[tables], self.z[tables]
+        self.tables = tables, self.x[tables], self.z[tables]
         self.fold = []  # (x mask, members, supports), by first support qubit, z = 0 first
         for x_mask, members in by_x.items():
             if self.routes[x_mask] == "fold":
@@ -792,8 +847,11 @@ class ReadPlan:
                 raise ValueError(f"the plan reads {self.num_qubits} qubits, not {state.num_qubits}")
 
     def _exact(self, states: Sequence[Statevector]) -> np.ndarray:
-        """The value of each string in each state, group by group on its route."""
+        """The value of each string in each state, group by group on its route, or, when
+        every state is a basis state, from the indices (:meth:`_basis_values`)."""
         self._check(states)
+        if all(state.basis is not None for state in states):
+            return self._basis_values([state.basis for state in states])
         batch, n = [state.amplitudes for state in states], self.num_qubits
         values = np.ones((len(batch), len(self.z)))
         members, x, z = self.tables
@@ -802,6 +860,15 @@ class ReadPlan:
         for x_mask, members, supports in self.fold:
             values[:, members] = _fold_reads(batch, n, supports, x_mask)
         return values
+
+    def _basis_values(self, indices: Sequence[int]) -> np.ndarray:
+        """The value of each string in the basis state of each index (row), in closed form:
+        (-1)^|index & z| for x = 0, else 0.  Each is what the routes give, bit for bit:
+        their sums are exact on one amplitude 1.0, and they negate the read of
+        (-i)^|x & z| w when |x & z| mod 4 is 2 or 3, which makes a zero -0.0."""
+        index = np.array(indices, dtype=np.int64)[:, None]
+        signs = 1 - 2 * (_popcount(index & self.z) & 1)
+        return np.where(self.x == 0, signs, 0.0) * (1 - (_popcount(self.x & self.z) & 2))
 
     def _draws(self, states: Sequence[Statevector], rngs, counted=None) -> Iterator[tuple]:
         """``(b, members, weights, parities)`` per measurement group and state b,

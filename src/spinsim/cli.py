@@ -73,7 +73,7 @@ from .observables import (
     write_manifest,
     write_plot,
 )
-from .optimizer import PeepholePass, optimize
+from .optimizer import PeepholePass, dropped_on_arrival, optimize
 from .oracle import EVOLVE_QUBIT_LIMIT, evolve_exact, evolve_imaginary_exact
 from .qite import QiteParams, run_qite
 # build_evolution_program is unused here but stays bound: the span tracer
@@ -198,16 +198,20 @@ def _export_bytes(
     """Estimated size of the cumulative circuits of ``steps``' gate tuples.
 
     Circuit k holds the lines of tuples 0..k, each measured as given,
-    before the running peephole pass; a tuple that repeats the one
+    before the running peephole pass's merges; the gates that pass drops
+    as they arrive (:func:`optimizer.dropped_on_arrival`) are never
+    written, so they are not measured.  A tuple that repeats the one
     before it is measured once.  The lines come from ``line``, the run's
     :func:`_line_formatter`.
     """
     frame = sum(map(len, export_frame(cfg.num_spins, measured=cfg.shots > 0)))
+    peephole = cfg.optimizer_level == "peephole"
     total = lines = 0
     previous = size = None
     for gates in steps:
         if gates is not previous:
-            previous, size = gates, sum(len(line(gate)) for gate in gates)
+            kept = (g for g in gates if not (peephole and dropped_on_arrival(g)))
+            previous, size = gates, sum(len(line(gate)) for gate in kept)
         lines += size
         total += frame + lines
     return total

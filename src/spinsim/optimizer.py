@@ -42,6 +42,12 @@ def _is_identity_angle(theta: float) -> bool:
     return min(abs(remainder), 2.0 * math.pi - abs(remainder)) <= ZERO_ANGLE_TOLERANCE
 
 
+def dropped_on_arrival(gate: Gate) -> bool:
+    """Whether :meth:`PeepholePass.extend` drops ``gate`` as it arrives: a rotation by
+    an identity angle."""
+    return gate.kind in PARAMETRIC_KINDS and _is_identity_angle(gate.theta)
+
+
 class PeepholePass:
     """The running state of the pass on a ``num_qubits``-wide register.
 
@@ -63,7 +69,7 @@ class PeepholePass:
         out, wires = self.out, self._wires
         rewritten = []
         for gate in gates:
-            if gate.kind in PARAMETRIC_KINDS and _is_identity_angle(gate.theta):
+            if dropped_on_arrival(gate):
                 continue
             first = wires[gate.qubits[0]]
             i = first[-1] if first else None

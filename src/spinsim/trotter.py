@@ -14,7 +14,7 @@ import itertools
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import ir
-from .backend import Statevector, basis_index, fuse, product_state, run_fused
+from .backend import Statevector, fuse, product_state, run_fused
 from .hamiltonian import HeisenbergHamiltonian, snapshot
 from .ir import Gate, Program
 from .value import Value, set_fields
@@ -122,22 +122,22 @@ def evolve_series(
     :func:`step_blocks`, so the block simulated is the one exported) is
     fused once (:func:`backend.fuse`) into dense unitaries on windows of
     at most FUSED_QUBITS qubits, one per window (about one per two qubits
-    of the chain for a step with xx, yy and zz bonds), and the state
-    advances by those.  The first step starts from the product state's
-    basis index (:func:`backend.basis_index`), so each of its blocks
-    multiplies only the amplitudes that earlier blocks can have made
-    nonzero.  State k equals that of the preparation followed by the
-    first k blocks, up to rounding.
+    of the chain for a step with xx, yy and zz bonds) and one tail block
+    that ends at the last qubit, and the state advances by those.  The
+    first step starts from the product state's basis index (its
+    ``basis``), so each of its blocks multiplies only the amplitudes that
+    earlier blocks can have made nonzero; the states it yields carry no
+    index.  State k equals that of the preparation followed by the first
+    k blocks, up to rounding.
     """
     n = len(initial_state)
     state = product_state(initial_state)
     yield state
-    index = basis_index(initial_state)
     fused = plan = None
     for block in blocks:
         if block.num_qubits != n:
             raise ValueError("step block width does not match the chain")
         if block is not fused:
             fused, plan = block, fuse(block)
-        state, index = run_fused(plan, state, basis=index), None
+        state = run_fused(plan, state, basis=state.basis)
         yield state

@@ -36,6 +36,11 @@ from spinsim.backend import (
 from spinsim.config import ConstantSchedule, build_hamiltonian, parse_input
 from spinsim.errors import NormDriftError, TooLargeError
 from spinsim.hamiltonian import HeisenbergHamiltonian, PauliTerm, snapshot
+from spinsim.observables import (
+    energy_observable,
+    excitation_displacement_observable,
+    site_magnetization_observable,
+)
 from spinsim.optimizer import optimize
 from spinsim.qite import pauli_rotation_gates
 from spinsim.trotter import trotter_step
@@ -228,7 +233,10 @@ class TestFusion:
             lo, hi = block_span(entry)
             assert 0 <= lo <= hi < n
             if isinstance(entry, backend.FusedBlock):
-                assert hi - lo < backend.FUSED_QUBITS
+                # a block within one window, or a tail block that runs on to the last qubit
+                assert hi - lo < backend.FUSED_QUBITS or hi == n - 1
+                assert hi - lo < backend.FUSED_QUBITS + 2
+                assert hi == n - 1 or 2 ** (n - 1 - hi) > backend._KRON_REST
             else:
                 assert hi - lo >= backend.FUSED_QUBITS
 
@@ -252,6 +260,8 @@ class TestFusion:
             # kron, five-qubit block, at every rest up to _KRON_REST
             *[(10, 5 - k, 5, 2**16) for k in range(backend._KRON_REST.bit_length())],
             (10, 3, 5, 64),  # kron, five-qubit block, rest = 4, one row per chunk
+            (10, 3, 7, 2**16),  # kron, rest = 1, a tail block's largest width
+            (10, 3, 7, 64),  # kron, rest = 1, seven-qubit block, one row per chunk
         ],
     )
     def test_every_apply_branch_matches_the_embedded_matrix(self, n, lo, width, chunk):
@@ -269,7 +279,8 @@ class TestFusion:
         program = program_of(n, [ir.h(6), ir.cnot(5, 6), ir.rx(0.4, 1), ir.rzz(0.3, 0, 1)])
         plan = backend.fuse(program)
         # the window on qubits 0-4 takes rx and rzz (32 amplitudes below their
-        # span, matmul); the one on 2-6 takes h and cnot (one below, kron)
+        # span, matmul); the one on 2-6 takes h and cnot (none below, a tail
+        # block, kron)
         assert [entry.product is None for entry in plan] == [True, False]
         initial = random_state(np.random.default_rng(5), n)
         want = backend.run_fused(plan, initial).amplitudes
@@ -285,11 +296,12 @@ class TestFusion:
     def test_gate_joins_the_newest_block_on_its_wires(self):
         # cnot(1, 4) follows cnot(4, 5) on wire 4, which the window on qubits
         # 0-4 leaves behind: it must wait for the window on 1-5, although the
-        # block of h(0) and cnot(0, 1) would fit it too
+        # block of h(0) and cnot(0, 1) would fit it too.  That block ends at
+        # qubit 5, one above the last, so it is a tail block on 1-6
         gates = [ir.h(0), ir.h(5), ir.cnot(0, 1), ir.cnot(4, 5), ir.cnot(1, 4)]
         program = program_of(7, gates)
         plan = backend.fuse(program)
-        assert [block_span(entry) for entry in plan] == [(0, 1), (1, 5)]
+        assert [block_span(entry) for entry in plan] == [(0, 1), (1, 6)]
         initial = random_state(np.random.default_rng(3), 7)
         want = ir.unitary_of(program) @ initial.amplitudes
         got = backend.run_fused(plan, initial).amplitudes
@@ -354,8 +366,12 @@ class TestFusion:
         # by axis, then the fields, and one sweep takes all of them.  Each
         # bond axis leaves one more qubit of a window behind, so the windows
         # advance FUSED_QUBITS minus the number of bond axes per block, up
-        # to the last window at n - FUSED_QUBITS
+        # to the last window at n - FUSED_QUBITS.  A window's block spans the
+        # whole window; the first block that leaves at most _KRON_REST
+        # amplitudes below it (from the window at n - FUSED_QUBITS - 2 or
+        # later) is the tail, and the later windows' blocks join it
         rng = np.random.default_rng(n)
+        below = backend._KRON_REST.bit_length() - 1  # qubits below a tail's block, at most
         for r in range(1, len(self.COUPLING_KEYS) + 1):
             for keys in itertools.combinations(self.COUPLING_KEYS, r):
                 advance = backend.FUSED_QUBITS - sum(k == "J" for k, _ in keys)
@@ -367,12 +383,40 @@ class TestFusion:
                 if optimized:
                     block = optimize(block)
                 plan = backend.fuse(block)
-                assert len(plan) == len(range(0, n - backend.FUSED_QUBITS, advance)) + 1, keys
+                windows = range(0, n - backend.FUSED_QUBITS - below, advance)
+                assert len(plan) == len(windows) + 1, keys
                 assert all(isinstance(entry, backend.FusedBlock) for entry in plan)
+                assert [block_span(entry) for entry in plan[:-1]] == [
+                    (lo, lo + backend.FUSED_QUBITS - 1) for lo in windows
+                ]
+                # the tail starts at the lowest qubit the windows before it left
+                tail_lo = windows[-1] + advance if windows else 0
+                assert block_span(plan[-1]) == (tail_lo, n - 1)
         initial = random_state(rng, n)
         want = run_gates(block, initial=initial).amplitudes
         got = backend.run_fused(plan, initial).amplitudes
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_a_tail_block_equals_its_unmerged_entries(self, n):
+        # with _KRON_REST = 0 no block is a tail, so each window's block keeps
+        # its own tight span; applied one after another, those entries give
+        # what the plan with tail blocks gives
+        rng = np.random.default_rng(4300 + n)
+        programs = [fusion_program(rng, n, 60) for _ in range(6)]
+        for program in [*programs, chain_step(n)]:
+            plan = backend.fuse(program)
+            with mock.patch.object(backend, "_KRON_REST", 0):
+                unmerged = backend.fuse(program)
+            assert len(plan) <= len(unmerged)
+            initial = random_state(rng, n)
+            got = backend.run_fused(plan, initial).amplitudes
+            want = initial
+            for entry in unmerged:
+                want = backend.run_fused([entry], want)
+            np.testing.assert_allclose(got, want.amplitudes, rtol=0, atol=1e-12)
+        # a chain step: from 6 spins on, the last window's block joins the tail
+        assert len(plan) == len(unmerged) - (n > backend.FUSED_QUBITS)
 
     @pytest.mark.parametrize(
         "width, lo", [(w, lo) for w in range(1, backend.FUSED_QUBITS + 1) for lo in range(11 - w)]
@@ -526,8 +570,9 @@ class TestBasisStart:
         self.assert_bitwise(chain_step_plan(n), product_state(spins), backend.basis_index(spins))
 
     def test_the_benchmark_step_multiplies_a_fraction_of_the_state(self):
-        # the windows advance two qubits per block from qubit 0; the last two
-        # blocks apply kron products, which take the whole state
+        # the windows advance two qubits per block from qubit 0; the last one,
+        # the tail block on qubits 14-19, applies a kron product, which takes
+        # the whole state: one whole-state pass
         n = 20
         spins = chain_spins(n, "flip-first")
         plan, index = chain_step_plan(n), backend.basis_index(spins)
@@ -540,7 +585,7 @@ class TestBasisStart:
 
         with mock.patch.object(backend, "_apply_block", counted):
             backend.run_fused(plan, product_state(spins), basis=index)
-        assert sizes == [2**8, 2**8, 2**9, 2**11, 2**13, 2**15, 2**17, 2**20, 2**20]
+        assert sizes == [2**8, 2**8, 2**9, 2**11, 2**13, 2**15, 2**17, 2**20]
 
     def test_an_index_outside_the_state_is_refused(self):
         plan = backend.fuse(program_of(3, [ir.h(0)]))
@@ -1390,6 +1435,122 @@ class TestReadPlanValues:
         got = plan_values(state, np.zeros(8, dtype=np.int64), z, 5, 0)
         want = [(-1.0) ** ((k & 0b101).bit_count()) for k in z]
         assert got.tolist() == want
+
+
+def chain_strings(n):
+    """(x, z) masks of the z, x and y magnetizations, the energy and the excitation
+    displacement of an n-spin XYZ chain with fields on every axis."""
+    cfg = parse_input(
+        f"num_spins: {n}\nJ_x: 1.0\nJ_y: 0.8\nJ_z: 0.5\nh_x: 0.3\nh_y: 0.2\n"
+        "h_z: random-uniform(-1, 1)\nrng_seed: 7\n"
+    )
+    observables = {
+        **{axis: site_magnetization_observable(n, axis) for axis in "zxy"},
+        "energy": energy_observable(build_hamiltonian(cfg), 0.0),
+        "displacement": excitation_displacement_observable(n),
+    }
+    return {name: [pauli_masks(t.factors, n) for t in terms] for name, terms in observables.items()}
+
+
+def fold_values(amps, n, masks):
+    """Every string of ``masks`` read by the fold, one x mask at a time, as a 1-D array."""
+    values = np.ones(len(masks))
+    by_x = {}
+    for i, (x, z) in enumerate(masks):
+        if x | z:
+            by_x.setdefault(x, []).append(i)
+    for x, members in by_x.items():
+        supports = {i: [q for q in range(n) if masks[i][1] >> (n - 1 - q) & 1] for i in members}
+        members.sort(key=lambda i: supports[i][0] if supports[i] else -1)
+        read = backend._fold_reads([amps], n, [supports[i] for i in members], x)
+        values[members] = read[0]
+    return values
+
+
+def table_values(amps, n, masks):
+    """Every string of ``masks`` read through the Walsh-Hadamard tables, as a 1-D array."""
+    values = np.ones(len(masks))
+    read = [i for i, (x, z) in enumerate(masks) if x | z]
+    x, z = np.array([masks[i] for i in read], dtype=np.int64).reshape(-1, 2).T
+    values[read] = backend._transform_reads([amps], n, x, z)[0]
+    return values
+
+
+class TestBasisReads:
+    """An exact ReadPlan reads a batch of product states from their indices."""
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 11, 17, 20])
+    def test_the_closed_form_equals_both_routes_bit_for_bit(self, n):
+        # signed zeros included: an x != 0 string reads -0.0 where |x & z| mod 4
+        # is 2 or 3, as a yy bond does
+        rng = np.random.default_rng(5100 + n)
+        strings = chain_strings(n)
+        union = sorted(set().union(*strings.values()))
+        # from 17 spins on, each x mask's table is 2^16 or more entries: the
+        # tables read the strings on the first, a middle and the last site's x masks
+        x_masks = {x for x, _ in union}
+        if n >= 17:
+            x_masks = {0, *(x for x in x_masks if x & (2 ** (n - 1) | 2 ** (n // 2) | 1))}
+        tabled = [i for i, (x, _) in enumerate(union) if x in x_masks]
+        indices = [int(rng.integers(0, 2**n))]
+        if n < 17:
+            indices += [0, 2**n - 1, int(rng.integers(0, 2**n))]
+        for index in indices:
+            spins = ["down" if index >> (n - 1 - q) & 1 else "up" for q in range(n)]
+            state = product_state(spins)
+            assert state.basis == index
+            closed = {}
+            with mock.patch.object(backend, "_fold_reads", side_effect=AssertionError), \
+                    mock.patch.object(backend, "_transform_reads", side_effect=AssertionError):
+                for name, masks in [*strings.items(), ("union", union)]:
+                    [closed[name]] = ReadPlan(masks, n).values([state])
+                    signs = [np.signbit(v) for v, (x, _) in zip(closed[name], masks) if x]
+                    assert any(signs) == (name in ("energy", "union") and n > 1), name
+            got = closed["union"]
+            for name, masks in strings.items():
+                want = got[[union.index(m) for m in masks]]
+                assert closed[name].tobytes() == want.tobytes(), name
+            # the same amplitudes without the index take the routes
+            routed = ReadPlan(union, n).values([Statevector(n, state.amplitudes)])[0]
+            assert got.tobytes() == routed.tobytes(), index
+            assert got.tobytes() == fold_values(state.amplitudes, n, union).tobytes()
+            tables = table_values(state.amplitudes, n, [union[i] for i in tabled])
+            assert got[tabled].tobytes() == tables.tobytes()
+
+    def test_a_batch_with_any_other_state_takes_the_routes(self):
+        n = 6
+        masks = chain_strings(n)["energy"]
+        states = [product_state(["up", "down"] * 3), random_state(np.random.default_rng(9), n)]
+        plan = ReadPlan(masks, n)
+        with mock.patch.object(backend, "_fold_reads", wraps=backend._fold_reads) as fold:
+            got = plan.values(states)
+        assert fold.call_count == len(plan.fold)
+        want = [plan.values([Statevector(n, s.amplitudes)])[0] for s in states]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_a_sampled_plan_draws_from_the_amplitudes(self):
+        # a product state draws as its amplitudes without the index do, and
+        # leaves its generator in the same state
+        n = 8
+        masks = chain_strings(n)["energy"]
+        state = product_state(["up", "down"] * 4)
+        plan = ReadPlan(masks, n, shots=500)
+        rngs = [np.random.default_rng(3) for _ in range(2)]
+        got = plan.values([state], [rngs[0]])
+        want = plan.values([Statevector(n, state.amplitudes)], [rngs[1]])
+        assert got.tobytes() == want.tobytes()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        assert rngs[0].random() == rngs[1].random()
+
+    def test_only_product_states_carry_an_index(self):
+        n = 5
+        state = product_state(["down", "up", "up", "down", "up"])
+        assert state.basis == 0b10010
+        assert Statevector(n, state.amplitudes).basis is None
+        plan = backend.fuse(chain_step(12))
+        start = product_state(["up"] * 12)
+        assert backend.run_fused(plan, start, basis=start.basis).basis is None
+        assert pauli_rotations([state], [1], [0], [0.0])[0].basis is None
 
 
 class TestStatevectorValidation:

@@ -529,6 +529,21 @@ class TestReadPlans:
         }
         assert read_routes(texts[name], reads) == routes
 
+    @pytest.mark.parametrize("observable", ["site-magnetization(z)", "energy"])
+    def test_a_20_spin_run_reads_its_first_point_from_the_index(
+        self, tmp_path, monkeypatch, observable
+    ):
+        # one step: the fold reads the state after it, one call per x mask,
+        # and no route reads the prepared product state at t = 0
+        text = WIDE_ENERGY.replace("observable: energy", f"observable: {observable}")
+        calls = Counter()
+        for name in ("_fold_reads", "_transform_reads"):
+            read = getattr(backend, name)
+            counted = lambda *args, _read=read, _name=name: calls.update([_name]) or _read(*args)
+            monkeypatch.setattr(backend, name, counted)
+        assert main(["run", str(write_input(tmp_path, text)), "--out", str(tmp_path / "o")]) == 0
+        assert calls == {"_fold_reads": read_routes(text, "t=1.0")["fold"]}
+
     def test_small_chain_energies_keep_the_fold(self):
         # n - 1 zz bonds and n z fields: 2n - 1 z strings, the fold's limit
         text = SMALL_REAL_TIME.replace("h_x: 1.0", "J_x: 0.5\nh_z: 0.3").replace(
@@ -878,6 +893,20 @@ class TestCircuitExport:
             lines.update(line for line in path.read_text().splitlines() if "q[" in line)
         lines.discard("qreg q[2];")
         assert len(calls) == len(lines) > 1
+
+    def test_the_estimate_formats_only_written_lines(self, tmp_path, monkeypatch):
+        # QITE's zero coefficients become rz(0) gates, which the peephole pass
+        # drops as they arrive: the estimate formats none of them
+        calls = []
+        monkeypatch.setattr(cli, "export_line", lambda gate: calls.append(gate) or export_line(gate))
+        input_path = write_input(tmp_path, SMALL_IMAGINARY)
+        out = tmp_path / "out"
+        assert main(["run", str(input_path), "--out", str(out), "--export"]) == 0
+        lines = set()
+        for path in (out / "circuits").iterdir():
+            lines.update(line for line in path.read_text().splitlines() if "q[" in line)
+        lines.discard("qreg q[2];")
+        assert len(calls) == len(lines) == 34
 
     def test_signed_zero_angles_keep_their_own_lines(self):
         # QITE's zero coefficients reach the export when the peephole pass is off

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from spinsim.backend import FusedBlock, Statevector
+from spinsim.backend import FusedBlock, Statevector, product_state
 from spinsim.config import (
     ConstantSchedule,
     GaussianPulseSchedule,
@@ -165,6 +165,9 @@ def test_array_reprs_leave_out_derived_fields():
     block = FusedBlock(0, np.eye(2, dtype=complex), 1)
     assert block.product is not None
     assert repr(block) == f"FusedBlock(lo=0, matrix={block.matrix!r}, num_qubits=1)"
+    state = product_state(["down"])
+    assert state.basis == 1
+    assert repr(state) == f"Statevector(num_qubits=1, amplitudes={state.amplitudes!r})"
 
 
 @pytest.mark.parametrize("name", ARRAY_VALUES)
