@@ -39,9 +39,6 @@ class Statevector(Value, eq=False):
         set_field(self, "amplitudes", amplitudes)
         set_field(self, "basis", None)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def _check_width(num_qubits: int) -> None:
     if num_qubits > STATEVECTOR_QUBIT_LIMIT:

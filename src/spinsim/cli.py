@@ -30,6 +30,7 @@ large for dense simulation or export too large to write, 5 I/O failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import os
 import sys
@@ -277,7 +278,8 @@ def _ground_truth_values(cfg: SimulationConfig, hamiltonian, axis: list[float]) 
 
 def run_simulation(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.input).read_text(encoding="utf-8-sig")
+        # plain utf-8 is loaded at start-up; "utf-8-sig" imports its codec in the run
+        text = Path(args.input).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -405,9 +407,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    # collections during the call skip what was alive at its start, the imports'
+    # leftovers above all; a caller that froze objects itself keeps them frozen
+    bracket = gc.get_freeze_count() == 0
+    if bracket:
+        gc.freeze()
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    finally:
+        if bracket:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -1560,4 +1560,5 @@ class TestStatevectorValidation:
 
     def test_norm_reports_drift(self):
         state = Statevector(1, np.array([1.0, 1.0], dtype=complex))
-        assert state.norm() == pytest.approx(np.sqrt(2.0))
+        with pytest.raises(NormDriftError, match="norm drifted from 1 by 4.142e-01"):
+            backend.checked_norm_drift(state)

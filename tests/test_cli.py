@@ -48,6 +48,7 @@ from spinsim.trotter import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+LOCALIZATION = ROOT / "scripts" / "inputs" / "localization_chain.txt"
 
 SMALL_REAL_TIME = """\
 num_spins: 2
@@ -77,6 +78,13 @@ def write_input(tmp_path, text, name="input.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def run_python(script: str, *args, cwd) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter with ``sys.argv[1:]`` = the repo root, then
+    ``args``; the script puts the root's ``src`` first on ``sys.path``."""
+    command = [sys.executable, "-c", textwrap.dedent(script), str(ROOT), *map(str, args)]
+    return subprocess.run(command, cwd=cwd, capture_output=True, text=True)
 
 
 class TestArtifacts:
@@ -240,22 +248,41 @@ class TestExitCodes:
         assert "cannot read" in capsys.readouterr().err
 
     def test_undecodable_input_exits_two(self, tmp_path, capsys):
-        input_path = tmp_path / "bad.txt"
-        input_path.write_bytes(b"num_spins: 2\n\xff\xfe\n")
-        assert main(["run", str(input_path), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert str(input_path) in err
-        assert not (tmp_path / "o").exists()
+        for mark in (b"", b"\xef\xbb\xbf"):
+            input_path = tmp_path / "bad.txt"
+            input_path.write_bytes(mark + b"num_spins: 2\n\xff\xfe\n")
+            assert main(["run", str(input_path), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {input_path} is not UTF-8 text:")
+            assert err.count("\n") == 1
+            assert "Traceback" not in err
+            assert not (tmp_path / "o").exists()
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
-        plain = write_input(tmp_path, SMALL_REAL_TIME, "plain.txt")
+        # with CRLF line endings too: the tutorial's artifacts, byte for byte
+        plain = LOCALIZATION.read_bytes()
         marked = tmp_path / "marked.txt"
-        marked.write_bytes(b"\xef\xbb\xbf" + SMALL_REAL_TIME.encode("utf-8"))
-        assert main(["run", str(plain), "--out", str(tmp_path / "plain")]) == 0
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.replace(b"\n", b"\r\n"))
+        assert main(["run", str(LOCALIZATION), "--out", str(tmp_path / "plain")]) == 0
         assert main(["run", str(marked), "--out", str(tmp_path / "marked")]) == 0
-        csv = "results.csv"
-        assert (tmp_path / "marked" / csv).read_bytes() == (tmp_path / "plain" / csv).read_bytes()
+        for name in ("results.csv", "results.svg", "manifest.json"):
+            want = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "marked" / name).read_bytes() == want, name
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\ufeff" + SMALL_REAL_TIME,
+            SMALL_REAL_TIME.replace("mode:", "\ufeffmode:"),
+            SMALL_REAL_TIME.replace("num_steps: 5", "num_steps: 5\ufeff"),
+        ],
+        ids=["second-mark", "line-start", "value-end"],
+    )
+    def test_a_mark_after_the_start_is_a_parse_error(self, tmp_path, capsys, text):
+        input_path = tmp_path / "input.txt"
+        input_path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert main(["run", str(input_path), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {input_path}: ")
 
     @pytest.mark.parametrize(
         "text",
@@ -401,8 +428,7 @@ class TestRandomImport:
         # numpy imports numpy.random lazily, on first use; coefficient draws
         # replay its streams in plain integers, so only drawing shots imports it
         path = write_input(tmp_path, text)
-        script = textwrap.dedent(
-            """
+        script = """
             import sys
             root, path, out = sys.argv[1:]
             sys.path[:0] = [root + "/src"]
@@ -410,15 +436,25 @@ class TestRandomImport:
             assert spinsim.cli.main(["run", path, "--out", out, "--export", "--ground-truth"]) == 0
             print("numpy.random" in sys.modules)
             """
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script, str(ROOT), str(path), str(tmp_path / "out")],
-            cwd=tmp_path,
-            capture_output=True,
-            text=True,
-        )
+        result = run_python(script, path, tmp_path / "out", cwd=tmp_path)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == str(imported)
+
+    def test_an_exact_run_imports_only_what_argparse_needs(self, tmp_path):
+        # argparse's messages go through gettext, which imports locale; the input
+        # is read with the utf-8 codec loaded at start-up, not "utf-8-sig"'s
+        script = """
+            import sys
+            root, path, out = sys.argv[1:]
+            sys.path[:0] = [root + "/src"]
+            import spinsim.cli
+            before = set(sys.modules)
+            assert spinsim.cli.main(["run", path, "--out", out, "--export", "--ground-truth"]) == 0
+            print(" ".join(sorted(set(sys.modules) - before)))
+            """
+        result = run_python(script, LOCALIZATION, tmp_path / "out", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert set(result.stdout.splitlines()[-1].split()) <= {"locale", "_locale"}
 
     def test_the_package_does_not_import_dataclasses(self):
         # dataclasses generates and compiles code for each class it makes, at
@@ -427,6 +463,86 @@ class TestRandomImport:
         command = [sys.executable, "-c", code]
         result = subprocess.run(command, cwd=ROOT / "src", capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
+
+
+class TestCollector:
+    """``main`` freezes what is alive at its start for the call alone; each test
+    runs in a fresh interpreter, away from pytest's own collector state."""
+
+    # one call per exit path: a run, a config error, a missing input, a bad flag
+    CALLS = """
+        import gc, sys
+        root, good, bad, out = sys.argv[1:]
+        sys.path[:0] = [root + "/src"]
+        import spinsim.cli
+
+        def call(*argv):
+            try:
+                return spinsim.cli.main(["run", *argv])
+            except SystemExit as exc:
+                return exc.code
+
+        calls = [
+            (good, "--out", out),
+            (bad, "--out", out),
+            (out + "/absent.txt",),
+            (good, "--no-such-flag"),
+        ]
+        """
+
+    def calls(self, tmp_path, script):
+        good = write_input(tmp_path, SMALL_REAL_TIME, "good.txt")
+        bad = write_input(tmp_path, "num_spins: two\n", "bad.txt")
+        result = run_python(self.CALLS + script, good, bad, tmp_path / "out", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        return result.stdout.splitlines()
+
+    @pytest.mark.parametrize("caller_frozen", [False, True], ids=["unfrozen", "frozen"])
+    def test_the_freeze_count_is_the_same_after_every_exit(self, tmp_path, caller_frozen):
+        # a process's first calls free a few objects by reference count, abc's
+        # negative-cache entries among them, frozen or not: so a caller freezes
+        # only after one call of each kind
+        script = f"""
+        if {caller_frozen}:
+            for argv in calls:
+                call(*argv)
+            gc.freeze()
+        for argv in calls:
+            before = gc.get_freeze_count()
+            code = call(*argv)
+            print("exit", code, before, gc.get_freeze_count())
+        """
+        lines = [line.split()[1:] for line in self.calls(tmp_path, script) if line[:4] == "exit"]
+        assert [code for code, _, _ in lines] == ["0", "2", "5", "2"]
+        for _, before, after in lines:
+            assert after == before
+            assert (int(before) > 0) == caller_frozen
+
+    @pytest.mark.parametrize("caller_frozen", [False, True], ids=["unfrozen", "frozen"])
+    def test_a_cycle_made_before_the_calls_is_reclaimed_unless_the_caller_froze_it(
+        self, tmp_path, caller_frozen
+    ):
+        script = f"""
+        import weakref
+
+        class Node:
+            pass
+
+        node = Node()
+        node.self = node
+        finalizer = weakref.finalize(node, lambda: None)
+        del node
+        if {caller_frozen}:
+            gc.freeze()
+        alive = [finalizer.alive]
+        for argv in calls:
+            call(*argv)
+        gc.collect()
+        print(*alive, finalizer.alive)
+        """
+        # the cycle is garbage before the calls, so each call freezes it with
+        # the rest; a full collection after them finds it, if the caller did not
+        assert self.calls(tmp_path, script)[-1] == f"True {caller_frozen}"
 
 
 WIDE_ENERGY = """\
