@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -412,12 +414,8 @@ _BYTE_SIGNS = np.prod(
 # (-i)^k, the phase of sigma = (-i)^|x & z| Z^z X^x
 _MINUS_I_POWERS = (1, -1j, -1, 1j)
 
-# Distinct x masks are read in chunks whose Walsh-Hadamard table holds
-# about this many amplitudes.
+# Distinct x masks are read in chunks whose Walsh-Hadamard table holds about this many amplitudes.
 _WALSH_CHUNK = 2**18
-
-# the smallest state whose small x != 0 groups take the fold (see _route)
-_X_FOLD_MIN_QUBITS = 11
 
 
 def _z_signs(z: np.ndarray, num_qubits: int) -> Iterator[np.ndarray]:
@@ -481,22 +479,18 @@ def _transform_reads(
     from half Walsh-Hadamard tables.
 
     <psi| sigma |psi> = (-i)^|x & z| T(z), T(z) = sum_k (-1)^|k & z| v_k with
-    v_k = conj(psi_k) psi_{k xor x}, so one transform gives every z of one
-    x mask.  Only the half of v whose pairing bit p is 0 is transformed,
-    into H(z') with z' = z without bit p.  For x != 0, p is x's lowest set
-    bit; v_{k xor x} = conj(v_k), so T(z) is 2 Re H(z') when |x & z| is even
-    and 2i Im H(z') when it is odd.  For x = 0, v is real and p is the top
-    qubit's bit: the two halves are packed into the real and imaginary
-    parts, and T(z) = Re H(z') +- Im H(z') by z's bit p.  The distinct x
-    masks are the columns of (2^(n-1), chunk) tables of at most
-    _WALSH_CHUNK / 2 entries, and a table holds one state's columns only:
-    per chunk the row indices and the read entries are built once, then
-    each state in turn gathers its columns from its own amplitudes and
-    :func:`_walsh_hadamard` transforms them.  A batch's read so peaks near
-    one state's (traced: 0.36 MB for 61 10-spin states on ten x masks,
-    0.34 MB for one).  Every step is elementwise, so a value depends on
-    neither the other x masks nor the other states, and it agrees with
-    :func:`_real_dot` of the applied string up to rounding.
+    v_k = conj(psi_k) psi_{k xor x}, so one transform gives every z of one x mask.
+    Only the half of v whose pairing bit p is 0 is transformed, into H(z') with
+    z' = z without bit p.  For x != 0, p is x's lowest set bit; v_{k xor x} =
+    conj(v_k), so T(z) is 2 Re H(z') when |x & z| is even and 2i Im H(z') when it
+    is odd.  For x = 0, v is real and p is the top qubit's bit: the two halves are
+    packed into the real and imaginary parts, and T(z) = Re H(z') +- Im H(z') by
+    z's bit p.  The distinct x masks are the columns of (2^(n-1), chunk) tables of
+    at most _WALSH_CHUNK / 2 entries, and a table holds one state's columns only:
+    per chunk the row indices and the read entries are built once, then each state
+    in turn gathers its columns from its own amplitudes and :func:`_walsh_hadamard`
+    transforms them, so a batch's read peaks near one state's.  Every step is
+    elementwise, so a value depends on neither the other x masks nor the other states.
     """
     n = num_qubits
     half = 2 ** (n - 1)
@@ -530,21 +524,52 @@ def _transform_reads(
     return values
 
 
-def _route(x_mask: int, size: int, num_qubits: int) -> str:
-    """How an exact :class:`ReadPlan` reads the ``size`` strings on one x mask.
-
-    The one route rule; README gives its measurements.  A group takes the
-    fold (:func:`_fold_reads`) while it has at most 2n - 1 z strings (x = 0),
-    as in a chain energy, or, from _X_FOLD_MIN_QUBITS qubits on, at most two
-    strings on another mask, as a bond's xx and yy or a site's x and y.  The
-    fold costs per string, the tables per mask: every other group is a
-    column of the half Walsh-Hadamard tables (:func:`_transform_reads`).
-    """
+def _route(x_mask: int, z_masks: Sequence[int], num_qubits: int) -> str:
+    """How an exact :class:`ReadPlan` reads the strings on one x mask, given their z masks
+    (README measures the rule): up to 2n - 1 z strings take the fold, a group on another
+    mask whose x and z lie on at most two adjacent qubits (a bond's, a site's) the window,
+    and every other group the half Walsh-Hadamard tables."""
     if x_mask == 0:
-        limit = 2 * num_qubits - 1
-    else:
-        limit = 2 if num_qubits >= _X_FOLD_MIN_QUBITS else 0
-    return "fold" if size <= limit else "tables"
+        return "fold" if len(z_masks) <= 2 * num_qubits - 1 else "tables"
+    span = reduce(or_, z_masks, x_mask)
+    # the lowest set bit, or it and the next one up
+    return "window" if span <= 3 * (span & -span) else "tables"
+
+
+def _window_reads(batch: Sequence[np.ndarray], num_qubits: int, x_mask: int, z) -> np.ndarray:
+    """Re <psi| sigma |psi> for each state psi of ``batch`` (row) and string (x_mask, z[i]),
+    whose x and z all lie on a window of w <= 2 adjacent qubits from qubit lo.
+
+    With x and z the window's bits, each i of the (2^lo, 2^w, rest) view whose pairing bit
+    (x's lowest) is clear gives e_i = sum_{a,c} conj(psi[a, i, c]) psi[a, i xor x, c], and
+    e_{i xor x} = conj(e_i): a string reads 2 Re H or 2 Im H by the parity of |x & z|,
+    H = sum_i (-1)^|i & z| e_i, signed as in :func:`_transform_reads`.  Re e_i is one
+    ``np.einsum`` of two slices of the float64 view of the whole reshape, and Im e_i two
+    of their real and imaginary columns: no BLAS, no copy, each state alone.
+    """
+    z = np.asarray(z).tolist()
+    span = reduce(or_, z, int(x_mask))
+    below = (span & -span).bit_length() - 1  # the qubits past the window
+    lo, width = num_qubits - span.bit_length(), span.bit_length() - below
+    x, z = int(x_mask) >> below, [v >> below for v in z]
+    half = [i for i in range(2**width) if not i & x & -x]
+    power = [(x & v).bit_count() % 4 for v in z]
+    values = np.empty((len(batch), len(z)))
+    for row, amps in zip(values, batch):
+        view = amps.reshape(2**lo, 2**width, -1).view(np.float64)  # a copy if amps is strided
+        parts = [], []  # Re e_i and Im e_i
+        for i in half:
+            u, v = view[:, i], view[:, i ^ x]  # rows of interleaved real and imaginary parts
+            parts[0].append(np.einsum("ab,ab->", u, v))
+            if any(p % 2 for p in power):
+                im = np.einsum("ab,ab->", u[:, ::2], v[:, 1::2])
+                parts[1].append(im - np.einsum("ab,ab->", u[:, 1::2], v[:, ::2]))
+        for s, (v, p) in enumerate(zip(z, power)):
+            h = 0.0  # so a sum of zeros is +0.0, as the tables' butterflies leave it
+            for i, e in zip(half, parts[p % 2]):
+                h = h - e if (i & v).bit_count() & 1 else h + e
+            row[s] = 2 * h * (1 - (p & 2))
+    return values
 
 
 def pauli_rotations(
@@ -623,37 +648,28 @@ def _z_parity(probs: np.ndarray, support: Sequence[int]) -> np.ndarray:
 
 
 def _fold_reads(
-    batch: Sequence[np.ndarray],
-    num_qubits: int,
-    supports: Sequence[Sequence[int]],
-    x_mask: int = 0,
+    batch: Sequence[np.ndarray], num_qubits: int, supports: Sequence[Sequence[int]]
 ) -> np.ndarray:
-    """Re <psi| sigma |psi> for each state psi of ``batch`` (row) and string (column) on
-    one x mask: sum_k (-1)^(parity of k on the support) v_k, times (-i)^|x & z|, with
-    v_k = |psi_k|^2 for x = 0, else conj(psi_k) psi_{k xor x}.  A string is given
-    by its support, the qubits of its z mask; ``supports`` is sorted by first qubit,
-    an empty support (z = 0) first.
+    """<psi| Z^z |psi> for each state psi of ``batch`` (row) and z string (column),
+    sum_k (-1)^(parity of k on the support) |psi_k|^2, given by its support (the
+    qubits of z); ``supports`` is sorted by first qubit.
 
-    v is formed a slice of at most _CHUNK amplitudes at a time.  A slice
-    fixes the leading ``lead`` = n - 16 qubits (none for n <= 16, where the one
-    slice is the whole state), and the slices add up, in order, into a running
-    sum over those qubits, ``tail``.  Slice j pairs psi's slice j with its slice
-    j xor (x's leading bits), flipped on x's other bits as a view.  A string
+    |psi|^2 is formed a slice of at most _CHUNK amplitudes at a time.  A slice
+    fixes the leading ``lead`` = n - 16 qubits (none for n <= 16), and the slices
+    add up, in order, into a running sum over those qubits, ``tail``.  A string
     whose first qubit lies past the leading ones reads ``tail``: the strings are
     visited by first qubit (head), and as the head advances the qubits before it
     are summed out of ``tail`` in place, so a value does not depend on the other
     strings.  A string that touches the leading qubits adds, on each slice, its
     :func:`_z_parity` on its qubits past them, times the slice index's parity on
-    its leading qubits; one with no qubit past them adds the slice total, which
-    all such strings share, as does an empty support.  Every step depends on n
-    alone, so a state reads the same in any batch.
+    its leading qubits, or the slice total, which all strings wholly on them
+    share.  Every step depends on n alone, so a state reads the same in any batch.
     """
     n = num_qubits
     size = min(2**n, _CHUNK)
     lead = n + 1 - size.bit_length()
-    outer = sum(not s or s[0] < lead for s in supports)
-    dtype = complex if x_mask else float
-    values = np.zeros((len(batch), len(supports)), dtype)
+    outer = sum(s[0] < lead for s in supports)
+    values = np.zeros((len(batch), len(supports)))
     if outer:
         # each leading string's qubits past the leading ones, and its sign on
         # slice j: (-1)^(parity of j on its leading qubits)
@@ -661,25 +677,15 @@ def _fold_reads(
         lead_bits = [sum(1 << (lead - 1 - q) for q in s if q < lead) for s in supports[:outer]]
         signs = 1.0 - 2.0 * (_popcount(np.array(lead_bits)[:, None] & np.arange(2**lead)) & 1)
         shared = not all(trailing)
-        parts = np.empty((len(batch), outer), dtype)
-    tail = np.empty((len(batch), size), dtype)
+        parts = np.empty((len(batch), outer))
+    tail = np.empty((len(batch), size))
     probs = np.empty_like(tail) if lead else None
-    # psi's partner slice, reversed along x's trailing qubits: a view
-    shape = (2,) * (n - lead)
-    flip = tuple(slice(None, None, -1 if x_mask >> (n - 1 - q) & 1 else 1) for q in range(lead, n))
     for j in range(2**lead):
-        block, window = (tail if j == 0 else probs), slice(j * size, (j + 1) * size)
-        if x_mask:
-            partner = (j ^ x_mask >> (n - lead)) * size
-            for row, amps in zip(block, batch):
-                np.conjugate(amps[window], out=row)
-                row.reshape(shape)[...] *= amps[partner : partner + size].reshape(shape)[flip]
-        else:
-            for row, amps in zip(block, batch):
-                np.abs(amps[window] if lead else amps, out=row)  # one slice: no view
-            np.square(block, out=block)
+        block = tail if j == 0 else probs
+        for row, amps in zip(block, batch):
+            np.abs(amps[j * size : (j + 1) * size] if lead else amps, out=row)  # one slice: no view
+        np.square(block, out=block)
         if outer:
-            # strings wholly on the leading qubits share the slice total
             total = block.sum(axis=1) if shared else None
             for c, t in enumerate(trailing):
                 parts[:, c] = _z_parity(block, t) if t else total
@@ -693,11 +699,7 @@ def _fold_reads(
             tail = np.add(tail[:, :half], tail[:, half:], out=tail[:, :half])
             head += 1
         values[:, i] = _z_parity(tail, [q - head for q in support])
-    if not x_mask:
-        return values
-    # Re((-i)^p w) is w.real, w.imag, -w.real, -w.imag for p = 0..3
-    power = np.array([sum(x_mask >> (n - 1 - q) & 1 for q in s) % 4 for s in supports])
-    return np.where(power % 2, values.imag, values.real) * (1 - (power & 2))
+    return values
 
 
 def sample_counts(
@@ -743,21 +745,19 @@ class ReadPlan:
 
     A read takes a batch of states of the plan's width, each read as if
     alone: :attr:`batch` states fill about _WALSH_CHUNK amplitudes, which
-    the fold reads together and the tables one state at a time.  With
-    ``shots`` = 0 the reads are exact: the strings are grouped by x mask,
-    and :func:`_route` fixes each group's route here, in ``routes`` (x
-    mask -> "fold" or "tables"), and the fold's members and supports, in
-    ``fold``.  No route calls BLAS, and a string's value depends on its
-    route and its state alone, never on the other strings or states of the
-    read.  A batch of basis states that :func:`product_state` made reads
-    from their ``basis`` indices alone, bit for bit as the routes would
-    (:meth:`_basis_values`); a batch that holds any other state takes the
-    routes throughout.  With ``shots`` > 0 the strings share
-    :func:`_measurement_groups`, each turned into the z basis by
-    :func:`pauli_rotations` and drawn ``shots`` times per state.  Either
-    way the identity (0, 0) is exactly 1.0 without a read, and the states
-    are only read: each route writes its working rows (the fold's slices,
-    turned copies, table columns) from every state's own amplitudes.
+    the fold reads together and the window and tables one state at a time.
+    With ``shots`` = 0 the reads are exact: the strings are grouped by x
+    mask, and :func:`_route` fixes each group's route here, in ``routes``
+    (x mask -> "fold", "window" or "tables").  No route calls BLAS, and a
+    string's value depends on its route and its state alone, never on the
+    other strings or states of the read.  A batch of basis states that
+    :func:`product_state` made reads from their ``basis`` indices alone,
+    bit for bit as the routes would (:meth:`_basis_values`); a batch that
+    holds any other state takes the routes throughout.  With ``shots`` > 0
+    the strings share :func:`_measurement_groups`, each turned into the z
+    basis by :func:`pauli_rotations` and drawn ``shots`` times per state.
+    Either way the identity (0, 0) is exactly 1.0 without a read, and the
+    states are only read.
     """
 
     def __init__(self, masks: Sequence[tuple[int, int]], num_qubits: int, shots: int = 0):
@@ -780,17 +780,15 @@ class ReadPlan:
         for i, (x, z) in enumerate(self.masks):
             if x | z:
                 by_x.setdefault(x, []).append(i)
-        self.routes = {x: _route(x, len(members), n) for x, members in by_x.items()}
         self.x, self.z = np.array(self.masks, dtype=np.int64).reshape(-1, 2).T
+        self.routes = {x: _route(x, [self.masks[i][1] for i in m], n) for x, m in by_x.items()}
         tables = [i for x_mask, r in self.routes.items() if r == "tables" for i in by_x[x_mask]]
         self.tables = tables, self.x[tables], self.z[tables]
-        self.fold = []  # (x mask, members, supports), by first support qubit, z = 0 first
-        for x_mask, members in by_x.items():
-            if self.routes[x_mask] == "fold":
-                z_masks = [self.masks[i][1] for i in members]
-                supports = [[q for q in range(n) if z >> (n - 1 - q) & 1] for z in z_masks]
-                group = sorted(zip(members, supports), key=lambda m: m[1][0] if m[1] else -1)
-                self.fold.append((x_mask, *zip(*group)))
+        self.windows = [(x, m, self.z[m]) for x, m in by_x.items() if self.routes[x] == "window"]
+        self.fold = []  # (members, supports) of the z strings, by first support qubit
+        if self.routes.get(0) == "fold":
+            supports = [[q for q in range(n) if self.z[i] >> (n - 1 - q) & 1] for i in by_x[0]]
+            self.fold.append(tuple(zip(*sorted(zip(by_x[0], supports), key=lambda m: m[1][0]))))
 
     def values(self, states: Sequence[Statevector], rngs=None) -> np.ndarray:
         """<state| sigma |state> for each state (row) and string (column).  A sampled
@@ -854,8 +852,10 @@ class ReadPlan:
         members, x, z = self.tables
         if members:
             values[:, members] = _transform_reads(batch, n, x, z)
-        for x_mask, members, supports in self.fold:
-            values[:, members] = _fold_reads(batch, n, supports, x_mask)
+        for x_mask, members, z in self.windows:
+            values[:, members] = _window_reads(batch, n, x_mask, z)
+        for members, supports in self.fold:  # at most one group
+            values[:, members] = _fold_reads(batch, n, supports)
         return values
 
     def _basis_values(self, indices: Sequence[int]) -> np.ndarray:

@@ -804,15 +804,15 @@ class TestReadPlanReads:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_half_tables_read_every_z_of_a_mask(self, n):
         """Every z of a few x masks, 0 among them, against :func:`backend._real_dot`
-        of the applied string, within 2 n eps.  From _X_FOLD_MIN_QUBITS qubits on,
-        groups of one and two strings on other masks take the fold, and a group
-        of n strings the tables."""
+        of the applied string, within 2 n eps.  Such a group spans the state, so
+        from 3 qubits on it takes the tables (on 1 and 2, the window).  From 11
+        qubits on, groups of one, two and n strings on random masks join them."""
         rng = np.random.default_rng(700 + n)
         state = random_state(rng, n)
         x_masks = sorted({0, 2**n - 1, 1 << (n - 1), int(rng.integers(1, 2**n))})
         x = np.repeat(x_masks, 2**n)
         z = np.tile(np.arange(2**n), len(x_masks))
-        if n >= backend._X_FOLD_MIN_QUBITS:
+        if n >= 11:
             small_x, small_z = self.grouped_strings(rng, n, [1, 2, n])
             x, z = np.concatenate([x, small_x]), np.concatenate([z, small_z])
         got = plan_values(state, x, z)
@@ -855,14 +855,15 @@ class TestReadPlanReads:
 
     @pytest.mark.parametrize("n", [11, 12, 17, 18, 20])
     def test_small_wide_groups_fold_as_the_applied_string(self, n):
-        """Groups of one and two strings, z = 0 among them, take the fold and agree
-        with :func:`backend._real_dot` of the applied string within 2 n eps (the
-        largest difference seen at these widths was 0.07 n eps)."""
+        """A few random z strings, one on the first and one on the last qubit among
+        them, take the fold and agree with :func:`backend._real_dot` of the applied
+        string within 2 n eps.  (Bond and site strings on other masks take the
+        window: :class:`TestWindowReads`.)"""
         rng = np.random.default_rng(400 + n)
         state = random_state(rng, n)
-        x, z = self.grouped_strings(rng, n, [1, 2, 1, 2])
-        z[:2] = 0
-        assert 0 not in x.tolist()
+        z = rng.integers(1, 2**n, size=6)
+        z[:2] = 1 << (n - 1), 1
+        x = np.zeros_like(z)
         with mock.patch.object(backend, "_transform_reads", side_effect=AssertionError):
             got = plan_values(state, x, z)
         want = self.real_dots(state.amplitudes, x.tolist(), z.tolist(), n)
@@ -872,8 +873,8 @@ class TestReadPlanReads:
     @pytest.mark.parametrize("site", [1, 4, 10])
     def test_a_z_free_string_reads_the_same_beside_its_partner(self, n, site):
         """A bond's xx (z = 0) reads the same bits alone and beside its yy, and a
-        site's x beside its y: its value is the fold's total, whatever head the
-        other strings of its group leave behind."""
+        site's x beside its y: its value is the sum of its window's Re e_i, whatever
+        else its group reads."""
         state = random_state(np.random.default_rng(450 + n), n)
         for axes in ("xx", "yy"), ("x", "y"):
             lone, partner = (
@@ -881,7 +882,7 @@ class TestReadPlanReads:
             )
             assert lone[0] == partner[0] and lone[1] == 0 and partner[1] == partner[0]
             plan = ReadPlan([lone, partner], n)
-            assert plan.routes == {lone[0]: "fold"}
+            assert plan.routes == {lone[0]: "window"}
             [alone] = ReadPlan([lone], n).values([state])[0]
             assert plan.values([state])[0][0] == alone
             assert ReadPlan([partner, lone], n).values([state])[0][1] == alone
@@ -892,39 +893,26 @@ class TestReadPlanReads:
         state = random_state(rng, n)
         x, z = self.grouped_strings(rng, n, [size])
         assert x[0] != 0
-        with mock.patch.object(backend, "_fold_reads", side_effect=AssertionError):
+        with mock.patch.object(backend, "_fold_reads", side_effect=AssertionError), \
+                mock.patch.object(backend, "_window_reads", side_effect=AssertionError):
             got = plan_values(state, x, z)
         want = self.reference(state.amplitudes, x, z, n)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 4, 9, 12, 18])
     def test_the_two_routes_agree(self, n):
-        """The fold and the tables on one x mask, within 1e-12, at any width."""
+        """The window and the tables on one bond's or one site's x mask, every z on
+        its window, within 1e-12, at any width."""
         rng = np.random.default_rng(600 + n)
         amps = random_state(rng, n).amplitudes
-        x_mask = int(rng.integers(1, 2**n))
-        z = rng.integers(2**n, size=12)
-        z[0] = 0
-        supports = [[q for q in range(n) if v >> (n - 1 - q) & 1] for v in z.tolist()]
-        order = sorted(range(len(z)), key=lambda i: supports[i][0] if supports[i] else -1)
-        [by_fold] = backend._fold_reads([amps], n, [supports[i] for i in order], x_mask)
-        [by_transform] = backend._transform_reads([amps], n, np.full(len(z), x_mask), z[order])
-        np.testing.assert_allclose(by_transform, by_fold, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("n", [17])
-    def test_sliced_x_folds_read_each_state_as_alone(self, n):
-        """A chain's xx and yy bonds and x and y fields, two states per batch at
-        n = 17: the slices pair and flip each state's own amplitudes, and only read them."""
-        rng = np.random.default_rng(650 + n)
-        states = [self.read_only(random_state(rng, n)) for _ in range(3)]
-        factors = [((s, a), (s + 1, a)) for s in range(1, n) for a in "xy"]
-        factors += [((s, a),) for s in range(1, n + 1) for a in "xy"]
-        plan = ReadPlan([pauli_masks(f, n) for f in factors], n)
-        assert set(plan.routes.values()) == {"fold"} and plan.batch == max(1, 2**18 >> n)
-        alone = [plan.values([state])[0].tolist() for state in states]
-        assert plan.values(states).tolist() == alone
-        batched = TestBatchedReads.in_batches(plan.values, plan, states)
-        assert [row.tolist() for row in batched] == alone
+        lo = int(rng.integers(max(1, n - 1)))
+        for width in {1, min(2, n)}:
+            below = n - lo - width
+            x_mask = int(rng.integers(1, 2**width)) << below
+            z = np.arange(2**width) << below
+            by_window = backend._window_reads([amps], n, x_mask, z)
+            by_transform = backend._transform_reads([amps], n, np.full(len(z), x_mask), z)
+            np.testing.assert_allclose(by_transform, by_window, rtol=0, atol=1e-12)
 
     def test_a_read_covers_more_masks_than_one_chunk(self):
         n = 10
@@ -932,8 +920,8 @@ class TestReadPlanReads:
         state = random_state(rng, n)
         x = rng.permutation(2**n)[:300]
         z = rng.integers(2**n, size=300)
-        assert n < backend._X_FOLD_MIN_QUBITS
-        assert len(set(x.tolist())) > backend._WALSH_CHUNK >> n
+        plan = ReadPlan(list(zip(x.tolist(), z.tolist())), n)
+        assert len(np.unique(plan.tables[1])) > backend._WALSH_CHUNK >> n
         self.check(state, x.tolist(), z.tolist())
 
     @pytest.mark.parametrize("n", [1, 5, 10, 12])
@@ -968,10 +956,12 @@ class TestBatchedReads:
     @staticmethod
     def strings(rng, n, z_strings):
         """The identity, ``z_strings`` z strings, three single strings on their own
-        x masks and three x masks of n + 1 strings each."""
+        x masks, three x masks of n + 1 strings each, and the xx, yy, xy and yx of
+        the bond between the last two sites."""
         x, z = TestReadPlanReads.grouped_strings(rng, n, [1, 1, 1, n + 1, n + 1, n + 1])
         masks = [(0, 0), *((0, int(v)) for v in rng.integers(1, 2**n, size=z_strings))]
-        return masks + list(zip(x.tolist(), z.tolist()))
+        bond = [pauli_masks(((n - 1, a), (n, b)), n) for a, b in ("xx", "yy", "xy", "yx")]
+        return masks + list(zip(x.tolist(), z.tolist())) + bond
 
     @staticmethod
     def in_batches(read, plan, states, *per_state):
@@ -989,8 +979,7 @@ class TestBatchedReads:
         states = [random_state(rng, n) for _ in range(count)]
         plan = ReadPlan(self.strings(rng, n, 2 * n - 1 if z_strings == "fold" else 2 * n), n)
         assert len(range(0, count, plan.batch)) == batches
-        # from 11 qubits on, the single strings on x masks take the fold too
-        routes = {"fold", "tables"} if z_strings == "fold" or n >= 11 else {"tables"}
+        routes = {"fold", "window", "tables"} if z_strings == "fold" else {"window", "tables"}
         assert set(plan.routes.values()) == routes
         alone = [plan.values([state])[0].tolist() for state in states]
         assert [row.tolist() for row in self.in_batches(plan.values, plan, states)] == alone
@@ -1049,7 +1038,10 @@ class TestBatchedReads:
         n, count, slack = 10, 61, 64 * 1024
         rng = np.random.default_rng(61)
         states = [random_state(rng, n) for _ in range(count)]
-        plan = ReadPlan([pauli_masks(((site, "x"),), n) for site in range(1, n + 1)], n)
+        # ten x masks, each string x on a site and z three sites on, around the
+        # chain: no string fits the window's two adjacent qubits
+        strings = [((site, "x"), ((site + 2) % n + 1, "z")) for site in range(1, n + 1)]
+        plan = ReadPlan([pauli_masks(f, n) for f in strings], n)
         assert set(plan.routes.values()) == {"tables"} and plan.batch >= count
         peaks = []
         for batch in (states[:1], states):
@@ -1060,6 +1052,70 @@ class TestBatchedReads:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= values.nbytes + slack
+
+
+class TestWindowReads:
+    """Groups on an x mask whose strings' x and z lie on at most two adjacent qubits,
+    a bond's or a site's, read from their window's pair products."""
+
+    @staticmethod
+    def window_strings(n, site):
+        """Every string on an x mask whose x and z lie on sites ``site`` and ``site`` + 1:
+        the bond's xx, yy, xy and yx, and on each of the two sites x and y, alone and
+        times z on the other site: three x masks, one window."""
+        a, b = site, site + 1
+        factors = [((a, p), (b, q)) for p, q in ("xx", "yy", "xy", "yx")]
+        factors += [((a, p),) for p in "xy"] + [((a, p), (b, "z")) for p in "xy"]
+        factors += [((b, p),) for p in "xy"] + [((a, "z"), (b, p)) for p in "xy"]
+        return [pauli_masks(f, n) for f in factors]
+
+    @pytest.mark.parametrize("n", [2, 3, 11, 17, 20])
+    def test_reads_equal_the_applied_string(self, n):
+        """At every bond and site, both chain ends included, within 2 n eps of
+        :func:`backend._real_dot` of the applied string (0.25 n eps seen); |x & z|
+        is even for x, xx and x times z, and odd for y, xy and y times z."""
+        state = random_state(np.random.default_rng(2000 + n), n)
+        for site in range(1, n):
+            masks = self.window_strings(n, site)
+            plan = ReadPlan(masks, n)
+            assert list(plan.routes.values()) == ["window"] * 3
+            got = plan.values([state])[0]
+            x, z = map(list, zip(*masks))
+            want = TestReadPlanReads.real_dots(state.amplitudes, x, z, n)
+            np.testing.assert_allclose(got, want, rtol=0, atol=2 * n * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("n", [3, 17])
+    def test_a_state_reads_the_same_alone_and_in_a_batch(self, n):
+        """A chain's xx and yy bonds and x and y fields, on read-only states, two
+        per batch at n = 17: each state's products come from its own amplitudes,
+        which are only read."""
+        rng = np.random.default_rng(650 + n)
+        states = [TestReadPlanReads.read_only(random_state(rng, n)) for _ in range(3)]
+        before = [state.amplitudes.copy() for state in states]
+        factors = [((s, a), (s + 1, a)) for s in range(1, n) for a in "xy"]
+        factors += [((s, a),) for s in range(1, n + 1) for a in "xy"]
+        plan = ReadPlan([pauli_masks(f, n) for f in factors], n)
+        assert set(plan.routes.values()) == {"window"} and plan.batch == max(1, 2**18 >> n)
+        alone = [plan.values([state])[0].tolist() for state in states]
+        assert plan.values(states).tolist() == alone
+        batched = TestBatchedReads.in_batches(plan.values, plan, states)
+        assert [row.tolist() for row in batched] == alone
+        assert all(np.array_equal(s.amplitudes, b) for s, b in zip(states, before))
+
+    def test_a_read_copies_no_amplitude(self):
+        """A bond's four strings and a site's x and y at n = 18 peak below 64 KiB
+        traced (5.1 KB seen), against the state's 4 MiB."""
+        n = 18
+        state = random_state(np.random.default_rng(18), n)
+        masks = self.window_strings(n, n - 1)[:6]
+        plan = ReadPlan(masks, n)
+        tracemalloc.start()
+        try:
+            plan.values([state])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestSlicedFold:
@@ -1453,17 +1509,26 @@ def chain_strings(n):
 
 
 def fold_values(amps, n, masks):
-    """Every string of ``masks`` read by the fold, one x mask at a time, as a 1-D array."""
+    """Every z string of ``masks`` read by the fold, as a 1-D array (1.0 for the others)."""
+    values = np.ones(len(masks))
+    members = [i for i, (x, z) in enumerate(masks) if z and not x]
+    supports = {i: [q for q in range(n) if masks[i][1] >> (n - 1 - q) & 1] for i in members}
+    members.sort(key=lambda i: supports[i][0])
+    values[members] = backend._fold_reads([amps], n, [supports[i] for i in members])[0]
+    return values
+
+
+def window_values(amps, n, masks):
+    """Every string of ``masks`` on an x mask read by the window, one x mask at a time,
+    as a 1-D array (1.0 for the others)."""
     values = np.ones(len(masks))
     by_x = {}
-    for i, (x, z) in enumerate(masks):
-        if x | z:
+    for i, (x, _) in enumerate(masks):
+        if x:
             by_x.setdefault(x, []).append(i)
     for x, members in by_x.items():
-        supports = {i: [q for q in range(n) if masks[i][1] >> (n - 1 - q) & 1] for i in members}
-        members.sort(key=lambda i: supports[i][0] if supports[i] else -1)
-        read = backend._fold_reads([amps], n, [supports[i] for i in members], x)
-        values[members] = read[0]
+        z = [masks[i][1] for i in members]
+        values[members] = backend._window_reads([amps], n, x, z)[0]
     return values
 
 
@@ -1481,8 +1546,9 @@ class TestBasisReads:
 
     @pytest.mark.parametrize("n", [1, 3, 5, 11, 17, 20])
     def test_the_closed_form_equals_both_routes_bit_for_bit(self, n):
-        # signed zeros included: an x != 0 string reads -0.0 where |x & z| mod 4
-        # is 2 or 3, as a yy bond does
+        # every route: the fold, the window and the tables, signed zeros included:
+        # a string on an x mask reads -0.0 where |x & z| mod 4 is 2 or 3, as a yy
+        # bond does
         rng = np.random.default_rng(5100 + n)
         strings = chain_strings(n)
         union = sorted(set().union(*strings.values()))
@@ -1501,6 +1567,7 @@ class TestBasisReads:
             assert state.basis == index
             closed = {}
             with mock.patch.object(backend, "_fold_reads", side_effect=AssertionError), \
+                    mock.patch.object(backend, "_window_reads", side_effect=AssertionError), \
                     mock.patch.object(backend, "_transform_reads", side_effect=AssertionError):
                 for name, masks in [*strings.items(), ("union", union)]:
                     [closed[name]] = ReadPlan(masks, n).values([state])
@@ -1510,10 +1577,16 @@ class TestBasisReads:
             for name, masks in strings.items():
                 want = got[[union.index(m) for m in masks]]
                 assert closed[name].tobytes() == want.tobytes(), name
-            # the same amplitudes without the index take the routes
-            routed = ReadPlan(union, n).values([Statevector(n, state.amplitudes)])[0]
+            # the same amplitudes without the index take the fold and the window
+            plan = ReadPlan(union, n)
+            assert set(plan.routes.values()) == {"fold", "window"}
+            routed = plan.values([Statevector(n, state.amplitudes)])[0]
             assert got.tobytes() == routed.tobytes(), index
-            assert got.tobytes() == fold_values(state.amplitudes, n, union).tobytes()
+            on_x = np.array([x != 0 for x, _ in union])
+            folded = fold_values(state.amplitudes, n, union)
+            assert got[~on_x].tobytes() == folded[~on_x].tobytes()
+            windowed = window_values(state.amplitudes, n, union)
+            assert got[on_x].tobytes() == windowed[on_x].tobytes()
             tables = table_values(state.amplitudes, n, [union[i] for i in tabled])
             assert got[tabled].tobytes() == tables.tobytes()
 
@@ -1522,9 +1595,11 @@ class TestBasisReads:
         masks = chain_strings(n)["energy"]
         states = [product_state(["up", "down"] * 3), random_state(np.random.default_rng(9), n)]
         plan = ReadPlan(masks, n)
-        with mock.patch.object(backend, "_fold_reads", wraps=backend._fold_reads) as fold:
+        with mock.patch.object(backend, "_fold_reads", wraps=backend._fold_reads) as fold, \
+                mock.patch.object(backend, "_window_reads", wraps=backend._window_reads) as window:
             got = plan.values(states)
-        assert fold.call_count == len(plan.fold)
+        # n - 1 bonds and n sites on x masks, each read through its own window
+        assert fold.call_count == 1 and window.call_count == len(plan.windows) == 2 * n - 1
         want = [plan.values([Statevector(n, s.amplitudes)])[0] for s in states]
         assert got.tobytes() == np.array(want).tobytes()
 

@@ -627,12 +627,12 @@ class TestReadPlans:
             # the routes the workloads and tutorials read by, as before the plan
             ("localization", "t=3.0", {"fold": 1}),
             ("wide-chain", "t=1.0", {"fold": 1}),
-            ("wide_energy", "t=0.0", {"fold": 20}),
-            ("wide_energy", "t=1.0", {"fold": 40}),
+            ("wide_energy", "t=0.0", {"fold": 1, "window": 19}),
+            ("wide_energy", "t=1.0", {"fold": 1, "window": 39}),
             ("qite-tfim", "fit", {"tables": 64}),
-            ("qite-tfim", "terms", {"fold": 1, "tables": 7}),
+            ("qite-tfim", "terms", {"fold": 1, "window": 7}),
             ("tfim", "fit", {"tables": 8}),
-            ("tfim", "terms", {"fold": 1, "tables": 3}),
+            ("tfim", "terms", {"fold": 1, "window": 3}),
         ],
     )
     def test_workload_reads_keep_their_routes(self, name, reads, routes):
@@ -649,26 +649,29 @@ class TestReadPlans:
     def test_a_20_spin_run_reads_its_first_point_from_the_index(
         self, tmp_path, monkeypatch, observable
     ):
-        # one step: the fold reads the state after it, one call per x mask,
-        # and no route reads the prepared product state at t = 0
+        # one step: the fold reads the state after it in one call and the window
+        # in one call per x mask; no route reads the prepared product state at t = 0
         text = WIDE_ENERGY.replace("observable: energy", f"observable: {observable}")
         calls = Counter()
-        for name in ("_fold_reads", "_transform_reads"):
+        for name in ("_fold_reads", "_window_reads", "_transform_reads"):
             read = getattr(backend, name)
             counted = lambda *args, _read=read, _name=name: calls.update([_name]) or _read(*args)
             monkeypatch.setattr(backend, name, counted)
         assert main(["run", str(write_input(tmp_path, text)), "--out", str(tmp_path / "o")]) == 0
-        assert calls == {"_fold_reads": read_routes(text, "t=1.0")["fold"]}
+        routes = read_routes(text, "t=1.0")
+        assert routes["fold"] == 1 and routes.keys() <= {"fold", "window"}
+        want = {"_fold_reads": 1, "_window_reads": routes.get("window", 0)}
+        assert calls == {name: count for name, count in want.items() if count}
 
     def test_small_chain_energies_keep_the_fold(self):
         # n - 1 zz bonds and n z fields: 2n - 1 z strings, the fold's limit
         text = SMALL_REAL_TIME.replace("h_x: 1.0", "J_x: 0.5\nh_z: 0.3").replace(
             "site-magnetization(z)", "energy"
         )
-        assert read_routes(text, "t=0.0") == {"fold": 1, "tables": 1}
+        assert read_routes(text, "t=0.0") == {"fold": 1, "window": 1}
         assert read_routes(text.replace("num_spins: 2", "num_spins: 5"), "t=0.0") == {
             "fold": 1,
-            "tables": 4,
+            "window": 4,
         }
 
     @pytest.mark.parametrize(
@@ -925,10 +928,9 @@ class TestMirrorRelation:
     def test_a_mirrored_chain_has_the_same_energies(self, tmp_path):
         """Reversing every per-bond and per-site list and the initial state maps
         each term group of the step onto itself, so the energies agree.  At 18
-        spins the fold reads the xx, yy and x strings in four slices, each paired
-        with slice j xor x's leading bits and flipped on x's other bits.  The
-        largest difference seen was 2.7e-15 on this input, 8.0e-15 over four
-        other seeds."""
+        spins the window reads each bond's xx and yy and each site's x, and the
+        fold the z strings in four slices.  The largest difference seen was
+        3.6e-15 on this input, 2.1e-14 over seeds 0 to 3."""
         energies = []
         for name, text in zip(("chain", "mirror"), mirror_texts(18, 31)):
             out = tmp_path / name
@@ -938,6 +940,54 @@ class TestMirrorRelation:
             energies.append(np.array([value for _, value, _ in read_csv(out / "results.csv")]))
         assert len(energies[0]) == 4
         assert np.abs(energies[0] - energies[1]).max() <= 2e-14
+
+
+def flip_texts(n: int, steps: int, seed: int, observable: str) -> tuple[str, str]:
+    """A real-time input with per-bond couplings, per-site x, y and z fields and a
+    random product state, and its global spin flip: h_y and h_z negated and every
+    spin of the state flipped."""
+    rng = np.random.default_rng(seed)
+    spins = rng.choice(["up", "down"], size=n).tolist()
+    lists = {
+        key: rng.uniform(-1, 1, size=n - 1 if key[0] == "J" else n)
+        for key in ("J_x", "J_y", "J_z", "h_x", "h_y", "h_z")
+    }
+    flipped = {"up": "down", "down": "up"}
+    texts = []
+    for flip in (False, True):
+        lines = [f"num_spins: {n}", "total_time: 0.6", f"num_steps: {steps}"]
+        for key, values in lists.items():
+            values = -values if flip and key in ("h_y", "h_z") else values
+            lines.append(f"{key}: {', '.join(map(repr, values.tolist()))}")
+        state = [flipped[s] for s in spins] if flip else spins
+        lines += [f"initial_state: {','.join(state)}", f"observable: {observable}"]
+        texts.append("\n".join(lines) + "\n")
+    return texts[0], texts[1]
+
+
+class TestFlipRelation:
+    @pytest.mark.parametrize("n, steps", [(17, 2), (20, 1)])
+    def test_a_flipped_chain_negates_y_and_z(self, tmp_path, n, steps):
+        """Conjugating by X on every qubit maps each gate of the step onto the gate of
+        the flipped input (h_y and h_z negated, every spin flipped), so the energy is
+        unchanged and the y and z magnetizations negate.  The window reads each
+        bond's xx and yy and each site's x and y, Im e_i included, and the fold the
+        z strings.  The largest differences seen were 3.3e-15 (energy) and 3.5e-16
+        (y) on these inputs, and up to 3.3e-14 and 3.8e-16 over five other seeds."""
+        for observable, sign, bound in (
+            ("energy", 1.0, 1e-14),
+            ("site-magnetization(y)", -1.0, 1e-15),
+            ("site-magnetization(z)", -1.0, 1e-15),
+        ):
+            values = []
+            for name, text in zip(("chain", "flip"), flip_texts(n, steps, 41 + n, observable)):
+                out = tmp_path / name
+                with contextlib.redirect_stdout(io.StringIO()):
+                    path = write_input(tmp_path, text, f"{name}.txt")
+                    assert main(["run", str(path), "--out", str(out)]) == 0
+                values.append(np.array([value for _, value, _ in read_csv(out / "results.csv")]))
+            assert len(values[0]) == steps + 1
+            assert np.abs(values[0] - sign * values[1]).max() <= bound, observable
 
 
 # imaginary-time evolution accepts only a time-independent Hamiltonian
