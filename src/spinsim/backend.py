@@ -31,7 +31,8 @@ class Statevector(Value, eq=False):
     """Amplitudes of an n-qubit pure state, unit norm up to float error.
 
     ``basis`` is the index of the one amplitude, 1.0, of a basis state that
-    :func:`product_state` made, else None.
+    :func:`product_state` made, else None: :func:`run_fused` starts from it,
+    and :class:`ReadPlan` reads from it.
     """
 
     def __init__(self, num_qubits: int, amplitudes: np.ndarray):
@@ -65,7 +66,8 @@ def product_state(spins: Sequence[str]) -> Statevector:
 
     At most STATEVECTOR_QUBIT_LIMIT sites, as for :func:`run_statevector` (all up by default).
     The state records its :func:`basis_index` as ``basis``, from which
-    :class:`ReadPlan` reads it without touching an amplitude.
+    :func:`run_fused` starts and :class:`ReadPlan` reads it without
+    touching an amplitude.
     """
     n = len(spins)
     _check_width(n)
@@ -309,30 +311,27 @@ def _live_range(a: int, b: int, block: FusedBlock) -> tuple[int, int]:
     return min(a, max(lo - 1, 0)), n - 1
 
 
-def run_fused(
-    plan: Sequence[FusedBlock | Gate], initial: Statevector, basis: int | None = None
-) -> Statevector:
+def run_fused(plan: Sequence[FusedBlock | Gate], initial: Statevector) -> Statevector:
     """Advance a copy of ``initial`` by a plan (:func:`fuse`'s, or gates): the one driver.
 
-    ``basis``, when given, says that ``initial`` is a basis state and gives
-    its index.  The run then starts from zeros that hold that one amplitude
-    and keeps a live range of qubits [a, b] (:func:`_live_range`), the
-    qubits the entries so far have touched: every amplitude whose bits
-    outside the range differ from the index's is still zero.  Each block
-    multiplies only the 2^(b - a + 1) amplitudes whose bits outside the
-    range equal the index's, one strided view of the state.  A plain
-    :class:`Gate` makes the range the whole register.  Without ``basis``
-    the range is the whole register throughout.  Either way each amplitude
-    is the same sum of the same products, bit for bit.  On the 20-spin
-    benchmark chain's fused step from an index, only the last entry, the
-    sweep's tail block, runs over the whole state.
+    A state that carries its basis index (``initial.basis``, which only
+    :func:`product_state` sets) starts the run from zeros that hold its one
+    amplitude, and the run keeps a live range of qubits [a, b]
+    (:func:`_live_range`), the qubits the entries so far have touched: every
+    amplitude whose bits outside the range differ from the index's is still
+    zero.  Each block multiplies only the 2^(b - a + 1) amplitudes whose bits
+    outside the range equal the index's, one strided view of the state.  A
+    plain :class:`Gate` makes the range the whole register.  Any other state
+    starts from a copy of its amplitudes, with the range the whole register
+    throughout.  Either way each amplitude is the same sum of the same
+    products, bit for bit.  On the 20-spin benchmark chain's fused step from
+    a product state, only the last entry, the sweep's tail block, runs over
+    the whole state.
     """
-    n = initial.num_qubits
+    n, basis = initial.num_qubits, initial.basis
     if basis is None:
         amps = initial.amplitudes.astype(complex, copy=True)
         a, b = 0, n - 1
-    elif not 0 <= basis < 2**n:
-        raise ValueError(f"basis index {basis} is out of range for {n} qubits")
     else:
         amps = np.zeros(2**n, dtype=complex)
         amps[basis] = initial.amplitudes[basis]
@@ -356,17 +355,16 @@ def run_fused(
 
 
 def run_statevector(program: Program, initial: Statevector | None = None) -> Statevector:
-    """Run a program by :func:`run_fused` from |0...0> (as basis index 0) or a copy of ``initial``:
-    on ``fuse(program)`` from 2m + 2 qubits (m = FUSED_QUBITS) up, where the state holds at
-    least four times a block's 2^2m-amplitude build, and on the program's gates below that."""
+    """Run a program by :func:`run_fused` from ``initial``, or from |0...0> as
+    :func:`product_state` makes it: on ``fuse(program)`` from 2m + 2 qubits (m = FUSED_QUBITS)
+    up, where the state holds at least four times a block's 2^2m-amplitude build, and on the
+    program's gates below that.  A product state starts from its basis index either way."""
     n = program.num_qubits
     _check_width(n)
     if initial is not None and initial.num_qubits != n:
         raise ValueError("initial state width does not match the program")
     plan = fuse(program) if n >= 2 * FUSED_QUBITS + 2 else program.gates
-    if initial is None:
-        return run_fused(plan, product_state(("up",) * n), basis=0)
-    return run_fused(plan, initial)
+    return run_fused(plan, product_state(("up",) * n) if initial is None else initial)
 
 
 def pauli_masks(factors: Iterable[tuple[int, str]], num_qubits: int) -> tuple[int, int]:

@@ -124,11 +124,11 @@ def evolve_series(
     at most FUSED_QUBITS qubits, one per window (about one per two qubits
     of the chain for a step with xx, yy and zz bonds) and one tail block
     that ends at the last qubit, and the state advances by those.  The
-    first step starts from the product state's basis index (its
-    ``basis``), so each of its blocks multiplies only the amplitudes that
-    earlier blocks can have made nonzero; the states it yields carry no
-    index.  State k equals that of the preparation followed by the first
-    k blocks, up to rounding.
+    first step starts from the product state's basis index (``run_fused``
+    reads its ``basis``), so each of its blocks multiplies only the
+    amplitudes that earlier blocks can have made nonzero; the states it
+    yields carry no index.  State k equals that of the preparation
+    followed by the first k blocks, up to rounding.
     """
     n = len(initial_state)
     state = product_state(initial_state)
@@ -139,5 +139,5 @@ def evolve_series(
             raise ValueError("step block width does not match the chain")
         if block is not fused:
             fused, plan = block, fuse(block)
-        state = run_fused(plan, state, basis=state.basis)
+        state = run_fused(plan, state)
         yield state

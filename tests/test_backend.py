@@ -44,6 +44,7 @@ from spinsim.observables import (
 from spinsim.optimizer import optimize
 from spinsim.qite import pauli_rotation_gates
 from spinsim.trotter import trotter_step
+from spinsim.value import set_field
 
 
 def program_of(num_qubits, gates):
@@ -490,22 +491,39 @@ def chain_spins(n, initial):
 
 
 class TestBasisStart:
-    """run_fused from a basis index multiplies only the live range of qubits and
-    gives what run_fused of the whole state gives, bit for bit."""
+    """run_fused from a state that carries its basis index multiplies only the live
+    range of qubits and gives what run_fused of the whole state gives, bit for bit."""
 
     @staticmethod
-    def assert_bitwise(plan, initial, index):
+    def assert_bitwise(plan, initial):
         before = initial.amplitudes.tobytes()
-        want = backend.run_fused(plan, initial).amplitudes
-        got = backend.run_fused(plan, initial, basis=index).amplitudes
-        assert got.tobytes() == want.tobytes(), index
+        whole = Statevector(initial.num_qubits, initial.amplitudes)  # no index
+        want = backend.run_fused(plan, whole).amplitudes
+        got = backend.run_fused(plan, initial).amplitudes
+        assert got.tobytes() == want.tobytes(), initial.basis
         assert initial.amplitudes.tobytes() == before
 
     @staticmethod
     def basis_state(n, index, amplitude=1.0):
+        """A state that carries its index, as product_state's do, with any amplitude."""
         amps = np.zeros(2**n, dtype=complex)
         amps[index] = amplitude
-        return Statevector(n, amps)
+        state = Statevector(n, amps)
+        set_field(state, "basis", index)
+        return state
+
+    @staticmethod
+    def block_sizes(run, *args):
+        """``run(*args)`` and the length of each region that _apply_block multiplies in it."""
+        sizes = []
+        apply = backend._apply_block
+
+        def counted(region, *rest):
+            sizes.append(len(region))
+            apply(region, *rest)
+
+        with mock.patch.object(backend, "_apply_block", counted):
+            return run(*args), sizes
 
     @staticmethod
     def shifted_program(rng, n, skip):
@@ -530,7 +548,7 @@ class TestBasisStart:
             indices = range(2**n) if n <= 4 else rng.integers(0, 2**n, size=4).tolist()
             for index in indices:
                 phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-                self.assert_bitwise(plan, self.basis_state(n, index, phase), index)
+                self.assert_bitwise(plan, self.basis_state(n, index, phase))
 
     KINDS = [
         "avoids-qubit-0",
@@ -561,37 +579,32 @@ class TestBasisStart:
         else:
             plan = ()
         for index in rng.integers(0, 2**n, size=8).tolist():
-            self.assert_bitwise(plan, self.basis_state(n, index), index)
+            self.assert_bitwise(plan, self.basis_state(n, index))
 
     @pytest.mark.parametrize("n", [17, 20])
     @pytest.mark.parametrize("initial", ["flip-first", "neel"])
     def test_a_chain_step(self, n, initial):
-        spins = chain_spins(n, initial)
-        self.assert_bitwise(chain_step_plan(n), product_state(spins), backend.basis_index(spins))
+        self.assert_bitwise(chain_step_plan(n), product_state(chain_spins(n, initial)))
 
     def test_the_benchmark_step_multiplies_a_fraction_of_the_state(self):
         # the windows advance two qubits per block from qubit 0; the last one,
         # the tail block on qubits 14-19, applies a kron product, which takes
         # the whole state: one whole-state pass
         n = 20
-        spins = chain_spins(n, "flip-first")
-        plan, index = chain_step_plan(n), backend.basis_index(spins)
-        sizes = []
-        apply = backend._apply_block
-
-        def counted(region, *args):
-            sizes.append(len(region))
-            apply(region, *args)
-
-        with mock.patch.object(backend, "_apply_block", counted):
-            backend.run_fused(plan, product_state(spins), basis=index)
+        state = product_state(chain_spins(n, "flip-first"))
+        _, sizes = self.block_sizes(backend.run_fused, chain_step_plan(n), state)
         assert sizes == [2**8, 2**8, 2**9, 2**11, 2**13, 2**15, 2**17, 2**20]
 
-    def test_an_index_outside_the_state_is_refused(self):
-        plan = backend.fuse(program_of(3, [ir.h(0)]))
-        for index in (-1, 8):
-            with pytest.raises(ValueError):
-                backend.run_fused(plan, self.basis_state(3, 0), basis=index)
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_run_statevector_starts_a_product_state_from_its_index(self, n):
+        # from 2 FUSED_QUBITS + 2 qubits up run_statevector fuses; the first three
+        # blocks of the step from a Neel state multiply a few hundred amplitudes,
+        # and only the tail block the whole state
+        program, state = chain_step(n), product_state(chain_spins(n, "neel"))
+        got, sizes = self.block_sizes(run_statevector, program, state)
+        assert sizes[:3] == [2**8, 2**8, 2**9] and sizes[-1] == 2**n
+        want = run_statevector(program, Statevector(n, state.amplitudes))
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
     def test_the_start_holds_no_more_memory_than_the_whole_state(self):
         """The 18-spin chain step: the basis start's tracemalloc peak, a zeroed state
@@ -602,10 +615,10 @@ class TestBasisStart:
         spins = chain_spins(n, "flip-first")
         state = product_state(spins)
         peaks = []
-        for basis in (None, backend.basis_index(spins)):
+        for initial in (Statevector(n, state.amplitudes), state):
             tracemalloc.start()
             try:
-                backend.run_fused(plan, state, basis=basis)
+                backend.run_fused(plan, initial)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1624,7 +1637,10 @@ class TestBasisReads:
         assert Statevector(n, state.amplitudes).basis is None
         plan = backend.fuse(chain_step(12))
         start = product_state(["up"] * 12)
-        assert backend.run_fused(plan, start, basis=start.basis).basis is None
+        got = backend.run_fused(plan, start)
+        assert got.basis is None
+        want = backend.run_fused(plan, Statevector(12, start.amplitudes))
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
         assert pauli_rotations([state], [1], [0], [0.0])[0].basis is None
 
 

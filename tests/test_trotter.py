@@ -7,7 +7,14 @@ import pytest
 
 from helpers import matrix_exponential
 from spinsim import backend, ir, trotter
-from spinsim.backend import basis_index, fuse, product_state, run_fused, run_statevector
+from spinsim.backend import (
+    Statevector,
+    basis_index,
+    fuse,
+    product_state,
+    run_fused,
+    run_statevector,
+)
 from spinsim.config import ConstantSchedule, GaussianPulseSchedule, LinearRampSchedule
 from spinsim.hamiltonian import HeisenbergHamiltonian, dense_matrix, snapshot
 from spinsim.ir import lower_to_native, phase_aligned_distance
@@ -231,9 +238,12 @@ class TestEvolveSeries:
     def test_only_the_first_step_starts_from_the_basis_index(self, monkeypatch):
         starts = []
 
-        def spying_run_fused(plan, initial, basis=None):
-            starts.append(basis)
-            return run_fused(plan, initial, basis=basis)
+        def spying_run_fused(plan, initial):
+            starts.append(initial.basis)
+            got = run_fused(plan, initial)
+            want = run_fused(plan, Statevector(initial.num_qubits, initial.amplitudes))
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+            return got
 
         monkeypatch.setattr(trotter, "run_fused", spying_run_fused)
         spins = ["down", "up", "down"]
